@@ -8,20 +8,22 @@ run summaries (counts, timings) go to standard output.
 
 Exit codes: 0 success, 2 argument errors, 3 input format or validation
 errors, 1 internal failures; every failure prints one line starting with
-"ERROR <code>:" on standard error. The LIDARPOST_THREADS environment
-variable caps worker parallelism (0 = auto); all current operations run
-sequentially, which satisfies any cap.
+"ERROR <code>:" on standard error. A --config file is deep-merged over
+the defaults printed by default-config; unknown keys and values of the
+wrong type are argument errors. Override flags such as --iou take
+precedence over the config (see OVERRIDES).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
-import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import asdict
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .assigner import (
     DEFAULT_K,
@@ -39,6 +41,7 @@ from .ensemble import (
     DetectionSet,
     box_vote,
     ensemble_pair,
+    grid_search_weight,
     nms,
     soft_nms,
 )
@@ -57,8 +60,6 @@ from .metrics import (
 from .pointcloud import (
     DEFAULT_DELTA,
     DEFAULT_RANGE,
-    ROTATION_RANGE,
-    SCALE_RANGE,
     RangeSpec,
     concat_frames,
 )
@@ -66,43 +67,21 @@ from .tracker import Tracker, TrackerConfig
 from .voxelizer import VoxelConfig, voxelize_dynamic, voxelize_hard
 
 
-def thread_cap() -> Optional[int]:
-    """Parallelism cap from LIDARPOST_THREADS; None means auto (unset or 0)."""
-    raw = os.environ.get("LIDARPOST_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return None if value <= 0 else value
-
-
 def default_config() -> dict:
-    """All tunable defaults, one section per module."""
-    vox = VoxelConfig()
-    track = TrackerConfig()
+    """All tunable defaults, one section per module.
+
+    pointcloud.range, voxelizer and tracker hold exactly the fields of
+    RangeSpec, VoxelConfig (less its range) and TrackerConfig, so commands
+    build those objects straight from a validated config.
+    """
+    voxelizer = asdict(VoxelConfig())
+    del voxelizer["range"]
     return {
         "pointcloud": {
-            "range": {
-                "x_min": DEFAULT_RANGE.x_min,
-                "x_max": DEFAULT_RANGE.x_max,
-                "y_min": DEFAULT_RANGE.y_min,
-                "y_max": DEFAULT_RANGE.y_max,
-                "z_min": DEFAULT_RANGE.z_min,
-                "z_max": DEFAULT_RANGE.z_max,
-            },
+            "range": asdict(DEFAULT_RANGE),
             "delta": DEFAULT_DELTA,
-            "scale_range": list(SCALE_RANGE),
-            "rotation_range": list(ROTATION_RANGE),
         },
-        "voxelizer": {
-            "vx": vox.vx,
-            "vy": vox.vy,
-            "vz": vox.vz,
-            "max_points_per_voxel": vox.max_points_per_voxel,
-            "max_voxels": vox.max_voxels,
-        },
+        "voxelizer": voxelizer,
         "assigner": {
             "k": DEFAULT_K,
             "pos_thr": DEFAULT_POS_THR,
@@ -116,13 +95,7 @@ def default_config() -> dict:
             "weight_grid": [round(0.1 * i, 1) for i in range(1, 11)],
             "stop_delta": DEFAULT_STOP_DELTA,
         },
-        "tracker": {
-            "iou_min": track.iou_min,
-            "max_age": track.max_age,
-            "min_hits": track.min_hits,
-            "process_noise": track.process_noise,
-            "measurement_noise": track.measurement_noise,
-        },
+        "tracker": asdict(TrackerConfig()),
         "metrics": {
             "iou_thr": {label.value: thr for label, thr in DEFAULT_IOU_THRESHOLDS.items()},
             "difficulty": Difficulty.L2.value,
@@ -130,14 +103,67 @@ def default_config() -> dict:
     }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        if key in merged and isinstance(merged[key], dict) and isinstance(value, dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
-    return merged
+# Override flags: subcommand -> {argparse dest: dotted config path}. A flag
+# that is given replaces the config value at its path; a path that names a
+# per-class map sets every class of that map.
+OVERRIDES: Dict[str, Dict[str, str]] = {
+    "concat": {"delta": "pointcloud.delta"},
+    "voxelize": {
+        "vx": "voxelizer.vx",
+        "vy": "voxelizer.vy",
+        "vz": "voxelizer.vz",
+        "max_points": "voxelizer.max_points_per_voxel",
+        "max_voxels": "voxelizer.max_voxels",
+    },
+    "assign": {
+        "k": "assigner.k",
+        "pos_thr": "assigner.pos_thr",
+        "neg_thr": "assigner.neg_thr",
+    },
+    "nms": {"iou": "ensemble.nms_iou"},
+    "soft-nms": {
+        "sigma": "ensemble.soft_nms_sigma",
+        "floor": "ensemble.soft_nms_score_floor",
+    },
+    "vote": {"nms_iou": "ensemble.nms_iou", "vote_iou": "ensemble.vote_iou"},
+    "ensemble": {"iou": "ensemble.nms_iou", "grid": "ensemble.weight_grid"},
+    "track": {
+        "iou_min": "tracker.iou_min",
+        "max_age": "tracker.max_age",
+        "min_hits": "tracker.min_hits",
+    },
+    "eval-det": {"iou": "metrics.iou_thr", "level": "metrics.difficulty"},
+    "eval-mot": {"iou": "metrics.iou_thr"},
+}
+
+
+def _merge_checked(default, value, path: str):
+    """value laid over default, deep-merging objects.
+
+    Raises ValueError naming the dotted key path where value's shape departs
+    from default's: an unknown key, or a value of another type. An int
+    stands in for a float, never for a bool or the other way round.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"config {path}: expected an object, got {value!r}")
+        merged = dict(default)
+        for key, item in value.items():
+            key_path = f"{path}.{key}" if path else key
+            if key not in default:
+                raise ValueError(f"config {key_path}: unknown key")
+            merged[key] = _merge_checked(default[key], item, key_path)
+        return merged
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ValueError(f"config {path}: expected a list, got {value!r}")
+        for i, item in enumerate(value):
+            _merge_checked(default[0], item, f"{path}[{i}]")
+        return value
+    expected = (int, float) if type(default) is float else type(default)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, expected):
+        raise ValueError(f"config {path}: expected {type(default).__name__}, got {value!r}")
+    return value
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -148,11 +174,34 @@ def load_config(path: Optional[str]) -> dict:
         user = json.load(fh)
     if not isinstance(user, dict):
         raise ValueError(f"config {path}: expected a JSON object at top level")
-    return _deep_merge(config, user)
+    return _merge_checked(config, user, "")
 
 
-def _pick(flag, config_value):
-    return config_value if flag is None else flag
+def _slot(config: dict, path: str) -> Tuple[dict, str]:
+    """The dict that holds the value at a dotted config path, and its key."""
+    *sections, key = path.split(".")
+    for name in sections:
+        config = config[name]
+    return config, key
+
+
+def _resolve_config(args: argparse.Namespace) -> dict:
+    """The --config file over the defaults, then the command's override flags."""
+    config = load_config(args.config)
+    for dest, path in OVERRIDES.get(args.command, {}).items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        section, key = _slot(config, path)
+        if isinstance(section[key], dict):
+            section[key] = dict.fromkeys(section[key], value)
+        else:
+            section[key] = value
+    return config
+
+
+def _float_list(text: str) -> List[float]:
+    return [float(item) for item in text.split(",")]
 
 
 def _filter_class(boxes: Sequence[Box3D], label: Optional[Label]) -> List[Box3D]:
@@ -161,74 +210,52 @@ def _filter_class(boxes: Sequence[Box3D], label: Optional[Label]) -> List[Box3D]
     return [b for b in boxes if b.label is label]
 
 
-def _classwise_nms(
-    boxes: Sequence[Box3D], override: Optional[float], iou_map: Dict[str, float]
-) -> List[Box3D]:
-    """NMS with a per-class threshold map unless a single override is given.
+def _frame_union(first: Dict[str, DetectionSet], second: Dict[str, DetectionSet]) -> List[str]:
+    """Frame ids of first, then the ids of second that first lacks, in file order."""
+    return list(first) + [fid for fid in second if fid not in first]
 
-    Kept boxes come back in descending (score, original index) order.
+
+def _classwise_nms(boxes: Sequence[Box3D], iou_map: Dict[str, float]) -> List[Box3D]:
+    """NMS at each class's threshold; kept boxes in descending (score, index) order.
+
+    nms runs for every class, also one without boxes, so that an out-of-range
+    threshold is an error whatever classes a frame holds.
     """
-    if override is not None:
-        return [boxes[i] for i in nms(boxes, override)]
     kept: List[int] = []
     for label in Label:
         idx = [i for i, b in enumerate(boxes) if b.label is label]
-        if not idx:
-            continue
         subset = [boxes[i] for i in idx]
         kept.extend(idx[i] for i in nms(subset, iou_map[label.value]))
     kept.sort(key=lambda i: (-boxes[i].score, i))
     return [boxes[i] for i in kept]
 
 
-def _summary(**fields) -> None:
-    print(" ".join(f"{key}={value}" for key, value in fields.items()))
-
-
-def _write_report(lines: List[str], output: Optional[str]) -> None:
-    text = "".join(line + "\n" for line in lines)
+def _write_report(lines: Iterable[str], output: Optional[str]) -> None:
+    """Write lines to output (standard output if None) one by one, so that
+    a generator of lines is never held in memory whole."""
     if output is None:
-        sys.stdout.write(text)
+        sink = contextlib.nullcontext(sys.stdout)
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        sink = open(output, "w", encoding="utf-8", newline="\n")
+    with sink as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
-def _write_jsonl(records: List[dict], output: str) -> None:
-    with open(output, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record, allow_nan=False) + "\n")
-
-
-def cmd_concat(args: argparse.Namespace) -> None:
-    start = time.perf_counter()
-    config = load_config(args.config)
-    delta = _pick(args.delta, config["pointcloud"]["delta"])
+def cmd_concat(args: argparse.Namespace, config: dict) -> dict:
     current = read_points(args.current, args.channels, frame_id="current")
     previous = read_points(args.previous, args.channels, frame_id="previous")
-    merged = concat_frames(current, previous, delta)
+    merged = concat_frames(current, previous, config["pointcloud"]["delta"])
     write_points(merged, args.output, channels=5)
-    _summary(
+    return dict(
         points_current=len(current),
         points_previous=len(previous),
         points_out=len(merged),
-        elapsed_s=f"{time.perf_counter() - start:.3f}",
     )
 
 
-def cmd_voxelize(args: argparse.Namespace) -> None:
-    start = time.perf_counter()
-    config = load_config(args.config)
-    section = config["voxelizer"]
+def cmd_voxelize(args: argparse.Namespace, config: dict) -> dict:
     range_spec = RangeSpec(**config["pointcloud"]["range"])
-    vox_config = VoxelConfig(
-        range=range_spec,
-        vx=_pick(args.vx, section["vx"]),
-        vy=_pick(args.vy, section["vy"]),
-        vz=_pick(args.vz, section["vz"]),
-        max_points_per_voxel=_pick(args.max_points, section["max_points_per_voxel"]),
-        max_voxels=_pick(args.max_voxels, section["max_voxels"]),
-    )
+    vox_config = VoxelConfig(range=range_spec, **config["voxelizer"])
     cloud = read_points(args.points, args.channels)
     grid = (
         voxelize_hard(cloud, vox_config)
@@ -243,21 +270,17 @@ def cmd_voxelize(args: argparse.Namespace) -> None:
         "dropped_points": grid.dropped_points,
         "dropped_voxels": grid.dropped_voxels,
     }
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _summary(
+    _write_report([json.dumps(summary, indent=2, sort_keys=True)], args.output)
+    return dict(
         points_in=len(cloud),
         voxels=grid.num_voxels,
         stored=grid.stored_points,
         dropped_points=grid.dropped_points,
         dropped_voxels=grid.dropped_voxels,
-        elapsed_s=f"{time.perf_counter() - start:.3f}",
     )
 
 
-def cmd_assign(args: argparse.Namespace) -> None:
-    start = time.perf_counter()
-    config = load_config(args.config)
+def cmd_assign(args: argparse.Namespace, config: dict) -> dict:
     section = config["assigner"]
     anchors_by_frame = read_boxes(args.anchors)
     gts_by_frame = read_boxes(args.gts)
@@ -272,14 +295,9 @@ def cmd_assign(args: argparse.Namespace) -> None:
             continue
         anchor_count += len(anchors)
         if args.mode == "fixed":
-            result = fixed_assign(
-                anchors,
-                gts,
-                _pick(args.pos_thr, section["pos_thr"]),
-                _pick(args.neg_thr, section["neg_thr"]),
-            )
+            result = fixed_assign(anchors, gts, section["pos_thr"], section["neg_thr"])
         else:
-            result = adaptive_assign(anchors, gts, _pick(args.k, section["k"]))
+            result = adaptive_assign(anchors, gts, section["k"])
         for i, (anchor_label, gt_index) in enumerate(
             zip(result.labels, result.gt_indices)
         ):
@@ -292,21 +310,18 @@ def cmd_assign(args: argparse.Namespace) -> None:
                 records.append(
                     {"frame_id": frame_id, "gt_index": j, "adaptive_threshold": threshold}
                 )
-    _write_jsonl(records, args.output)
-    _summary(
+    _write_report((json.dumps(r, allow_nan=False) for r in records), args.output)
+    return dict(
         frames=len(anchors_by_frame),
         anchors=anchor_count,
-        elapsed_s=f"{time.perf_counter() - start:.3f}",
     )
 
 
 def _run_per_frame_filter(
     args: argparse.Namespace,
-    transform: Callable[[List[Box3D], dict], List[Box3D]],
-) -> None:
+    transform: Callable[[List[Box3D]], List[Box3D]],
+) -> dict:
     """Shared frame loop for nms / soft-nms / vote."""
-    start = time.perf_counter()
-    config = load_config(args.config)
     frames = read_boxes(args.input)
     label = Label(args.cls) if args.cls else None
     boxes_in = 0
@@ -315,85 +330,87 @@ def _run_per_frame_filter(
     for frame_id, frame in frames.items():
         boxes = _filter_class(frame.boxes, label)
         boxes_in += len(boxes)
-        kept = transform(boxes, config)
+        kept = transform(boxes)
         boxes_out += len(kept)
         outputs.append(DetectionSet(frame_id, kept, frame.source_id, frame.timestamp))
     write_boxes(outputs, args.output)
-    _summary(
+    return dict(
         frames=len(frames),
         boxes_in=boxes_in,
         boxes_out=boxes_out,
-        elapsed_s=f"{time.perf_counter() - start:.3f}",
     )
 
 
-def cmd_nms(args: argparse.Namespace) -> None:
-    def transform(boxes: List[Box3D], config: dict) -> List[Box3D]:
-        return _classwise_nms(boxes, args.iou, config["ensemble"]["nms_iou"])
+def cmd_nms(args: argparse.Namespace, config: dict) -> dict:
+    def transform(boxes: List[Box3D]) -> List[Box3D]:
+        return _classwise_nms(boxes, config["ensemble"]["nms_iou"])
 
-    _run_per_frame_filter(args, transform)
+    return _run_per_frame_filter(args, transform)
 
 
-def cmd_soft_nms(args: argparse.Namespace) -> None:
-    def transform(boxes: List[Box3D], config: dict) -> List[Box3D]:
+def cmd_soft_nms(args: argparse.Namespace, config: dict) -> dict:
+    def transform(boxes: List[Box3D]) -> List[Box3D]:
         section = config["ensemble"]
         return soft_nms(
             boxes,
-            sigma=_pick(args.sigma, section["soft_nms_sigma"]),
-            score_floor=_pick(args.floor, section["soft_nms_score_floor"]),
+            sigma=section["soft_nms_sigma"],
+            score_floor=section["soft_nms_score_floor"],
         )
 
-    _run_per_frame_filter(args, transform)
+    return _run_per_frame_filter(args, transform)
 
 
-def cmd_vote(args: argparse.Namespace) -> None:
-    def transform(boxes: List[Box3D], config: dict) -> List[Box3D]:
+def cmd_vote(args: argparse.Namespace, config: dict) -> dict:
+    def transform(boxes: List[Box3D]) -> List[Box3D]:
         section = config["ensemble"]
-        kept = _classwise_nms(boxes, args.nms_iou, section["nms_iou"])
-        return box_vote(kept, boxes, _pick(args.vote_iou, section["vote_iou"]))
+        kept = _classwise_nms(boxes, section["nms_iou"])
+        return box_vote(kept, boxes, section["vote_iou"])
 
-    _run_per_frame_filter(args, transform)
+    return _run_per_frame_filter(args, transform)
 
 
-def _detection_ap(
+def _class_frames(
+    det_frames: Dict[str, DetectionSet], gt_frames: Dict[str, DetectionSet], label: Label
+) -> Iterator[Tuple[List[Box3D], List[Box3D]]]:
+    """(detections, ground truths) of one class per frame, in
+    _frame_union(gt_frames, det_frames) order; a missing frame is empty."""
+    for frame_id in _frame_union(gt_frames, det_frames):
+        det_set = det_frames.get(frame_id)
+        gt_set = gt_frames.get(frame_id)
+        yield (
+            _filter_class(det_set.boxes, label) if det_set else [],
+            _filter_class(gt_set.boxes, label) if gt_set else [],
+        )
+
+
+def _class_ledgers(
     det_frames: Dict[str, DetectionSet],
     gt_frames: Dict[str, DetectionSet],
     label: Label,
     iou_thr: float,
     level: Difficulty,
-) -> float:
+) -> Tuple[List[MatchLedger], int, int]:
+    """Match one class frame by frame, ground truth cut to the difficulty
+    level; returns (ledgers, gt_count, det_count)."""
     ledgers: List[MatchLedger] = []
     gt_count = 0
-    frame_ids = list(gt_frames)
-    frame_ids.extend(fid for fid in det_frames if fid not in gt_frames)
-    for frame_id in frame_ids:
-        det_set = det_frames.get(frame_id)
-        gt_set = gt_frames.get(frame_id)
-        dets = _filter_class(det_set.boxes, label) if det_set else []
-        gts = split_difficulty(
-            _filter_class(gt_set.boxes, label) if gt_set else [], level
-        )
+    det_count = 0
+    for dets, gts in _class_frames(det_frames, gt_frames, label):
+        gts = split_difficulty(gts, level)
+        det_count += len(dets)
         gt_count += len(gts)
         ledgers.append(match_frame(dets, gts, iou_thr))
-    ap, _ = average_precision(ledgers, gt_count)
-    return ap
+    return ledgers, gt_count, det_count
 
 
-def cmd_ensemble(args: argparse.Namespace) -> None:
-    start = time.perf_counter()
-    config = load_config(args.config)
+def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
     section = config["ensemble"]
     if len(args.inputs) < 2:
         raise ValueError("ensemble needs at least two --inputs files")
     if not args.cls:
         raise ValueError("ensemble requires --class to score the merge")
     label = Label(args.cls)
-    iou_thr = _pick(args.iou, section["nms_iou"][label.value])
-    grid = (
-        [float(w) for w in args.grid.split(",")]
-        if args.grid
-        else list(section["weight_grid"])
-    )
+    iou_thr = section["nms_iou"][label.value]
     stop_delta = section["stop_delta"]
     metric_iou = config["metrics"]["iou_thr"][label.value]
     level = Difficulty(config["metrics"]["difficulty"])
@@ -407,15 +424,15 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
         detectors.append(frames)
 
     def score(frames: Dict[str, DetectionSet]) -> float:
-        return _detection_ap(frames, gt_frames, label, metric_iou, level)
+        ledgers, gt_count, _ = _class_ledgers(frames, gt_frames, label, metric_iou, level)
+        ap, _ = average_precision(ledgers, gt_count)
+        return ap
 
     def merge_frames(
         fixed: Dict[str, DetectionSet], cand: Dict[str, DetectionSet], weight: float
     ) -> Dict[str, DetectionSet]:
-        frame_ids = list(fixed)
-        frame_ids.extend(fid for fid in cand if fid not in fixed)
         merged: Dict[str, DetectionSet] = {}
-        for fid in frame_ids:
+        for fid in _frame_union(fixed, cand):
             a = fixed.get(fid)
             b = cand.get(fid)
             if a is None:
@@ -429,13 +446,9 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
     current_score = score(current)
     steps = [f"detector_0 score={current_score!r}"]
     for index, candidate in enumerate(detectors[1:], start=1):
-        best_weight = grid[0]
-        best_score = -math.inf
-        for weight in grid:
-            merged_score = score(merge_frames(current, candidate, weight))
-            if merged_score > best_score:
-                best_weight = weight
-                best_score = merged_score
+        best_weight, best_score = grid_search_weight(
+            section["weight_grid"], partial(merge_frames, current, candidate), score
+        )
         if best_score - current_score < stop_delta:
             steps.append(
                 f"detector_{index} skipped (best gain "
@@ -449,29 +462,18 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
     write_boxes(current, args.output)
     for step in steps:
         print(step)
-    _summary(
+    return dict(
         detectors=len(detectors),
         frames=len(current),
         boxes_out=sum(len(s) for s in current.values()),
         score=repr(current_score),
-        elapsed_s=f"{time.perf_counter() - start:.3f}",
     )
 
 
-def cmd_track(args: argparse.Namespace) -> None:
-    start = time.perf_counter()
-    config = load_config(args.config)
-    section = config["tracker"]
-    tracker_config = TrackerConfig(
-        iou_min=_pick(args.iou_min, section["iou_min"]),
-        max_age=_pick(args.max_age, section["max_age"]),
-        min_hits=_pick(args.min_hits, section["min_hits"]),
-        process_noise=section["process_noise"],
-        measurement_noise=section["measurement_noise"],
-    )
+def cmd_track(args: argparse.Namespace, config: dict) -> dict:
     frames = read_boxes(args.input)
     label = Label(args.cls) if args.cls else None
-    tracker = Tracker(tracker_config)
+    tracker = Tracker(TrackerConfig(**config["tracker"]))
     outputs: List[DetectionSet] = []
     reported = 0
     for frame_id, frame in frames.items():
@@ -485,11 +487,10 @@ def cmd_track(args: argparse.Namespace) -> None:
         reported += len(boxes)
         outputs.append(DetectionSet(frame_id, boxes, frame.source_id, frame.timestamp))
     write_boxes(outputs, args.output)
-    _summary(
+    return dict(
         frames=len(frames),
         tracks=tracker.tracks_created,
         reported=reported,
-        elapsed_s=f"{time.perf_counter() - start:.3f}",
     )
 
 
@@ -500,11 +501,9 @@ def _labels_for(args: argparse.Namespace, gt_frames: Dict[str, DetectionSet]) ->
     return [label for label in Label if label in present]
 
 
-def cmd_eval_det(args: argparse.Namespace) -> None:
-    start = time.perf_counter()
-    config = load_config(args.config)
+def cmd_eval_det(args: argparse.Namespace, config: dict) -> dict:
     iou_map = config["metrics"]["iou_thr"]
-    level = Difficulty(_pick(args.level, config["metrics"]["difficulty"]))
+    level = Difficulty(config["metrics"]["difficulty"])
     det_frames = read_boxes(args.detections)
     gt_frames = read_boxes(args.gt)
     labels = _labels_for(args, gt_frames)
@@ -512,23 +511,10 @@ def cmd_eval_det(args: argparse.Namespace) -> None:
     csv_lines = ["class,recall,precision,heading_precision"]
     ap_values = []
     aph_values = []
-    frame_ids = list(gt_frames)
-    frame_ids.extend(fid for fid in det_frames if fid not in gt_frames)
     for label in labels:
-        iou_thr = _pick(args.iou, iou_map[label.value])
-        ledgers: List[MatchLedger] = []
-        gt_count = 0
-        det_count = 0
-        for frame_id in frame_ids:
-            det_set = det_frames.get(frame_id)
-            gt_set = gt_frames.get(frame_id)
-            dets = _filter_class(det_set.boxes, label) if det_set else []
-            gts = split_difficulty(
-                _filter_class(gt_set.boxes, label) if gt_set else [], level
-            )
-            det_count += len(dets)
-            gt_count += len(gts)
-            ledgers.append(match_frame(dets, gts, iou_thr))
+        ledgers, gt_count, det_count = _class_ledgers(
+            det_frames, gt_frames, label, iou_map[label.value], level
+        )
         ap, aph = average_precision(ledgers, gt_count)
         ap_values.append(ap)
         aph_values.append(aph)
@@ -544,44 +530,32 @@ def cmd_eval_det(args: argparse.Namespace) -> None:
     if ap_values:
         lines.append(f"mean.AP={sum(ap_values) / len(ap_values)!r}")
         lines.append(f"mean.APH={sum(aph_values) / len(aph_values)!r}")
+    frame_count = len(_frame_union(gt_frames, det_frames))
     lines.append(f"difficulty={level.value}")
-    lines.append(f"frames={len(frame_ids)}")
+    lines.append(f"frames={frame_count}")
     _write_report(lines, args.output)
     if args.pr_csv:
         _write_report(csv_lines, args.pr_csv)
-    _summary(
-        frames=len(frame_ids),
+    return dict(
+        frames=frame_count,
         classes=len(labels),
-        elapsed_s=f"{time.perf_counter() - start:.3f}",
     )
 
 
-def cmd_eval_mot(args: argparse.Namespace) -> None:
-    start = time.perf_counter()
-    config = load_config(args.config)
+def cmd_eval_mot(args: argparse.Namespace, config: dict) -> dict:
     iou_map = config["metrics"]["iou_thr"]
     tracked_frames = read_boxes(args.tracked)
     gt_frames = read_boxes(args.gt)
     labels = _labels_for(args, gt_frames)
-    frame_ids = list(gt_frames)
-    frame_ids.extend(fid for fid in tracked_frames if fid not in gt_frames)
+    frame_ids = _frame_union(gt_frames, tracked_frames)
     lines: List[str] = []
     for label in labels:
-        iou_thr = _pick(args.iou, iou_map[label.value])
-        tracked_seq = []
-        gt_seq = []
-        gt_total = 0
-        for frame_id in frame_ids:
-            tracked_set = tracked_frames.get(frame_id)
-            gt_set = gt_frames.get(frame_id)
-            tracked_seq.append(
-                _filter_class(tracked_set.boxes, label) if tracked_set else []
-            )
-            gts = _filter_class(gt_set.boxes, label) if gt_set else []
-            gt_total += len(gts)
-            gt_seq.append(gts)
+        frames = list(_class_frames(tracked_frames, gt_frames, label))
+        tracked_seq = [tracked for tracked, _ in frames]
+        gt_seq = [gts for _, gts in frames]
+        gt_total = sum(len(gts) for gts in gt_seq)
         try:
-            result = mota_motp(tracked_seq, gt_seq, iou_thr)
+            result = mota_motp(tracked_seq, gt_seq, iou_map[label.value])
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         lines.append(f"{label.value}.MOTA={result.mota!r}")
@@ -592,20 +566,14 @@ def cmd_eval_mot(args: argparse.Namespace) -> None:
         lines.append(f"{label.value}.gt_count={gt_total}")
     lines.append(f"frames={len(frame_ids)}")
     _write_report(lines, args.output)
-    _summary(
+    return dict(
         frames=len(frame_ids),
         classes=len(labels),
-        elapsed_s=f"{time.perf_counter() - start:.3f}",
     )
 
 
-def cmd_default_config(args: argparse.Namespace) -> None:
-    text = json.dumps(default_config(), indent=2, sort_keys=True) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def cmd_default_config(args: argparse.Namespace, config: dict) -> None:
+    _write_report([json.dumps(default_config(), indent=2, sort_keys=True)], args.output)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -614,110 +582,81 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_shared(parser: argparse.ArgumentParser, output_required: bool) -> None:
-    parser.add_argument("--config", help="JSON config overriding defaults")
-    parser.add_argument(
-        "--output", required=output_required, help="output path"
-    )
-    parser.add_argument(
-        "--class",
-        dest="cls",
-        choices=[label.value for label in Label],
-        help="restrict processing to one class",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lidarpost", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
+    defaults = default_config()
 
-    p = sub.add_parser("concat", parents=[], help="concatenate two point frames")
-    _add_shared(p, output_required=True)
+    def command(name, func, help_text, output_required=True) -> argparse.ArgumentParser:
+        """A subcommand with the shared flags and its OVERRIDES flags, each
+        typed like the default it replaces."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config overriding defaults")
+        p.add_argument("--output", required=output_required, help="output path")
+        p.add_argument(
+            "--class",
+            dest="cls",
+            choices=[label.value for label in Label],
+            help="restrict processing to one class",
+        )
+        for dest, path in OVERRIDES.get(name, {}).items():
+            section, key = _slot(defaults, path)
+            value = section[key]
+            flag_help = f"sets config {path}"
+            if isinstance(value, dict):
+                value = next(iter(value.values()))
+                flag_help += " for every class"
+            if isinstance(value, list):
+                kind = _float_list
+                flag_help += " (comma-separated)"
+            else:
+                kind = type(value)
+            p.add_argument("--" + dest.replace("_", "-"), type=kind, help=flag_help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("concat", cmd_concat, "concatenate two point frames")
     p.add_argument("--current", required=True, help="current-frame point file")
     p.add_argument("--previous", required=True, help="previous-frame point file")
     p.add_argument("--channels", type=int, choices=(4, 5), default=4)
-    p.add_argument("--delta", type=float, help="time offset tag for previous points")
-    p.set_defaults(func=cmd_concat)
 
-    p = sub.add_parser("voxelize", help="voxelize a point file")
-    _add_shared(p, output_required=True)
+    p = command("voxelize", cmd_voxelize, "voxelize a point file")
     p.add_argument("--points", required=True, help="input point file")
     p.add_argument("--channels", type=int, choices=(4, 5), default=4)
     p.add_argument("--mode", choices=("hard", "dynamic"), default="dynamic")
-    p.add_argument("--vx", type=float)
-    p.add_argument("--vy", type=float)
-    p.add_argument("--vz", type=float)
-    p.add_argument("--max-points", type=int)
-    p.add_argument("--max-voxels", type=int)
-    p.set_defaults(func=cmd_voxelize)
 
-    p = sub.add_parser("assign", help="assign anchors to ground truths")
-    _add_shared(p, output_required=True)
+    p = command("assign", cmd_assign, "assign anchors to ground truths")
     p.add_argument("--anchors", required=True, help="anchor boxes JSONL")
     p.add_argument("--gts", required=True, help="ground-truth boxes JSONL")
     p.add_argument("--mode", choices=("fixed", "adaptive"), default="adaptive")
-    p.add_argument("--k", type=int)
-    p.add_argument("--pos-thr", type=float)
-    p.add_argument("--neg-thr", type=float)
-    p.set_defaults(func=cmd_assign)
 
-    p = sub.add_parser("nms", help="non-maximum suppression")
-    _add_shared(p, output_required=True)
+    p = command("nms", cmd_nms, "non-maximum suppression")
     p.add_argument("--input", required=True, help="detections JSONL")
-    p.add_argument("--iou", type=float, help="single threshold for all classes")
-    p.set_defaults(func=cmd_nms)
 
-    p = sub.add_parser("soft-nms", help="score-decaying suppression")
-    _add_shared(p, output_required=True)
+    p = command("soft-nms", cmd_soft_nms, "score-decaying suppression")
     p.add_argument("--input", required=True, help="detections JSONL")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--floor", type=float)
-    p.set_defaults(func=cmd_soft_nms)
 
-    p = sub.add_parser("vote", help="suppress then refine by box voting")
-    _add_shared(p, output_required=True)
+    p = command("vote", cmd_vote, "suppress then refine by box voting")
     p.add_argument("--input", required=True, help="detections JSONL")
-    p.add_argument("--nms-iou", type=float)
-    p.add_argument("--vote-iou", type=float)
-    p.set_defaults(func=cmd_vote)
 
-    p = sub.add_parser("ensemble", help="greedy weighted detector merging")
-    _add_shared(p, output_required=True)
+    p = command("ensemble", cmd_ensemble, "greedy weighted detector merging")
     p.add_argument("--inputs", nargs="+", required=True, help="detector JSONL files")
     p.add_argument("--gt", required=True, help="ground-truth JSONL for scoring")
-    p.add_argument("--iou", type=float, help="merge suppression threshold")
-    p.add_argument("--grid", help="comma-separated candidate weights")
-    p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("track", help="track detections across frames")
-    _add_shared(p, output_required=True)
+    p = command("track", cmd_track, "track detections across frames")
     p.add_argument("--input", required=True, help="detections JSONL sorted by frame")
-    p.add_argument("--iou-min", type=float)
-    p.add_argument("--max-age", type=int)
-    p.add_argument("--min-hits", type=int)
-    p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("eval-det", help="detection AP / APH report")
-    _add_shared(p, output_required=False)
+    p = command("eval-det", cmd_eval_det, "detection AP / APH report", output_required=False)
     p.add_argument("--detections", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--iou", type=float, help="override the per-class thresholds")
-    p.add_argument("--level", choices=("L1", "L2"))
     p.add_argument("--pr-csv", help="also write PR curve points as CSV")
-    p.set_defaults(func=cmd_eval_det)
 
-    p = sub.add_parser("eval-mot", help="tracking MOTA / MOTP report")
-    _add_shared(p, output_required=False)
+    p = command("eval-mot", cmd_eval_mot, "tracking MOTA / MOTP report", output_required=False)
     p.add_argument("--tracked", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--iou", type=float, help="override the per-class thresholds")
-    p.set_defaults(func=cmd_eval_mot)
 
-    p = sub.add_parser("default-config", help="print the default configuration")
-    _add_shared(p, output_required=False)
-    p.set_defaults(func=cmd_default_config)
-
+    command("default-config", cmd_default_config, "print the default configuration",
+            output_required=False)
     return parser
 
 
@@ -731,8 +670,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "func", None) is None:
         print("ERROR 2: a subcommand is required", file=sys.stderr)
         return 2
+    start = time.perf_counter()
     try:
-        args.func(args)
+        # A command returns the fields of its one-line run summary, if any.
+        summary = args.func(args, _resolve_config(args))
+        if summary is not None:
+            summary["elapsed_s"] = f"{time.perf_counter() - start:.3f}"
+            print(" ".join(f"{key}={value}" for key, value in summary.items()))
         return 0
     except InputError as exc:
         print(f"ERROR 3: {exc}", file=sys.stderr)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
 
 from .geometry import Box3D, bev_iou
 
 IouFn = Callable[[Box3D, Box3D], float]
+T = TypeVar("T")
 
 DEFAULT_NMS_IOU = {"VEHICLE": 0.7, "PEDESTRIAN": 0.5, "CYCLIST": 0.5}
 DEFAULT_VOTE_IOU = 0.55
@@ -218,17 +219,17 @@ def ensemble_pair(
 
 
 def grid_search_weight(
-    fixed: DetectionSet,
-    candidate: DetectionSet,
     grid: Sequence[float],
-    iou_thr: float,
-    score_fn: Callable[[DetectionSet], float],
+    merge: Callable[[float], T],
+    score_fn: Callable[[T], float],
 ) -> Tuple[float, float]:
-    """Pick the candidate weight maximizing score_fn of the merged detector.
+    """Pick the weight whose merged detector maximizes score_fn.
 
-    Evaluates ensemble_pair(fixed, candidate, 1.0, w, iou_thr) for every w in
-    grid and returns (best_weight, best_score); ties go to the earliest grid
-    entry.
+    merge(w) builds the merged detector for weight w, for example
+    ensemble_pair(fixed, candidate, 1.0, w, iou_thr) for one frame, or a
+    frame-by-frame merge of whole sequences. Evaluates score_fn(merge(w))
+    for every w in grid and returns (best_weight, best_score); ties go to
+    the earliest grid entry.
 
     Raises:
         ValueError: if grid is empty.
@@ -239,7 +240,7 @@ def grid_search_weight(
     best_w = grid[0]
     best_score = -math.inf
     for w in grid:
-        score = score_fn(ensemble_pair(fixed, candidate, 1.0, w, iou_thr))
+        score = score_fn(merge(w))
         if score > best_score:
             best_w = w
             best_score = score

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from lidarpost.cli import default_config, run, thread_cap
+from lidarpost.cli import OVERRIDES, default_config, run
 from lidarpost.io import read_boxes, read_points
 from lidarpost.voxelizer import VoxelConfig
 
@@ -124,6 +124,14 @@ class TestNms:
         kept = read_boxes(out)["f0"].boxes
         assert len(kept) == 1
         assert kept[0].label.value == "VEHICLE"
+
+    def test_out_of_range_iou_is_exit_2_without_boxes(self, tmp_path, capsys):
+        det = tmp_path / "d.jsonl"
+        self._three_box_file(det)
+        code = run(["nms", "--input", str(det), "--class", "PEDESTRIAN",
+                    "--iou", "1.5", "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "iou_thr" in capsys.readouterr().err
 
     def test_per_class_defaults_apply_without_override(self, tmp_path):
         # IoU of the shifted pair is 7/9 ~ 0.778: above the 0.7 vehicle
@@ -508,6 +516,40 @@ class TestEnsemble:
         assert "detector_1 skipped" in stdout
         assert len(read_boxes(out)["f0"].boxes) == 2
 
+    def test_merging_stops_at_first_unhelpful_detector(self, tmp_path, capsys):
+        # a finds one of three objects, b repeats a, c finds the other two.
+        gt = tmp_path / "gt.jsonl"
+        _write_jsonl(gt, [_record(cx=x, heading=0.0, track_id=i)
+                          for i, x in enumerate((0.0, 30.0, 60.0))])
+        det_a = tmp_path / "a.jsonl"
+        det_b = tmp_path / "b.jsonl"
+        det_c = tmp_path / "c.jsonl"
+        _write_jsonl(det_a, [_record(cx=0.0, heading=0.0, score=0.9)])
+        _write_jsonl(det_b, [_record(cx=0.0, heading=0.0, score=0.9)])
+        _write_jsonl(det_c, [_record(cx=30.0, heading=0.0, score=0.9),
+                             _record(cx=60.0, heading=0.0, score=0.9)])
+        out = tmp_path / "abc.jsonl"
+        assert run(["ensemble", "--inputs", str(det_a), str(det_b), str(det_c),
+                    "--gt", str(gt), "--class", "VEHICLE", "--output", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "detector_1 skipped" in stdout
+        assert "detector_2" not in stdout
+        assert len(read_boxes(out)["f0"].boxes) == 1
+        out_ac = tmp_path / "ac.jsonl"
+        assert run(["ensemble", "--inputs", str(det_a), str(det_c),
+                    "--gt", str(gt), "--class", "VEHICLE", "--output", str(out_ac)]) == 0
+        assert len(read_boxes(out_ac)["f0"].boxes) == 3
+
+    def test_empty_weight_grid_is_exit_2(self, tmp_path, capsys):
+        gt, det_a, det_b = self._files(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"weight_grid": []}}))
+        code = run(["ensemble", "--inputs", str(det_a), str(det_b), "--gt", str(gt),
+                    "--class", "VEHICLE", "--config", str(cfg),
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "grid" in capsys.readouterr().err
+
 
 class TestDefaultConfig:
     def test_prints_parseable_json(self, capsys):
@@ -545,19 +587,153 @@ class TestDefaultConfig:
         assert len(read_boxes(out)["f0"].boxes) == 2
 
 
-class TestThreadCap:
-    def test_unset_means_auto(self, monkeypatch):
-        monkeypatch.delenv("LIDARPOST_THREADS", raising=False)
-        assert thread_cap() is None
+class TestConfigValidation:
+    @pytest.mark.parametrize("config, key_path", [
+        ({"ensemble": {"vote_iou": "x"}}, "ensemble.vote_iou"),
+        ({"tracker": {"max_age": 2.5}}, "tracker.max_age"),
+        ({"assigner": {"k": True}}, "assigner.k"),
+        ({"pointcloud": {"scale_range": [0.95, 1.05]}}, "pointcloud.scale_range"),
+        ({"ensemble": {"nms_iou": {"TRUCK": 0.5}}}, "ensemble.nms_iou.TRUCK"),
+        ({"ensemble": {"weight_grid": [0.5, "x"]}}, "ensemble.weight_grid[1]"),
+        ({"metrics": 0.5}, "metrics"),
+    ])
+    def test_bad_key_or_type_is_exit_2(self, tmp_path, capsys, config, key_path):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record()])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run(["vote", "--input", str(det), "--config", str(cfg),
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 2:")
+        assert f"config {key_path}:" in err
 
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("LIDARPOST_THREADS", "0")
-        assert thread_cap() is None
+    def test_int_stands_in_for_float(self, tmp_path):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record()])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"vote_iou": 1}}))
+        assert run(["vote", "--input", str(det), "--config", str(cfg),
+                    "--output", str(tmp_path / "o.jsonl")]) == 0
 
-    def test_positive_cap(self, monkeypatch):
-        monkeypatch.setenv("LIDARPOST_THREADS", "4")
-        assert thread_cap() == 4
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record()])
+        code = run(["nms", "--input", str(det), "--output",
+                    str(tmp_path / "o.jsonl"), "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR 2:")
 
-    def test_garbage_means_auto(self, monkeypatch):
-        monkeypatch.setenv("LIDARPOST_THREADS", "off")
-        assert thread_cap() is None
+
+# One flag value per OVERRIDES row: (text on the command line, JSON value).
+OVERRIDE_VALUES = {
+    ("concat", "delta"): ("0.25", 0.25),
+    ("voxelize", "vx"): ("0.5", 0.5),
+    ("voxelize", "vy"): ("0.5", 0.5),
+    ("voxelize", "vz"): ("0.5", 0.5),
+    ("voxelize", "max_points"): ("1", 1),
+    ("voxelize", "max_voxels"): ("1", 1),
+    ("assign", "k"): ("2", 2),
+    ("assign", "pos_thr"): ("0.5", 0.5),
+    ("assign", "neg_thr"): ("0.55", 0.55),
+    ("nms", "iou"): ("0.3", 0.3),
+    ("soft-nms", "sigma"): ("0.3", 0.3),
+    ("soft-nms", "floor"): ("0.5", 0.5),
+    ("vote", "nms_iou"): ("0.3", 0.3),
+    ("vote", "vote_iou"): ("0.3", 0.3),
+    ("ensemble", "iou"): ("0.3", 0.3),
+    ("ensemble", "grid"): ("0.5,1.0", [0.5, 1.0]),
+    ("track", "iou_min"): ("0.2", 0.2),
+    ("track", "max_age"): ("1", 1),
+    ("track", "min_hits"): ("1", 1),
+    ("eval-det", "iou"): ("0.3", 0.3),
+    ("eval-det", "level"): ("L1", "L1"),
+    ("eval-mot", "iou"): ("0.3", 0.3),
+}
+
+
+def _override_argv(tmp_path, command, dest):
+    """Inputs and argv for one subcommand, without --output.
+
+    The inputs are chosen so that every OVERRIDE_VALUES entry changes the
+    output: overlaps of 0.43, 0.54, 0.67 and 0.82 straddle the default
+    thresholds, and the track sequence has a 0.15-IoU step and a two-frame gap.
+    """
+    def boxes(name, records):
+        path = tmp_path / name
+        _write_jsonl(path, records)
+        return str(path)
+
+    dets = boxes("dets.jsonl", [_record(cx=x, heading=0.0, score=s)
+                                for x, s in ((0.0, 0.9), (0.8, 0.8), (1.6, 0.7))])
+    other = boxes("other.jsonl", [_record(cx=30.0, heading=0.0, score=0.6)])
+    gt = boxes("gt.jsonl", [_record(cx=0.0, heading=0.0, track_id=1),
+                            _record(cx=30.0, heading=0.0, track_id=2)])
+    shifted = boxes("shifted.jsonl", [_record(cx=0.8, heading=0.0, track_id=5)])
+    near = boxes("near.jsonl", [_record(cx=1.2, heading=0.0)])
+    sequence = boxes("sequence.jsonl", [
+        _record(frame_id="f0", timestamp=0.0, cx=0.0, heading=0.0),
+        _record(frame_id="f0", timestamp=0.0, cx=50.0, heading=0.0),
+        _record(frame_id="f1", timestamp=0.1, cx=2.95, heading=0.0),
+        _record(frame_id="f2", timestamp=0.2, cx=2.95, heading=0.0),
+        _record(frame_id="f3", timestamp=0.3, cx=2.95, heading=0.0),
+        _record(frame_id="f3", timestamp=0.3, cx=50.0, heading=0.0),
+    ])
+    points = tmp_path / "pts.bin"
+    _write_points(points, [(0.05, 0.05, 0.05, 0.5), (0.05, 0.05, 0.05, 0.5),
+                           (0.25, 0.3, 0.1, 0.5), (3.6, 0.05, 0.05, 0.5)])
+    p = str(points)
+    return {
+        "concat": ["concat", "--current", p, "--previous", p],
+        "voxelize": ["voxelize", "--points", p, "--mode", "hard"],
+        "assign": ["assign", "--anchors", dets, "--gts", near, "--mode",
+                   "adaptive" if dest == "k" else "fixed"],
+        "nms": ["nms", "--input", dets],
+        "soft-nms": ["soft-nms", "--input", dets],
+        "vote": ["vote", "--input", dets],
+        "ensemble": ["ensemble", "--inputs", dets, other, "--gt", gt, "--class", "VEHICLE"],
+        "track": ["track", "--input", sequence],
+        "eval-det": ["eval-det", "--detections", shifted, "--gt", gt],
+        "eval-mot": ["eval-mot", "--tracked", shifted, "--gt", gt],
+    }[command]
+
+
+class TestOverrideTable:
+    def test_every_row_has_a_test_value(self):
+        rows = {(command, dest) for command, flags in OVERRIDES.items() for dest in flags}
+        assert rows == set(OVERRIDE_VALUES)
+
+    def test_every_path_exists_in_default_config(self):
+        for flags in OVERRIDES.values():
+            for path in flags.values():
+                node = default_config()
+                for key in path.split("."):
+                    assert isinstance(node, dict) and key in node, path
+                    node = node[key]
+
+    @pytest.mark.parametrize("command, dest", sorted(OVERRIDE_VALUES))
+    def test_flag_matches_config_file(self, tmp_path, command, dest):
+        text, value = OVERRIDE_VALUES[(command, dest)]
+        argv = _override_argv(tmp_path, command, dest)
+        path = OVERRIDES[command][dest].split(".")
+        default = default_config()
+        for key in path:
+            default = default[key]
+        if isinstance(default, dict):
+            value = dict.fromkeys(default, value)
+        config = value
+        for key in reversed(path):
+            config = {key: config}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        by_flag = tmp_path / "by_flag.out"
+        by_config = tmp_path / "by_config.out"
+        flag = "--" + dest.replace("_", "-")
+        assert run(argv + [flag, text, "--output", str(by_flag)]) == 0
+        assert run(argv + ["--config", str(cfg), "--output", str(by_config)]) == 0
+        assert by_flag.read_bytes() == by_config.read_bytes()
+        # The value is not the default, so a flag that is not read shows.
+        by_default = tmp_path / "by_default.out"
+        assert run(argv + ["--output", str(by_default)]) == 0
+        assert by_flag.read_bytes() != by_default.read_bytes()

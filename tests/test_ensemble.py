@@ -348,6 +348,11 @@ class TestGridSearchWeight:
         return fixed, candidate
 
     @staticmethod
+    def _merge(fixed, candidate):
+        """merge(w) for grid_search_weight: the pair merged at weight w, IoU 0.7."""
+        return lambda w: ensemble_pair(fixed, candidate, 1.0, w, 0.7)
+
+    @staticmethod
     def _candidate_score(merged):
         """Score of the candidate's box (at cx=30) inside the merged set."""
         return next(b.score for b in merged.boxes if b.cx == 30.0)
@@ -355,14 +360,14 @@ class TestGridSearchWeight:
     def test_singleton_grid(self):
         fixed, candidate = self._sets()
         weight, score = grid_search_weight(
-            fixed, candidate, [1.0], 0.7, lambda ds: 0.5
+            [1.0], self._merge(fixed, candidate), lambda ds: 0.5
         )
         assert (weight, score) == (1.0, 0.5)
 
     def test_constant_objective_keeps_earliest(self):
         fixed, candidate = self._sets()
         weight, score = grid_search_weight(
-            fixed, candidate, [0.3, 0.5, 0.7], 0.7, lambda ds: 1.0
+            [0.3, 0.5, 0.7], self._merge(fixed, candidate), lambda ds: 1.0
         )
         assert weight == 0.3
         assert score == 1.0
@@ -371,10 +376,8 @@ class TestGridSearchWeight:
         fixed, candidate = self._sets()
         grid = [0.1 * i for i in range(1, 11)]
         weight, score = grid_search_weight(
-            fixed,
-            candidate,
             grid,
-            0.7,
+            self._merge(fixed, candidate),
             lambda ds: -((self._candidate_score(ds) - 0.6) ** 2),
         )
         assert weight == pytest.approx(0.6)
@@ -383,7 +386,7 @@ class TestGridSearchWeight:
     def test_empty_grid_rejected(self):
         fixed, candidate = self._sets()
         with pytest.raises(ValueError):
-            grid_search_weight(fixed, candidate, [], 0.7, lambda ds: 1.0)
+            grid_search_weight([], self._merge(fixed, candidate), lambda ds: 1.0)
 
     def test_matches_exhaustive_reevaluation(self):
         # candidate contributes only false positives; an objective that
@@ -398,7 +401,9 @@ class TestGridSearchWeight:
                 # derive the applied weight from the candidate box's score
                 return table[round(self._candidate_score(ds), 2)]
 
-            weight, score = grid_search_weight(fixed, candidate, grid, 0.7, objective)
+            weight, score = grid_search_weight(
+                grid, self._merge(fixed, candidate), objective
+            )
             sequential = [
                 (w, objective(ensemble_pair(fixed, candidate, 1.0, w, 0.7)))
                 for w in grid
@@ -412,7 +417,7 @@ class TestGridSearchWeight:
         grid = [round(0.1 * i, 2) for i in range(1, 11)]
         # rank penalty: the lower the false positive's score, the better
         weight, _ = grid_search_weight(
-            fixed, candidate, grid, 0.7, lambda ds: -self._candidate_score(ds)
+            grid, self._merge(fixed, candidate), lambda ds: -self._candidate_score(ds)
         )
         assert weight == grid[0]
 
