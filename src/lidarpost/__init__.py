@@ -50,7 +50,6 @@ from .pointcloud import (
     Axis,
     PointCloud,
     RangeSpec,
-    TimedPoint,
     concat_frames,
     crop_range,
     flip,
@@ -72,7 +71,7 @@ from .voxelizer import (
     VoxelConfig,
     VoxelGrid,
     VoxelMode,
-    voxel_index,
+    voxel_coords,
     voxelize_dynamic,
     voxelize_hard,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "MotResult",
     "PointCloud",
     "RangeSpec",
-    "TimedPoint",
     "Tracker",
     "TrackerConfig",
     "TrackState",
@@ -129,7 +127,7 @@ __all__ = [
     "soft_nms",
     "split_difficulty",
     "update",
-    "voxel_index",
+    "voxel_coords",
     "voxelize_dynamic",
     "voxelize_hard",
     "wrap_angle",

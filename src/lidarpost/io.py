@@ -9,6 +9,7 @@ for concatenated ones. All errors name the offending line or record.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .ensemble import DetectionSet
 from .geometry import Box3D, Label
-from .pointcloud import PointCloud, TimedPoint
+from .pointcloud import PointCloud
 
 PathLike = Union[str, Path]
 
@@ -42,7 +43,10 @@ def _number(record: dict, key: str, lineno: int) -> float:
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"line {lineno}: key {key!r} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ValidationError(f"line {lineno}: key {key!r} is out of float range") from None
 
 
 def _optional_int(record: dict, key: str, lineno: int):
@@ -62,6 +66,8 @@ def _parse_record(record: dict, lineno: int) -> Tuple[str, float, Box3D]:
     if not isinstance(frame_id, str):
         raise ValidationError(f"line {lineno}: key 'frame_id' must be a string")
     timestamp = _number(record, "timestamp", lineno)
+    if not math.isfinite(timestamp):
+        raise ValidationError(f"line {lineno}: key 'timestamp' must be finite, got {timestamp!r}")
     label_name = record["label"]
     try:
         label = Label(label_name)
@@ -175,25 +181,15 @@ def read_points(
             f"file size {len(data)} is not a multiple of the "
             f"{record_size}-byte record size ({channels} float32 channels)"
         )
-    array = np.frombuffer(data, dtype="<f4").reshape(-1, channels).astype(np.float64)
-    finite = np.isfinite(array).all(axis=1)
-    if not finite.all():
-        raise ValidationError(f"record {int(np.argmin(finite))}: non-finite value")
-    points = []
-    for index, row in enumerate(array):
-        t = float(row[4]) if channels == 5 else 0.0
-        try:
-            points.append(
-                TimedPoint(float(row[0]), float(row[1]), float(row[2]), float(row[3]), t)
-            )
-        except ValueError as exc:
-            raise ValidationError(f"record {index}: {exc}") from exc
-    return PointCloud(points, frame_id, timestamp)
+    records = np.frombuffer(data, dtype="<f4").reshape(-1, channels)
+    try:
+        return PointCloud(records, frame_id, timestamp)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def write_points(cloud: PointCloud, path: PathLike, channels: int = 5) -> None:
     """Write a cloud as little-endian float32 records with 4 or 5 channels."""
     if channels not in (4, 5):
         raise ValueError(f"channels must be 4 or 5, got {channels!r}")
-    array = cloud.to_array()[:, :channels]
-    Path(path).write_bytes(np.ascontiguousarray(array, dtype="<f4").tobytes())
+    Path(path).write_bytes(cloud.points[:, :channels].astype("<f4").tobytes())

@@ -1,8 +1,10 @@
 """Point-cloud data model, frame concatenation, cropping, and augmentations.
 
-All transforms are pure: they return new clouds and new boxes, never mutate
-their inputs, and preserve point order. Multi-frame concatenation tags each
-point with a time offset so downstream consumers can tell the frames apart.
+A cloud is one read-only (N, 5) array of (x, y, z, intensity, t) rows, and
+every transform is an array expression over it. All transforms are pure:
+they return new clouds and new boxes, never mutate their inputs, and
+preserve point order. Multi-frame concatenation sets the t column so
+downstream consumers can tell the frames apart.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -21,61 +23,44 @@ SCALE_RANGE = (0.95, 1.05)
 ROTATION_RANGE = (-math.pi / 4.0, math.pi / 4.0)
 
 
-@dataclass(frozen=True)
-class TimedPoint:
-    """LiDAR return with intensity and a time-offset channel (0 = current frame)."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float = 0.0
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "intensity", "t"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.intensity < 0.0:
-            raise ValueError(f"intensity must be non-negative, got {self.intensity!r}")
-        if self.t < 0.0:
-            raise ValueError(f"t must be non-negative, got {self.t!r}")
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Ordered point collection for one frame (or one concatenated pair)."""
+    """Ordered points of one frame (or one concatenated pair).
 
-    points: List[TimedPoint] = field(default_factory=list)
+    ``points`` is a read-only (N, 5) float64 array of (x, y, z, intensity, t);
+    t is the time offset, 0 for the current frame. The constructor accepts
+    any (N, 4) or (N, 5) array-like (4 columns imply t = 0) and always
+    copies it, so a cloud never shares memory with a caller's array.
+
+    Raises:
+        ValueError: on another shape, or on the first row (``record <i>``)
+            with a non-finite value, a negative intensity or a negative t.
+    """
+
+    points: np.ndarray = field(default_factory=lambda: np.zeros((0, 5)))
     frame_id: str = ""
     timestamp: float = 0.0
 
+    def __post_init__(self) -> None:
+        given = np.asarray(self.points, dtype=np.float64)
+        if given.ndim != 2 or given.shape[1] not in (4, 5):
+            raise ValueError(f"expected an (N, 4) or (N, 5) array, got shape {given.shape}")
+        points = np.zeros((len(given), 5))
+        points[:, : given.shape[1]] = given
+        finite = np.isfinite(points).all(axis=1)
+        bad = ~finite | (points[:, 3] < 0.0) | (points[:, 4] < 0.0)
+        if bad.any():
+            index = int(np.argmax(bad))
+            row = points[index]
+            if not finite[index]:
+                raise ValueError(f"record {index}: non-finite value")
+            name, value = ("intensity", row[3]) if row[3] < 0.0 else ("t", row[4])
+            raise ValueError(f"record {index}: {name} must be non-negative, got {float(value)!r}")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
     def __len__(self) -> int:
         return len(self.points)
-
-    def __iter__(self) -> Iterator[TimedPoint]:
-        return iter(self.points)
-
-    def to_array(self) -> np.ndarray:
-        """Points as an (N, 5) float64 array of (x, y, z, intensity, t)."""
-        if not self.points:
-            return np.zeros((0, 5), dtype=np.float64)
-        return np.array(
-            [(p.x, p.y, p.z, p.intensity, p.t) for p in self.points], dtype=np.float64
-        )
-
-    @classmethod
-    def from_array(
-        cls, array: np.ndarray, frame_id: str = "", timestamp: float = 0.0
-    ) -> "PointCloud":
-        """Build a cloud from an (N, 4) or (N, 5) array; 4 columns imply t = 0."""
-        array = np.asarray(array, dtype=np.float64)
-        if array.ndim != 2 or array.shape[1] not in (4, 5):
-            raise ValueError(f"expected an (N, 4) or (N, 5) array, got shape {array.shape}")
-        points = []
-        for row in array:
-            t = float(row[4]) if array.shape[1] == 5 else 0.0
-            points.append(TimedPoint(float(row[0]), float(row[1]), float(row[2]), float(row[3]), t))
-        return cls(points, frame_id, timestamp)
 
 
 @dataclass(frozen=True)
@@ -95,11 +80,14 @@ class RangeSpec:
             if not (math.isfinite(lo_v) and math.isfinite(hi_v) and lo_v < hi_v):
                 raise ValueError(f"require finite {lo} < {hi}, got {lo_v!r}, {hi_v!r}")
 
-    def contains(self, x: float, y: float, z: float) -> bool:
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the rows of an (N, >= 3) array whose (x, y, z) lie inside
+        the closed bounds; range cropping and voxelization both use it."""
+        x, y, z = points[:, 0], points[:, 1], points[:, 2]
         return (
-            self.x_min <= x <= self.x_max
-            and self.y_min <= y <= self.y_max
-            and self.z_min <= z <= self.z_max
+            (self.x_min <= x) & (x <= self.x_max)
+            & (self.y_min <= y) & (y <= self.y_max)
+            & (self.z_min <= z) & (z <= self.z_max)
         )
 
 
@@ -126,14 +114,15 @@ def concat_frames(
     """
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    points = [replace(p, t=0.0) for p in current.points]
-    points.extend(replace(p, t=delta) for p in previous.points)
+    points = np.concatenate([current.points, previous.points])
+    points[: len(current), 4] = 0.0
+    points[len(current) :, 4] = delta
     return PointCloud(points, current.frame_id, current.timestamp)
 
 
 def crop_range(cloud: PointCloud, range_spec: RangeSpec = DEFAULT_RANGE) -> PointCloud:
     """Keep exactly the points inside the closed bounds, order preserved."""
-    kept = [p for p in cloud.points if range_spec.contains(p.x, p.y, p.z)]
+    kept = cloud.points[range_spec.contains(cloud.points)]
     return PointCloud(kept, cloud.frame_id, cloud.timestamp)
 
 
@@ -146,18 +135,18 @@ def flip(
     to pi - heading. Dimensions, scores, and labels are unchanged.
     """
     if axis is Axis.X:
-        points = [replace(p, y=-p.y) for p in cloud.points]
+        mirror = [1.0, -1.0, 1.0, 1.0, 1.0]
         flipped = [
             replace(b, cy=-b.cy, heading=wrap_angle(-b.heading)) for b in boxes
         ]
     elif axis is Axis.Y:
-        points = [replace(p, x=-p.x) for p in cloud.points]
+        mirror = [-1.0, 1.0, 1.0, 1.0, 1.0]
         flipped = [
             replace(b, cx=-b.cx, heading=wrap_angle(math.pi - b.heading)) for b in boxes
         ]
     else:
         raise ValueError(f"axis must be Axis.X or Axis.Y, got {axis!r}")
-    return PointCloud(points, cloud.frame_id, cloud.timestamp), flipped
+    return PointCloud(cloud.points * mirror, cloud.frame_id, cloud.timestamp), flipped
 
 
 def global_scale(
@@ -172,9 +161,7 @@ def global_scale(
     """
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"factor must be positive and finite, got {factor!r}")
-    points = [
-        replace(p, x=p.x * factor, y=p.y * factor, z=p.z * factor) for p in cloud.points
-    ]
+    points = cloud.points * [factor, factor, factor, 1.0, 1.0]
     scaled = [
         replace(
             b,
@@ -198,9 +185,8 @@ def global_rotate(
         raise ValueError(f"angle must be finite, got {angle!r}")
     c = math.cos(angle)
     s = math.sin(angle)
-    points = [
-        replace(p, x=c * p.x - s * p.y, y=s * p.x + c * p.y) for p in cloud.points
-    ]
+    x, y = cloud.points[:, 0], cloud.points[:, 1]
+    points = np.column_stack([c * x - s * y, s * x + c * y, cloud.points[:, 2:]])
     rotated = [
         replace(
             b,

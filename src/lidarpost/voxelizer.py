@@ -1,24 +1,25 @@
 """Sparse voxelization of point clouds, in hard (capped) and dynamic modes.
 
-Dynamic mode keeps every in-range point. Hard mode enforces per-voxel and
-total-voxel caps in first-arrival order, so drop behavior is reproducible
-for a given input ordering.
+Both modes run one grouping step: each in-range point gets its grid cell,
+cells are numbered by the arrival of their first point, and each voxel's
+feature is the mean of its stored points. Dynamic mode keeps every in-range
+point. Hard mode enforces per-voxel and total-voxel caps in first-arrival
+order, so drop behavior is reproducible for a given input ordering.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .pointcloud import DEFAULT_RANGE, PointCloud, RangeSpec, TimedPoint
+from .pointcloud import DEFAULT_RANGE, PointCloud, RangeSpec
 
 _INT32_MAX = 2**31 - 1
-
-VoxelKey = Tuple[int, int, int]
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -33,19 +34,26 @@ class VoxelConfig:
     max_voxels: int = 150000
 
     def __post_init__(self) -> None:
-        for name in ("vx", "vy", "vz"):
+        r = self.range
+        extents = (r.x_max - r.x_min, r.y_max - r.y_min, r.z_max - r.z_min)
+        for name, extent in zip(("vx", "vy", "vz"), extents):
             edge = getattr(self, name)
             if not (math.isfinite(edge) and edge > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {edge!r}")
+            # Compared before rounding up, so an infinite quotient fails here too.
+            if extent / edge > _INT32_MAX:
+                raise ValueError(f"{name}={edge!r} makes a grid dimension exceed 32-bit signed range")
         if self.max_points_per_voxel < 1:
             raise ValueError(
                 f"max_points_per_voxel must be >= 1, got {self.max_points_per_voxel!r}"
             )
         if self.max_voxels < 1:
             raise ValueError(f"max_voxels must be >= 1, got {self.max_voxels!r}")
-        for dim in self.grid_shape:
-            if dim > _INT32_MAX:
-                raise ValueError(f"grid dimension {dim} exceeds 32-bit signed range")
+        # Voxels are grouped by the linear key (ix * ny + iy) * nz + iz, which
+        # is exact in int64 only while every key fits.
+        nx, ny, nz = self.grid_shape
+        if nx * ny * nz > _INT64_MAX:
+            raise ValueError(f"grid of {nx * ny * nz} cells exceeds the 64-bit signed key range")
 
     @property
     def grid_shape(self) -> Tuple[int, int, int]:
@@ -62,87 +70,95 @@ class VoxelMode(Enum):
     DYNAMIC = "DYNAMIC"
 
 
-@dataclass
-class Voxel:
-    """Points kept in one grid cell plus their mean feature vector."""
-
-    points: List[TimedPoint]
-    feature: np.ndarray  # mean of (x, y, z, intensity, t) over kept points
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VoxelGrid:
-    """Sparse voxel map keyed by integer (ix, iy, iz) grid coordinates."""
+    """Sparse voxel grid; voxel v is row v of each per-voxel array, and voxels
+    are ordered by the arrival of their first stored point."""
 
-    entries: Dict[VoxelKey, Voxel] = field(default_factory=dict)
+    coords: np.ndarray  # (V, 3) int64 grid cell (ix, iy, iz)
+    counts: np.ndarray  # (V,) number of stored points
+    features: np.ndarray  # (V, 5) mean of (x, y, z, intensity, t) over stored points
+    point_voxel: np.ndarray  # (N,) voxel of each input point, -1 if out of range or dropped
     mode: VoxelMode = VoxelMode.DYNAMIC
     dropped_points: int = 0
     dropped_voxels: int = 0
 
     @property
     def num_voxels(self) -> int:
-        return len(self.entries)
+        return len(self.counts)
 
     @property
     def stored_points(self) -> int:
-        return sum(v.count for v in self.entries.values())
+        return int(self.counts.sum())
 
 
-def voxel_index(p: TimedPoint, cfg: VoxelConfig) -> Optional[VoxelKey]:
-    """Grid cell of a point, or None when the point is out of range.
+def voxel_coords(points: np.ndarray, cfg: VoxelConfig) -> np.ndarray:
+    """Grid cells (ix, iy, iz) of the rows of an (N, >= 3) array of in-range
+    points, as an (N, 3) int64 array.
 
-    In-range tests use the same closed intervals as range cropping; points
-    sitting exactly on an upper bound clamp into the last voxel.
+    In-range tests use the same closed intervals as range cropping
+    (``RangeSpec.contains``); points sitting exactly on an upper bound clamp
+    into the last voxel.
     """
     r = cfg.range
-    if not r.contains(p.x, p.y, p.z):
-        return None
-    nx, ny, nz = cfg.grid_shape
-    ix = min(int((p.x - r.x_min) / cfg.vx), nx - 1)
-    iy = min(int((p.y - r.y_min) / cfg.vy), ny - 1)
-    iz = min(int((p.z - r.z_min) / cfg.vz), nz - 1)
-    return ix, iy, iz
+    lo = np.array([r.x_min, r.y_min, r.z_min])
+    edge = np.array([cfg.vx, cfg.vy, cfg.vz])
+    cells = np.floor((points[:, :3] - lo) / edge).astype(np.int64)
+    return np.minimum(cells, np.array(cfg.grid_shape) - 1)
 
 
-def _finalize(
-    buckets: Dict[VoxelKey, List[TimedPoint]],
-    sums: Dict[VoxelKey, List[float]],
+def _group(
+    cloud: PointCloud,
+    cfg: VoxelConfig,
     mode: VoxelMode,
-    dropped_points: int,
-    dropped_voxels: int,
+    max_points_per_voxel: int,
+    max_voxels: int,
 ) -> VoxelGrid:
-    entries = {
-        key: Voxel(points, np.array(sums[key], dtype=np.float64) / len(points))
-        for key, points in buckets.items()
-    }
-    return VoxelGrid(entries, mode, dropped_points, dropped_voxels)
+    """Group the in-range points into voxels numbered by first arrival,
+    storing the first max_points_per_voxel points of each voxel and only
+    the first max_voxels voxels, with the drop accounting of voxelize_hard."""
+    inside = np.flatnonzero(cfg.range.contains(cloud.points))
+    nx, ny, nz = cfg.grid_shape
+    cells = voxel_coords(cloud.points[inside], cfg)
+    keys = (cells[:, 0] * ny + cells[:, 1]) * nz + cells[:, 2]
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    # Rank of each point among the points of its voxel, in arrival order.
+    by_key = np.argsort(inverse, kind="stable")
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[by_key] = np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # Renumber voxels by the arrival of their first point.
+    arrival = np.argsort(first, kind="stable")
+    renumber = np.empty_like(arrival)
+    renumber[arrival] = np.arange(len(arrival))
+    voxel = renumber[inverse]
+
+    stored = (rank < max_points_per_voxel) & (voxel < max_voxels)
+    num_voxels = min(len(first), max_voxels)
+    voxel = voxel[stored]
+    kept = inside[stored]
+    members = cloud.points[kept]
+    stored_counts = np.bincount(voxel, minlength=num_voxels)
+    # bincount adds in arrival order, as a running per-voxel sum would.
+    sums = [np.bincount(voxel, weights=column, minlength=num_voxels) for column in members.T]
+    point_voxel = np.full(len(cloud), -1, dtype=np.int64)
+    point_voxel[kept] = voxel
+    return VoxelGrid(
+        coords=cells[first[arrival[:num_voxels]]],
+        counts=stored_counts,
+        features=np.column_stack(sums) / stored_counts[:, None],
+        point_voxel=point_voxel,
+        mode=mode,
+        dropped_points=len(keys) - len(voxel),
+        dropped_voxels=len(first) - num_voxels,
+    )
 
 
 def voxelize_dynamic(cloud: PointCloud, cfg: VoxelConfig = VoxelConfig()) -> VoxelGrid:
     """Voxelize without caps: every in-range point is stored, none dropped."""
-    buckets: Dict[VoxelKey, List[TimedPoint]] = {}
-    sums: Dict[VoxelKey, List[float]] = {}
-    for p in cloud:
-        key = voxel_index(p, cfg)
-        if key is None:
-            continue
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [p]
-            sums[key] = [p.x, p.y, p.z, p.intensity, p.t]
-        else:
-            bucket.append(p)
-            s = sums[key]
-            s[0] += p.x
-            s[1] += p.y
-            s[2] += p.z
-            s[3] += p.intensity
-            s[4] += p.t
-    return _finalize(buckets, sums, VoxelMode.DYNAMIC, 0, 0)
+    # No voxel holds more than every point, and no cloud fills more voxels.
+    return _group(cloud, cfg, VoxelMode.DYNAMIC, len(cloud), len(cloud))
 
 
 def voxelize_hard(cloud: PointCloud, cfg: VoxelConfig = VoxelConfig()) -> VoxelGrid:
@@ -153,33 +169,4 @@ def voxelize_hard(cloud: PointCloud, cfg: VoxelConfig = VoxelConfig()) -> VoxelG
     mapping to new voxels are dropped and each refused distinct voxel bumps
     dropped_voxels once. Mean features cover kept points only.
     """
-    buckets: Dict[VoxelKey, List[TimedPoint]] = {}
-    sums: Dict[VoxelKey, List[float]] = {}
-    refused: set = set()
-    dropped_points = 0
-    for p in cloud:
-        key = voxel_index(p, cfg)
-        if key is None:
-            continue
-        bucket = buckets.get(key)
-        if bucket is None:
-            if key in refused:
-                dropped_points += 1
-                continue
-            if len(buckets) >= cfg.max_voxels:
-                refused.add(key)
-                dropped_points += 1
-                continue
-            buckets[key] = [p]
-            sums[key] = [p.x, p.y, p.z, p.intensity, p.t]
-        elif len(bucket) >= cfg.max_points_per_voxel:
-            dropped_points += 1
-        else:
-            bucket.append(p)
-            s = sums[key]
-            s[0] += p.x
-            s[1] += p.y
-            s[2] += p.z
-            s[3] += p.intensity
-            s[4] += p.t
-    return _finalize(buckets, sums, VoxelMode.HARD, dropped_points, len(refused))
+    return _group(cloud, cfg, VoxelMode.HARD, cfg.max_points_per_voxel, cfg.max_voxels)

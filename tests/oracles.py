@@ -3,15 +3,16 @@
 Everything here is deliberately written with different algorithms or data
 layouts than the package code: Monte-Carlo IoU instead of polygon clipping,
 a mark-suppressed NMS scan instead of check-against-kept, exhaustive
-enumeration instead of the assignment solver, and a naive quadratic PR
-integration instead of the vectorized envelope.
+enumeration instead of the assignment solver, a naive quadratic PR
+integration instead of the vectorized envelope, and a per-point
+first-arrival voxelizer instead of array grouping.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,3 +152,69 @@ def reference_ap(outcomes: Sequence[Tuple[float, bool]], gt_count: int) -> float
         ap += (recalls[i] - prev_recall) * max(precisions[i:])
         prev_recall = recalls[i]
     return ap
+
+
+class ReferenceGrid(NamedTuple):
+    coords: np.ndarray
+    counts: np.ndarray
+    features: np.ndarray
+    point_voxel: np.ndarray
+    dropped_points: int
+    dropped_voxels: int
+
+
+def reference_voxelize(points: np.ndarray, cfg, capped: bool) -> ReferenceGrid:
+    """Bucket points one at a time in arrival order, keeping running sums.
+
+    With capped=False every in-range point is stored (dynamic mode). With
+    capped=True a voxel keeps its first max_points_per_voxel arrivals and
+    only the first max_voxels voxels to appear are created (hard mode).
+    """
+    r = cfg.range
+    nx, ny, nz = cfg.grid_shape
+    ids: Dict[Tuple[int, int, int], int] = {}
+    counts: List[int] = []
+    sums: List[List[float]] = []
+    refused = set()
+    point_voxel = [-1] * len(points)
+    dropped_points = 0
+    for i, row in enumerate(points):
+        x, y, z, intensity, t = (float(v) for v in row)
+        if not (r.x_min <= x <= r.x_max and r.y_min <= y <= r.y_max
+                and r.z_min <= z <= r.z_max):
+            continue
+        key = (
+            min(int((x - r.x_min) / cfg.vx), nx - 1),
+            min(int((y - r.y_min) / cfg.vy), ny - 1),
+            min(int((z - r.z_min) / cfg.vz), nz - 1),
+        )
+        voxel = ids.get(key)
+        if voxel is None:
+            if capped and (key in refused or len(ids) >= cfg.max_voxels):
+                refused.add(key)
+                dropped_points += 1
+                continue
+            voxel = ids[key] = len(ids)
+            counts.append(1)
+            sums.append([x, y, z, intensity, t])
+        elif capped and counts[voxel] >= cfg.max_points_per_voxel:
+            dropped_points += 1
+            continue
+        else:
+            counts[voxel] += 1
+            s = sums[voxel]
+            s[0] += x
+            s[1] += y
+            s[2] += z
+            s[3] += intensity
+            s[4] += t
+        point_voxel[i] = voxel
+    return ReferenceGrid(
+        coords=np.array(list(ids), dtype=np.int64).reshape(-1, 3),
+        counts=np.array(counts, dtype=np.int64),
+        features=np.array(sums, dtype=np.float64).reshape(-1, 5)
+        / np.array(counts, dtype=np.float64).reshape(-1, 1),
+        point_voxel=np.array(point_voxel, dtype=np.int64),
+        dropped_points=dropped_points,
+        dropped_voxels=len(refused),
+    )

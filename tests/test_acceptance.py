@@ -22,7 +22,7 @@ from lidarpost.cli import run
 from lidarpost.ensemble import DetectionSet, box_vote, nms, soft_nms
 from lidarpost.geometry import Box3D, Label, bev_iou, iou3d
 from lidarpost.metrics import average_precision, match_frame, mota_motp
-from lidarpost.pointcloud import DEFAULT_DELTA, PointCloud, RangeSpec, TimedPoint, concat_frames
+from lidarpost.pointcloud import DEFAULT_DELTA, PointCloud, RangeSpec, concat_frames
 from lidarpost.tracker import Tracker, TrackerConfig, TrackState, correct_heading_flip, hungarian, predict, update
 from lidarpost.voxelizer import VoxelConfig, voxelize_dynamic, voxelize_hard
 from oracles import mc_bev_iou, random_box, reference_ap, reference_nms
@@ -366,19 +366,19 @@ class TestAcceptance:
             rng = np.random.default_rng(808)
             spec = RangeSpec(0.0, 4.0, 0.0, 4.0, 0.0, 2.0)
             points = [
-                TimedPoint(
-                    x=float(rng.uniform(-0.5, 4.5)),
-                    y=float(rng.uniform(-0.5, 4.5)),
-                    z=float(rng.uniform(-0.25, 2.25)),
-                    intensity=float(rng.random()),
-                    t=0.0,
+                (
+                    float(rng.uniform(-0.5, 4.5)),
+                    float(rng.uniform(-0.5, 4.5)),
+                    float(rng.uniform(-0.25, 2.25)),
+                    float(rng.random()),
+                    0.0,
                 )
                 for _ in range(100_000)
             ]
-            cloud = PointCloud(points, "acc", 0.0)
+            cloud = PointCloud(np.array(points), "acc", 0.0)
             in_range = sum(
-                1 for p in points
-                if 0.0 <= p.x <= 4.0 and 0.0 <= p.y <= 4.0 and 0.0 <= p.z <= 2.0
+                1 for x, y, z, _, _ in points
+                if 0.0 <= x <= 4.0 and 0.0 <= y <= 4.0 and 0.0 <= z <= 2.0
             )
 
             cfg = VoxelConfig(range=spec, vx=0.25, vy=0.25, vz=0.5,
@@ -391,11 +391,10 @@ class TestAcceptance:
 
             slack = voxelize_hard(cloud, cfg)
             assert slack.stored_points == in_range
-            assert set(slack.entries) == set(dynamic.entries)
-            for key, voxel in dynamic.entries.items():
-                other = slack.entries[key]
-                assert other.points == voxel.points
-                assert np.allclose(other.feature, voxel.feature, atol=1e-12)
+            assert np.array_equal(slack.coords, dynamic.coords)
+            assert np.array_equal(slack.counts, dynamic.counts)
+            assert np.array_equal(slack.point_voxel, dynamic.point_voxel)
+            assert np.allclose(slack.features, dynamic.features, atol=1e-12)
 
             # Independent first-arrival simulation of the capped grid.
             tight_cfg = VoxelConfig(range=spec, vx=0.25, vy=0.25, vz=0.5,
@@ -403,16 +402,16 @@ class TestAcceptance:
             counts = {}
             refused = set()
             tally_dropped = 0
-            for p in points:
-                if not (0.0 <= p.x <= 4.0 and 0.0 <= p.y <= 4.0
-                        and 0.0 <= p.z <= 2.0):
+            for x, y, z, _, _ in points:
+                if not (0.0 <= x <= 4.0 and 0.0 <= y <= 4.0
+                        and 0.0 <= z <= 2.0):
                     continue
                 key = tuple(
                     min(int((value - lo) // edge), size - 1)
                     for value, lo, edge, size in (
-                        (p.x, 0.0, 0.25, 16),
-                        (p.y, 0.0, 0.25, 16),
-                        (p.z, 0.0, 0.5, 4),
+                        (x, 0.0, 0.25, 16),
+                        (y, 0.0, 0.25, 16),
+                        (z, 0.0, 0.5, 4),
                     )
                 )
                 if key in counts:
@@ -465,24 +464,22 @@ class TestAcceptance:
                 n = int(rng.integers(0, 41))
                 m = int(rng.integers(0, 41))
                 cur = PointCloud(
-                    [TimedPoint(*map(float, rng.uniform(-10, 10, 3)),
-                                intensity=float(rng.random()))
-                     for _ in range(n)],
+                    np.array([(*rng.uniform(-10, 10, 3), rng.random())
+                              for _ in range(n)]).reshape(-1, 4),
                     "cur", 1.0,
                 )
                 prev = PointCloud(
-                    [TimedPoint(*map(float, rng.uniform(-10, 10, 3)),
-                                intensity=float(rng.random()))
-                     for _ in range(m)],
+                    np.array([(*rng.uniform(-10, 10, 3), rng.random())
+                              for _ in range(m)]).reshape(-1, 4),
                     "prev", 0.9,
                 )
                 merged = concat_frames(cur, prev, 0.25)
                 assert len(merged) == n + m
-                pts = list(merged)
-                assert all(p.t == 0.0 for p in pts[:n])
-                assert all(p.t == 0.25 for p in pts[n:])
+                times = merged.points[:, 4]
+                assert all(t == 0.0 for t in times[:n])
+                assert all(t == 0.25 for t in times[n:])
                 default_merge = concat_frames(cur, prev)
-                assert all(p.t == 0.1 for p in list(default_merge)[n:])
+                assert all(t == 0.1 for t in default_merge.points[n:, 4])
 
             # CLI golden: the 5-channel output must be the input records
             # with the time channel spliced in, identical on every run.

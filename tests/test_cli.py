@@ -90,6 +90,31 @@ class TestArgumentErrors:
         assert err.startswith("ERROR 3:")
         assert "line 2" in err
 
+    @pytest.mark.parametrize("key", ["cx", "timestamp"])
+    def test_oversized_integer_is_exit_3(self, tmp_path, capsys, key):
+        det = tmp_path / "d.jsonl"
+        # JSON integers have no size limit; this one has 401 digits.
+        _write_jsonl(det, [_record(), _record(**{key: 10**400})])
+        code = run(["nms", "--input", str(det),
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 3: line 2:")
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("command", ["nms", "track"])
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_is_exit_3(self, tmp_path, capsys, command, timestamp):
+        det = tmp_path / "d.jsonl"
+        # json.dumps writes NaN, Infinity and -Infinity, which json.loads accepts.
+        _write_jsonl(det, [_record(), _record(timestamp=timestamp)])
+        code = run([command, "--input", str(det),
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 3: line 2:")
+        assert "'timestamp' must be finite" in err
+
 
 class TestNms:
     def _three_box_file(self, path):
@@ -211,18 +236,18 @@ class TestConcat:
         assert "points_current=2" in stdout
         assert "points_previous=1" in stdout
         assert "points_out=3" in stdout
-        merged = list(read_points(out, 5))
+        merged = read_points(out, 5).points
         assert len(merged) == 3
         # t survives a float32 round trip, so compare at that precision.
-        assert [p.t for p in merged] == pytest.approx([0.0, 0.0, 0.1], abs=1e-7)
-        assert merged[2].x == pytest.approx(8.0)
+        assert merged[:, 4].tolist() == pytest.approx([0.0, 0.0, 0.1], abs=1e-7)
+        assert merged[2, 0] == pytest.approx(8.0)
 
     def test_custom_delta(self, tmp_path):
         cur, prev = self._files(tmp_path)
         out = tmp_path / "merged.bin"
         assert run(["concat", "--current", str(cur), "--previous", str(prev),
                     "--delta", "0.25", "--output", str(out)]) == 0
-        assert list(read_points(out, 5))[2].t == pytest.approx(0.25)
+        assert read_points(out, 5).points[2, 4] == pytest.approx(0.25)
 
     def test_output_bytes_deterministic(self, tmp_path):
         cur, prev = self._files(tmp_path)
@@ -282,6 +307,15 @@ class TestVoxelize:
         assert summary["stored_points"] == 2
         assert summary["dropped_points"] == 1
         assert summary["dropped_voxels"] == 0
+
+    @pytest.mark.parametrize("edge", ["1e-5", "5e-324"])
+    def test_oversized_grid_is_exit_2(self, tmp_path, capsys, edge):
+        pts = self._points_file(tmp_path)
+        code = run(["voxelize", "--points", str(pts),
+                    "--output", str(tmp_path / "summary.json"),
+                    "--vx", edge, "--vy", edge, "--vz", edge])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR 2:")
 
 
 class TestAssign:

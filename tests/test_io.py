@@ -16,7 +16,7 @@ from lidarpost.io import (
     write_boxes,
     write_points,
 )
-from lidarpost.pointcloud import PointCloud, TimedPoint
+from lidarpost.pointcloud import PointCloud
 from oracles import random_box
 
 
@@ -210,8 +210,8 @@ class TestReadPoints:
         path.write_bytes(payload)
         cloud = read_points(path, channels=4)
         assert len(cloud) == 2
-        assert cloud.points[0] == TimedPoint(x=1.0, y=2.0, z=3.0, intensity=0.5, t=0.0)
-        assert cloud.points[1].t == 0.0
+        assert cloud.points[0].tolist() == [1.0, 2.0, 3.0, 0.5, 0.0]
+        assert cloud.points[1, 4] == 0.0
 
     def test_five_channel_file(self, tmp_path):
         path = tmp_path / "points.bin"
@@ -219,7 +219,7 @@ class TestReadPoints:
         path.write_bytes(payload)
         cloud = read_points(path, channels=5)
         assert len(cloud) == 2
-        assert cloud.points[1].t == pytest.approx(0.1, abs=1e-7)
+        assert cloud.points[1, 4] == pytest.approx(0.1, abs=1e-7)
 
     def test_size_misalignment_states_record_size(self, tmp_path):
         path = tmp_path / "points.bin"
@@ -258,25 +258,25 @@ class TestReadPoints:
 class TestWritePoints:
     def test_round_trip_exact_at_float32(self, tmp_path):
         rng = np.random.default_rng(83)
-        points = [
-            TimedPoint(
-                x=float(np.float32(rng.uniform(-50, 50))),
-                y=float(np.float32(rng.uniform(-50, 50))),
-                z=float(np.float32(rng.uniform(-2, 4))),
-                intensity=float(np.float32(rng.uniform(0, 1))),
-                t=float(np.float32(rng.uniform(0, 0.2))),
+        points = np.array([
+            (
+                float(np.float32(rng.uniform(-50, 50))),
+                float(np.float32(rng.uniform(-50, 50))),
+                float(np.float32(rng.uniform(-2, 4))),
+                float(np.float32(rng.uniform(0, 1))),
+                float(np.float32(rng.uniform(0, 0.2))),
             )
             for _ in range(100)
-        ]
+        ])
         cloud = PointCloud(points=points, frame_id="f", timestamp=0.0)
         path = tmp_path / "points.bin"
         write_points(cloud, path, channels=5)
         back = read_points(path, channels=5)
-        assert back.points == points
+        np.testing.assert_array_equal(back.points, points)
 
     def test_four_channel_write_drops_time(self, tmp_path):
         cloud = PointCloud(
-            points=[TimedPoint(x=1, y=2, z=3, intensity=0.5, t=0.125)],
+            points=np.array([[1, 2, 3, 0.5, 0.125]]),
             frame_id="f",
             timestamp=0.0,
         )
@@ -284,11 +284,11 @@ class TestWritePoints:
         write_points(cloud, path, channels=4)
         assert path.stat().st_size == 16
         back = read_points(path, channels=4)
-        assert back.points[0].t == 0.0
+        assert back.points[0, 4] == 0.0
 
     def test_little_endian_layout(self, tmp_path):
         cloud = PointCloud(
-            points=[TimedPoint(x=1.0, y=0.0, z=0.0, intensity=0.0, t=0.0)],
+            points=np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]),
             frame_id="f",
             timestamp=0.0,
         )

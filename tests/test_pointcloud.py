@@ -12,7 +12,6 @@ from lidarpost.pointcloud import (
     Axis,
     PointCloud,
     RangeSpec,
-    TimedPoint,
     concat_frames,
     crop_range,
     flip,
@@ -22,68 +21,85 @@ from lidarpost.pointcloud import (
 )
 
 
+X, Y, Z, INTENSITY, T = range(5)
+
+
 def _cloud(coords, frame_id="f", timestamp=0.0):
-    points = [TimedPoint(x=x, y=y, z=z) for x, y, z in coords]
+    points = np.array([(x, y, z, 0.0) for x, y, z in coords]).reshape(-1, 4)
     return PointCloud(points=points, frame_id=frame_id, timestamp=timestamp)
 
 
 def _random_cloud(rng, n=50):
     points = [
-        TimedPoint(
-            x=float(rng.uniform(-60, 60)),
-            y=float(rng.uniform(-60, 60)),
-            z=float(rng.uniform(-2, 4)),
-            intensity=float(rng.uniform(0, 1)),
-            t=float(rng.uniform(0, 0.2)),
+        (
+            float(rng.uniform(-60, 60)),
+            float(rng.uniform(-60, 60)),
+            float(rng.uniform(-2, 4)),
+            float(rng.uniform(0, 1)),
+            float(rng.uniform(0, 0.2)),
         )
         for _ in range(n)
     ]
-    return PointCloud(points=points, frame_id="r", timestamp=1.0)
+    return PointCloud(points=np.array(points).reshape(-1, 5), frame_id="r", timestamp=1.0)
 
 
-class TestTimedPoint:
-    def test_defaults(self):
-        p = TimedPoint(x=1.0, y=2.0, z=3.0)
-        assert p.intensity == 0.0
-        assert p.t == 0.0
+class TestPointValidation:
+    def test_four_channels_default_time_to_zero(self):
+        cloud = PointCloud(np.array([[1.0, 2.0, 3.0, 0.0]]))
+        assert cloud.points.shape == (1, 5)
+        assert cloud.points[0, INTENSITY] == 0.0
+        assert cloud.points[0, T] == 0.0
 
-    def test_validation(self):
+    def test_validation_names_the_first_bad_record(self):
+        with pytest.raises(ValueError, match="record 0: non-finite"):
+            PointCloud(np.array([[math.nan, 0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="record 1: intensity must be non-negative"):
+            PointCloud(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.5]]))
+        with pytest.raises(ValueError, match="record 0: t must be non-negative"):
+            PointCloud(np.array([[0.0, 0.0, 0.0, 0.0, -0.1], [math.inf, 0, 0, 0, 0]]))
+
+    def test_other_shapes_rejected(self):
+        for shape in ((3,), (2, 3), (2, 6), (1, 2, 5)):
+            with pytest.raises(ValueError, match="expected an"):
+                PointCloud(np.zeros(shape))
+
+    def test_points_are_a_read_only_copy(self):
+        given = np.array([[1.0, 2.0, 3.0, 0.5, 0.1]])
+        cloud = PointCloud(given)
+        given[0, X] = 9.0
+        assert cloud.points[0, X] == 1.0
         with pytest.raises(ValueError):
-            TimedPoint(x=math.nan, y=0.0, z=0.0)
-        with pytest.raises(ValueError):
-            TimedPoint(x=0.0, y=0.0, z=0.0, intensity=-0.5)
-        with pytest.raises(ValueError):
-            TimedPoint(x=0.0, y=0.0, z=0.0, t=-0.1)
+            cloud.points[0, X] = 9.0
 
 
 class TestPointCloudContainer:
     def test_len_and_iter(self):
         cloud = _cloud([(1, 2, 3), (4, 5, 6)])
         assert len(cloud) == 2
-        assert [p.x for p in cloud] == [1.0, 4.0]
+        assert [row[X] for row in cloud.points] == [1.0, 4.0]
 
     def test_array_round_trip(self):
         rng = np.random.default_rng(0)
         cloud = _random_cloud(rng, n=20)
-        arr = cloud.to_array()
+        arr = cloud.points
         assert arr.shape == (20, 5)
-        back = PointCloud.from_array(arr, frame_id=cloud.frame_id, timestamp=cloud.timestamp)
-        for a, b in zip(cloud, back):
-            assert a == b
+        assert arr.dtype == np.float64
+        back = PointCloud(arr, frame_id=cloud.frame_id, timestamp=cloud.timestamp)
+        np.testing.assert_array_equal(back.points, cloud.points)
 
     def test_from_array_accepts_four_channels(self):
         arr = np.array([[1.0, 2.0, 3.0, 0.5]])
-        cloud = PointCloud.from_array(arr, frame_id="f", timestamp=0.0)
-        assert cloud.points[0].intensity == 0.5
-        assert cloud.points[0].t == 0.0
+        cloud = PointCloud(arr, frame_id="f", timestamp=0.0)
+        assert cloud.points[0, INTENSITY] == 0.5
+        assert cloud.points[0, T] == 0.0
 
 
 class TestRangeSpec:
     def test_contains(self):
-        assert DEFAULT_RANGE.contains(0.0, 0.0, 0.0)
-        assert DEFAULT_RANGE.contains(75.2, -75.2, 4.0)
-        assert not DEFAULT_RANGE.contains(76.0, 0.0, 0.0)
-        assert not DEFAULT_RANGE.contains(0.0, 0.0, 4.5)
+        points = np.array([
+            (0.0, 0.0, 0.0), (75.2, -75.2, 4.0), (76.0, 0.0, 0.0), (0.0, 0.0, 4.5),
+        ])
+        assert DEFAULT_RANGE.contains(points).tolist() == [True, True, False, False]
 
     def test_invalid_extents_rejected(self):
         with pytest.raises(ValueError):
@@ -106,10 +122,10 @@ class TestConcatFrames:
         previous = _cloud([(4, 5, 6)], timestamp=9.9)
         merged = concat_frames(current, previous)
         assert len(merged) == 2
-        assert merged.points[0].t == 0.0
-        assert merged.points[0].x == 1.0
-        assert merged.points[1].t == pytest.approx(DEFAULT_DELTA)
-        assert merged.points[1].x == 4.0
+        assert merged.points[0, T] == 0.0
+        assert merged.points[0, X] == 1.0
+        assert merged.points[1, T] == pytest.approx(DEFAULT_DELTA)
+        assert merged.points[1, X] == 4.0
 
     def test_current_frame_metadata_kept(self):
         current = _cloud([(1, 2, 3)], frame_id="now", timestamp=10.0)
@@ -120,7 +136,7 @@ class TestConcatFrames:
 
     def test_custom_delta(self):
         merged = concat_frames(_cloud([(0, 0, 0)]), _cloud([(1, 1, 1)]), delta=0.25)
-        assert merged.points[1].t == 0.25
+        assert merged.points[1, T] == 0.25
 
     def test_empty_frames(self):
         merged = concat_frames(_cloud([]), _cloud([(1, 1, 1)]))
@@ -144,12 +160,12 @@ class TestConcatFrames:
             b = _random_cloud(rng, n=int(rng.integers(0, 40)))
             merged = concat_frames(a, b, delta=0.1)
             assert len(merged) == len(a) + len(b)
-            times = [p.t for p in merged]
+            times = merged.points[:, T]
             assert all(t == 0.0 for t in times[: len(a)])
             assert all(t == 0.1 for t in times[len(a) :])
             # geometry untouched
-            for before, after in zip(list(a) + list(b), merged):
-                assert (before.x, before.y, before.z) == (after.x, after.y, after.z)
+            before = np.concatenate([a.points, b.points])
+            np.testing.assert_array_equal(before[:, :4], merged.points[:, :4])
 
 
 class TestCropRange:
@@ -164,23 +180,28 @@ class TestCropRange:
 
     def test_order_preserved_and_idempotent(self):
         rng = np.random.default_rng(22)
-        cloud = PointCloud(
-            points=[
-                TimedPoint(
-                    x=float(rng.uniform(-100, 100)),
-                    y=float(rng.uniform(-100, 100)),
-                    z=float(rng.uniform(-5, 6)),
+        cloud = _cloud(
+            [
+                (
+                    float(rng.uniform(-100, 100)),
+                    float(rng.uniform(-100, 100)),
+                    float(rng.uniform(-5, 6)),
                 )
                 for _ in range(200)
             ],
             frame_id="c",
-            timestamp=0.0,
         )
         once = crop_range(cloud, DEFAULT_RANGE)
         twice = crop_range(once, DEFAULT_RANGE)
-        assert once.points == twice.points
-        kept = [p for p in cloud if DEFAULT_RANGE.contains(p.x, p.y, p.z)]
-        assert once.points == kept
+        np.testing.assert_array_equal(once.points, twice.points)
+        r = DEFAULT_RANGE
+        kept = [
+            row for row in cloud.points
+            if r.x_min <= row[X] <= r.x_max
+            and r.y_min <= row[Y] <= r.y_max
+            and r.z_min <= row[Z] <= r.z_max
+        ]
+        np.testing.assert_array_equal(once.points, np.array(kept).reshape(-1, 5))
 
 
 class TestFlip:
@@ -188,8 +209,7 @@ class TestFlip:
         cloud = _cloud([(1, 2, 3)])
         box = Box3D(cx=1, cy=2, cz=0, length=4, width=2, height=1, heading=0.5)
         new_cloud, new_boxes = flip(cloud, [box], axis=Axis.X)
-        p = new_cloud.points[0]
-        assert (p.x, p.y, p.z) == (1.0, -2.0, 3.0)
+        assert new_cloud.points[0, :3].tolist() == [1.0, -2.0, 3.0]
         assert new_boxes[0].cy == -2.0
         assert new_boxes[0].cx == 1.0
         assert new_boxes[0].heading == pytest.approx(-0.5)
@@ -198,8 +218,7 @@ class TestFlip:
         cloud = _cloud([(1, 2, 3)])
         box = Box3D(cx=1, cy=2, cz=0, length=4, width=2, height=1, heading=0.5)
         new_cloud, new_boxes = flip(cloud, [box], axis=Axis.Y)
-        p = new_cloud.points[0]
-        assert (p.x, p.y, p.z) == (-1.0, 2.0, 3.0)
+        assert new_cloud.points[0, :3].tolist() == [-1.0, 2.0, 3.0]
         assert new_boxes[0].cx == -1.0
         assert new_boxes[0].heading == pytest.approx(math.pi - 0.5)
 
@@ -220,9 +239,9 @@ class TestFlip:
         ]
         for axis in (Axis.X, Axis.Y):
             c2, b2 = flip(*flip(cloud, boxes, axis=axis), axis=axis)
-            for before, after in zip(cloud, c2):
-                assert before.x == pytest.approx(after.x, abs=1e-12)
-                assert before.y == pytest.approx(after.y, abs=1e-12)
+            for before, after in zip(cloud.points, c2.points):
+                assert before[X] == pytest.approx(after[X], abs=1e-12)
+                assert before[Y] == pytest.approx(after[Y], abs=1e-12)
             for before, after in zip(boxes, b2):
                 assert before.cx == pytest.approx(after.cx, abs=1e-12)
                 assert before.cy == pytest.approx(after.cy, abs=1e-12)
@@ -233,8 +252,8 @@ class TestFlip:
         rng = np.random.default_rng(24)
         cloud = _random_cloud(rng, n=20)
         flipped, _ = flip(cloud, [], axis=Axis.X)
-        a = cloud.to_array()[:, :3]
-        b = flipped.to_array()[:, :3]
+        a = cloud.points[:, :3]
+        b = flipped.points[:, :3]
         da = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1)
         db = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
         assert np.allclose(da, db, atol=1e-9)
@@ -246,14 +265,14 @@ class TestGlobalScale:
         cloud = _random_cloud(rng, n=10)
         box = Box3D(cx=1, cy=1, cz=0, length=4, width=2, height=1, heading=0.1)
         c2, b2 = global_scale(cloud, [box], factor=1.0)
-        assert [(p.x, p.y, p.z) for p in c2] == [(p.x, p.y, p.z) for p in cloud]
+        np.testing.assert_array_equal(c2.points[:, :3], cloud.points[:, :3])
         assert b2[0] == box
 
     def test_scales_centers_and_dimensions(self):
         cloud = _cloud([(10.0, 0.0, 0.0)])
         box = Box3D(cx=1.0, cy=-2.0, cz=0.5, length=4.0, width=2.0, height=1.0, heading=0.3)
         c2, b2 = global_scale(cloud, [box], factor=0.95)
-        assert c2.points[0].x == pytest.approx(9.5)
+        assert c2.points[0, X] == pytest.approx(9.5)
         assert b2[0].cx == pytest.approx(0.95)
         assert b2[0].cy == pytest.approx(-1.9)
         assert b2[0].cz == pytest.approx(0.475)
@@ -264,21 +283,21 @@ class TestGlobalScale:
 
     def test_intensity_and_time_untouched(self):
         cloud = PointCloud(
-            points=[TimedPoint(x=1, y=1, z=1, intensity=0.7, t=0.1)],
+            points=np.array([[1, 1, 1, 0.7, 0.1]]),
             frame_id="f",
             timestamp=0.0,
         )
         c2, _ = global_scale(cloud, [], factor=2.0)
-        assert c2.points[0].intensity == 0.7
-        assert c2.points[0].t == 0.1
+        assert c2.points[0, INTENSITY] == 0.7
+        assert c2.points[0, T] == 0.1
 
     def test_distances_scale_exactly(self):
         rng = np.random.default_rng(26)
         cloud = _random_cloud(rng, n=15)
         factor = 1.05
         scaled, _ = global_scale(cloud, [], factor=factor)
-        a = cloud.to_array()[:, :3]
-        b = scaled.to_array()[:, :3]
+        a = cloud.points[:, :3]
+        b = scaled.points[:, :3]
         da = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1)
         db = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
         assert np.allclose(db, factor * da, rtol=1e-12, atol=1e-12)
@@ -296,9 +315,9 @@ class TestGlobalRotate:
         box = Box3D(cx=1.0, cy=0.0, cz=0.0, length=4, width=2, height=1, heading=0.0)
         c2, b2 = global_rotate(cloud, [box], angle=math.pi / 2.0)
         p = c2.points[0]
-        assert p.x == pytest.approx(0.0, abs=1e-9)
-        assert p.y == pytest.approx(1.0, abs=1e-9)
-        assert p.z == 2.0
+        assert p[X] == pytest.approx(0.0, abs=1e-9)
+        assert p[Y] == pytest.approx(1.0, abs=1e-9)
+        assert p[Z] == 2.0
         assert b2[0].cx == pytest.approx(0.0, abs=1e-9)
         assert b2[0].cy == pytest.approx(1.0, abs=1e-9)
         assert b2[0].heading == pytest.approx(math.pi / 2.0)
@@ -314,20 +333,32 @@ class TestGlobalRotate:
         angle = 0.7
         once, _ = global_rotate(cloud, [], angle=angle)
         back, _ = global_rotate(once, [], angle=-angle)
-        for before, after in zip(cloud, back):
-            assert before.x == pytest.approx(after.x, abs=1e-9)
-            assert before.y == pytest.approx(after.y, abs=1e-9)
-            assert before.z == after.z
+        for before, after in zip(cloud.points, back.points):
+            assert before[X] == pytest.approx(after[X], abs=1e-9)
+            assert before[Y] == pytest.approx(after[Y], abs=1e-9)
+            assert before[Z] == after[Z]
 
     def test_distances_preserved(self):
         rng = np.random.default_rng(28)
         cloud = _random_cloud(rng, n=20)
         rotated, _ = global_rotate(cloud, [], angle=-1.2)
-        a = cloud.to_array()[:, :3]
-        b = rotated.to_array()[:, :3]
+        a = cloud.points[:, :3]
+        b = rotated.points[:, :3]
         da = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1)
         db = np.linalg.norm(b[:, None, :] - b[None, :, :], axis=-1)
         assert np.allclose(da, db, atol=1e-9)
+
+    def test_matches_the_scalar_formula_exactly(self):
+        rng = np.random.default_rng(29)
+        cloud = _random_cloud(rng, n=50)
+        angle = 0.37
+        rotated, _ = global_rotate(cloud, [], angle=angle)
+        c, s = math.cos(angle), math.sin(angle)
+        expected = [
+            [c * x - s * y, s * x + c * y, z, i, t]
+            for x, y, z, i, t in cloud.points.tolist()
+        ]
+        assert rotated.points.tolist() == expected
 
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from lidarpost.pointcloud import PointCloud, RangeSpec, TimedPoint
+from lidarpost.pointcloud import DEFAULT_RANGE, PointCloud, RangeSpec
 from lidarpost.voxelizer import (
     VoxelConfig,
     VoxelMode,
-    voxel_index,
+    voxel_coords,
     voxelize_dynamic,
     voxelize_hard,
 )
+from oracles import reference_voxelize
 
 
-def _cloud(coords, **extra):
-    points = [TimedPoint(x=x, y=y, z=z, **extra) for x, y, z in coords]
+def _cloud(coords):
+    points = np.array([(x, y, z, 0.0) for x, y, z in coords]).reshape(-1, 4)
     return PointCloud(points=points, frame_id="f", timestamp=0.0)
 
 
@@ -22,11 +23,26 @@ def _random_cloud(rng, n, spec):
     zs = rng.uniform(spec.z_min, spec.z_max, size=n)
     inten = rng.uniform(0.0, 1.0, size=n)
     ts = rng.uniform(0.0, 0.2, size=n)
-    points = [
-        TimedPoint(x=float(a), y=float(b), z=float(c), intensity=float(d), t=float(e))
-        for a, b, c, d, e in zip(xs, ys, zs, inten, ts)
-    ]
+    points = np.column_stack([xs, ys, zs, inten, ts])
     return PointCloud(points=points, frame_id="r", timestamp=0.0)
+
+
+def _cells(grid):
+    return [tuple(cell) for cell in grid.coords.tolist()]
+
+
+def _voxel(grid, cell):
+    """Row of the voxel at a grid cell."""
+    return _cells(grid).index(cell)
+
+
+def _members(grid, voxel):
+    """Indices of the input points stored in a voxel, in arrival order."""
+    return np.flatnonzero(grid.point_voxel == voxel).tolist()
+
+
+def _coords(point):
+    return np.array([point], dtype=np.float64)
 
 
 SMALL_RANGE = RangeSpec(x_min=0.0, x_max=4.0, y_min=0.0, y_max=4.0, z_min=0.0, z_max=2.0)
@@ -61,53 +77,77 @@ class TestVoxelConfig:
         with pytest.raises(ValueError):
             VoxelConfig(vx=1e-8)
 
+    def test_cell_count_beyond_int64_keys_rejected(self):
+        # Every axis fits 32 bits, but 1.5e7 * 1.5e7 * 6e5 cells do not
+        # fit the int64 linear key.
+        with pytest.raises(ValueError, match="64-bit"):
+            VoxelConfig(vx=1e-5, vy=1e-5, vz=1e-5)
+
+    def test_edge_that_overflows_the_grid_shape_rejected(self):
+        with pytest.raises(ValueError, match="32-bit"):
+            VoxelConfig(vx=5e-324)
+
 
 class TestVoxelIndex:
     def test_near_origin_point_with_defaults(self):
-        point = TimedPoint(x=0.05, y=0.05, z=0.05)
-        assert voxel_index(point, VoxelConfig()) == (752, 752, 13)
+        cells = voxel_coords(_coords((0.05, 0.05, 0.05)), VoxelConfig())
+        assert cells.tolist() == [[752, 752, 13]]
 
     def test_origin_corner_gets_zero_index(self):
-        point = TimedPoint(x=0.0, y=0.0, z=0.0)
-        assert voxel_index(point, SMALL_CONFIG) == (0, 0, 0)
+        assert voxel_coords(_coords((0.0, 0.0, 0.0)), SMALL_CONFIG).tolist() == [[0, 0, 0]]
 
     def test_interior_point(self):
-        point = TimedPoint(x=2.5, y=0.5, z=1.5)
-        assert voxel_index(point, SMALL_CONFIG) == (2, 0, 1)
+        assert voxel_coords(_coords((2.5, 0.5, 1.5)), SMALL_CONFIG).tolist() == [[2, 0, 1]]
 
     def test_out_of_range_returns_none(self):
-        assert voxel_index(TimedPoint(x=-0.1, y=1.0, z=1.0), SMALL_CONFIG) is None
-        assert voxel_index(TimedPoint(x=4.1, y=1.0, z=1.0), SMALL_CONFIG) is None
-        assert voxel_index(TimedPoint(x=1.0, y=1.0, z=2.5), SMALL_CONFIG) is None
+        cloud = _cloud([(-0.1, 1.0, 1.0), (4.1, 1.0, 1.0), (1.0, 1.0, 2.5)])
+        assert not SMALL_RANGE.contains(cloud.points).any()
+        grid = voxelize_dynamic(cloud, SMALL_CONFIG)
+        assert grid.point_voxel.tolist() == [-1, -1, -1]
+        assert grid.num_voxels == 0
 
     def test_upper_boundary_clamps_into_last_voxel(self):
-        point = TimedPoint(x=4.0, y=4.0, z=2.0)
-        assert voxel_index(point, SMALL_CONFIG) == (3, 3, 1)
+        assert voxel_coords(_coords((4.0, 4.0, 2.0)), SMALL_CONFIG).tolist() == [[3, 3, 1]]
 
     def test_default_config_boundary(self):
-        config = VoxelConfig()
-        index = voxel_index(TimedPoint(x=75.2, y=75.2, z=4.0), config)
-        assert index == (1503, 1503, 39)
+        cells = voxel_coords(_coords((75.2, 75.2, 4.0)), VoxelConfig())
+        assert cells.tolist() == [[1503, 1503, 39]]
 
     def test_matches_direct_quantization(self):
         rng = np.random.default_rng(31)
         config = VoxelConfig()
         spec = config.range
+        rows = []
         for _ in range(500):
             x = float(rng.uniform(spec.x_min - 5, spec.x_max + 5))
             y = float(rng.uniform(spec.y_min - 5, spec.y_max + 5))
             z = float(rng.uniform(spec.z_min - 1, spec.z_max + 1))
-            idx = voxel_index(TimedPoint(x=x, y=y, z=z), config)
-            if not spec.contains(x, y, z):
-                assert idx is None
-                continue
-            nx, ny, nz = config.grid_shape
-            expected = (
+            rows.append((x, y, z))
+        points = np.array(rows)
+        inside = spec.contains(points)
+        assert inside.tolist() == [
+            spec.x_min <= x <= spec.x_max
+            and spec.y_min <= y <= spec.y_max
+            and spec.z_min <= z <= spec.z_max
+            for x, y, z in rows
+        ]
+        nx, ny, nz = config.grid_shape
+        expected = [
+            (
                 min(int((x - spec.x_min) // config.vx), nx - 1),
                 min(int((y - spec.y_min) // config.vy), ny - 1),
                 min(int((z - spec.z_min) // config.vz), nz - 1),
             )
-            assert idx == expected
+            for x, y, z in points[inside]
+        ]
+        assert [tuple(c) for c in voxel_coords(points[inside], config).tolist()] == expected
+
+    def test_quotient_is_truncated_not_floor_divided(self):
+        # 1.0 // 0.1 == 9.0 but int(1.0 / 0.1) == 10: the cell follows the
+        # true quotient, as the reference voxelizer computes it.
+        spec = RangeSpec(0.0, 2.0, 0.0, 2.0, 0.0, 2.0)
+        config = VoxelConfig(range=spec, vx=0.1, vy=0.1, vz=0.1)
+        assert voxel_coords(_coords((1.0, 1.0, 1.0)), config).tolist() == [[10, 10, 10]]
 
 
 class TestDynamicVoxelization:
@@ -116,10 +156,10 @@ class TestDynamicVoxelization:
         grid = voxelize_dynamic(cloud, SMALL_CONFIG)
         assert grid.mode is VoxelMode.DYNAMIC
         assert grid.num_voxels == 1
-        voxel = grid.entries[(0, 0, 0)]
-        assert voxel.count == 3
+        voxel = _voxel(grid, (0, 0, 0))
+        assert grid.counts[voxel] == 3
         np.testing.assert_allclose(
-            voxel.feature, [0.5, 0.3, 0.3, 0.0, 0.0], atol=1e-12
+            grid.features[voxel], [0.5, 0.3, 0.3, 0.0, 0.0], atol=1e-12
         )
 
     def test_empty_cloud(self):
@@ -147,7 +187,7 @@ class TestDynamicVoxelization:
             max_voxels=1,
         )
         grid = voxelize_dynamic(_cloud(coords), config)
-        assert grid.entries[(0, 0, 0)].count == 50
+        assert grid.counts[_voxel(grid, (0, 0, 0))] == 50
         assert grid.dropped_points == 0
 
     def test_point_conservation_and_mean_against_tally(self):
@@ -159,24 +199,23 @@ class TestDynamicVoxelization:
         grid = voxelize_dynamic(cloud, config)
         assert grid.stored_points + grid.dropped_points == len(cloud)
 
+        assert SMALL_RANGE.contains(cloud.points).all()
         tally = {}
-        for point in cloud:
-            idx = voxel_index(point, config)
-            assert idx is not None
-            tally.setdefault(idx, []).append(point)
-        assert set(grid.entries) == set(tally)
-        for idx, members in tally.items():
-            voxel = grid.entries[idx]
-            assert voxel.count == len(members)
-            arr = np.array([[p.x, p.y, p.z, p.intensity, p.t] for p in members])
-            np.testing.assert_allclose(voxel.feature, arr.mean(axis=0), atol=1e-9)
-            assert list(voxel.points) == members
+        for index, cell in enumerate(voxel_coords(cloud.points, config).tolist()):
+            tally.setdefault(tuple(cell), []).append(index)
+        assert set(_cells(grid)) == set(tally)
+        for cell, members in tally.items():
+            voxel = _voxel(grid, cell)
+            assert grid.counts[voxel] == len(members)
+            arr = cloud.points[members]
+            np.testing.assert_allclose(grid.features[voxel], arr.mean(axis=0), atol=1e-9)
+            assert _members(grid, voxel) == members
 
     def test_insertion_order_preserved_within_voxel(self):
         cloud = _cloud([(0.1, 0.1, 0.1), (0.9, 0.9, 0.9), (0.5, 0.5, 0.5)])
         grid = voxelize_dynamic(cloud, SMALL_CONFIG)
-        xs = [p.x for p in grid.entries[(0, 0, 0)].points]
-        assert xs == [0.1, 0.9, 0.5]
+        xs = cloud.points[_members(grid, _voxel(grid, (0, 0, 0))), 0]
+        assert xs.tolist() == [0.1, 0.9, 0.5]
 
 
 class TestHardVoxelization:
@@ -191,9 +230,9 @@ class TestHardVoxelization:
         )
         grid = voxelize_hard(_cloud(coords), config)
         assert grid.mode is VoxelMode.HARD
-        voxel = grid.entries[(0, 0, 0)]
-        assert voxel.count == 2
-        assert [p.x for p in voxel.points] == [0.1, 0.2]
+        voxel = _voxel(grid, (0, 0, 0))
+        assert grid.counts[voxel] == 2
+        assert grid.point_voxel.tolist() == [voxel, voxel, -1]
         assert grid.dropped_points == 1
         assert grid.dropped_voxels == 0
 
@@ -208,7 +247,7 @@ class TestHardVoxelization:
         )
         grid = voxelize_hard(_cloud(coords), config)
         assert grid.num_voxels == 1
-        assert (0, 0, 0) in grid.entries
+        assert _cells(grid) == [(0, 0, 0)]
         assert grid.dropped_points == 3
         assert grid.dropped_voxels == 2
 
@@ -222,8 +261,8 @@ class TestHardVoxelization:
             max_voxels=1,
         )
         grid = voxelize_hard(_cloud(coords), config)
-        assert list(grid.entries) == [(2, 2, 0)]
-        assert grid.entries[(2, 2, 0)].count == 2
+        assert _cells(grid) == [(2, 2, 0)]
+        assert grid.counts.tolist() == [2]
 
     def test_mean_feature_uses_stored_points_only(self):
         coords = [(0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.9, 0.9, 0.9)]
@@ -236,7 +275,7 @@ class TestHardVoxelization:
         )
         grid = voxelize_hard(_cloud(coords), config)
         np.testing.assert_allclose(
-            grid.entries[(0, 0, 0)].feature[:3], [0.25, 0.25, 0.25], atol=1e-12
+            grid.features[_voxel(grid, (0, 0, 0))][:3], [0.25, 0.25, 0.25], atol=1e-12
         )
 
     def test_equals_dynamic_when_caps_not_binding(self):
@@ -252,14 +291,16 @@ class TestHardVoxelization:
         cloud = _random_cloud(rng, 1500, SMALL_RANGE)
         hard = voxelize_hard(cloud, config)
         dynamic = voxelize_dynamic(cloud, config)
-        assert set(hard.entries) == set(dynamic.entries)
+        assert set(_cells(hard)) == set(_cells(dynamic))
         assert hard.dropped_points == dynamic.dropped_points == 0
         assert hard.dropped_voxels == 0
-        for idx, voxel in hard.entries.items():
-            other = dynamic.entries[idx]
-            assert voxel.count == other.count
-            assert list(voxel.points) == list(other.points)
-            np.testing.assert_allclose(voxel.feature, other.feature, atol=1e-12)
+        for voxel, cell in enumerate(_cells(hard)):
+            other = _voxel(dynamic, cell)
+            assert hard.counts[voxel] == dynamic.counts[other]
+            assert _members(hard, voxel) == _members(dynamic, other)
+            np.testing.assert_allclose(
+                hard.features[voxel], dynamic.features[other], atol=1e-12
+            )
 
     def test_hard_is_prefix_subset_of_dynamic(self):
         rng = np.random.default_rng(34)
@@ -274,12 +315,13 @@ class TestHardVoxelization:
         cloud = _random_cloud(rng, 1200, SMALL_RANGE)
         hard = voxelize_hard(cloud, config)
         dynamic = voxelize_dynamic(cloud, config)
-        assert set(hard.entries) <= set(dynamic.entries)
+        assert set(_cells(hard)) <= set(_cells(dynamic))
         assert hard.num_voxels <= config.max_voxels
-        for idx, voxel in hard.entries.items():
-            assert voxel.count <= config.max_points_per_voxel
-            full = dynamic.entries[idx]
-            assert list(voxel.points) == list(full.points)[: voxel.count]
+        for voxel, cell in enumerate(_cells(hard)):
+            count = hard.counts[voxel]
+            assert count <= config.max_points_per_voxel
+            full = _members(dynamic, _voxel(dynamic, cell))
+            assert _members(hard, voxel) == full[:count]
 
     def test_accounting_identity(self):
         rng = np.random.default_rng(35)
@@ -297,7 +339,7 @@ class TestHardVoxelization:
             assert grid.stored_points + grid.dropped_points == len(cloud)
             # every refused-voxel key is absent from the grid
             dynamic = voxelize_dynamic(cloud, config)
-            refused = set(dynamic.entries) - set(grid.entries)
+            refused = set(_cells(dynamic)) - set(_cells(grid))
             assert len(refused) == grid.dropped_voxels
 
     def test_determinism(self):
@@ -313,7 +355,86 @@ class TestHardVoxelization:
         )
         a = voxelize_hard(cloud, config)
         b = voxelize_hard(cloud, config)
-        assert list(a.entries) == list(b.entries)
-        for idx in a.entries:
-            np.testing.assert_array_equal(a.entries[idx].feature, b.entries[idx].feature)
+        assert _cells(a) == _cells(b)
+        np.testing.assert_array_equal(a.features, b.features)
         assert (a.dropped_points, a.dropped_voxels) == (b.dropped_points, b.dropped_voxels)
+
+
+class TestAgainstReference:
+    """The grouping must reproduce the per-point first-arrival voxelizer
+    exactly: cells in order, counts, features, point map and counters."""
+
+    @staticmethod
+    def _check(points, config):
+        cloud = PointCloud(points=points)
+        for voxelize, capped in ((voxelize_dynamic, False), (voxelize_hard, True)):
+            grid = voxelize(cloud, config)
+            ref = reference_voxelize(cloud.points, config, capped)
+            np.testing.assert_array_equal(grid.coords, ref.coords)
+            np.testing.assert_array_equal(grid.counts, ref.counts)
+            np.testing.assert_array_equal(grid.features, ref.features)
+            np.testing.assert_array_equal(grid.point_voxel, ref.point_voxel)
+            assert grid.dropped_points == ref.dropped_points
+            assert grid.dropped_voxels == ref.dropped_voxels
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_clouds_with_piled_voxels(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(1, 3000))
+        spec = RangeSpec(-1.0, float(rng.uniform(0.5, 4.0)), 0.0,
+                         float(rng.uniform(0.5, 4.0)), -0.5, 1.0)
+        edges = rng.choice([0.1, 0.25, 0.3, 0.5, 1.0], size=3)
+        config = VoxelConfig(range=spec, vx=float(edges[0]), vy=float(edges[1]),
+                             vz=float(edges[2]),
+                             max_points_per_voxel=int(rng.integers(1, 6)),
+                             max_voxels=int(rng.integers(1, 200)))
+        points = np.column_stack([
+            rng.uniform(-1.2, 4.2, n), rng.uniform(-0.2, 4.2, n),
+            rng.uniform(-0.7, 1.2, n), rng.random(n), 0.2 * rng.random(n),
+        ])
+        points[: n // 3, :3] = points[0, :3]  # a third of the cloud in one voxel
+        self._check(points, config)
+
+    def test_points_on_the_upper_bounds(self):
+        rng = np.random.default_rng(950)
+        points = np.column_stack([
+            rng.uniform(0.0, 4.0, 300), rng.uniform(0.0, 4.0, 300),
+            rng.uniform(0.0, 2.0, 300), rng.random(300), np.zeros(300),
+        ])
+        points[::3, 0] = 4.0
+        points[::5, 1] = 4.0
+        points[::7, 2] = 2.0
+        self._check(points, VoxelConfig(range=SMALL_RANGE, vx=0.3, vy=0.7, vz=0.45,
+                                        max_points_per_voxel=2, max_voxels=40))
+
+    @pytest.mark.parametrize("lo", [0.0, -75.2, 3.3])
+    def test_points_one_unit_above_the_lower_bound(self, lo):
+        spec = RangeSpec(lo, lo + 2.0, lo, lo + 2.0, lo, lo + 2.0)
+        offsets = [1.0, 0.3, 0.7, 1.0 - 1e-12, 1.0 + 1e-12, 0.0]
+        points = np.array([(lo + a, lo + b, lo + c, 0.5, 0.0)
+                           for a in offsets for b in offsets for c in offsets])
+        self._check(points, VoxelConfig(range=spec, vx=0.1, vy=0.1, vz=0.1,
+                                        max_points_per_voxel=3, max_voxels=50))
+
+    def test_empty_cloud(self):
+        self._check(np.zeros((0, 5)), SMALL_CONFIG)
+
+    def test_all_points_out_of_range(self):
+        rng = np.random.default_rng(951)
+        points = np.column_stack([
+            rng.uniform(5.0, 9.0, 200), rng.uniform(0.0, 4.0, 200),
+            rng.uniform(0.0, 2.0, 200), rng.random(200), np.zeros(200),
+        ])
+        self._check(points, SMALL_CONFIG)
+
+    @pytest.mark.parametrize("max_points, max_voxels", [(1, 1), (1, 7), (2, 1), (4, 3)])
+    def test_tight_caps_and_budgets(self, max_points, max_voxels):
+        rng = np.random.default_rng(952)
+        config = VoxelConfig(range=DEFAULT_RANGE, max_points_per_voxel=max_points,
+                             max_voxels=max_voxels)
+        points = np.column_stack([
+            rng.uniform(-80.0, 80.0, 2000), rng.uniform(-80.0, 80.0, 2000),
+            rng.uniform(-3.0, 5.0, 2000), rng.random(2000), 0.1 * rng.random(2000),
+        ])
+        points[::4, :3] = points[1, :3]
+        self._check(points, config)
