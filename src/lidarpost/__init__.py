@@ -12,7 +12,6 @@ from .assigner import (
     fixed_assign,
 )
 from .ensemble import (
-    DetectionSet,
     box_vote,
     ensemble_pair,
     grid_search_weight,
@@ -22,10 +21,12 @@ from .ensemble import (
 )
 from .geometry import (
     Box3D,
+    DetectionSet,
     Label,
     bev_iou,
     heading_error,
     iou3d,
+    iou_matrix,
     wrap_angle,
 )
 from .io import (
@@ -37,6 +38,7 @@ from .io import (
     write_boxes,
     write_points,
 )
+from .matching import hungarian
 from .metrics import (
     Difficulty,
     MatchLedger,
@@ -63,7 +65,6 @@ from .tracker import (
     TrackState,
     associate,
     correct_heading_flip,
-    hungarian,
     predict,
     update,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "heading_error",
     "hungarian",
     "iou3d",
+    "iou_matrix",
     "match_frame",
     "merge_sources",
     "mota_motp",

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, bev_iou
+from .geometry import Box3D, bev_iou, iou_matrix
 
 DEFAULT_K = 9
 DEFAULT_POS_THR = 0.6
@@ -74,10 +74,7 @@ def fixed_assign(
     if not gts:
         return AssignmentResult(labels, gt_indices)
 
-    iou = np.zeros((n, len(gts)), dtype=np.float64)
-    for i, anchor in enumerate(anchors):
-        for j, gt in enumerate(gts):
-            iou[i, j] = bev_iou(anchor, gt)
+    iou = iou_matrix(anchors, gts, bev_iou)
 
     for i in range(n):
         best_j = int(np.argmax(iou[i]))  # argmax takes the first (lowest) index
@@ -130,7 +127,7 @@ def adaptive_assign(
     for j, gt in enumerate(gts):
         dist = np.hypot(centers[:, 0] - gt.cx, centers[:, 1] - gt.cy)
         candidates = np.argsort(dist, kind="stable")[:k]
-        ious = np.array([bev_iou(anchors[int(i)], gt) for i in candidates])
+        ious = iou_matrix([anchors[int(i)] for i in candidates], [gt], bev_iou)[:, 0]
         threshold = float(ious.mean() + ious.std())
         thresholds.append(threshold)
         for i, value in zip(candidates, ious):

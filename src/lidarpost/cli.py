@@ -21,7 +21,7 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,14 +38,13 @@ from .ensemble import (
     DEFAULT_SOFT_NMS_SIGMA,
     DEFAULT_STOP_DELTA,
     DEFAULT_VOTE_IOU,
-    DetectionSet,
     box_vote,
     ensemble_pair,
     grid_search_weight,
     nms,
     soft_nms,
 )
-from .geometry import Box3D, Label
+from .geometry import Box3D, DetectionSet, Label
 from .io import InputError, ValidationError, read_boxes, read_points, write_boxes, write_points
 from .metrics import (
     DEFAULT_IOU_THRESHOLDS,
@@ -187,7 +186,7 @@ def _slot(config: dict, path: str) -> Tuple[dict, str]:
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     """The --config file over the defaults, then the command's override flags."""
-    config = load_config(args.config)
+    config = load_config(getattr(args, "config", None))
     for dest, path in OVERRIDES.get(args.command, {}).items():
         value = getattr(args, dest)
         if value is None:
@@ -327,12 +326,12 @@ def _run_per_frame_filter(
     boxes_in = 0
     boxes_out = 0
     outputs: List[DetectionSet] = []
-    for frame_id, frame in frames.items():
+    for frame in frames.values():
         boxes = _filter_class(frame.boxes, label)
         boxes_in += len(boxes)
         kept = transform(boxes)
         boxes_out += len(kept)
-        outputs.append(DetectionSet(frame_id, kept, frame.source_id, frame.timestamp))
+        outputs.append(replace(frame, boxes=kept))
     write_boxes(outputs, args.output)
     return dict(
         frames=len(frames),
@@ -476,16 +475,13 @@ def cmd_track(args: argparse.Namespace, config: dict) -> dict:
     tracker = Tracker(TrackerConfig(**config["tracker"]))
     outputs: List[DetectionSet] = []
     reported = 0
-    for frame_id, frame in frames.items():
-        detections = DetectionSet(
-            frame_id, _filter_class(frame.boxes, label), frame.source_id, frame.timestamp
-        )
+    for frame in frames.values():
         try:
-            boxes = tracker.step(detections)
+            boxes = tracker.step(replace(frame, boxes=_filter_class(frame.boxes, label)))
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         reported += len(boxes)
-        outputs.append(DetectionSet(frame_id, boxes, frame.source_id, frame.timestamp))
+        outputs.append(replace(frame, boxes=boxes))
     write_boxes(outputs, args.output)
     return dict(
         frames=len(frames),
@@ -587,18 +583,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     defaults = default_config()
 
-    def command(name, func, help_text, output_required=True) -> argparse.ArgumentParser:
-        """A subcommand with the shared flags and its OVERRIDES flags, each
-        typed like the default it replaces."""
+    def command(name, func, help_text, output_required=True, shared=("--config", "--class")):
+        """A subcommand with --output, the shared flags it names and its
+        OVERRIDES flags, each typed like the default it replaces."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config overriding defaults")
         p.add_argument("--output", required=output_required, help="output path")
-        p.add_argument(
-            "--class",
-            dest="cls",
-            choices=[label.value for label in Label],
-            help="restrict processing to one class",
-        )
+        if "--config" in shared:
+            p.add_argument("--config", help="JSON config overriding defaults")
+        if "--class" in shared:
+            p.add_argument(
+                "--class",
+                dest="cls",
+                choices=[label.value for label in Label],
+                help="restrict processing to one class",
+            )
         for dest, path in OVERRIDES.get(name, {}).items():
             section, key = _slot(defaults, path)
             value = section[key]
@@ -615,12 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("concat", cmd_concat, "concatenate two point frames")
+    p = command("concat", cmd_concat, "concatenate two point frames", shared=("--config",))
     p.add_argument("--current", required=True, help="current-frame point file")
     p.add_argument("--previous", required=True, help="previous-frame point file")
     p.add_argument("--channels", type=int, choices=(4, 5), default=4)
 
-    p = command("voxelize", cmd_voxelize, "voxelize a point file")
+    p = command("voxelize", cmd_voxelize, "voxelize a point file", shared=("--config",))
     p.add_argument("--points", required=True, help="input point file")
     p.add_argument("--channels", type=int, choices=(4, 5), default=4)
     p.add_argument("--mode", choices=("hard", "dynamic"), default="dynamic")
@@ -656,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
 
     command("default-config", cmd_default_config, "print the default configuration",
-            output_required=False)
+            output_required=False, shared=())
     return parser
 
 

@@ -9,10 +9,10 @@ class-wise: boxes of different labels never interact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, List, Sequence, Tuple, TypeVar
+from dataclasses import replace
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
-from .geometry import Box3D, bev_iou
+from .geometry import Box3D, DetectionSet, bev_iou
 
 IouFn = Callable[[Box3D, Box3D], float]
 T = TypeVar("T")
@@ -22,22 +22,6 @@ DEFAULT_VOTE_IOU = 0.55
 DEFAULT_SOFT_NMS_SIGMA = 0.5
 DEFAULT_SOFT_NMS_FLOOR = 0.001
 DEFAULT_STOP_DELTA = 0.001
-
-
-@dataclass
-class DetectionSet:
-    """Ordered detections for one frame, tagged with the producing detector."""
-
-    frame_id: str
-    boxes: List[Box3D] = field(default_factory=list)
-    source_id: int = 0
-    timestamp: float = 0.0
-
-    def __len__(self) -> int:
-        return len(self.boxes)
-
-    def __iter__(self) -> Iterator[Box3D]:
-        return iter(self.boxes)
 
 
 def nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn: IouFn = bev_iou) -> List[int]:
@@ -172,10 +156,6 @@ def merge_sources(sets: Sequence[DetectionSet]) -> DetectionSet:
     return DetectionSet(frame_id, boxes, sets[0].source_id, sets[0].timestamp)
 
 
-def _clamp_score(score: float) -> float:
-    return min(max(score, 0.0), 1.0)
-
-
 def ensemble_pair(
     a: DetectionSet,
     b: DetectionSet,
@@ -186,9 +166,9 @@ def ensemble_pair(
 ) -> DetectionSet:
     """Merge two detectors into one: weight scores, pool, suppress.
 
-    Scores of a are scaled by w_a and of b by w_b (clamped to [0, 1]), the
-    pools are concatenated, and NMS at iou_thr resolves duplicates. The
-    result acts as a single detector for further pairing.
+    Scores of a are scaled by w_a and of b by w_b (the products stay in
+    [0, 1]), the pools are concatenated, and NMS at iou_thr resolves
+    duplicates. The result acts as a single detector for further pairing.
 
     Raises:
         ValueError: unless both weights lie in (0, 1].
@@ -196,26 +176,11 @@ def ensemble_pair(
     for name, w in (("w_a", w_a), ("w_b", w_b)):
         if not (0.0 < w <= 1.0):
             raise ValueError(f"{name} must lie in (0, 1], got {w!r}")
-    scaled_a = DetectionSet(
-        a.frame_id,
-        [replace(box, score=_clamp_score(box.score * w_a)) for box in a.boxes],
-        a.source_id,
-        a.timestamp,
-    )
-    scaled_b = DetectionSet(
-        b.frame_id,
-        [replace(box, score=_clamp_score(box.score * w_b)) for box in b.boxes],
-        b.source_id,
-        b.timestamp,
-    )
-    merged = merge_sources([scaled_a, scaled_b])
-    keep = nms(merged.boxes, iou_thr, iou_fn)
-    return DetectionSet(
-        merged.frame_id,
-        [merged.boxes[i] for i in keep],
-        merged.source_id,
-        merged.timestamp,
-    )
+    merged = merge_sources([a, b])
+    weights = [w_a] * len(a) + [w_b] * len(b)
+    boxes = [replace(box, score=box.score * w) for box, w in zip(merged.boxes, weights)]
+    keep = nms(boxes, iou_thr, iou_fn)
+    return replace(merged, boxes=[boxes[i] for i in keep])
 
 
 def grid_search_weight(

@@ -1,17 +1,20 @@
-"""Oriented 3D boxes and the rotated-overlap primitives built on them.
+"""Oriented 3D boxes, the per-frame sets that hold them, and their overlaps.
 
 Boxes live in a right-handed frame: x forward, y left, z up. A box heading is
 the yaw of its length axis about +z, zero along +x, and is always stored
 wrapped to (-pi, pi]. The box center sits at mid-height, so the vertical
-extent is [cz - h/2, cz + h/2].
+extent is [cz - h/2, cz + h/2]. :func:`bev_iou` and :func:`iou3d` score one
+pair of boxes; :func:`iou_matrix` scores every pair of two box lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 _TAU = 2.0 * math.pi
 
@@ -129,6 +132,22 @@ class Box3D:
         return abs(local_x) <= 0.5 * self.length and abs(local_y) <= 0.5 * self.width
 
 
+@dataclass
+class DetectionSet:
+    """Ordered detections for one frame, tagged with the producing detector."""
+
+    frame_id: str
+    boxes: List[Box3D] = field(default_factory=list)
+    source_id: int = 0
+    timestamp: float = 0.0
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __iter__(self) -> Iterator[Box3D]:
+        return iter(self.boxes)
+
+
 def polygon_area(vertices: Sequence[Tuple[float, float]]) -> float:
     """Shoelace area of a simple polygon, positive for counterclockwise order."""
     n = len(vertices)
@@ -225,3 +244,16 @@ def iou3d(a: Box3D, b: Box3D) -> float:
     if union < _AREA_EPS:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
+
+
+def iou_matrix(
+    rows: Sequence[Box3D], cols: Sequence[Box3D], iou_fn: Callable[[Box3D, Box3D], float]
+) -> np.ndarray:
+    """All-pairs overlap: a float64 (len(rows), len(cols)) array whose entry
+    (i, j) is iou_fn(rows[i], cols[j]), evaluated row by row.
+
+    The argument order is kept as given because bev_iou and iou3d are
+    symmetric only up to rounding in the last bits.
+    """
+    values = [[iou_fn(a, b) for b in cols] for a in rows]
+    return np.array(values, dtype=np.float64).reshape(len(rows), len(cols))

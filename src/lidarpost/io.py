@@ -15,8 +15,7 @@ from typing import Dict, Iterable, Mapping, Tuple, Union
 
 import numpy as np
 
-from .ensemble import DetectionSet
-from .geometry import Box3D, Label
+from .geometry import Box3D, DetectionSet, Label
 from .pointcloud import PointCloud
 
 PathLike = Union[str, Path]

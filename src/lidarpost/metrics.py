@@ -2,9 +2,11 @@
 
 Detection quality is scored with average precision over the all-point
 precision-recall envelope, plus a heading-aware variant that discounts each
-true positive by its heading accuracy. Tracking quality follows the
-CLEAR-MOT scheme: frame-by-frame matching with carried-over correspondences,
-yielding MOTA (accuracy) and MOTP (mean matched-pair dissimilarity).
+true positive by its heading accuracy; a frame's detections are matched to
+its ground truths greedily by score. Tracking quality follows the CLEAR-MOT
+scheme: frame-by-frame matching with carried-over correspondences, the rest
+matched by :func:`lidarpost.matching.hungarian` on 1 - IoU, yielding MOTA
+(accuracy) and MOTP (mean matched-pair dissimilarity).
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .geometry import Box3D, Label, heading_error, iou3d
-from .tracker import hungarian
+from .geometry import Box3D, Label, heading_error, iou3d, iou_matrix
+from .matching import hungarian
 
 DEFAULT_IOU_THRESHOLDS = {
     Label.VEHICLE: 0.7,
@@ -246,7 +246,7 @@ def mota_motp(
         used_h = set(matches.values())
         rem_h = [box for box in hyps if box.track_id not in used_h]
         if rem_g and rem_h:
-            iou = np.array([[iou_fn(g, h) for h in rem_h] for g in rem_g])
+            iou = iou_matrix(rem_g, rem_h, iou_fn)
             for gi, hj in hungarian(1.0 - iou):
                 if iou[gi, hj] < iou_thr:
                     continue

@@ -2,9 +2,11 @@
 
 Each track carries a 10-dimensional constant-velocity Kalman state
 (cx, cy, cz, heading, l, w, h, vx, vy, vz); velocities are in meters per
-frame step. Detections are associated to predicted tracks per class with a
-Hungarian matching on 1 - IoU, gated at a minimum IoU. Track ids start at 0
-and are never reused within a sequence.
+frame step. Frame timestamps only order the frames: every step predicts one
+step ahead, so a dropped frame counts as a single step. Detections are
+associated to predicted tracks per class with :func:`lidarpost.matching.hungarian`
+on 1 - IoU, gated at a minimum IoU, as in AB3DMOT (Weng et al., IROS 2020).
+Track ids start at 0 and are never reused within a sequence.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .ensemble import DetectionSet
-from .geometry import Box3D, Label, heading_error, iou3d, wrap_angle
+from .geometry import Box3D, DetectionSet, Label, heading_error, iou3d, iou_matrix, wrap_angle
+from .matching import hungarian
 
 STATE_DIM = 10
 OBS_DIM = 7
@@ -109,14 +110,6 @@ class TrackState:
         )
 
 
-def _process_noise(config: TrackerConfig) -> np.ndarray:
-    return config.process_noise * np.eye(STATE_DIM)
-
-
-def _measurement_noise(config: TrackerConfig) -> np.ndarray:
-    return config.measurement_noise * np.eye(OBS_DIM)
-
-
 def predict(state: TrackState, config: TrackerConfig = DEFAULT_CONFIG) -> TrackState:
     """Advance one frame under the constant-velocity model.
 
@@ -124,7 +117,7 @@ def predict(state: TrackState, config: TrackerConfig = DEFAULT_CONFIG) -> TrackS
     and time_since_update both increment.
     """
     mean = _F @ state.mean
-    cov = _F @ state.covariance @ _F.T + _process_noise(config)
+    cov = _F @ state.covariance @ _F.T + config.process_noise * np.eye(STATE_DIM)
     cov = 0.5 * (cov + cov.T)
     return TrackState(
         mean,
@@ -166,7 +159,7 @@ def update(
     residual = z - _H @ state.mean
     residual[3] = wrap_angle(residual[3])
     p = state.covariance
-    r = _measurement_noise(config)
+    r = config.measurement_noise * np.eye(OBS_DIM)
     s = _H @ p @ _H.T + r
     gain = np.linalg.solve(s, _H @ p).T
     mean = state.mean + gain @ residual
@@ -185,62 +178,6 @@ def update(
     )
 
 
-def _subproblem_cost(cost: np.ndarray, rows: List[int], cols: List[int]) -> float:
-    if not rows or not cols:
-        return 0.0
-    sub = cost[np.ix_(rows, cols)]
-    r, c = linear_sum_assignment(sub)
-    return float(sub[r, c].sum())
-
-
-def hungarian(cost) -> List[Tuple[int, int]]:
-    """Minimum-cost matching of min(rows, cols) pairs.
-
-    Among all optimal matchings, returns the one whose per-row assignment
-    vector is lexicographically smallest, with unassigned rows sorting after
-    every column index. Result pairs are sorted by row.
-
-    Raises:
-        ValueError: if the matrix is not 2-D or contains non-finite entries.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.size == 0:
-        return []
-    if cost.ndim != 2:
-        raise ValueError(f"cost must be a 2-D matrix, got shape {cost.shape}")
-    if not np.isfinite(cost).all():
-        raise ValueError("cost matrix entries must be finite")
-    n_rows, n_cols = cost.shape
-    needed = min(n_rows, n_cols)
-    row_ind, col_ind = linear_sum_assignment(cost)
-    best_total = float(cost[row_ind, col_ind].sum())
-    tol = 1e-9 * max(1.0, abs(best_total))
-
-    # Fix rows in order, taking the smallest column that still completes an
-    # optimal matching; skipping the row is the last resort.
-    result: List[Tuple[int, int]] = []
-    avail = list(range(n_cols))
-    fixed_cost = 0.0
-    for r in range(n_rows):
-        rows_after = list(range(r + 1, n_rows))
-        chosen: Optional[int] = None
-        for c in avail:
-            rest = [x for x in avail if x != c]
-            if len(result) + 1 + min(len(rows_after), len(rest)) != needed:
-                continue
-            total = fixed_cost + cost[r, c] + _subproblem_cost(cost, rows_after, rest)
-            if abs(total - best_total) <= tol:
-                chosen = c
-                break
-        if chosen is None:
-            # Row stays unassigned; only possible when rows outnumber columns.
-            continue
-        result.append((r, chosen))
-        avail.remove(chosen)
-        fixed_cost += float(cost[r, chosen])
-    return result
-
-
 def associate(
     tracks: Sequence[Box3D],
     detections: Sequence[Box3D],
@@ -249,43 +186,27 @@ def associate(
 ) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
     """Match predicted track boxes to detections, class by class.
 
-    Costs are 1 - IoU; Hungarian matches whose IoU falls below iou_min are
-    demoted to unmatched. Returns (matches, unmatched_tracks,
-    unmatched_detections); the three outputs partition both input index sets.
+    Per label, a Hungarian matching on 1 - IoU pairs tracks with detections;
+    a pair whose IoU is below iou_min stays unmatched. Returns sorted
+    (matches, unmatched_tracks, unmatched_detections); the three outputs
+    partition both input index sets.
     """
     matches: List[Tuple[int, int]] = []
-    unmatched_tracks: List[int] = []
-    unmatched_dets: List[int] = []
-    labels = sorted(
-        {b.label for b in tracks} | {b.label for b in detections},
-        key=lambda l: l.value,
-    )
-    for label in labels:
+    for label in sorted({b.label for b in tracks}, key=lambda l: l.value):
         t_idx = [i for i, b in enumerate(tracks) if b.label is label]
         d_idx = [j for j, b in enumerate(detections) if b.label is label]
-        if not t_idx:
-            unmatched_dets.extend(d_idx)
-            continue
         if not d_idx:
-            unmatched_tracks.extend(t_idx)
             continue
-        iou = np.array(
-            [[iou_fn(tracks[i], detections[j]) for j in d_idx] for i in t_idx]
-        )
-        matched_t = set()
-        matched_d = set()
-        for ri, cj in hungarian(1.0 - iou):
-            if iou[ri, cj] < iou_min:
-                continue
-            matches.append((t_idx[ri], d_idx[cj]))
-            matched_t.add(ri)
-            matched_d.add(cj)
-        unmatched_tracks.extend(t_idx[r] for r in range(len(t_idx)) if r not in matched_t)
-        unmatched_dets.extend(d_idx[c] for c in range(len(d_idx)) if c not in matched_d)
+        iou = iou_matrix([tracks[i] for i in t_idx], [detections[j] for j in d_idx], iou_fn)
+        matches += [(t_idx[r], d_idx[c]) for r, c in hungarian(1.0 - iou) if iou[r, c] >= iou_min]
     matches.sort()
-    unmatched_tracks.sort()
-    unmatched_dets.sort()
-    return matches, unmatched_tracks, unmatched_dets
+    matched_tracks = {i for i, _ in matches}
+    matched_dets = {j for _, j in matches}
+    return (
+        matches,
+        [i for i in range(len(tracks)) if i not in matched_tracks],
+        [j for j in range(len(detections)) if j not in matched_dets],
+    )
 
 
 def _new_track(det: Box3D, track_id: int) -> TrackState:

@@ -660,6 +660,41 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("ERROR 2:")
 
 
+class TestFlagsThatDoNothingAreGone:
+    """Point commands take no --class, and default-config takes neither
+    --class nor --config: each would be accepted and ignored."""
+
+    def _points(self, tmp_path):
+        path = tmp_path / "p.bin"
+        _write_points(path, [(1.0, 2.0, 0.5, 0.3)])
+        return str(path)
+
+    def _assert_rejected(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 2:")
+        assert "unrecognized arguments" in err
+
+    def test_concat_rejects_class(self, tmp_path, capsys):
+        points = self._points(tmp_path)
+        self._assert_rejected(["concat", "--current", points, "--previous", points,
+                               "--output", str(tmp_path / "o.bin"),
+                               "--class", "VEHICLE"], capsys)
+
+    def test_voxelize_rejects_class(self, tmp_path, capsys):
+        self._assert_rejected(["voxelize", "--points", self._points(tmp_path),
+                               "--output", str(tmp_path / "o.json"),
+                               "--class", "VEHICLE"], capsys)
+
+    def test_default_config_rejects_class(self, capsys):
+        self._assert_rejected(["default-config", "--class", "VEHICLE"], capsys)
+
+    def test_default_config_rejects_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        self._assert_rejected(["default-config", "--config", str(cfg)], capsys)
+
+
 # One flag value per OVERRIDES row: (text on the command line, JSON value).
 OVERRIDE_VALUES = {
     ("concat", "delta"): ("0.25", 0.25),

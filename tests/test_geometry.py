@@ -10,6 +10,7 @@ from lidarpost.geometry import (
     clip_convex,
     heading_error,
     iou3d,
+    iou_matrix,
     polygon_area,
     wrap_angle,
 )
@@ -278,3 +279,42 @@ class TestIou3d:
         for _ in range(100):
             a, b = random_box(rng), random_box(rng)
             assert iou3d(a, b) <= bev_iou(a, b) + 1e-9
+
+
+class TestIouMatrix:
+    def test_calls_rows_then_cols_in_row_major_order(self):
+        rng = np.random.default_rng(21)
+        rows = [random_box(rng) for _ in range(3)]
+        cols = [random_box(rng) for _ in range(4)]
+        calls = []
+
+        def recording(a, b):
+            calls.append((a, b))
+            return len(calls) / 100.0
+
+        out = iou_matrix(rows, cols, recording)
+        expected = [(a, b) for a in rows for b in cols]
+        assert len(calls) == len(expected)
+        assert all(x is a and y is b for (x, y), (a, b) in zip(calls, expected))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.arange(1, 13).reshape(3, 4) / 100.0)
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(3, 0), (0, 4), (0, 0)])
+    def test_empty_sides_keep_their_shape(self, n_rows, n_cols):
+        rng = np.random.default_rng(22)
+        rows = [random_box(rng) for _ in range(n_rows)]
+        cols = [random_box(rng) for _ in range(n_cols)]
+        out = iou_matrix(rows, cols, bev_iou)
+        assert out.shape == (n_rows, n_cols)
+        assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("iou_fn", [bev_iou, iou3d])
+    def test_entries_equal_the_pairwise_values_exactly(self, iou_fn):
+        rng = np.random.default_rng(23)
+        rows = [random_box(rng, span=2.0) for _ in range(6)]
+        cols = [random_box(rng, span=2.0) for _ in range(5)]
+        out = iou_matrix(rows, cols, iou_fn)
+        assert (out > 0.0).sum() > 10  # the boxes mostly overlap
+        for i, a in enumerate(rows):
+            for j, b in enumerate(cols):
+                assert out[i, j] == iou_fn(a, b)

@@ -361,6 +361,44 @@ class TestAssociate:
             expected = sorted((r, c) for r, c in pairs if iou[r, c] >= gate)
             assert matches == expected
 
+    @staticmethod
+    def _assert_sorted_partition(result, n_tracks, n_dets):
+        matches, ut, ud = result
+        for part in (matches, ut, ud):
+            assert part == sorted(part)
+        assert sorted([t for t, _ in matches] + ut) == list(range(n_tracks))
+        assert sorted([d for _, d in matches] + ud) == list(range(n_dets))
+
+    def test_label_on_one_side_only_stays_unmatched(self):
+        cyclists_and_vehicle = [
+            _det(0.0, 0.0, label=Label.CYCLIST),
+            _det(20.0, 0.0, label=Label.VEHICLE),
+            _det(40.0, 0.0, label=Label.CYCLIST),
+        ]
+        with_pedestrian = [
+            _det(20.1, 0.0, label=Label.VEHICLE),
+            _det(60.0, 0.0, label=Label.PEDESTRIAN),
+            _det(40.1, 0.0, label=Label.CYCLIST),
+            _det(0.1, 0.0, label=Label.CYCLIST),
+        ]
+        result = associate(cyclists_and_vehicle, with_pedestrian, iou_min=0.1)
+        assert result == ([(0, 3), (1, 0), (2, 2)], [], [1])
+        self._assert_sorted_partition(result, 3, 4)
+        result = associate(with_pedestrian, cyclists_and_vehicle, iou_min=0.1)
+        assert result == ([(0, 1), (2, 2), (3, 0)], [1], [])
+        self._assert_sorted_partition(result, 4, 3)
+
+    def test_empty_side(self):
+        boxes = [_det(10.0 * i, 0.0, label=label)
+                 for i, label in enumerate([Label.PEDESTRIAN, Label.VEHICLE, Label.CYCLIST])]
+        result = associate(boxes, [], iou_min=0.1)
+        assert result == ([], [0, 1, 2], [])
+        self._assert_sorted_partition(result, 3, 0)
+        result = associate([], boxes, iou_min=0.1)
+        assert result == ([], [], [0, 1, 2])
+        self._assert_sorted_partition(result, 0, 3)
+        assert associate([], [], iou_min=0.1) == ([], [], [])
+
 
 class TestTrackerStep:
     def test_first_frame_reports_with_first_id(self):
