@@ -71,7 +71,7 @@ def fixed_assign(
     n = len(anchors)
     labels = [AnchorLabel.NEGATIVE] * n
     gt_indices: List[Optional[int]] = [None] * n
-    if not gts:
+    if not anchors or not gts:
         return AssignmentResult(labels, gt_indices)
 
     iou = iou_matrix(anchors, gts, bev_iou)

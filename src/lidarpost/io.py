@@ -102,14 +102,22 @@ def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
     timestamp is taken from its first record.
 
     Raises:
-        FormatError: on a line that is not a JSON object.
+        FormatError: on a line that is not valid UTF-8 or not a JSON object.
         ValidationError: on a line whose values violate box invariants.
     """
     frames: Dict[str, DetectionSet] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes come through as lone surrogates, so the line that
+    # holds one can be named.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise FormatError(f"line {lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -93,6 +93,16 @@ class TrackState:
         if self.age < 1:
             raise ValueError(f"age must be >= 1, got {self.age!r}")
 
+    @classmethod
+    def _trusted(cls, mean, covariance, id, hits, time_since_update, age, label) -> "TrackState":
+        """Build a state without the checks above, for predict, update and
+        _new_track only: they make fresh float64 arrays of the right shapes,
+        symmetrize the covariance and keep the counters in range."""
+        state = object.__new__(cls)
+        state.__dict__.update(mean=mean, covariance=covariance, id=id, hits=hits,
+                              time_since_update=time_since_update, age=age, label=label)
+        return state
+
     def to_box(self, score: float = 1.0) -> Box3D:
         """Box view of the mean, with dimensions clamped to stay valid."""
         m = self.mean
@@ -119,7 +129,7 @@ def predict(state: TrackState, config: TrackerConfig = DEFAULT_CONFIG) -> TrackS
     mean = _F @ state.mean
     cov = _F @ state.covariance @ _F.T + config.process_noise * np.eye(STATE_DIM)
     cov = 0.5 * (cov + cov.T)
-    return TrackState(
+    return TrackState._trusted(
         mean,
         cov,
         state.id,
@@ -167,7 +177,7 @@ def update(
     joseph = np.eye(STATE_DIM) - gain @ _H
     cov = joseph @ p @ joseph.T + gain @ r @ gain.T
     cov = 0.5 * (cov + cov.T)
-    return TrackState(
+    return TrackState._trusted(
         mean,
         cov,
         state.id,
@@ -217,8 +227,8 @@ def _new_track(det: Box3D, track_id: int) -> TrackState:
     )
     cov = np.eye(STATE_DIM)
     cov[7, 7] = cov[8, 8] = cov[9, 9] = _INITIAL_VELOCITY_VAR
-    return TrackState(mean, cov, track_id, hits=1, time_since_update=0, age=1,
-                      label=det.label)
+    return TrackState._trusted(mean, cov, track_id, hits=1, time_since_update=0, age=1,
+                               label=det.label)
 
 
 class Tracker:

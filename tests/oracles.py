@@ -3,9 +3,10 @@
 Everything here is deliberately written with different algorithms or data
 layouts than the package code: Monte-Carlo IoU instead of polygon clipping,
 a mark-suppressed NMS scan instead of check-against-kept, exhaustive
-enumeration instead of the assignment solver, a naive quadratic PR
-integration instead of the vectorized envelope, and a per-point
-first-arrival voxelizer instead of array grouping.
+enumeration instead of the assignment solver, a tie-break that re-solves a
+sub-matrix for every candidate pair instead of one solve and a walk over its
+tight edges, a naive quadratic PR integration instead of the vectorized
+envelope, and a per-point first-arrival voxelizer instead of array grouping.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from lidarpost.geometry import Box3D, Label
 
@@ -130,6 +132,50 @@ def brute_force_assignment(cost: np.ndarray) -> Tuple[List[Tuple[int, int]], flo
     assert best_vec is not None
     pairs = [(r, c) for r, c in enumerate(best_vec) if c is not None]
     return pairs, float(best_total)
+
+
+def reference_hungarian(cost) -> List[Tuple[int, int]]:
+    """The lexicographically smallest optimal matching, found by re-solving.
+
+    Rows are fixed in order. Each takes the smallest column for which fixing
+    the pair and solving the remaining rows and columns with
+    linear_sum_assignment still gives a total within 1e-9 * max(1, |best|)
+    of the best; a row that can take none stays unassigned. That is
+    O(rows * cols) solves, against the single solve of
+    lidarpost.matching.hungarian.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.size == 0:
+        return []
+    n_rows, n_cols = cost.shape
+    needed = min(n_rows, n_cols)
+    row_ind, col_ind = linear_sum_assignment(cost)
+    best_total = float(cost[row_ind, col_ind].sum())
+    tol = 1e-9 * max(1.0, abs(best_total))
+
+    def completion_cost(rows: List[int], cols: List[int]) -> float:
+        if not rows or not cols:
+            return 0.0
+        sub = cost[np.ix_(rows, cols)]
+        r, c = linear_sum_assignment(sub)
+        return float(sub[r, c].sum())
+
+    result: List[Tuple[int, int]] = []
+    avail = list(range(n_cols))
+    fixed_cost = 0.0
+    for r in range(n_rows):
+        rows_after = list(range(r + 1, n_rows))
+        for c in avail:
+            rest = [x for x in avail if x != c]
+            if len(result) + 1 + min(len(rows_after), len(rest)) != needed:
+                continue
+            total = fixed_cost + cost[r, c] + completion_cost(rows_after, rest)
+            if abs(total - best_total) <= tol:
+                result.append((r, c))
+                avail.remove(c)
+                fixed_cost += float(cost[r, c])
+                break
+    return result
 
 
 def reference_ap(outcomes: Sequence[Tuple[float, bool]], gt_count: int) -> float:

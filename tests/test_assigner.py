@@ -74,6 +74,12 @@ class TestFixedAssign:
         result = fixed_assign(anchors, [], pos_thr=0.6, neg_thr=0.45)
         assert result.labels == [AnchorLabel.NEGATIVE, AnchorLabel.NEGATIVE]
 
+    def test_empty_anchors_give_an_empty_result(self):
+        result = fixed_assign([], [_box(0.0, 0.0), _box(5.0, 0.0)])
+        assert result.labels == []
+        assert result.gt_indices == []
+        assert result.adaptive_thresholds is None
+
     def test_threshold_order_violation_rejected(self):
         with pytest.raises(ValueError):
             fixed_assign([_box(0, 0)], [_box(0, 0)], pos_thr=0.4, neg_thr=0.5)

@@ -90,6 +90,19 @@ class TestArgumentErrors:
         assert err.startswith("ERROR 3:")
         assert "line 2" in err
 
+    @pytest.mark.parametrize("lines, bad_line, byte", [
+        ([b"\xff"], 1, "0xff"),
+        ([json.dumps(_record()).encode(), b'{"frame_id": "f\xc3"}'], 2, "0xc3"),
+    ])
+    def test_invalid_utf8_is_exit_3(self, tmp_path, capsys, lines, bad_line, byte):
+        det = tmp_path / "d.jsonl"
+        det.write_bytes(b"".join(line + b"\n" for line in lines))
+        code = run(["nms", "--input", str(det),
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR 3: line {bad_line}: invalid UTF-8 byte {byte}")
+
     @pytest.mark.parametrize("key", ["cx", "timestamp"])
     def test_oversized_integer_is_exit_3(self, tmp_path, capsys, key):
         det = tmp_path / "d.jsonl"

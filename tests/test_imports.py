@@ -2,6 +2,9 @@
 modules, never on one another."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lidarpost
@@ -39,6 +42,33 @@ def test_layers_import_only_the_neutral_modules():
 def test_geometry_and_matching_import_no_package_module():
     assert _package_imports("geometry") == set()
     assert _package_imports("matching") == set()
+
+
+def _absolute_imports(module: str) -> set:
+    """Names of the outside modules that a module's source imports."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found - {"__future__", "typing"}
+
+
+def test_matching_imports_only_numpy_and_scipy_optimize():
+    """Loading more of SciPy when the CLI starts would show in its set-up
+    time; the tie-break works on dense NumPy arrays instead."""
+    assert _absolute_imports("matching") == {"numpy", "scipy.optimize"}
+
+
+def test_cli_import_leaves_scipy_csgraph_unloaded():
+    probe = ("import sys, lidarpost.cli; "
+             "print(any(m.startswith('scipy.sparse.csgraph') for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_patched_names_are_module_attributes():

@@ -80,6 +80,22 @@ class TestTrackState:
         with pytest.raises(ValueError):
             _state(id=-3)
 
+    def test_internal_states_pass_the_public_checks(self):
+        """predict, update and the tracker's births skip the checks; what
+        they build must still pass them, with an exactly symmetric
+        covariance."""
+        rng = np.random.default_rng(73)
+        tracker = Tracker()
+        for f in range(6):
+            boxes = [_det(float(4 * i + 0.1 * f + rng.normal(0.0, 0.05)), 0.0)
+                     for i in range(3 + f % 2)]
+            tracker.step(DetectionSet(f"f{f}", boxes, 0, float(f)))
+            for s in tracker.tracks:
+                assert s.mean.dtype == s.covariance.dtype == np.float64
+                assert np.array_equal(s.covariance, s.covariance.T)
+                TrackState(s.mean, s.covariance, s.id, s.hits,
+                           s.time_since_update, s.age, s.label)
+
     def test_to_box_clamps_degenerate_dimensions(self):
         mean = np.zeros(STATE_DIM)
         mean[4:7] = (0.0, -1.0, 2.0)
