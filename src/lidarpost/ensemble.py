@@ -12,7 +12,9 @@ import math
 from dataclasses import replace
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
-from .geometry import Box3D, DetectionSet, bev_iou
+import numpy as np
+
+from .geometry import Box3D, DetectionSet, bev_iou, candidate_columns
 
 IouFn = Callable[[Box3D, Box3D], float]
 T = TypeVar("T")
@@ -29,7 +31,11 @@ def nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn: IouFn = bev_iou) -> List
 
     Boxes are scanned by descending score (ties by lower original index); a
     box is kept iff its IoU with every already-kept box of the same label is
-    strictly below iou_thr.
+    strictly below iou_thr. iou_fn is called only on candidate pairs (see
+    :func:`lidarpost.geometry.candidate_columns`), as iou_fn(box, kept) in
+    keep order, and must return 0 for boxes whose circumscribed circles are
+    disjoint; every other pair has IoU 0, so at iou_thr 0 any kept box of the
+    same label suppresses.
 
     Raises:
         ValueError: if iou_thr is outside [0, 1].
@@ -37,14 +43,22 @@ def nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn: IouFn = bev_iou) -> List
     if not (0.0 <= iou_thr <= 1.0):
         raise ValueError(f"iou_thr must lie in [0, 1], got {iou_thr!r}")
     order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
+    candidates = candidate_columns(boxes, boxes)
+    # kept_near[i]: kept candidates of box i with its label, in keep order.
+    kept_near: List[List[int]] = [[] for _ in boxes]
+    kept_labels = set()
     kept: List[int] = []
     for i in order:
         box = boxes[i]
-        if all(
-            boxes[j].label is not box.label or iou_fn(box, boxes[j]) < iou_thr
-            for j in kept
-        ):
-            kept.append(i)
+        if iou_thr == 0.0 and box.label in kept_labels:
+            continue
+        if any(iou_fn(box, boxes[j]) >= iou_thr for j in kept_near[i]):
+            continue
+        kept.append(i)
+        kept_labels.add(box.label)
+        for j in candidates[i]:
+            if boxes[j].label is box.label:
+                kept_near[j].append(i)
     return kept
 
 
@@ -59,7 +73,9 @@ def soft_nms(
     Repeatedly move the current max-score box to the output, then rescore
     every remaining same-label box by exp(-IoU^2 / sigma) and discard those
     whose score drops below score_floor. Output boxes carry their final
-    scores, in descending order.
+    scores, in descending order. iou_fn(best, other) is called only on
+    candidate pairs, others in index order; it must return 0 for boxes whose
+    circumscribed circles are disjoint, whose factor exp(-0.0) is 1.0.
 
     Raises:
         ValueError: unless sigma > 0 and score_floor in [0, 1).
@@ -68,25 +84,29 @@ def soft_nms(
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     if not (0.0 <= score_floor < 1.0):
         raise ValueError(f"score_floor must lie in [0, 1), got {score_floor!r}")
-    pool: List[Tuple[int, Box3D, float]] = [
-        (i, box, box.score) for i, box in enumerate(boxes)
-    ]
+    scores = np.array([box.score for box in boxes], dtype=np.float64)
+    alive = np.ones(len(boxes), dtype=bool)
+    candidates = candidate_columns(boxes, boxes)
+    floored = set()
     kept: List[Box3D] = []
-    while pool:
-        best = 0
-        for idx in range(1, len(pool)):
-            if pool[idx][2] > pool[best][2]:
-                best = idx
-        index, box, score = pool.pop(best)
-        kept.append(replace(box, score=score))
-        survivors: List[Tuple[int, Box3D, float]] = []
-        for other_index, other, other_score in pool:
-            if other.label is box.label:
-                other_score = other_score * math.exp(-iou_fn(box, other) ** 2 / sigma)
-                if other_score < score_floor:
-                    continue
-            survivors.append((other_index, other, other_score))
-        pool = survivors
+    while alive.any():
+        # argmax takes the first maximum: ties go to the lowest index.
+        i = int(np.argmax(np.where(alive, scores, -np.inf)))
+        box = boxes[i]
+        alive[i] = False
+        kept.append(replace(box, score=float(scores[i])))
+        for j in candidates[i]:
+            if alive[j] and boxes[j].label is box.label:
+                scores[j] *= math.exp(-iou_fn(box, boxes[j]) ** 2 / sigma)
+                if scores[j] < score_floor:
+                    alive[j] = False
+        # Off the candidate list the decay is exp(-0.0) == 1.0, so those
+        # scores only fall under the floor if they started there.
+        if box.label not in floored:
+            floored.add(box.label)
+            for j in np.flatnonzero(alive & (scores < score_floor)).tolist():
+                if boxes[j].label is box.label:
+                    alive[j] = False
     return kept
 
 
@@ -101,7 +121,9 @@ def box_vote(
     For each surviving box, the same-label originals with IoU strictly above
     iou_thr vote: center and dimensions become their unweighted means, while
     heading and score stay those of the surviving box. Boxes with no voters
-    pass through unchanged.
+    pass through unchanged. iou_fn(original, box) is called only on
+    candidate pairs, originals in index order; it must return 0 for boxes
+    whose circumscribed circles are disjoint.
 
     Raises:
         ValueError: unless iou_thr in (0, 1].
@@ -109,10 +131,10 @@ def box_vote(
     if not (0.0 < iou_thr <= 1.0):
         raise ValueError(f"iou_thr must lie in (0, 1], got {iou_thr!r}")
     out: List[Box3D] = []
-    for box in nms_boxes:
+    for box, js in zip(nms_boxes, candidate_columns(nms_boxes, original_boxes)):
         voters = [
             o
-            for o in original_boxes
+            for o in (original_boxes[j] for j in js)
             if o.label is box.label and iou_fn(o, box) > iou_thr
         ]
         if not voters:
@@ -169,6 +191,8 @@ def ensemble_pair(
     Scores of a are scaled by w_a and of b by w_b (the products stay in
     [0, 1]), the pools are concatenated, and NMS at iou_thr resolves
     duplicates. The result acts as a single detector for further pairing.
+    iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
+    as :func:`nms` requires.
 
     Raises:
         ValueError: unless both weights lie in (0, 1].

@@ -4,7 +4,15 @@ Boxes live in a right-handed frame: x forward, y left, z up. A box heading is
 the yaw of its length axis about +z, zero along +x, and is always stored
 wrapped to (-pi, pi]. The box center sits at mid-height, so the vertical
 extent is [cz - h/2, cz + h/2]. :func:`bev_iou` and :func:`iou3d` score one
-pair of boxes; :func:`iou_matrix` scores every pair of two box lists.
+pair of boxes; :func:`iou_matrix` scores two box lists against each other.
+
+Overlaps are computed only for candidate pairs. Two boxes whose circumscribed
+circles (center, radius half the footprint diagonal) are disjoint cannot
+overlap, so :func:`candidate_columns` finds, with one NumPy test over both
+lists, the pairs whose circles can touch, and the scalar IoU runs on those
+alone. Every function that takes an ``iou_fn`` relies on this: ``iou_fn``
+must return 0 for boxes whose circumscribed circles are disjoint, which
+:func:`bev_iou` and :func:`iou3d` do.
 """
 
 from __future__ import annotations
@@ -20,6 +28,13 @@ _TAU = 2.0 * math.pi
 
 # Clipped footprints smaller than this are floating-point slivers, not overlap.
 _AREA_EPS = 1e-12
+
+# Relative slack on the candidate test's squared reach: np.hypot and
+# math.hypot may differ in the last bit, and the batched test must never
+# reject a pair that the scalar reject in _footprint_intersection keeps.
+_REACH_SLACK = 1.0 + 1e-9
+# Upper bound on the cells of one block of the candidate test's temporaries.
+_BLOCK_CELLS = 1 << 20
 
 
 class Label(Enum):
@@ -246,14 +261,64 @@ def iou3d(a: Box3D, b: Box3D) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
+def _circles(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(N, 3) array of footprint centers and circumscribed radii."""
+    out = np.array([(b.cx, b.cy, b.length, b.width) for b in boxes], dtype=np.float64)
+    return np.column_stack([out[:, 0], out[:, 1], 0.5 * np.hypot(out[:, 2], out[:, 3])])
+
+
+def candidate_columns(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> List[List[int]]:
+    """For each row box, the ascending indices of the column boxes that can overlap it.
+
+    A pair is a candidate when its circumscribed circles can touch:
+    d^2 <= (ra + rb)^2 * (1 + 1e-9), with d the distance between the
+    footprint centers and ra, rb the half-diagonals. The slack keeps every
+    pair that the scalar reject in :func:`bev_iou` and :func:`iou3d` keeps,
+    so a pair left out has IoU 0. Rows are tested in blocks of about 1M
+    cells, so memory stays bounded for any list sizes.
+    """
+    if not rows or not cols:
+        return [[] for _ in rows]
+    a = _circles(rows)
+    b = a if cols is rows else _circles(cols)
+    step = max(1, _BLOCK_CELLS // len(b))
+    out: List[List[int]] = []
+    for start in range(0, len(a), step):
+        block = a[start:start + step]
+        # Huge coordinates or sizes overflow to inf, as in the scalar test.
+        with np.errstate(over="ignore"):
+            d2 = block[:, 0:1] - b[:, 0]
+            dy = block[:, 1:2] - b[:, 1]
+            d2 *= d2
+            dy *= dy
+            d2 += dy
+            reach = np.add(block[:, 2:3], b[:, 2], out=dy)  # dy is spent: reuse it
+            reach *= reach
+            reach *= _REACH_SLACK
+        hits = d2 <= reach
+        flat = np.nonzero(hits)[1].tolist()
+        ends = np.cumsum(hits.sum(axis=1)).tolist()
+        begin = 0
+        for end in ends:
+            out.append(flat[begin:end])
+            begin = end
+    return out
+
+
 def iou_matrix(
     rows: Sequence[Box3D], cols: Sequence[Box3D], iou_fn: Callable[[Box3D, Box3D], float]
 ) -> np.ndarray:
-    """All-pairs overlap: a float64 (len(rows), len(cols)) array whose entry
-    (i, j) is iou_fn(rows[i], cols[j]), evaluated row by row.
+    """Pairwise overlap: a float64 (len(rows), len(cols)) array whose entry
+    (i, j) is iou_fn(rows[i], cols[j]).
 
-    The argument order is kept as given because bev_iou and iou3d are
-    symmetric only up to rounding in the last bits.
+    iou_fn is called only on the pairs of :func:`candidate_columns`, row by
+    row, and every other entry is 0.0; iou_fn must return 0 for boxes whose
+    circumscribed circles are disjoint, which bev_iou and iou3d do. The
+    argument order is kept as given because bev_iou and iou3d are symmetric
+    only up to rounding in the last bits.
     """
-    values = [[iou_fn(a, b) for b in cols] for a in rows]
-    return np.array(values, dtype=np.float64).reshape(len(rows), len(cols))
+    out = np.zeros((len(rows), len(cols)), dtype=np.float64)
+    for i, (a, js) in enumerate(zip(rows, candidate_columns(rows, cols))):
+        if js:
+            out[i, js] = [iou_fn(a, cols[j]) for j in js]
+    return out

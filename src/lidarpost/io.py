@@ -1,9 +1,9 @@
 """File formats: JSONL box records and little-endian float32 point payloads.
 
-Box files carry one JSON object per line (LF terminated, UTF-8), grouped by
-frame on read. Point files are raw little-endian float32 records with 4
-channels (x, y, z, intensity) for single frames or 5 (plus the time offset)
-for concatenated ones. All errors name the offending line or record.
+Box files carry one JSON object per line (LF terminated, UTF-8), each frame's
+records contiguous, and are grouped by frame on read. Point files are raw
+little-endian float32 records with 4 channels (x, y, z, intensity) for
+single frames or 5 (plus the time offset) for concatenated ones. All errors name the offending line or record.
 """
 
 from __future__ import annotations
@@ -98,14 +98,16 @@ def _parse_record(record: dict, lineno: int) -> Tuple[str, float, Box3D]:
 def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
     """Read a JSONL box file grouped by frame id, in first-appearance order.
 
-    Unknown keys are ignored; blank lines are skipped. Each frame's
-    timestamp is taken from its first record.
+    A frame's records must be contiguous. Unknown keys are ignored; blank
+    lines are skipped. Each frame's timestamp is taken from its first record.
 
     Raises:
         FormatError: on a line that is not valid UTF-8 or not a JSON object.
-        ValidationError: on a line whose values violate box invariants.
+        ValidationError: on a line whose values violate box invariants, or
+            whose frame id appeared before another frame's records.
     """
     frames: Dict[str, DetectionSet] = {}
+    frame = None
     # Undecodable bytes come through as lone surrogates, so the line that
     # holds one can be named.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -125,8 +127,12 @@ def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
             if not isinstance(record, dict):
                 raise FormatError(f"line {lineno}: expected a JSON object")
             frame_id, timestamp, box = _parse_record(record, lineno)
-            frame = frames.get(frame_id)
-            if frame is None:
+            if frame is None or frame.frame_id != frame_id:
+                if frame_id in frames:
+                    raise ValidationError(
+                        f"line {lineno}: frame {frame_id!r} appears again after "
+                        f"frame {frame.frame_id!r}; a frame's records must be contiguous"
+                    )
                 frame = DetectionSet(frame_id, [], 0, timestamp)
                 frames[frame_id] = frame
             frame.boxes.append(box)

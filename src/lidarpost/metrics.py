@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .geometry import Box3D, Label, heading_error, iou3d, iou_matrix
+from .geometry import Box3D, Label, candidate_columns, heading_error, iou3d, iou_matrix
 from .matching import hungarian
 
 DEFAULT_IOU_THRESHOLDS = {
@@ -65,6 +65,9 @@ def match_frame(
     the still-unmatched ground truth with the highest IoU at or above
     iou_thr (ties to the lowest gt index) as a true positive, recording the
     heading accuracy max(0, 1 - error/pi); otherwise it is a false positive.
+    iou_fn(det, gt) is called only on candidate pairs, ground truths in index
+    order; it must return 0 for boxes whose circumscribed circles are
+    disjoint.
 
     Raises:
         ValueError: unless iou_thr in (0, 1].
@@ -72,16 +75,17 @@ def match_frame(
     if not (0.0 < iou_thr <= 1.0):
         raise ValueError(f"iou_thr must lie in (0, 1], got {iou_thr!r}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    candidates = candidate_columns(dets, gts)
     gt_matched = [False] * len(gts)
     outcome_by_det: List[Optional[DetectionOutcome]] = [None] * len(dets)
     for i in order:
         det = dets[i]
         best_j = -1
         best_iou = 0.0
-        for j, gt in enumerate(gts):
+        for j in candidates[i]:
             if gt_matched[j]:
                 continue
-            value = iou_fn(det, gt)
+            value = iou_fn(det, gts[j])
             if value >= iou_thr and value > best_iou:
                 best_iou = value
                 best_j = j
@@ -211,6 +215,8 @@ def mota_motp(
     ground truths FN, and a ground truth whose matched id differs from its
     last-ever match is an id switch. MOTA = 1 - (FN + FP + IDS)/GT (NaN when
     GT is 0); MOTP is the mean of 1 - IoU over matches (NaN with none).
+    iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
+    as :func:`lidarpost.geometry.iou_matrix` requires.
 
     Raises:
         ValueError: on length mismatch, missing ids, or duplicate ids.

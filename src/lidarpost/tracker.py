@@ -199,7 +199,8 @@ def associate(
     Per label, a Hungarian matching on 1 - IoU pairs tracks with detections;
     a pair whose IoU is below iou_min stays unmatched. Returns sorted
     (matches, unmatched_tracks, unmatched_detections); the three outputs
-    partition both input index sets.
+    partition both input index sets. iou_fn must return 0 for boxes whose
+    circumscribed circles are disjoint, as :func:`iou_matrix` requires.
     """
     matches: List[Tuple[int, int]] = []
     for label in sorted({b.label for b in tracks}, key=lambda l: l.value):

@@ -7,18 +7,22 @@ enumeration instead of the assignment solver, a tie-break that re-solves a
 sub-matrix for every candidate pair instead of one solve and a walk over its
 tight edges, a naive quadratic PR integration instead of the vectorized
 envelope, and a per-point first-arrival voxelizer instead of array grouping.
+The all-pairs IoU consumers (matrix, soft-NMS, voting, greedy matching) call
+iou_fn on every pair, where the library calls it on candidate pairs only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from lidarpost.geometry import Box3D, Label
+from lidarpost.geometry import Box3D, Label, heading_error
+from lidarpost.metrics import DetectionOutcome, MatchLedger
 
 
 def random_box(
@@ -77,7 +81,12 @@ def mc_bev_iou(
 
 
 def reference_nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn) -> List[int]:
-    """Quadratic mark-suppressed NMS scan (class-wise, strict-below keeps)."""
+    """Quadratic mark-suppressed NMS scan (class-wise, strict-below keeps).
+
+    IoU is taken as iou_fn(later, kept), the library's argument order, since
+    bev_iou is symmetric only up to the last bits and a threshold of 1 can
+    tell the two orders apart.
+    """
     order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
     suppressed = [False] * len(boxes)
     keep: List[int] = []
@@ -88,9 +97,90 @@ def reference_nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn) -> List[int]:
         for j in order[pos + 1 :]:
             if suppressed[j] or boxes[j].label is not boxes[i].label:
                 continue
-            if iou_fn(boxes[i], boxes[j]) >= iou_thr:
+            if iou_fn(boxes[j], boxes[i]) >= iou_thr:
                 suppressed[j] = True
     return keep
+
+
+def reference_iou_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D], iou_fn) -> np.ndarray:
+    """iou_fn(rows[i], cols[j]) for every pair, row by row."""
+    values = [[iou_fn(a, b) for b in cols] for a in rows]
+    return np.array(values, dtype=np.float64).reshape(len(rows), len(cols))
+
+
+def reference_soft_nms(
+    boxes: Sequence[Box3D], sigma: float, score_floor: float, iou_fn
+) -> List[Box3D]:
+    """Soft-NMS over a pool list, rescoring every same-label survivor each pick."""
+    pool: List[Tuple[int, Box3D, float]] = [(i, box, box.score) for i, box in enumerate(boxes)]
+    kept: List[Box3D] = []
+    while pool:
+        best = 0
+        for idx in range(1, len(pool)):
+            if pool[idx][2] > pool[best][2]:
+                best = idx
+        _, box, score = pool.pop(best)
+        kept.append(replace(box, score=score))
+        survivors: List[Tuple[int, Box3D, float]] = []
+        for other_index, other, other_score in pool:
+            if other.label is box.label:
+                other_score = other_score * math.exp(-iou_fn(box, other) ** 2 / sigma)
+                if other_score < score_floor:
+                    continue
+            survivors.append((other_index, other, other_score))
+        pool = survivors
+    return kept
+
+
+def reference_box_vote(
+    nms_boxes: Sequence[Box3D], original_boxes: Sequence[Box3D], iou_thr: float, iou_fn
+) -> List[Box3D]:
+    """Box voting that scores every original against every surviving box."""
+    out: List[Box3D] = []
+    for box in nms_boxes:
+        voters = [o for o in original_boxes
+                  if o.label is box.label and iou_fn(o, box) > iou_thr]
+        if not voters:
+            out.append(box)
+            continue
+        n = len(voters)
+        out.append(replace(
+            box,
+            cx=sum(o.cx for o in voters) / n,
+            cy=sum(o.cy for o in voters) / n,
+            cz=sum(o.cz for o in voters) / n,
+            length=sum(o.length for o in voters) / n,
+            width=sum(o.width for o in voters) / n,
+            height=sum(o.height for o in voters) / n,
+        ))
+    return out
+
+
+def reference_match_frame(
+    dets: Sequence[Box3D], gts: Sequence[Box3D], iou_thr: float, iou_fn
+) -> MatchLedger:
+    """Greedy score-ordered matching that scores each detection against every gt."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    gt_matched = [False] * len(gts)
+    outcome_by_det: List[Optional[DetectionOutcome]] = [None] * len(dets)
+    for i in order:
+        det = dets[i]
+        best_j = -1
+        best_iou = 0.0
+        for j, gt in enumerate(gts):
+            if gt_matched[j]:
+                continue
+            value = iou_fn(det, gt)
+            if value >= iou_thr and value > best_iou:
+                best_iou = value
+                best_j = j
+        if best_j >= 0:
+            gt_matched[best_j] = True
+            weight = max(0.0, 1.0 - heading_error(det.heading, gts[best_j].heading) / math.pi)
+            outcome_by_det[i] = DetectionOutcome(det.score, True, best_j, weight)
+        else:
+            outcome_by_det[i] = DetectionOutcome(det.score, False, None, 0.0)
+    return MatchLedger([outcome_by_det[i] for i in order], gt_matched)
 
 
 def assignment_vectors(

@@ -128,6 +128,19 @@ class TestArgumentErrors:
         assert err.startswith("ERROR 3: line 2:")
         assert "'timestamp' must be finite" in err
 
+    @pytest.mark.parametrize("command", ["nms", "track"])
+    def test_interleaved_frame_is_exit_3(self, tmp_path, capsys, command):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record(frame_id="a", timestamp=0.0),
+                           _record(frame_id="b", timestamp=0.1),
+                           _record(frame_id="a", timestamp=0.2)])
+        out = tmp_path / "o.jsonl"
+        code = run([command, "--input", str(det), "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 3: line 3: frame 'a' appears again after frame 'b'")
+        assert not out.exists()
+
 
 class TestNms:
     def _three_box_file(self, path):

@@ -283,9 +283,10 @@ class TestIou3d:
 
 class TestIouMatrix:
     def test_calls_rows_then_cols_in_row_major_order(self):
-        rng = np.random.default_rng(21)
-        rows = [random_box(rng) for _ in range(3)]
-        cols = [random_box(rng) for _ in range(4)]
+        # 2 x 1 m footprints reach 1.118 m from their centers; only pairs
+        # less than 2.236 m apart are candidates.
+        rows = [Box3D(cx, 0.0, 0.0, 2.0, 1.0, 1.0, 0.3) for cx in (0.0, 50.0, 100.0)]
+        cols = [Box3D(cx, 0.0, 0.0, 2.0, 1.0, 1.0, -0.2) for cx in (0.5, 1.0, 50.5, 200.0)]
         calls = []
 
         def recording(a, b):
@@ -293,11 +294,13 @@ class TestIouMatrix:
             return len(calls) / 100.0
 
         out = iou_matrix(rows, cols, recording)
-        expected = [(a, b) for a in rows for b in cols]
+        expected = [(rows[0], cols[0]), (rows[0], cols[1]), (rows[1], cols[2])]
         assert len(calls) == len(expected)
         assert all(x is a and y is b for (x, y), (a, b) in zip(calls, expected))
         assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, np.arange(1, 13).reshape(3, 4) / 100.0)
+        want = np.zeros((3, 4))
+        want[0, 0], want[0, 1], want[1, 2] = 0.01, 0.02, 0.03
+        np.testing.assert_array_equal(out, want)
 
     @pytest.mark.parametrize("n_rows, n_cols", [(3, 0), (0, 4), (0, 0)])
     def test_empty_sides_keep_their_shape(self, n_rows, n_cols):

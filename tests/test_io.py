@@ -38,15 +38,25 @@ class TestReadBoxes:
     def test_grouping_by_frame(self, tmp_path):
         path = tmp_path / "boxes.jsonl"
         _write_jsonl(path, [
-            _record(frame_id="a", cx=0.0),
-            _record(frame_id="b", cx=1.0),
-            _record(frame_id="a", cx=2.0),
+            _record(frame_id="b", cx=0.0),
+            _record(frame_id="b", cx=2.0),
+            _record(frame_id="a", cx=1.0),
         ])
         sets = read_boxes(path)
-        assert list(sets) == ["a", "b"]  # first-appearance order
-        assert [b.cx for b in sets["a"].boxes] == [0.0, 2.0]
-        assert [b.cx for b in sets["b"].boxes] == [1.0]
+        assert list(sets) == ["b", "a"]  # first-appearance order
+        assert [b.cx for b in sets["b"].boxes] == [0.0, 2.0]
+        assert [b.cx for b in sets["a"].boxes] == [1.0]
         assert isinstance(sets["a"], DetectionSet)
+
+    def test_frame_appearing_again_is_rejected(self, tmp_path):
+        path = tmp_path / "boxes.jsonl"
+        _write_jsonl(path, [
+            _record(frame_id="a", timestamp=0.0),
+            _record(frame_id="b", timestamp=0.1),
+            _record(frame_id="a", timestamp=0.2),
+        ])
+        with pytest.raises(ValidationError, match=r"line 3: frame 'a' appears again after frame 'b'"):
+            read_boxes(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lidarpost.cli import run
-from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, iou3d
+from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, candidate_columns, iou3d
 from lidarpost.io import read_boxes, read_points, write_boxes, write_points
 from lidarpost.pointcloud import PointCloud, RangeSpec, crop_range
 
@@ -253,3 +253,37 @@ def test_iou_is_invariant_under_one_rigid_motion_of_both_boxes(a, b, angle, shif
 
     for iou_fn in (bev_iou, iou3d):
         assert abs(iou_fn(moved(a), moved(b)) - iou_fn(a, b)) <= 1e-9
+
+
+@st.composite
+def near_touching(draw):
+    """Two boxes whose centers sit within 0.1% of the circumscribed distance,
+    the band where the batched and the scalar circle tests could disagree."""
+    a = draw(NEAR_BOXES)
+    b = draw(NEAR_BOXES)
+    reach = 0.5 * (math.hypot(a.length, a.width) + math.hypot(b.length, b.width))
+    angle = draw(st.floats(-math.pi, math.pi))
+    scale = reach * draw(st.floats(0.999, 1.001))
+    return a, replace(b, cx=a.cx + scale * math.cos(angle), cy=a.cy + scale * math.sin(angle))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(NEAR_BOXES | boxes(), max_size=6),
+    cols=st.lists(NEAR_BOXES | boxes(), max_size=6),
+    pair=near_touching(),
+)
+def test_candidate_kernel_never_drops_an_overlapping_pair(rows, cols, pair):
+    rows, cols = rows + [pair[0]], cols + [pair[1]]
+    cand = candidate_columns(rows, cols)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            if bev_iou(a, b) > 0.0 or iou3d(a, b) > 0.0:
+                assert j in cand[i]
+    # The scalar reject of bev_iou and iou3d, on the near-touching pair.
+    a, b = pair
+    ra = 0.5 * math.hypot(a.length, a.width)
+    rb = 0.5 * math.hypot(b.length, b.width)
+    dx, dy = a.cx - b.cx, a.cy - b.cy
+    if not dx * dx + dy * dy > (ra + rb) * (ra + rb):
+        assert len(cols) - 1 in cand[-1]
