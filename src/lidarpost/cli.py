@@ -11,7 +11,9 @@ errors, 1 internal failures; every failure prints one line starting with
 "ERROR <code>:" on standard error. A --config file is deep-merged over
 the defaults printed by default-config; unknown keys and values of the
 wrong type are argument errors. Override flags such as --iou take
-precedence over the config (see OVERRIDES).
+precedence over the config (see OVERRIDES). Every value of the result is
+then checked against CONFIG_RANGES before the command starts, and one out
+of range is an argument error too.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,8 +41,9 @@ from .ensemble import (
     DEFAULT_SOFT_NMS_SIGMA,
     DEFAULT_STOP_DELTA,
     DEFAULT_VOTE_IOU,
+    PairPool,
     box_vote,
-    ensemble_pair,
+    ensemble_pair,  # unused here; perfbench's tracer times it by this name
     grid_search_weight,
     nms,
     soft_nms,
@@ -100,6 +104,70 @@ def default_config() -> dict:
             "difficulty": Difficulty.L2.value,
         },
     }
+
+
+@dataclass(frozen=True)
+class _Range:
+    """The numbers from low to high; an open end leaves its bound out."""
+
+    low: float
+    high: float
+    low_open: bool = False
+    high_open: bool = False
+
+    def __contains__(self, value: float) -> bool:
+        above = value > self.low if self.low_open else value >= self.low
+        below = value < self.high if self.high_open else value <= self.high
+        return above and below
+
+    def __str__(self) -> str:
+        return (f"{'(' if self.low_open else '['}{self.low!r}, "
+                f"{self.high!r}{')' if self.high_open else ']'}")
+
+
+_FINITE = _Range(-math.inf, math.inf, low_open=True, high_open=True)
+_POSITIVE = _Range(0.0, math.inf, low_open=True, high_open=True)
+_COUNT = _Range(1, math.inf, high_open=True)
+_UNIT = _Range(0.0, 1.0)
+_UNIT_ABOVE_0 = _Range(0.0, 1.0, low_open=True)
+
+# The values each config key may take: the checks the library makes where
+# it reads the key, so that run() can make them all before a command starts.
+# A path ending in ".*" names every entry of a map, and one ending in "[*]"
+# every element of a list, which must not be empty.
+CONFIG_RANGES: Dict[str, object] = {
+    "pointcloud.range.*": _FINITE,
+    "pointcloud.delta": _POSITIVE,
+    "voxelizer.vx": _POSITIVE,
+    "voxelizer.vy": _POSITIVE,
+    "voxelizer.vz": _POSITIVE,
+    "voxelizer.max_points_per_voxel": _COUNT,
+    "voxelizer.max_voxels": _COUNT,
+    "assigner.k": _COUNT,
+    "assigner.pos_thr": _UNIT,
+    "assigner.neg_thr": _UNIT,
+    "ensemble.nms_iou.*": _UNIT,
+    "ensemble.vote_iou": _UNIT_ABOVE_0,
+    "ensemble.soft_nms_sigma": _POSITIVE,
+    "ensemble.soft_nms_score_floor": _Range(0.0, 1.0, high_open=True),
+    "ensemble.weight_grid[*]": _UNIT_ABOVE_0,
+    # Any number works; only NaN, which JSON parsing lets in, is refused.
+    "ensemble.stop_delta": _Range(-math.inf, math.inf),
+    "tracker.iou_min": _UNIT,
+    "tracker.max_age": _COUNT,
+    "tracker.min_hits": _COUNT,
+    "tracker.process_noise": _POSITIVE,
+    "tracker.measurement_noise": _POSITIVE,
+    "metrics.iou_thr.*": _UNIT_ABOVE_0,
+    "metrics.difficulty": tuple(level.value for level in Difficulty),
+}
+# (lower, upper, strict): pairs of keys whose values the library orders.
+CONFIG_ORDER: Tuple[Tuple[str, str, bool], ...] = (
+    ("pointcloud.range.x_min", "pointcloud.range.x_max", True),
+    ("pointcloud.range.y_min", "pointcloud.range.y_max", True),
+    ("pointcloud.range.z_min", "pointcloud.range.z_max", True),
+    ("assigner.neg_thr", "assigner.pos_thr", False),
+)
 
 
 # Override flags: subcommand -> {argparse dest: dotted config path}. A flag
@@ -184,8 +252,43 @@ def _slot(config: dict, path: str) -> Tuple[dict, str]:
     return config, key
 
 
+def _value(config: dict, path: str):
+    section, key = _slot(config, path)
+    return section[key]
+
+
+def _values_at(config: dict, pattern: str) -> List[Tuple[str, object]]:
+    """(dotted path, value) of each config value that a CONFIG_RANGES key names."""
+    if pattern.endswith("[*]"):
+        path = pattern[:-3]
+        items = _value(config, path)
+        if not items:
+            raise ValueError(f"config {path}: must not be empty")
+        return [(f"{path}[{i}]", item) for i, item in enumerate(items)]
+    if pattern.endswith(".*"):
+        path = pattern[:-2]
+        return [(f"{path}.{key}", item) for key, item in _value(config, path).items()]
+    return [(pattern, _value(config, pattern))]
+
+
+def _check_ranges(config: dict) -> None:
+    """Raise ValueError naming the dotted key of the first config value that
+    CONFIG_RANGES or CONFIG_ORDER refuses."""
+    for pattern, allowed in CONFIG_RANGES.items():
+        for path, value in _values_at(config, pattern):
+            if value not in allowed:
+                raise ValueError(f"config {path}: must be in {allowed}, got {value!r}")
+    for low, high, strict in CONFIG_ORDER:
+        a = _value(config, low)
+        b = _value(config, high)
+        if not (a < b if strict else a <= b):
+            relation = "<" if strict else "<="
+            raise ValueError(f"config {low}: must be {relation} {high} ({b!r}), got {a!r}")
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """The --config file over the defaults, then the command's override flags."""
+    """The --config file over the defaults, then the command's override flags,
+    checked against CONFIG_RANGES."""
     config = load_config(getattr(args, "config", None))
     for dest, path in OVERRIDES.get(args.command, {}).items():
         value = getattr(args, dest)
@@ -196,6 +299,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             section[key] = dict.fromkeys(section[key], value)
         else:
             section[key] = value
+    _check_ranges(config)
     return config
 
 
@@ -427,10 +531,10 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
         ap, _ = average_precision(ledgers, gt_count)
         return ap
 
-    def merge_frames(
-        fixed: Dict[str, DetectionSet], cand: Dict[str, DetectionSet], weight: float
-    ) -> Dict[str, DetectionSet]:
-        merged: Dict[str, DetectionSet] = {}
+    def pools(
+        fixed: Dict[str, DetectionSet], cand: Dict[str, DetectionSet]
+    ) -> Dict[str, PairPool]:
+        out: Dict[str, PairPool] = {}
         for fid in _frame_union(fixed, cand):
             a = fixed.get(fid)
             b = cand.get(fid)
@@ -438,15 +542,20 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
                 a = DetectionSet(fid, [], 0, b.timestamp)
             if b is None:
                 b = DetectionSet(fid, [], 0, a.timestamp)
-            merged[fid] = ensemble_pair(a, b, 1.0, weight, iou_thr)
-        return merged
+            out[fid] = PairPool(a, b)
+        return out
+
+    def merge_frames(frame_pools: Dict[str, PairPool], weight: float) -> Dict[str, DetectionSet]:
+        return {fid: pool.merge(1.0, weight, iou_thr) for fid, pool in frame_pools.items()}
 
     current = detectors[0]
     current_score = score(current)
     steps = [f"detector_0 score={current_score!r}"]
     for index, candidate in enumerate(detectors[1:], start=1):
+        # One pool per frame serves every grid weight and the final merge.
+        frame_pools = pools(current, candidate)
         best_weight, best_score = grid_search_weight(
-            section["weight_grid"], partial(merge_frames, current, candidate), score
+            section["weight_grid"], partial(merge_frames, frame_pools), score
         )
         if best_score - current_score < stop_delta:
             steps.append(
@@ -454,7 +563,8 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
                 f"{best_score - current_score!r} < {stop_delta!r})"
             )
             break
-        current = merge_frames(current, candidate, best_weight)
+        current = merge_frames(frame_pools, best_weight)
+        del frame_pools
         current_score = best_score
         steps.append(f"detector_{index} weight={best_weight!r} score={best_score!r}")
 

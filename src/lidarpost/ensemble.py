@@ -4,17 +4,23 @@ Greedy NMS, score-decaying soft-NMS, box voting (averaging the pool of
 originals that overlap each surviving box), and pairwise score-weighted
 detector merging with grid search over the weight. Suppression is always
 class-wise: boxes of different labels never interact.
+
+A weight search merges the same two detectors once per grid weight. Only
+the scores and so the NMS order depend on the weight: :class:`PairPool`
+pools a frame's boxes, finds their candidate pairs and keeps each overlap
+it scores, once for all weights, and :func:`nms` and its merge share one
+suppression loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .geometry import Box3D, DetectionSet, bev_iou, candidate_columns
+from .geometry import Box3D, DetectionSet, Label, bev_iou, candidate_columns
 
 IouFn = Callable[[Box3D, Box3D], float]
 T = TypeVar("T")
@@ -40,24 +46,44 @@ def nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn: IouFn = bev_iou) -> List
     Raises:
         ValueError: if iou_thr is outside [0, 1].
     """
+    return _greedy_keep(
+        sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i)),
+        [box.label for box in boxes],
+        candidate_columns(boxes, boxes),
+        lambda i, j: iou_fn(boxes[i], boxes[j]),
+        iou_thr,
+    )
+
+
+def _greedy_keep(
+    order: Sequence[int],
+    labels: Sequence[Label],
+    candidates: Sequence[Sequence[int]],
+    iou_at: Callable[[int, int], float],
+    iou_thr: float,
+) -> List[int]:
+    """The suppression loop of :func:`nms` over box indices.
+
+    Visits boxes in order and keeps one unless iou_at(box, kept) >= iou_thr
+    for a kept candidate of its label, asked in keep order; at iou_thr 0 any
+    kept box of the same label suppresses, without asking.
+    """
     if not (0.0 <= iou_thr <= 1.0):
         raise ValueError(f"iou_thr must lie in [0, 1], got {iou_thr!r}")
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
-    candidates = candidate_columns(boxes, boxes)
     # kept_near[i]: kept candidates of box i with its label, in keep order.
-    kept_near: List[List[int]] = [[] for _ in boxes]
+    kept_near: List[List[int]] = [[] for _ in labels]
     kept_labels = set()
     kept: List[int] = []
     for i in order:
-        box = boxes[i]
-        if iou_thr == 0.0 and box.label in kept_labels:
+        label = labels[i]
+        if iou_thr == 0.0 and label in kept_labels:
             continue
-        if any(iou_fn(box, boxes[j]) >= iou_thr for j in kept_near[i]):
+        if any(iou_at(i, j) >= iou_thr for j in kept_near[i]):
             continue
         kept.append(i)
-        kept_labels.add(box.label)
+        kept_labels.add(label)
         for j in candidates[i]:
-            if boxes[j].label is box.label:
+            if labels[j] is label:
                 kept_near[j].append(i)
     return kept
 
@@ -94,7 +120,7 @@ def soft_nms(
         i = int(np.argmax(np.where(alive, scores, -np.inf)))
         box = boxes[i]
         alive[i] = False
-        kept.append(replace(box, score=float(scores[i])))
+        kept.append(box._with(score=float(scores[i])))
         for j in candidates[i]:
             if alive[j] and boxes[j].label is box.label:
                 scores[j] *= math.exp(-iou_fn(box, boxes[j]) ** 2 / sigma)
@@ -174,8 +200,63 @@ def merge_sources(sets: Sequence[DetectionSet]) -> DetectionSet:
             raise ValueError(
                 f"mixed frame ids: {frame_id!r} vs {s.frame_id!r}"
             )
-    boxes = [replace(b, source_id=s.source_id) for s in sets for b in s.boxes]
+    boxes = [b._with(source_id=s.source_id) for s in sets for b in s.boxes]
     return DetectionSet(frame_id, boxes, sets[0].source_id, sets[0].timestamp)
+
+
+class PairPool:
+    """Two detectors' boxes for one frame, pooled once for any number of merges.
+
+    The pool stamps source ids (see :func:`merge_sources`), finds candidate
+    pairs and keeps every iou_fn value it computes, keyed by the ordered
+    pair (later box, kept box), since IoU need not be bit-symmetric. None of
+    that depends on the weights, so a weight search builds one pool per
+    frame and each :meth:`merge` only reweights, reorders and suppresses.
+    iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
+    as :func:`nms` requires.
+
+    Raises:
+        ValueError: if the frame ids of a and b differ.
+    """
+
+    def __init__(self, a: DetectionSet, b: DetectionSet, iou_fn: IouFn = bev_iou) -> None:
+        self._merged = merge_sources([a, b])
+        self._boxes = boxes = self._merged.boxes
+        self._split = len(a)
+        self._scores = np.array([box.score for box in boxes], dtype=np.float64)
+        self._labels = [box.label for box in boxes]
+        self._candidates = candidate_columns(boxes, boxes)
+        self._iou_fn = iou_fn
+        self._iou: Dict[Tuple[int, int], float] = {}
+
+    def _iou_at(self, i: int, j: int) -> float:
+        value = self._iou.get((i, j))
+        if value is None:
+            value = self._iou[i, j] = self._iou_fn(self._boxes[i], self._boxes[j])
+        return value
+
+    def merge(self, w_a: float, w_b: float, iou_thr: float) -> DetectionSet:
+        """Scale the scores of a by w_a and of b by w_b, then run NMS at iou_thr.
+
+        Returns the kept boxes with their weighted scores, in keep order,
+        exactly as :func:`ensemble_pair` does.
+
+        Raises:
+            ValueError: unless both weights lie in (0, 1] and iou_thr in [0, 1].
+        """
+        for name, w in (("w_a", w_a), ("w_b", w_b)):
+            if not (0.0 < w <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1], got {w!r}")
+        weights = np.full(len(self._scores), float(w_b))
+        weights[: self._split] = w_a
+        # One IEEE product per box, as score * w; a stable sort of the
+        # negated scores orders ties by index, as the key (-score, index).
+        scores = self._scores * weights
+        order = np.argsort(-scores, kind="stable").tolist()
+        keep = _greedy_keep(order, self._labels, self._candidates, self._iou_at, iou_thr)
+        return replace(
+            self._merged, boxes=[self._boxes[i]._with(score=float(scores[i])) for i in keep]
+        )
 
 
 def ensemble_pair(
@@ -192,19 +273,13 @@ def ensemble_pair(
     [0, 1]), the pools are concatenated, and NMS at iou_thr resolves
     duplicates. The result acts as a single detector for further pairing.
     iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
-    as :func:`nms` requires.
+    as :func:`nms` requires. To merge one frame at many weights, build one
+    :class:`PairPool` and call its merge for each.
 
     Raises:
         ValueError: unless both weights lie in (0, 1].
     """
-    for name, w in (("w_a", w_a), ("w_b", w_b)):
-        if not (0.0 < w <= 1.0):
-            raise ValueError(f"{name} must lie in (0, 1], got {w!r}")
-    merged = merge_sources([a, b])
-    weights = [w_a] * len(a) + [w_b] * len(b)
-    boxes = [replace(box, score=box.score * w) for box, w in zip(merged.boxes, weights)]
-    keep = nms(boxes, iou_thr, iou_fn)
-    return replace(merged, boxes=[boxes[i] for i in keep])
+    return PairPool(a, b, iou_fn).merge(w_a, w_b, iou_thr)
 
 
 def grid_search_weight(
@@ -215,7 +290,8 @@ def grid_search_weight(
     """Pick the weight whose merged detector maximizes score_fn.
 
     merge(w) builds the merged detector for weight w, for example
-    ensemble_pair(fixed, candidate, 1.0, w, iou_thr) for one frame, or a
+    pool.merge(1.0, w, iou_thr) for one frame, with
+    pool = PairPool(fixed, candidate) built once for the whole grid, or a
     frame-by-frame merge of whole sequences. Evaluates score_fn(merge(w))
     for every w in grid and returns (best_weight, best_score); ties go to
     the earliest grid entry.

@@ -107,6 +107,15 @@ class Box3D:
             raise ValueError(f"num_points must be non-negative, got {self.num_points!r}")
         self.heading = wrap_angle(self.heading)
 
+    def _with(self, **changes) -> "Box3D":
+        """A copy with changes, without the checks above, for changes that
+        keep a valid box valid only: a source id, or a score in [0, 1] such
+        as a valid score times a weight in (0, 1]. The heading is already
+        wrapped. Use dataclasses.replace for anything else."""
+        box = object.__new__(Box3D)
+        box.__dict__.update(self.__dict__, **changes)
+        return box
+
     @property
     def z_min(self) -> float:
         return self.cz - 0.5 * self.height

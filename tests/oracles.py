@@ -8,7 +8,9 @@ sub-matrix for every candidate pair instead of one solve and a walk over its
 tight edges, a naive quadratic PR integration instead of the vectorized
 envelope, and a per-point first-arrival voxelizer instead of array grouping.
 The all-pairs IoU consumers (matrix, soft-NMS, voting, greedy matching) call
-iou_fn on every pair, where the library calls it on candidate pairs only.
+iou_fn on every pair, where the library calls it on candidate pairs only, and
+the weighted two-detector merge pools and scores its boxes afresh for every
+weight, where the library pools a frame once for a whole weight grid.
 """
 
 from __future__ import annotations
@@ -100,6 +102,20 @@ def reference_nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn) -> List[int]:
             if iou_fn(boxes[j], boxes[i]) >= iou_thr:
                 suppressed[j] = True
     return keep
+
+
+def reference_ensemble_pair(a, b, w_a: float, w_b: float, iou_thr: float, iou_fn):
+    """Weighted two-detector merge, pooled afresh for one weight pair.
+
+    One dataclasses.replace per box stamps its source id and another scales
+    its score by its detector's weight, then the mark-suppressed scan keeps
+    the survivors in keep order.
+    """
+    stamped = [replace(box, source_id=s.source_id) for s in (a, b) for box in s.boxes]
+    weights = [w_a] * len(a.boxes) + [w_b] * len(b.boxes)
+    boxes = [replace(box, score=box.score * w) for box, w in zip(stamped, weights)]
+    keep = reference_nms(boxes, iou_thr, iou_fn)
+    return replace(a, boxes=[boxes[i] for i in keep])
 
 
 def reference_iou_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D], iou_fn) -> np.ndarray:

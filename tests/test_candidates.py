@@ -4,7 +4,9 @@ candidate_columns keeps every pair whose circumscribed circles can touch.
 iou_matrix, nms, soft_nms, box_vote and match_frame call iou_fn on those
 pairs alone, so their outputs must equal the all-pairs bodies kept in
 oracles.py exactly, and their iou_fn calls must be the oracle's calls with
-the non-candidate pairs left out.
+the non-candidate pairs left out. A PairPool reused over a weight grid must
+merge exactly as the oracle pooled afresh for each weight, and score each
+ordered candidate pair at most once.
 """
 
 import math
@@ -14,12 +16,23 @@ import numpy as np
 import pytest
 
 from lidarpost import geometry
-from lidarpost.ensemble import box_vote, nms, soft_nms
-from lidarpost.geometry import Box3D, Label, bev_iou, candidate_columns, iou3d, iou_matrix
+from dataclasses import replace
+
+from lidarpost.ensemble import PairPool, box_vote, ensemble_pair, nms, soft_nms
+from lidarpost.geometry import (
+    Box3D,
+    DetectionSet,
+    Label,
+    bev_iou,
+    candidate_columns,
+    iou3d,
+    iou_matrix,
+)
 from lidarpost.metrics import match_frame
 from oracles import (
     random_box,
     reference_box_vote,
+    reference_ensemble_pair,
     reference_iou_matrix,
     reference_match_frame,
     reference_nms,
@@ -252,6 +265,92 @@ class TestEdgeCases:
         assert box_vote(boxes, []) == boxes
         assert match_frame([], boxes, 0.5) == reference_match_frame([], boxes, 0.5, iou3d)
         assert match_frame(boxes, [], 0.5) == reference_match_frame(boxes, [], 0.5, iou3d)
+
+
+GRID = [round(0.1 * i, 1) for i in range(1, 11)]
+
+
+def _sides(boxes, split):
+    """Two detectors of one frame. Each box carries its index in the pool as
+    num_points, so that an iou_fn can record calls by pooled index."""
+    tagged = [replace(box, num_points=i) for i, box in enumerate(boxes)]
+    return (DetectionSet("f", tagged[:split], 0, 0.5),
+            DetectionSet("f", tagged[split:], 1, 0.5))
+
+
+class PoolRecorder:
+    """iou_fn that records each call as (later, kept) pooled indices."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, a, b):
+        self.calls.append((a.num_points, b.num_points))
+        return bev_iou(a, b)
+
+
+def _tie_frame():
+    """Scores that tie exactly across sources once weighted: 0.5 at w_a = 1
+    against 1.0 at w_b = 0.5, and 0.25 against 0.5 at w_b = 0.5."""
+    a = [Box3D(0.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=0.5),
+         Box3D(20.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=0.25),
+         Box3D(40.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=1.0, label=Label.CYCLIST)]
+    b = [Box3D(0.5, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=1.0),
+         Box3D(20.5, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=0.5),
+         Box3D(40.5, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=1.0, label=Label.CYCLIST)]
+    return a + b, len(a)
+
+
+POOL_FRAMES = {name: (boxes, len(boxes) // 2) for name, boxes in FRAMES.items()}
+POOL_FRAMES["ties"] = _tie_frame()
+POOL_FRAMES["empty-a"] = (FRAMES["random-mixed"][:30], 0)
+POOL_FRAMES["empty-b"] = (FRAMES["random-mixed"][:30], 30)
+POOL_FRAMES["empty"] = ([], 0)
+
+
+@pytest.mark.parametrize("name", sorted(POOL_FRAMES))
+class TestPairPool:
+    @pytest.mark.parametrize("iou_thr", [0.0, 0.3, 0.7, 1.0])
+    def test_reused_pool_equals_fresh_oracle_for_each_weight(self, name, iou_thr):
+        a, b = _sides(*POOL_FRAMES[name])
+        pool = PairPool(a, b)
+        # The integer weight 1 and weights on either side, over one pool.
+        for w_a, w_b in [(1, w) for w in GRID] + [(w, 1.0) for w in GRID] + [(1, 1)]:
+            got = pool.merge(w_a, w_b, iou_thr)
+            want = reference_ensemble_pair(a, b, w_a, w_b, iou_thr, bev_iou)
+            assert got == want
+            assert ([(box.score, box.source_id) for box in got.boxes]
+                    == [(box.score, box.source_id) for box in want.boxes])
+
+    @pytest.mark.parametrize("iou_thr", [0.05, 0.3, 0.7, 1.0])
+    def test_grid_scores_each_candidate_pair_once(self, name, iou_thr):
+        boxes, split = POOL_FRAMES[name]
+        a, b = _sides(boxes, split)
+        pooled = a.boxes + b.boxes
+        candidates = {(i, j) for i, js in enumerate(candidate_columns(pooled, pooled))
+                      for j in js}
+        got = PoolRecorder()
+        pool = PairPool(a, b, got)
+        wanted = set()
+        for w in GRID:
+            pool.merge(1.0, w, iou_thr)
+            want = PoolRecorder()
+            reference_ensemble_pair(a, b, 1.0, w, iou_thr, want)
+            wanted.update(want.calls)
+            # A fresh pool, as ensemble_pair builds, makes the oracle's calls
+            # on candidate pairs, each once, though not in the oracle's order.
+            fresh = PoolRecorder()
+            ensemble_pair(a, b, 1.0, w, iou_thr, fresh)
+            assert sorted(fresh.calls) == sorted(c for c in want.calls if c in candidates)
+        assert len(got.calls) == len(set(got.calls))
+        assert set(got.calls) == wanted & candidates
+
+
+def test_ties_go_to_the_first_detector():
+    a, b = _sides(*_tie_frame())
+    merged = PairPool(a, b).merge(1, 0.5, 0.3)
+    assert [(box.cx, box.score, box.source_id) for box in merged.boxes] == [
+        (40.0, 1.0, 0), (0.0, 0.5, 0), (20.0, 0.25, 0)]
 
 
 def test_nms_on_a_large_sparse_frame_stays_in_bounded_memory():

@@ -4,7 +4,8 @@ import struct
 
 import pytest
 
-from lidarpost.cli import OVERRIDES, default_config, run
+from lidarpost import cli
+from lidarpost.cli import CONFIG_ORDER, CONFIG_RANGES, OVERRIDES, default_config, run
 from lidarpost.io import read_boxes, read_points
 from lidarpost.voxelizer import VoxelConfig
 
@@ -182,7 +183,8 @@ class TestNms:
         code = run(["nms", "--input", str(det), "--class", "PEDESTRIAN",
                     "--iou", "1.5", "--output", str(tmp_path / "o.jsonl")])
         assert code == 2
-        assert "iou_thr" in capsys.readouterr().err
+        assert "config ensemble.nms_iou.VEHICLE:" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_per_class_defaults_apply_without_override(self, tmp_path):
         # IoU of the shifted pair is 7/9 ~ 0.778: above the 0.7 vehicle
@@ -675,6 +677,92 @@ class TestConfigValidation:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"ensemble": {"vote_iou": 1}}))
         assert run(["vote", "--input", str(det), "--config", str(cfg),
+                    "--output", str(tmp_path / "o.jsonl")]) == 0
+
+    @staticmethod
+    def _range_argv(tmp_path, command):
+        """argv of one command on inputs where no check of the library runs
+        into the value: ground truth without cyclists, no anchors."""
+        gt = tmp_path / "gt.jsonl"
+        _write_jsonl(gt, [_record(cx=0.0, track_id=1)])
+        det = tmp_path / "det.jsonl"
+        _write_jsonl(det, [_record(cx=0.0, track_id=1)])
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        return {
+            "eval-det": ["eval-det", "--detections", str(det), "--gt", str(gt)],
+            "eval-mot": ["eval-mot", "--tracked", str(det), "--gt", str(gt)],
+            "assign": ["assign", "--anchors", str(empty), "--gts", str(gt)],
+            "assign-fixed": ["assign", "--anchors", str(empty), "--gts", str(gt),
+                             "--mode", "fixed"],
+            "ensemble": ["ensemble", "--inputs", str(det), str(det), "--gt", str(gt),
+                         "--class", "VEHICLE"],
+            "nms": ["nms", "--input", str(det)],
+        }[command]
+
+    @pytest.mark.parametrize("command, config, flags, key_path", [
+        ("eval-det", {"metrics": {"iou_thr": {"CYCLIST": 5.0}}}, [], "metrics.iou_thr.CYCLIST"),
+        ("eval-mot", {"metrics": {"iou_thr": {"CYCLIST": 5.0}}}, [], "metrics.iou_thr.CYCLIST"),
+        ("assign", {"assigner": {"k": 0}}, [], "assigner.k"),
+        ("assign-fixed", {"assigner": {"neg_thr": 0.7}}, [], "assigner.neg_thr"),
+        ("ensemble", {"ensemble": {"weight_grid": [0.5, 7.0]}}, [], "ensemble.weight_grid[1]"),
+        ("ensemble", {}, ["--grid", "0.5,7"], "ensemble.weight_grid[1]"),
+        ("ensemble", {"ensemble": {"stop_delta": math.nan}}, [], "ensemble.stop_delta"),
+        ("nms", {"pointcloud": {"delta": -1.0}}, [], "pointcloud.delta"),
+        ("nms", {"pointcloud": {"range": {"z_min": 4.0}}}, [], "pointcloud.range.z_min"),
+        ("nms", {"tracker": {"process_noise": math.inf}}, [], "tracker.process_noise"),
+        ("nms", {"metrics": {"difficulty": "L3"}}, [], "metrics.difficulty"),
+    ])
+    def test_out_of_range_is_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command, config, flags, key_path):
+        argv = self._range_argv(tmp_path, command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+
+        def no_reading(path):
+            raise AssertionError(f"read {path} before checking the config")
+
+        monkeypatch.setattr(cli, "read_boxes", no_reading)
+        code = run(argv + flags + ["--config", str(cfg), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"ERROR 2: config {key_path}:")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_ranges_name_every_value_and_pass_the_defaults(self):
+        leaves = set()
+
+        def walk(node, path):
+            if isinstance(node, dict):
+                for key, item in node.items():
+                    walk(item, f"{path}.{key}" if path else key)
+            elif isinstance(node, list):
+                leaves.update(f"{path}[{i}]" for i in range(len(node)))
+            else:
+                leaves.add(path)
+
+        defaults = default_config()
+        walk(defaults, "")
+        named = {path for pattern in CONFIG_RANGES
+                 for path, _ in cli._values_at(defaults, pattern)}
+        assert named == leaves
+        assert {path for pair in CONFIG_ORDER for path in pair[:2]} <= leaves
+        cli._check_ranges(defaults)
+
+    @pytest.mark.parametrize("config", [
+        {"assigner": {"neg_thr": 0.6, "pos_thr": 0.6}},
+        {"ensemble": {"weight_grid": [1], "nms_iou": {"VEHICLE": 0}, "stop_delta": -1.0}},
+        {"ensemble": {"soft_nms_score_floor": 0.0, "vote_iou": 1.0}},
+        {"voxelizer": {"max_voxels": 1}, "tracker": {"iou_min": 0.0}},
+    ])
+    def test_values_at_the_edges_of_their_ranges_pass(self, tmp_path, config):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record()])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["nms", "--input", str(det), "--config", str(cfg),
                     "--output", str(tmp_path / "o.jsonl")]) == 0
 
     def test_seed_flag_is_gone(self, tmp_path, capsys):

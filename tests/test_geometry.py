@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,35 @@ class TestBox3D:
         assert box.contains_bev(2.0, 1.0)
         assert box.contains_bev(2.0, 0.0)
         assert not box.contains_bev(2.0 + 1e-9, 0.0)
+
+
+class TestWithCopy:
+    """Box3D._with skips the checks, for changes that keep a box valid."""
+
+    @pytest.mark.parametrize("changes", [
+        dict(score=0.25), dict(score=0.0), dict(score=1.0), dict(source_id=3),
+        dict(score=0.9 * 0.7, source_id=0),
+    ])
+    def test_same_fields_as_replace(self, changes):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            box = random_box(rng, span=50.0)
+            before = dict(vars(box))
+            copy = box._with(**changes)
+            assert type(copy) is Box3D and copy is not box
+            assert vars(copy) == vars(replace(box, **changes))
+            assert vars(box) == before
+
+    @pytest.mark.parametrize("changes", [
+        dict(score=1.5), dict(score=-0.1), dict(score=math.nan),
+        dict(length=0.0), dict(width=-1.0), dict(height=math.inf),
+    ])
+    def test_public_paths_still_check(self, changes):
+        box = Box3D(cx=0, cy=0, cz=0, length=1, width=1, height=1, heading=0)
+        with pytest.raises(ValueError):
+            replace(box, **changes)
+        with pytest.raises(ValueError):
+            Box3D(**{**vars(box), **changes})
 
 
 class TestPolygonHelpers:
