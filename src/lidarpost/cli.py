@@ -14,6 +14,9 @@ wrong type are argument errors. Override flags such as --iou take
 precedence over the config (see OVERRIDES). Every value of the result is
 then checked against CONFIG_RANGES before the command starts, and one out
 of range is an argument error too.
+
+The per-frame box filters (nms, soft-nms, vote) share one table, FILTERS,
+and one command, cmd_filter.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .assigner import (
     DEFAULT_K,
@@ -137,7 +142,10 @@ _UNIT_ABOVE_0 = _Range(0.0, 1.0, low_open=True)
 # every element of a list, which must not be empty.
 CONFIG_RANGES: Dict[str, object] = {
     "pointcloud.range.*": _FINITE,
-    "pointcloud.delta": _POSITIVE,
+    # float32's normal range: the time channel is written as float32, where a
+    # larger delta overflows to inf and a smaller one loses precision or reads 0.
+    "pointcloud.delta": _Range(float(np.finfo(np.float32).tiny),
+                               float(np.finfo(np.float32).max)),
     "voxelizer.vx": _POSITIVE,
     "voxelizer.vy": _POSITIVE,
     "voxelizer.vz": _POSITIVE,
@@ -313,9 +321,20 @@ def _filter_class(boxes: Sequence[Box3D], label: Optional[Label]) -> List[Box3D]
     return [b for b in boxes if b.label is label]
 
 
-def _frame_union(first: Dict[str, DetectionSet], second: Dict[str, DetectionSet]) -> List[str]:
-    """Frame ids of first, then the ids of second that first lacks, in file order."""
-    return list(first) + [fid for fid in second if fid not in first]
+def _aligned(
+    first: Dict[str, DetectionSet], second: Dict[str, DetectionSet]
+) -> Iterator[Tuple[DetectionSet, DetectionSet]]:
+    """(first's frame, second's frame) for each frame id of first, then each
+    id of second that first lacks, in file order. The side that lacks a frame
+    gets an empty one with the other's id and timestamp."""
+    for frame_id in dict.fromkeys([*first, *second]):
+        a = first.get(frame_id)
+        b = second.get(frame_id)
+        if a is None:
+            a = DetectionSet(frame_id, [], 0, b.timestamp)
+        if b is None:
+            b = DetectionSet(frame_id, [], 0, a.timestamp)
+        yield a, b
 
 
 def _classwise_nms(boxes: Sequence[Box3D], iou_map: Dict[str, float]) -> List[Box3D]:
@@ -387,13 +406,12 @@ def cmd_assign(args: argparse.Namespace, config: dict) -> dict:
     section = config["assigner"]
     anchors_by_frame = read_boxes(args.anchors)
     gts_by_frame = read_boxes(args.gts)
-    label = Label(args.cls) if args.cls else None
     records: List[dict] = []
     anchor_count = 0
     for frame_id, anchor_set in anchors_by_frame.items():
-        anchors = _filter_class(anchor_set.boxes, label)
+        anchors = _filter_class(anchor_set.boxes, args.cls)
         gt_set = gts_by_frame.get(frame_id)
-        gts = _filter_class(gt_set.boxes, label) if gt_set else []
+        gts = _filter_class(gt_set.boxes, args.cls) if gt_set else []
         if not anchors:
             continue
         anchor_count += len(anchors)
@@ -420,70 +438,42 @@ def cmd_assign(args: argparse.Namespace, config: dict) -> dict:
     )
 
 
-def _run_per_frame_filter(
-    args: argparse.Namespace,
-    transform: Callable[[List[Box3D]], List[Box3D]],
-) -> dict:
-    """Shared frame loop for nms / soft-nms / vote."""
+# The per-frame box filters: command -> (help text, transform of one frame's
+# boxes under config["ensemble"]). The transforms look the library functions up
+# by their module names when they run, so replacing cli.nms reaches every call.
+FILTERS: Dict[str, Tuple[str, Callable[[List[Box3D], dict], List[Box3D]]]] = {
+    "nms": (
+        "non-maximum suppression",
+        lambda boxes, section: _classwise_nms(boxes, section["nms_iou"]),
+    ),
+    "soft-nms": (
+        "score-decaying suppression",
+        lambda boxes, section: soft_nms(boxes, sigma=section["soft_nms_sigma"],
+                                        score_floor=section["soft_nms_score_floor"]),
+    ),
+    "vote": (
+        "suppress then refine by box voting",
+        lambda boxes, section: box_vote(_classwise_nms(boxes, section["nms_iou"]), boxes,
+                                        section["vote_iou"]),
+    ),
+}
+
+
+def cmd_filter(args: argparse.Namespace, config: dict) -> dict:
+    """Run one FILTERS transform on each frame of --input."""
+    _, transform = FILTERS[args.command]
     frames = read_boxes(args.input)
-    label = Label(args.cls) if args.cls else None
     boxes_in = 0
     boxes_out = 0
     outputs: List[DetectionSet] = []
     for frame in frames.values():
-        boxes = _filter_class(frame.boxes, label)
+        boxes = _filter_class(frame.boxes, args.cls)
         boxes_in += len(boxes)
-        kept = transform(boxes)
+        kept = transform(boxes, config["ensemble"])
         boxes_out += len(kept)
         outputs.append(replace(frame, boxes=kept))
     write_boxes(outputs, args.output)
-    return dict(
-        frames=len(frames),
-        boxes_in=boxes_in,
-        boxes_out=boxes_out,
-    )
-
-
-def cmd_nms(args: argparse.Namespace, config: dict) -> dict:
-    def transform(boxes: List[Box3D]) -> List[Box3D]:
-        return _classwise_nms(boxes, config["ensemble"]["nms_iou"])
-
-    return _run_per_frame_filter(args, transform)
-
-
-def cmd_soft_nms(args: argparse.Namespace, config: dict) -> dict:
-    def transform(boxes: List[Box3D]) -> List[Box3D]:
-        section = config["ensemble"]
-        return soft_nms(
-            boxes,
-            sigma=section["soft_nms_sigma"],
-            score_floor=section["soft_nms_score_floor"],
-        )
-
-    return _run_per_frame_filter(args, transform)
-
-
-def cmd_vote(args: argparse.Namespace, config: dict) -> dict:
-    def transform(boxes: List[Box3D]) -> List[Box3D]:
-        section = config["ensemble"]
-        kept = _classwise_nms(boxes, section["nms_iou"])
-        return box_vote(kept, boxes, section["vote_iou"])
-
-    return _run_per_frame_filter(args, transform)
-
-
-def _class_frames(
-    det_frames: Dict[str, DetectionSet], gt_frames: Dict[str, DetectionSet], label: Label
-) -> Iterator[Tuple[List[Box3D], List[Box3D]]]:
-    """(detections, ground truths) of one class per frame, in
-    _frame_union(gt_frames, det_frames) order; a missing frame is empty."""
-    for frame_id in _frame_union(gt_frames, det_frames):
-        det_set = det_frames.get(frame_id)
-        gt_set = gt_frames.get(frame_id)
-        yield (
-            _filter_class(det_set.boxes, label) if det_set else [],
-            _filter_class(gt_set.boxes, label) if gt_set else [],
-        )
+    return dict(frames=len(frames), boxes_in=boxes_in, boxes_out=boxes_out)
 
 
 def _class_ledgers(
@@ -498,8 +488,9 @@ def _class_ledgers(
     ledgers: List[MatchLedger] = []
     gt_count = 0
     det_count = 0
-    for dets, gts in _class_frames(det_frames, gt_frames, label):
-        gts = split_difficulty(gts, level)
+    for gt_set, det_set in _aligned(gt_frames, det_frames):
+        dets = _filter_class(det_set.boxes, label)
+        gts = split_difficulty(_filter_class(gt_set.boxes, label), level)
         det_count += len(dets)
         gt_count += len(gts)
         ledgers.append(match_frame(dets, gts, iou_thr))
@@ -510,9 +501,9 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
     section = config["ensemble"]
     if len(args.inputs) < 2:
         raise ValueError("ensemble needs at least two --inputs files")
-    if not args.cls:
+    label = args.cls
+    if label is None:
         raise ValueError("ensemble requires --class to score the merge")
-    label = Label(args.cls)
     iou_thr = section["nms_iou"][label.value]
     stop_delta = section["stop_delta"]
     metric_iou = config["metrics"]["iou_thr"][label.value]
@@ -531,20 +522,6 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
         ap, _ = average_precision(ledgers, gt_count)
         return ap
 
-    def pools(
-        fixed: Dict[str, DetectionSet], cand: Dict[str, DetectionSet]
-    ) -> Dict[str, PairPool]:
-        out: Dict[str, PairPool] = {}
-        for fid in _frame_union(fixed, cand):
-            a = fixed.get(fid)
-            b = cand.get(fid)
-            if a is None:
-                a = DetectionSet(fid, [], 0, b.timestamp)
-            if b is None:
-                b = DetectionSet(fid, [], 0, a.timestamp)
-            out[fid] = PairPool(a, b)
-        return out
-
     def merge_frames(frame_pools: Dict[str, PairPool], weight: float) -> Dict[str, DetectionSet]:
         return {fid: pool.merge(1.0, weight, iou_thr) for fid, pool in frame_pools.items()}
 
@@ -553,7 +530,7 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
     steps = [f"detector_0 score={current_score!r}"]
     for index, candidate in enumerate(detectors[1:], start=1):
         # One pool per frame serves every grid weight and the final merge.
-        frame_pools = pools(current, candidate)
+        frame_pools = {a.frame_id: PairPool(a, b) for a, b in _aligned(current, candidate)}
         best_weight, best_score = grid_search_weight(
             section["weight_grid"], partial(merge_frames, frame_pools), score
         )
@@ -581,13 +558,12 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
 
 def cmd_track(args: argparse.Namespace, config: dict) -> dict:
     frames = read_boxes(args.input)
-    label = Label(args.cls) if args.cls else None
     tracker = Tracker(TrackerConfig(**config["tracker"]))
     outputs: List[DetectionSet] = []
     reported = 0
     for frame in frames.values():
         try:
-            boxes = tracker.step(replace(frame, boxes=_filter_class(frame.boxes, label)))
+            boxes = tracker.step(replace(frame, boxes=_filter_class(frame.boxes, args.cls)))
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         reported += len(boxes)
@@ -601,8 +577,8 @@ def cmd_track(args: argparse.Namespace, config: dict) -> dict:
 
 
 def _labels_for(args: argparse.Namespace, gt_frames: Dict[str, DetectionSet]) -> List[Label]:
-    if args.cls:
-        return [Label(args.cls)]
+    if args.cls is not None:
+        return [args.cls]
     present = {b.label for frame in gt_frames.values() for b in frame.boxes}
     return [label for label in Label if label in present]
 
@@ -636,7 +612,7 @@ def cmd_eval_det(args: argparse.Namespace, config: dict) -> dict:
     if ap_values:
         lines.append(f"mean.AP={sum(ap_values) / len(ap_values)!r}")
         lines.append(f"mean.APH={sum(aph_values) / len(aph_values)!r}")
-    frame_count = len(_frame_union(gt_frames, det_frames))
+    frame_count = len(gt_frames.keys() | det_frames.keys())
     lines.append(f"difficulty={level.value}")
     lines.append(f"frames={frame_count}")
     _write_report(lines, args.output)
@@ -653,12 +629,11 @@ def cmd_eval_mot(args: argparse.Namespace, config: dict) -> dict:
     tracked_frames = read_boxes(args.tracked)
     gt_frames = read_boxes(args.gt)
     labels = _labels_for(args, gt_frames)
-    frame_ids = _frame_union(gt_frames, tracked_frames)
+    frames = list(_aligned(gt_frames, tracked_frames))
     lines: List[str] = []
     for label in labels:
-        frames = list(_class_frames(tracked_frames, gt_frames, label))
-        tracked_seq = [tracked for tracked, _ in frames]
-        gt_seq = [gts for _, gts in frames]
+        tracked_seq = [_filter_class(tracked.boxes, label) for _, tracked in frames]
+        gt_seq = [_filter_class(gt.boxes, label) for gt, _ in frames]
         gt_total = sum(len(gts) for gts in gt_seq)
         try:
             result = mota_motp(tracked_seq, gt_seq, iou_map[label.value])
@@ -670,10 +645,10 @@ def cmd_eval_mot(args: argparse.Namespace, config: dict) -> dict:
         lines.append(f"{label.value}.FN={result.fn}")
         lines.append(f"{label.value}.IDS={result.ids}")
         lines.append(f"{label.value}.gt_count={gt_total}")
-    lines.append(f"frames={len(frame_ids)}")
+    lines.append(f"frames={len(frames)}")
     _write_report(lines, args.output)
     return dict(
-        frames=len(frame_ids),
+        frames=len(frames),
         classes=len(labels),
     )
 
@@ -689,7 +664,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lidarpost", description=__doc__)
+    # The docstring's last paragraph is for readers of this module, not of --help.
+    parser = _Parser(prog="lidarpost", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     defaults = default_config()
 
@@ -704,7 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--class",
                 dest="cls",
-                choices=[label.value for label in Label],
+                type=Label,
+                metavar="{" + ",".join(label.value for label in Label) + "}",
                 help="restrict processing to one class",
             )
         for dest, path in OVERRIDES.get(name, {}).items():
@@ -738,14 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gts", required=True, help="ground-truth boxes JSONL")
     p.add_argument("--mode", choices=("fixed", "adaptive"), default="adaptive")
 
-    p = command("nms", cmd_nms, "non-maximum suppression")
-    p.add_argument("--input", required=True, help="detections JSONL")
-
-    p = command("soft-nms", cmd_soft_nms, "score-decaying suppression")
-    p.add_argument("--input", required=True, help="detections JSONL")
-
-    p = command("vote", cmd_vote, "suppress then refine by box voting")
-    p.add_argument("--input", required=True, help="detections JSONL")
+    for name, (help_text, _) in FILTERS.items():
+        p = command(name, cmd_filter, help_text)
+        p.add_argument("--input", required=True, help="detections JSONL")
 
     p = command("ensemble", cmd_ensemble, "greedy weighted detector merging")
     p.add_argument("--inputs", nargs="+", required=True, help="detector JSONL files")

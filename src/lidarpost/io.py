@@ -202,7 +202,16 @@ def read_points(
 
 
 def write_points(cloud: PointCloud, path: PathLike, channels: int = 5) -> None:
-    """Write a cloud as little-endian float32 records with 4 or 5 channels."""
+    """Write a cloud as little-endian float32 records with 4 or 5 channels.
+
+    Raises:
+        ValueError: on the first record (``record <i>``) beyond float32's range.
+    """
     if channels not in (4, 5):
         raise ValueError(f"channels must be 4 or 5, got {channels!r}")
-    Path(path).write_bytes(cloud.points[:, :channels].astype("<f4").tobytes())
+    with np.errstate(over="ignore"):
+        records = cloud.points[:, :channels].astype("<f4")
+    finite = np.isfinite(records).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"record {int(np.argmin(finite))}: non-finite value as float32")
+    Path(path).write_bytes(records.tobytes())

@@ -277,6 +277,24 @@ class TestConcat:
                     "--delta", "0.25", "--output", str(out)]) == 0
         assert read_points(out, 5).points[2, 4] == pytest.approx(0.25)
 
+    # 1e39 overflows float32 to inf, which read_points rejects; 1e-46 rounds
+    # to 0.0 and would tag previous points as current ones.
+    @pytest.mark.parametrize("delta", ["1e39", "1e-46"])
+    def test_delta_outside_float32_is_exit_2_before_reading(self, tmp_path, capsys,
+                                                           monkeypatch, delta):
+        cur, prev = self._files(tmp_path)
+        out = tmp_path / "merged.bin"
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("read points before checking the config")
+
+        monkeypatch.setattr(cli, "read_points", no_reading)
+        code = run(["concat", "--current", str(cur), "--previous", str(prev),
+                    "--delta", delta, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ERROR 2: config pointcloud.delta:")
+        assert not out.exists()
+
     def test_output_bytes_deterministic(self, tmp_path):
         cur, prev = self._files(tmp_path)
         out_a = tmp_path / "a.bin"

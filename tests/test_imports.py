@@ -2,15 +2,20 @@
 modules, never on one another."""
 
 import ast
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lidarpost
-from lidarpost import matching, metrics, tracker
+from lidarpost import cli, matching, metrics, tracker
 
 PACKAGE_DIR = Path(lidarpost.__file__).parent
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 LAYERS = {"assigner", "ensemble", "io", "metrics", "tracker"}
 NEUTRAL = {"geometry", "matching", "pointcloud"}
 
@@ -62,18 +67,74 @@ def test_matching_imports_only_numpy_and_scipy_optimize():
     assert _absolute_imports("matching") == {"numpy", "scipy.optimize"}
 
 
-def test_cli_import_leaves_scipy_csgraph_unloaded():
-    probe = ("import sys, lidarpost.cli; "
-             "print(any(m.startswith('scipy.sparse.csgraph') for m in sys.modules))")
+def _fresh_import(statement: str, expression: str) -> str:
+    """The printed value of expression after statement, in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", f"import sys; {statement}; print({expression})"],
+                         capture_output=True, text=True, check=True, env=env)
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_csgraph_unloaded():
+    loaded = _fresh_import("import lidarpost.cli",
+                           "any(m.startswith('scipy.sparse.csgraph') for m in sys.modules)")
+    assert loaded == "False"
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("geometry", ["lidarpost", "lidarpost.geometry"]),
+    ("pointcloud", ["lidarpost", "lidarpost.geometry", "lidarpost.pointcloud"]),
+])
+def test_neutral_module_import_loads_no_other_layer_and_no_scipy(module, allowed):
+    """The package root imports no module, so importing one loads only what
+    it needs itself."""
+    loaded = _fresh_import(
+        f"import lidarpost.{module}",
+        "sorted(m for m in sys.modules if m.split('.')[0] in ('lidarpost', 'scipy'))")
+    assert loaded == repr(allowed)
+
+
+def _span_tables():
+    """CLI_SPANS and TRACKER_SPANS, the names the benchmark's tracer replaces."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.CLI_SPANS, spans.TRACKER_SPANS
 
 
 def test_patched_names_are_module_attributes():
     """tracker and metrics look hungarian and associate up as module
-    globals at call time, so replacing the attribute reaches every call."""
+    globals at call time, so replacing the attribute reaches every call.
+    Every name the tracer replaces must exist where it looks for it."""
     assert tracker.hungarian is matching.hungarian
     assert metrics.hungarian is matching.hungarian
     assert callable(tracker.associate)
+    cli_spans, tracker_spans = _span_tables()
+    for name in [*cli_spans, "Tracker"]:
+        assert hasattr(cli, name), f"lidarpost.cli has no {name}"
+    for name in tracker_spans:
+        assert hasattr(tracker, name), f"lidarpost.tracker has no {name}"
+
+
+@pytest.mark.parametrize("command, reached", [
+    ("nms", {"nms"}),
+    ("soft-nms", {"soft_nms"}),
+    ("vote", {"nms", "box_vote"}),
+])
+def test_filter_commands_call_the_current_module_attributes(tmp_path, monkeypatch,
+                                                            command, reached):
+    """A filter command reaches a wrapper set over cli.nms, cli.soft_nms or
+    cli.box_vote after import, as the tracer sets them."""
+    calls = set()
+    for name in ("nms", "soft_nms", "box_vote"):
+        def recording(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+    det = tmp_path / "d.jsonl"
+    det.write_text(json.dumps({"frame_id": "f0", "timestamp": 0.0, "cx": 1.0, "cy": 2.0,
+                               "cz": 0.5, "l": 4.0, "w": 2.0, "h": 1.5, "heading": 0.1,
+                               "score": 0.9, "label": "VEHICLE"}) + "\n")
+    assert cli.run([command, "--input", str(det), "--output", str(tmp_path / "o.jsonl")]) == 0
+    assert calls == reached

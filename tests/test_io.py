@@ -296,6 +296,16 @@ class TestWritePoints:
         back = read_points(path, channels=4)
         assert back.points[0, 4] == 0.0
 
+    def test_write_refuses_values_beyond_float32(self, tmp_path):
+        cloud = PointCloud(points=np.array([[1, 2, 3, 0.5, 0.1], [1, 2, 3, 0.5, 1e39]]))
+        path = tmp_path / "points.bin"
+        with pytest.raises(ValueError, match=r"^record 1: non-finite value as float32"):
+            write_points(cloud, path, channels=5)
+        assert not path.exists()
+        # Without the time channel, the record fits.
+        write_points(cloud, path, channels=4)
+        assert path.stat().st_size == 32
+
     def test_little_endian_layout(self, tmp_path):
         cloud = PointCloud(
             points=np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]),
