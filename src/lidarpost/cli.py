@@ -16,7 +16,8 @@ then checked against CONFIG_RANGES before the command starts, and one out
 of range is an argument error too.
 
 The per-frame box filters (nms, soft-nms, vote) share one table, FILTERS,
-and one command, cmd_filter.
+and one command, cmd_filter. One walk, _merge_checked, checks the --config file
+and then each flag at its OVERRIDES path, value by value as it is merged.
 """
 
 from __future__ import annotations
@@ -138,10 +139,10 @@ _UNIT_ABOVE_0 = _Range(0.0, 1.0, low_open=True)
 
 # The values each config key may take: the checks the library makes where
 # it reads the key, so that run() can make them all before a command starts.
-# A path ending in ".*" names every entry of a map, and one ending in "[*]"
-# every element of a list, which must not be empty.
+# A range on a map holds for each of its entries, and one on a list for each
+# of its elements; such a list must not be empty.
 CONFIG_RANGES: Dict[str, object] = {
-    "pointcloud.range.*": _FINITE,
+    "pointcloud.range": _FINITE,
     # float32's normal range: the time channel is written as float32, where a
     # larger delta overflows to inf and a smaller one loses precision or reads 0.
     "pointcloud.delta": _Range(float(np.finfo(np.float32).tiny),
@@ -154,11 +155,11 @@ CONFIG_RANGES: Dict[str, object] = {
     "assigner.k": _COUNT,
     "assigner.pos_thr": _UNIT,
     "assigner.neg_thr": _UNIT,
-    "ensemble.nms_iou.*": _UNIT,
+    "ensemble.nms_iou": _UNIT,
     "ensemble.vote_iou": _UNIT_ABOVE_0,
     "ensemble.soft_nms_sigma": _POSITIVE,
     "ensemble.soft_nms_score_floor": _Range(0.0, 1.0, high_open=True),
-    "ensemble.weight_grid[*]": _UNIT_ABOVE_0,
+    "ensemble.weight_grid": _UNIT_ABOVE_0,
     # Any number works; only NaN, which JSON parsing lets in, is refused.
     "ensemble.stop_delta": _Range(-math.inf, math.inf),
     "tracker.iou_min": _UNIT,
@@ -166,7 +167,7 @@ CONFIG_RANGES: Dict[str, object] = {
     "tracker.min_hits": _COUNT,
     "tracker.process_noise": _POSITIVE,
     "tracker.measurement_noise": _POSITIVE,
-    "metrics.iou_thr.*": _UNIT_ABOVE_0,
+    "metrics.iou_thr": _UNIT_ABOVE_0,
     "metrics.difficulty": tuple(level.value for level in Difficulty),
 }
 # (lower, upper, strict): pairs of keys whose values the library orders.
@@ -212,13 +213,13 @@ OVERRIDES: Dict[str, Dict[str, str]] = {
 }
 
 
-def _merge_checked(default, value, path: str):
-    """value laid over default, deep-merging objects.
+def _merge_checked(default, value, path: str, rule: str):
+    """value, at dotted key path, laid over default, deep-merging objects.
 
-    Raises ValueError naming the dotted key path where value's shape departs
-    from default's: an unknown key, or a value of another type. An int
-    stands in for a float, never for a bool or the other way round.
-    """
+    Raises ValueError naming the path where value departs from default's shape
+    (an unknown key, another type, an empty list) or where a leaf lies outside
+    CONFIG_RANGES[rule], rule being path or the map or list that holds it. An
+    int stands in for a float that can hold it, and is kept as an int."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config {path}: expected an object, got {value!r}")
@@ -227,29 +228,28 @@ def _merge_checked(default, value, path: str):
             key_path = f"{path}.{key}" if path else key
             if key not in default:
                 raise ValueError(f"config {key_path}: unknown key")
-            merged[key] = _merge_checked(default[key], item, key_path)
+            key_rule = rule if rule in CONFIG_RANGES else key_path
+            merged[key] = _merge_checked(default[key], item, key_path, key_rule)
         return merged
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ValueError(f"config {path}: expected a list, got {value!r}")
-        for i, item in enumerate(value):
-            _merge_checked(default[0], item, f"{path}[{i}]")
-        return value
+        if not value:
+            raise ValueError(f"config {path}: must not be empty")
+        return [_merge_checked(default[0], item, f"{path}[{i}]", rule)
+                for i, item in enumerate(value)]
     expected = (int, float) if type(default) is float else type(default)
     if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, expected):
         raise ValueError(f"config {path}: expected {type(default).__name__}, got {value!r}")
+    if type(default) is float:
+        try:
+            float(value)
+        except OverflowError:  # an integer too large for a float
+            raise ValueError(f"config {path}: out of float range") from None
+    allowed = CONFIG_RANGES[rule]
+    if value not in allowed:
+        raise ValueError(f"config {path}: must be in {allowed}, got {value!r}")
     return value
-
-
-def load_config(path: Optional[str]) -> dict:
-    config = default_config()
-    if path is None:
-        return config
-    with open(path, "r", encoding="utf-8") as fh:
-        user = json.load(fh)
-    if not isinstance(user, dict):
-        raise ValueError(f"config {path}: expected a JSON object at top level")
-    return _merge_checked(config, user, "")
 
 
 def _slot(config: dict, path: str) -> Tuple[dict, str]:
@@ -260,59 +260,47 @@ def _slot(config: dict, path: str) -> Tuple[dict, str]:
     return config, key
 
 
-def _value(config: dict, path: str):
-    section, key = _slot(config, path)
-    return section[key]
-
-
-def _values_at(config: dict, pattern: str) -> List[Tuple[str, object]]:
-    """(dotted path, value) of each config value that a CONFIG_RANGES key names."""
-    if pattern.endswith("[*]"):
-        path = pattern[:-3]
-        items = _value(config, path)
-        if not items:
-            raise ValueError(f"config {path}: must not be empty")
-        return [(f"{path}[{i}]", item) for i, item in enumerate(items)]
-    if pattern.endswith(".*"):
-        path = pattern[:-2]
-        return [(f"{path}.{key}", item) for key, item in _value(config, path).items()]
-    return [(pattern, _value(config, pattern))]
-
-
-def _check_ranges(config: dict) -> None:
-    """Raise ValueError naming the dotted key of the first config value that
-    CONFIG_RANGES or CONFIG_ORDER refuses."""
-    for pattern, allowed in CONFIG_RANGES.items():
-        for path, value in _values_at(config, pattern):
-            if value not in allowed:
-                raise ValueError(f"config {path}: must be in {allowed}, got {value!r}")
-    for low, high, strict in CONFIG_ORDER:
-        a = _value(config, low)
-        b = _value(config, high)
-        if not (a < b if strict else a <= b):
-            relation = "<" if strict else "<="
-            raise ValueError(f"config {low}: must be {relation} {high} ({b!r}), got {a!r}")
+def _voxel_config(config: dict) -> VoxelConfig:
+    return VoxelConfig(range=RangeSpec(**config["pointcloud"]["range"]), **config["voxelizer"])
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     """The --config file over the defaults, then the command's override flags,
-    checked against CONFIG_RANGES."""
-    config = load_config(getattr(args, "config", None))
+    each value checked as it is merged; then the checks across keys."""
+    defaults = default_config()
+    config = default_config()
+    if getattr(args, "config", None) is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError(f"config {args.config}: expected a JSON object at top level")
+        config = _merge_checked(config, user, "", "")
     for dest, path in OVERRIDES.get(args.command, {}).items():
         value = getattr(args, dest)
         if value is None:
             continue
-        section, key = _slot(config, path)
-        if isinstance(section[key], dict):
-            section[key] = dict.fromkeys(section[key], value)
-        else:
-            section[key] = value
-    _check_ranges(config)
+        # Typed by the default, as the file may have given an int for a float.
+        (given, key), (default, _) = _slot(config, path), _slot(defaults, path)
+        if isinstance(default[key], dict):
+            value = dict.fromkeys(default[key], value)
+        given[key] = _merge_checked(default[key], value, path, path)
+    for low, high, strict in CONFIG_ORDER:
+        a, b = (section[key] for section, key in (_slot(config, low), _slot(config, high)))
+        if not (a < b if strict else a <= b):
+            relation = "<" if strict else "<="
+            raise ValueError(f"config {low}: must be {relation} {high} ({b!r}), got {a!r}")
+    _voxel_config(config)
     return config
 
 
 def _float_list(text: str) -> List[float]:
     return [float(item) for item in text.split(",")]
+
+
+def _label(text: str) -> Label:
+    if text not in Label.__members__:  # each Label's name is its value
+        raise argparse.ArgumentTypeError(f"{text!r} is not one of {', '.join(Label.__members__)}")
+    return Label(text)
 
 
 def _filter_class(boxes: Sequence[Box3D], label: Optional[Label]) -> List[Box3D]:
@@ -376,8 +364,7 @@ def cmd_concat(args: argparse.Namespace, config: dict) -> dict:
 
 
 def cmd_voxelize(args: argparse.Namespace, config: dict) -> dict:
-    range_spec = RangeSpec(**config["pointcloud"]["range"])
-    vox_config = VoxelConfig(range=range_spec, **config["voxelizer"])
+    vox_config = _voxel_config(config)
     cloud = read_points(args.points, args.channels)
     grid = (
         voxelize_hard(cloud, vox_config)
@@ -514,7 +501,7 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
     for source_id, path in enumerate(args.inputs):
         frames = read_boxes(path)
         for frame in frames.values():
-            frame.source_id = source_id
+            frame.boxes = [box._with(source_id=source_id) for box in frame.boxes]
         detectors.append(frames)
 
     def score(frames: Dict[str, DetectionSet]) -> float:
@@ -680,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--class",
                 dest="cls",
-                type=Label,
+                type=_label,
                 metavar="{" + ",".join(label.value for label in Label) + "}",
                 help="restrict processing to one class",
             )

@@ -184,9 +184,9 @@ def box_vote(
 def merge_sources(sets: Sequence[DetectionSet]) -> DetectionSet:
     """Concatenate detector outputs for one frame, stamping box source ids.
 
-    Boxes keep their within-source order; each box's source_id is set to its
-    set's tag. The merged set inherits frame_id, timestamp, and source_id
-    from the first input.
+    Boxes keep their within-source order; each box without a source_id gets
+    its set's tag, and one that has a source_id keeps it. The merged set
+    inherits frame_id, timestamp, and source_id from the first input.
 
     Raises:
         ValueError: if sets is empty or the frame ids differ.
@@ -200,7 +200,8 @@ def merge_sources(sets: Sequence[DetectionSet]) -> DetectionSet:
             raise ValueError(
                 f"mixed frame ids: {frame_id!r} vs {s.frame_id!r}"
             )
-    boxes = [b._with(source_id=s.source_id) for s in sets for b in s.boxes]
+    boxes = [b if b.source_id is not None else b._with(source_id=s.source_id)
+             for s in sets for b in s.boxes]
     return DetectionSet(frame_id, boxes, sets[0].source_id, sets[0].timestamp)
 
 

@@ -107,11 +107,12 @@ def reference_nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn) -> List[int]:
 def reference_ensemble_pair(a, b, w_a: float, w_b: float, iou_thr: float, iou_fn):
     """Weighted two-detector merge, pooled afresh for one weight pair.
 
-    One dataclasses.replace per box stamps its source id and another scales
-    its score by its detector's weight, then the mark-suppressed scan keeps
-    the survivors in keep order.
+    One dataclasses.replace per box stamps its set's source id on a box that
+    has none, another scales its score by its detector's weight, then the
+    mark-suppressed scan keeps the survivors in keep order.
     """
-    stamped = [replace(box, source_id=s.source_id) for s in (a, b) for box in s.boxes]
+    stamped = [box if box.source_id is not None else replace(box, source_id=s.source_id)
+               for s in (a, b) for box in s.boxes]
     weights = [w_a] * len(a.boxes) + [w_b] * len(b.boxes)
     boxes = [replace(box, score=box.score * w) for box, w in zip(stamped, weights)]
     keep = reference_nms(boxes, iou_thr, iou_fn)

@@ -306,6 +306,9 @@ POOL_FRAMES["ties"] = _tie_frame()
 POOL_FRAMES["empty-a"] = (FRAMES["random-mixed"][:30], 0)
 POOL_FRAMES["empty-b"] = (FRAMES["random-mixed"][:30], 30)
 POOL_FRAMES["empty"] = ([], 0)
+# Every third box already carries a source id, as a merged set's boxes do.
+POOL_FRAMES["stamped"] = ([replace(box, source_id=7) if i % 3 == 0 else box
+                           for i, box in enumerate(FRAMES["random-mixed"][:30])], 15)
 
 
 @pytest.mark.parametrize("name", sorted(POOL_FRAMES))

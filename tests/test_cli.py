@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import struct
@@ -5,8 +6,14 @@ import struct
 import pytest
 
 from lidarpost import cli
+from lidarpost.assigner import adaptive_assign, fixed_assign
 from lidarpost.cli import CONFIG_ORDER, CONFIG_RANGES, OVERRIDES, default_config, run
+from lidarpost.ensemble import PairPool, box_vote, nms, soft_nms
+from lidarpost.geometry import Box3D, DetectionSet, Label
 from lidarpost.io import read_boxes, read_points
+from lidarpost.metrics import Difficulty, match_frame
+from lidarpost.pointcloud import PointCloud, RangeSpec, concat_frames
+from lidarpost.tracker import TrackerConfig
 from lidarpost.voxelizer import VoxelConfig
 
 
@@ -50,6 +57,16 @@ class TestArgumentErrors:
                     str(tmp_path / "o.jsonl"), "--class", "BICYCLE"])
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR 2:")
+
+    def test_unknown_class_lists_the_classes(self, tmp_path, capsys):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record()])
+        code = run(["nms", "--input", str(det), "--output",
+                    str(tmp_path / "o.jsonl"), "--class", "BICYCLE"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ERROR 2: argument --class: 'BICYCLE' is not one of "
+            "VEHICLE, PEDESTRIAN, CYCLIST\n")
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -364,6 +381,21 @@ class TestVoxelize:
         assert capsys.readouterr().err.startswith("ERROR 2:")
 
 
+    def test_oversized_grid_is_exit_2_for_every_command(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"voxelizer": {"vx": 1e-12, "vy": 1e-12, "vz": 1e-12}}))
+
+        def no_reading(path):
+            raise AssertionError(f"read {path} before checking the config")
+
+        monkeypatch.setattr(cli, "read_boxes", no_reading)
+        code = run(["nms", "--input", str(tmp_path / "d.jsonl"), "--config", str(cfg),
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ERROR 2: vx=1e-12 makes a grid dimension exceed 32-bit signed range\n")
+
+
 class TestAssign:
     def _files(self, tmp_path):
         anchors = tmp_path / "anchors.jsonl"
@@ -620,6 +652,22 @@ class TestEnsemble:
                     "--gt", str(gt), "--class", "VEHICLE", "--output", str(out_ac)]) == 0
         assert len(read_boxes(out_ac)["f0"].boxes) == 3
 
+    def test_every_box_keeps_the_index_of_its_input(self, tmp_path):
+        gt = tmp_path / "gt.jsonl"
+        _write_jsonl(gt, [_record(cx=x, heading=0.0, track_id=i)
+                          for i, x in enumerate((0.0, 20.0, 40.0))])
+        inputs = []
+        for i, x in enumerate((0.0, 20.0, 40.0)):
+            path = tmp_path / f"det_{i}.jsonl"
+            # An id already in the file is replaced by the file's index.
+            _write_jsonl(path, [_record(cx=x, heading=0.0, source_id=9)])
+            inputs.append(str(path))
+        out = tmp_path / "merged.jsonl"
+        assert run(["ensemble", "--inputs", *inputs, "--gt", str(gt), "--class", "VEHICLE",
+                    "--output", str(out)]) == 0
+        merged = read_boxes(out)["f0"].boxes
+        assert sorted((b.cx, b.source_id) for b in merged) == [(0.0, 0), (20.0, 1), (40.0, 2)]
+
     def test_empty_weight_grid_is_exit_2(self, tmp_path, capsys):
         gt, det_a, det_b = self._files(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -707,6 +755,8 @@ class TestConfigValidation:
         _write_jsonl(det, [_record(cx=0.0, track_id=1)])
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
+        points = tmp_path / "p.bin"
+        _write_points(points, [(1.0, 2.0, 0.5, 0.3)])
         return {
             "eval-det": ["eval-det", "--detections", str(det), "--gt", str(gt)],
             "eval-mot": ["eval-mot", "--tracked", str(det), "--gt", str(gt)],
@@ -716,6 +766,8 @@ class TestConfigValidation:
             "ensemble": ["ensemble", "--inputs", str(det), str(det), "--gt", str(gt),
                          "--class", "VEHICLE"],
             "nms": ["nms", "--input", str(det)],
+            "track": ["track", "--input", str(det)],
+            "voxelize": ["voxelize", "--points", str(points)],
         }[command]
 
     @pytest.mark.parametrize("command, config, flags, key_path", [
@@ -730,6 +782,7 @@ class TestConfigValidation:
         ("nms", {"pointcloud": {"range": {"z_min": 4.0}}}, [], "pointcloud.range.z_min"),
         ("nms", {"tracker": {"process_noise": math.inf}}, [], "tracker.process_noise"),
         ("nms", {"metrics": {"difficulty": "L3"}}, [], "metrics.difficulty"),
+        ("nms", {"ensemble": {"weight_grid": []}}, [], "ensemble.weight_grid"),
     ])
     def test_out_of_range_is_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                      command, config, flags, key_path):
@@ -749,6 +802,45 @@ class TestConfigValidation:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, key_path", [
+        ("track", {"tracker": {"process_noise": 10**400}}, "tracker.process_noise"),
+        ("voxelize", {"voxelizer": {"vx": 10**400}}, "voxelizer.vx"),
+        ("voxelize", {"pointcloud": {"range": {"x_max": 10**400}}}, "pointcloud.range.x_max"),
+    ])
+    def test_int_beyond_float_range_is_exit_2(self, tmp_path, capsys, command, config,
+                                              key_path):
+        argv = self._range_argv(tmp_path, command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run(argv + ["--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"ERROR 2: config {key_path}: out of float range\n"
+
+    @pytest.mark.parametrize("config, flags, key_path", [
+        ({"ensemble": {"nms_iou": {"VEHICLE": 5.0}}}, ["--iou", "0.5"],
+         "ensemble.nms_iou.VEHICLE"),
+        ({"ensemble": {"weight_grid": [0.5, 7.0]}}, ["--grid", "0.5"], "ensemble.weight_grid[1]"),
+    ])
+    def test_bad_file_value_is_exit_2_under_a_good_flag(self, tmp_path, capsys, config, flags,
+                                                       key_path):
+        argv = self._range_argv(tmp_path, "ensemble")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = run(argv + flags + ["--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"ERROR 2: config {key_path}:")
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("voxelize", {"voxelizer": {"vx": 1}}, ["--vx", "0.5"]),
+        ("ensemble", {"ensemble": {"nms_iou": {"VEHICLE": 1}, "weight_grid": [1]}},
+         ["--iou", "0.5", "--grid", "0.5"]),
+    ])
+    def test_float_flag_replaces_an_int_from_the_file(self, tmp_path, command, config, flags):
+        argv = self._range_argv(tmp_path, command)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(argv + flags + ["--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+
     def test_ranges_name_every_value_and_pass_the_defaults(self):
         leaves = set()
 
@@ -763,11 +855,14 @@ class TestConfigValidation:
 
         defaults = default_config()
         walk(defaults, "")
-        named = {path for pattern in CONFIG_RANGES
-                 for path, _ in cli._values_at(defaults, pattern)}
-        assert named == leaves
+        for leaf in leaves:
+            governing = [key for key in CONFIG_RANGES
+                         if leaf == key or leaf.startswith((key + ".", key + "["))]
+            assert len(governing) == 1, (leaf, governing)
+        assert {path for flags in OVERRIDES.values() for path in flags.values()} <= set(
+            CONFIG_RANGES)
         assert {path for pair in CONFIG_ORDER for path in pair[:2]} <= leaves
-        cli._check_ranges(defaults)
+        assert cli._merge_checked(default_config(), defaults, "", "") == defaults
 
     @pytest.mark.parametrize("config", [
         {"assigner": {"neg_thr": 0.6, "pos_thr": 0.6}},
@@ -790,6 +885,82 @@ class TestConfigValidation:
                     str(tmp_path / "o.jsonl"), "--seed", "1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR 2:")
+
+
+def _config_leaves(node, keys=()):
+    """(key tuple, default) of each default_config() value, named by its
+    dotted key; a list is one value."""
+    if isinstance(node, dict):
+        return [leaf for key, item in node.items() for leaf in _config_leaves(item, keys + (key,))]
+    return [pytest.param(keys, node, id=".".join(keys))]
+
+
+# The edges of every range in CONFIG_RANGES, and the values just past them.
+EDGE_VALUES = [-math.inf, -1, -1e-300, 0, 1e-300, 0.5, 1, 1 + 2**-52, 7, math.inf, math.nan]
+
+
+def _edge_values(default):
+    if isinstance(default, str):
+        return [level.value for level in Difficulty] + ["L3", "l1", ""]
+    if isinstance(default, int):
+        return [int(v) for v in EDGE_VALUES if math.isfinite(v) and v == int(v)]
+    return EDGE_VALUES
+
+
+def _library_reads(config):
+    """Call each library function that reads a config value, with the values
+    of config, on inputs where each of them checks the value it gets."""
+    boxes = [Box3D(0.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=0.9, label=label)
+             for label in Label]
+    boxes += [Box3D(0.5, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=0.8, label=label)
+              for label in Label]
+    frame = DetectionSet("f", boxes)
+    section = config["ensemble"]
+    for threshold in section["nms_iou"].values():
+        nms(boxes, threshold)
+        for weight in section["weight_grid"]:
+            PairPool(frame, frame).merge(1.0, weight, threshold)
+    soft_nms(boxes, section["soft_nms_sigma"], section["soft_nms_score_floor"])
+    box_vote(boxes, boxes, section["vote_iou"])
+    for threshold in config["metrics"]["iou_thr"].values():
+        match_frame(boxes, boxes, threshold)
+    assigner = config["assigner"]
+    fixed_assign(boxes, boxes, assigner["pos_thr"], assigner["neg_thr"])
+    adaptive_assign(boxes, boxes, assigner["k"])
+    cloud = PointCloud([[1.0, 2.0, 0.5, 0.3]])
+    concat_frames(cloud, cloud, config["pointcloud"]["delta"])
+    range_spec = RangeSpec(**config["pointcloud"]["range"])
+    VoxelConfig(range=range_spec, **config["voxelizer"])
+    TrackerConfig(**config["tracker"])
+    Difficulty(config["metrics"]["difficulty"])
+
+
+class TestRangesAgreeWithTheLibrary:
+    """The CLI's CONFIG_RANGES and the library's own checks are two sources
+    of the same ranges; the library keeps its checks for callers without the
+    CLI. No value that the CLI accepts may be one that the library refuses.
+    The CLI is deliberately stricter in two places: pointcloud.delta must lie
+    in float32's normal range, where concat_frames takes any positive finite
+    delta, and metrics.iou_thr must lie in (0, 1], which match_frame checks
+    and mota_motp does not."""
+
+    @pytest.mark.parametrize("keys, default", _config_leaves(default_config()))
+    def test_every_accepted_value_is_accepted_by_the_library(self, tmp_path, keys, default):
+        accepted = []
+        for value in _edge_values(default):
+            config = [value] if isinstance(default, list) else value
+            for key in reversed(keys):
+                config = {key: config}
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            try:
+                resolved = cli._resolve_config(
+                    argparse.Namespace(command="default-config", config=str(cfg)))
+            except ValueError:
+                continue
+            _library_reads(resolved)
+            accepted.append(value)
+        assert accepted, "no edge value passes"
 
 
 class TestFlagsThatDoNothingAreGone:

@@ -269,6 +269,13 @@ class TestMergeSources:
         assert [b.cx for b in merged.boxes] == [0, 9, 20, 30, 40]
         assert [b.source_id for b in merged.boxes] == [0, 0, 2, 2, 2]
 
+    def test_boxes_with_a_source_id_keep_it(self):
+        s0 = DetectionSet(frame_id="f", boxes=[_box(0, 0, 0.9), _box(9, 0, 0.8, source_id=1)],
+                          source_id=0)
+        s1 = DetectionSet(frame_id="f", boxes=[_box(20, 0, 0.7)], source_id=2)
+        merged = merge_sources([s0, s1])
+        assert [b.source_id for b in merged.boxes] == [0, 1, 2]
+
     def test_mixed_frames_rejected(self):
         s0 = DetectionSet(frame_id="a", boxes=[])
         s1 = DetectionSet(frame_id="b", boxes=[])
