@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -95,6 +96,16 @@ def fixed_assign(
     return AssignmentResult(labels, gt_indices)
 
 
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest distances, nearest first, ties to the lower
+    index: ``np.argsort(dist, kind="stable")[:k]``, sorting only the
+    distances at or below the k-th smallest."""
+    if k >= len(dist):
+        return np.argsort(dist, kind="stable")
+    near = np.flatnonzero(dist <= np.partition(dist, k - 1)[k - 1])
+    return near[np.argsort(dist[near], kind="stable")[:k]]
+
+
 def adaptive_assign(
     anchors: Sequence[Box3D], gts: Sequence[Box3D], k: int = DEFAULT_K
 ) -> AssignmentResult:
@@ -121,12 +132,13 @@ def adaptive_assign(
     if not gts:
         return AssignmentResult(labels, gt_indices, adaptive_thresholds=[])
 
-    centers = np.array([(a.cx, a.cy) for a in anchors], dtype=np.float64)
+    xs = np.fromiter(map(attrgetter("cx"), anchors), np.float64, n)
+    ys = np.fromiter(map(attrgetter("cy"), anchors), np.float64, n)
     thresholds: List[float] = []
     best_iou = [-1.0] * n
     for j, gt in enumerate(gts):
-        dist = np.hypot(centers[:, 0] - gt.cx, centers[:, 1] - gt.cy)
-        candidates = np.argsort(dist, kind="stable")[:k]
+        dist = np.hypot(xs - gt.cx, ys - gt.cy)
+        candidates = _nearest(dist, k)
         ious = iou_matrix([anchors[int(i)] for i in candidates], [gt], bev_iou)[:, 0]
         threshold = float(ious.mean() + ious.std())
         thresholds.append(threshold)

@@ -38,6 +38,8 @@ from .assigner import (
     DEFAULT_K,
     DEFAULT_NEG_THR,
     DEFAULT_POS_THR,
+    AnchorLabel,
+    AssignmentResult,
     adaptive_assign,
     fixed_assign,
 )
@@ -393,7 +395,7 @@ def cmd_assign(args: argparse.Namespace, config: dict) -> dict:
     section = config["assigner"]
     anchors_by_frame = read_boxes(args.anchors)
     gts_by_frame = read_boxes(args.gts)
-    records: List[dict] = []
+    results: List[Tuple[str, AssignmentResult]] = []
     anchor_count = 0
     for frame_id, anchor_set in anchors_by_frame.items():
         anchors = _filter_class(anchor_set.boxes, args.cls)
@@ -406,23 +408,26 @@ def cmd_assign(args: argparse.Namespace, config: dict) -> dict:
             result = fixed_assign(anchors, gts, section["pos_thr"], section["neg_thr"])
         else:
             result = adaptive_assign(anchors, gts, section["k"])
-        for i, (anchor_label, gt_index) in enumerate(
-            zip(result.labels, result.gt_indices)
-        ):
-            record = {"frame_id": frame_id, "anchor_index": i, "label": anchor_label.value}
-            if gt_index is not None:
-                record["gt_index"] = gt_index
-            records.append(record)
-        if result.adaptive_thresholds is not None:
-            for j, threshold in enumerate(result.adaptive_thresholds):
-                records.append(
-                    {"frame_id": frame_id, "gt_index": j, "adaptive_threshold": threshold}
-                )
-    _write_report((json.dumps(r, allow_nan=False) for r in records), args.output)
+        results.append((frame_id, result))
+    _write_report(_assign_lines(results), args.output)
     return dict(
         frames=len(anchors_by_frame),
         anchors=anchor_count,
     )
+
+
+def _assign_lines(results: Iterable[Tuple[str, AssignmentResult]]) -> Iterator[str]:
+    """One JSON object per anchor, then per adaptive threshold, each the
+    bytes of ``json.dumps(record)``, built on a prefix per frame."""
+    label_text = {label: json.dumps(label.value) for label in AnchorLabel}
+    for frame_id, result in results:
+        prefix = '{"frame_id": ' + json.dumps(frame_id) + ", "
+        for i, (label, gt_index) in enumerate(zip(result.labels, result.gt_indices)):
+            line = f'{prefix}"anchor_index": {i}, "label": {label_text[label]}'
+            yield line + "}" if gt_index is None else f'{line}, "gt_index": {gt_index}}}'
+        for j, threshold in enumerate(result.adaptive_thresholds or ()):
+            value = json.dumps(threshold, allow_nan=False)
+            yield f'{prefix}"gt_index": {j}, "adaptive_threshold": {value}}}'
 
 
 # The per-frame box filters: command -> (help text, transform of one frame's
@@ -530,7 +535,7 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
         current = merge_frames(frame_pools, best_weight)
         del frame_pools
         current_score = best_score
-        steps.append(f"detector_{index} weight={best_weight!r} score={best_score!r}")
+        steps.append(f"detector_{index} weight={float(best_weight)!r} score={best_score!r}")
 
     write_boxes(current, args.output)
     for step in steps:

@@ -18,8 +18,9 @@ must return 0 for boxes whose circumscribed circles are disjoint, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +58,13 @@ def wrap_angle(theta: float) -> float:
     if wrapped <= -math.pi:  # floor form yields [-pi, pi); move the closed end
         wrapped += _TAU
     return wrapped
+
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of each element of a finite float64 array, with
+    the same IEEE operations in the same order, so bit for bit equal."""
+    wrapped = theta - _TAU * np.floor((theta + math.pi) / _TAU)
+    return np.where(wrapped <= -math.pi, wrapped + _TAU, wrapped)
 
 
 def heading_error(a: float, b: float) -> float:
@@ -112,8 +120,9 @@ class Box3D:
         keep a valid box valid only: a source id, or a score in [0, 1] such
         as a valid score times a weight in (0, 1]. The heading is already
         wrapped. Use dataclasses.replace for anything else."""
-        box = object.__new__(Box3D)
-        box.__dict__.update(self.__dict__, **changes)
+        box = unchecked_box(*_field_values(self))
+        for name, value in changes.items():
+            setattr(box, name, value)
         return box
 
     @property
@@ -154,6 +163,34 @@ class Box3D:
         local_x = c * dx + s * dy
         local_y = -s * dx + c * dy
         return abs(local_x) <= 0.5 * self.length and abs(local_y) <= 0.5 * self.width
+
+
+_field_values = attrgetter(*(f.name for f in fields(Box3D)))
+_new = object.__new__
+
+
+def unchecked_box(cx, cy, cz, length, width, height, heading, score, label,
+                  track_id, difficulty, num_points, source_id) -> Box3D:
+    """A Box3D from values that already pass its checks, heading wrapped,
+    without running them: the one unchecked construction path. The values
+    are stored one attribute at a time in field order, the order the class
+    constructor uses, so the box keeps its values in the layout all boxes
+    share rather than in a dict of its own."""
+    box = _new(Box3D)
+    box.cx = cx
+    box.cy = cy
+    box.cz = cz
+    box.length = length
+    box.width = width
+    box.height = height
+    box.heading = heading
+    box.score = score
+    box.label = label
+    box.track_id = track_id
+    box.difficulty = difficulty
+    box.num_points = num_points
+    box.source_id = source_id
+    return box
 
 
 @dataclass

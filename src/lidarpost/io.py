@@ -1,21 +1,30 @@
 """File formats: JSONL box records and little-endian float32 point payloads.
 
-Box files carry one JSON object per line (LF terminated, UTF-8), each frame's
-records contiguous, and are grouped by frame on read. Point files are raw
-little-endian float32 records with 4 channels (x, y, z, intensity) for
-single frames or 5 (plus the time offset) for concatenated ones. All errors name the offending line or record.
+Box files carry one JSON object per line (UTF-8; written LF terminated, read
+split at LF, CR or CRLF), each frame's records contiguous, and are grouped
+by frame on read. The reader checks a chunk of lines at a time as columns:
+the value types per key, then one array test of finiteness, sizes and
+scores, with no per-record checks or constructor. A chunk that fails any
+check is read again one record at a time by the path that words every
+error, so a bad file raises what a record-by-record reader would.
+
+Point files are raw little-endian float32 records with 4 channels (x, y, z,
+intensity) for single frames or 5 (plus the time offset) for concatenated
+ones. All errors name the offending line or record.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain, filterfalse, groupby, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .geometry import Box3D, DetectionSet, Label
+from .geometry import Box3D, DetectionSet, Label, unchecked_box, wrap_angles
 from .pointcloud import PointCloud
 
 PathLike = Union[str, Path]
@@ -95,11 +104,141 @@ def _parse_record(record: dict, lineno: int) -> Tuple[str, float, Box3D]:
     return frame_id, timestamp, box
 
 
+# Lines read and checked together. A chunk's lines and values live until
+# its boxes are built, but each parsed record only until its values are
+# taken, so the reader needs little memory beyond the boxes it returns.
+_CHUNK_LINES = 512
+
+_required = itemgetter(*_REQUIRED_KEYS)
+_LABELS = {label.value: label for label in Label}
+
+
+def _fields(record: dict) -> tuple:
+    """A record's required values in key order, then its optional ids."""
+    get = record.get
+    return _required(record) + (
+        get("track_id"), get("difficulty"), get("num_points"), get("source_id"))
+
+
+def _checked_chunk(lines: List[str]) -> Optional[Tuple[tuple, np.ndarray, List[Box3D]]]:
+    """The frame ids, timestamps and boxes of a chunk's records, checked
+    together as columns, or None if any record fails a check.
+
+    The checks accept exactly the records that :func:`_parse_record`
+    accepts, and the boxes hold the same values. A column of floats is
+    kept as parsed, as that path keeps each float; ints are converted.
+    """
+    text = list(filterfalse(str.isspace, lines))
+    if not text:
+        return (), np.empty(0), []
+    try:
+        "".join(text).encode("utf-8")
+        frame_ids, *numbers, labels, track_ids, difficulties, num_points, source_ids = zip(
+            *map(_fields, map(json.loads, text)))
+        labels = list(map(_LABELS.__getitem__, labels))
+        present = [set(column) - {None}
+                   for column in (track_ids, difficulties, num_points, source_ids)]
+    except (ValueError, AttributeError, KeyError, TypeError):
+        # Undecodable bytes, bad JSON, a non-object record, a missing key,
+        # an unknown or unhashable label, an unhashable id.
+        return None
+    number_types = [set(map(type, column)) for column in numbers]
+    if (set(map(type, frame_ids)) != {str}
+            or not set().union(*number_types) <= {int, float}
+            or not set(map(type, chain.from_iterable(present))) <= {int}):
+        return None
+    try:
+        values = np.array(numbers, dtype=np.float64)
+    except OverflowError:  # an integer too large for a float
+        return None
+    score = values[8]
+    if not (np.isfinite(values).all() and (values[4:7] > 0.0).all()
+            and (score >= 0.0).all() and (score <= 1.0).all()
+            and min(present[0], default=0) >= 0
+            and present[1] <= {1, 2}
+            and min(present[2], default=0) >= 0):
+        return None
+    columns = [column if types == {float} else row.tolist()
+               for column, types, row in zip(numbers, number_types, values)]
+    heading = wrap_angles(values[7])
+    if not np.array_equal(heading.view(np.int64), values[7].view(np.int64)):
+        columns[7] = heading.tolist()
+    boxes = list(map(unchecked_box, *columns[1:], labels,
+                     track_ids, difficulties, num_points, source_ids))
+    return frame_ids, values[0], boxes
+
+
+def _runs(
+    checked: Tuple[tuple, np.ndarray, List[Box3D]],
+    frames: Dict[str, DetectionSet],
+    frame: Optional[DetectionSet],
+) -> Optional[List[Tuple[str, float, List[Box3D]]]]:
+    """(frame id, first timestamp, boxes) of each run of equal frame ids in
+    a checked chunk, or None if a run's frame appeared before another's."""
+    frame_ids, timestamps, boxes = checked
+    runs = []
+    start = 0
+    for frame_id, run in groupby(frame_ids):
+        stop = start + len(list(run))
+        runs.append((frame_id, float(timestamps[start]), boxes[start:stop]))
+        start = stop
+    new = [frame_id for frame_id, _, _ in runs]
+    if new and frame is not None and new[0] == frame.frame_id:
+        del new[0]  # the current frame goes on
+    if len(set(new)) < len(new) or not frames.keys().isdisjoint(new):
+        return None
+    return runs
+
+
+def _read_records(
+    numbered_lines: Iterable[Tuple[int, str]],
+    frames: Dict[str, DetectionSet],
+    frame: Optional[DetectionSet],
+) -> Optional[DetectionSet]:
+    """Read lines one record at a time into frames; return the last frame.
+
+    This path words every error, naming the line.
+    """
+    for lineno, line in numbered_lines:
+        if not line.strip():
+            continue
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise FormatError(f"line {lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(record, dict):
+            raise FormatError(f"line {lineno}: expected a JSON object")
+        frame_id, timestamp, box = _parse_record(record, lineno)
+        if frame is None or frame.frame_id != frame_id:
+            if frame_id in frames:
+                raise ValidationError(
+                    f"line {lineno}: frame {frame_id!r} appears again after "
+                    f"frame {frame.frame_id!r}; a frame's records must be contiguous"
+                )
+            frame = DetectionSet(frame_id, [], 0, timestamp)
+            frames[frame_id] = frame
+        frame.boxes.append(box)
+    return frame
+
+
 def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
     """Read a JSONL box file grouped by frame id, in first-appearance order.
 
     A frame's records must be contiguous. Unknown keys are ignored; blank
     lines are skipped. Each frame's timestamp is taken from its first record.
+
+    The file is read ``_CHUNK_LINES`` lines at a time, split where iterating
+    the text file splits it (LF, CR or CRLF; not at the form feeds and other
+    breaks that ``str.splitlines`` knows). Each chunk's records are checked
+    together as columns and become boxes without ``Box3D.__post_init__``. A
+    chunk that fails any check is read again record by record; that path
+    words the error and names the first bad line.
 
     Raises:
         FormatError: on a line that is not valid UTF-8 or not a JSON object.
@@ -108,34 +247,21 @@ def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
     """
     frames: Dict[str, DetectionSet] = {}
     frame = None
+    first = 1
     # Undecodable bytes come through as lone surrogates, so the line that
     # holds one can be named.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    byte = ord(line[exc.start]) - 0xDC00
-                    raise FormatError(f"line {lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise FormatError(f"line {lineno}: expected a JSON object")
-            frame_id, timestamp, box = _parse_record(record, lineno)
-            if frame is None or frame.frame_id != frame_id:
-                if frame_id in frames:
-                    raise ValidationError(
-                        f"line {lineno}: frame {frame_id!r} appears again after "
-                        f"frame {frame.frame_id!r}; a frame's records must be contiguous"
-                    )
-                frame = DetectionSet(frame_id, [], 0, timestamp)
-                frames[frame_id] = frame
-            frame.boxes.append(box)
+        while lines := list(islice(fh, _CHUNK_LINES)):
+            checked = _checked_chunk(lines)
+            runs = None if checked is None else _runs(checked, frames, frame)
+            if runs is None:
+                frame = _read_records(enumerate(lines, first), frames, frame)
+            for frame_id, timestamp, boxes in runs or ():
+                if frame is None or frame.frame_id != frame_id:
+                    frame = DetectionSet(frame_id, [], 0, timestamp)
+                    frames[frame_id] = frame
+                frame.boxes.extend(boxes)
+            first += len(lines)
     return frames
 
 

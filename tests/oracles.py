@@ -10,12 +10,15 @@ envelope, and a per-point first-arrival voxelizer instead of array grouping.
 The all-pairs IoU consumers (matrix, soft-NMS, voting, greedy matching) call
 iou_fn on every pair, where the library calls it on candidate pairs only, and
 the weighted two-detector merge pools and scores its boxes afresh for every
-weight, where the library pools a frame once for a whole weight grid.
+weight, where the library pools a frame once for a whole weight grid. The
+box file reader checks one record at a time, where the library checks a
+chunk of records at once as columns.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import replace
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -23,7 +26,9 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from lidarpost.geometry import Box3D, Label, heading_error
+from lidarpost.assigner import AnchorLabel, AssignmentResult
+from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, heading_error
+from lidarpost.io import FormatError, ValidationError, _parse_record
 from lidarpost.metrics import DetectionOutcome, MatchLedger
 
 
@@ -44,6 +49,39 @@ def random_box(
         score=float(rng.uniform(0.0, 1.0)) if score is None else score,
         label=label,
     )
+
+
+def reference_read_boxes(path) -> Dict[str, DetectionSet]:
+    """The whole file read one line and one checked Box3D at a time."""
+    frames: Dict[str, DetectionSet] = {}
+    frame = None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise FormatError(f"line {lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(record, dict):
+                raise FormatError(f"line {lineno}: expected a JSON object")
+            frame_id, timestamp, box = _parse_record(record, lineno)
+            if frame is None or frame.frame_id != frame_id:
+                if frame_id in frames:
+                    raise ValidationError(
+                        f"line {lineno}: frame {frame_id!r} appears again after "
+                        f"frame {frame.frame_id!r}; a frame's records must be contiguous"
+                    )
+                frame = DetectionSet(frame_id, [], 0, timestamp)
+                frames[frame_id] = frame
+            frame.boxes.append(box)
+    return frames
 
 
 def contains_xy(box: Box3D, points: np.ndarray) -> np.ndarray:
@@ -117,6 +155,33 @@ def reference_ensemble_pair(a, b, w_a: float, w_b: float, iou_thr: float, iou_fn
     boxes = [replace(box, score=box.score * w) for box, w in zip(stamped, weights)]
     keep = reference_nms(boxes, iou_thr, iou_fn)
     return replace(a, boxes=[boxes[i] for i in keep])
+
+
+def reference_adaptive_assign(
+    anchors: Sequence[Box3D], gts: Sequence[Box3D], k: int
+) -> AssignmentResult:
+    """Adaptive assignment whose k nearest candidates come from a full
+    stable argsort of the center distances, each IoU scored on its own."""
+    n = len(anchors)
+    labels = [AnchorLabel.NEGATIVE] * n
+    gt_indices: List[Optional[int]] = [None] * n
+    centers = np.array([(a.cx, a.cy) for a in anchors], dtype=np.float64).reshape(n, 2)
+    thresholds: List[float] = []
+    best_iou = [-1.0] * n
+    for j, gt in enumerate(gts):
+        dist = np.hypot(centers[:, 0] - gt.cx, centers[:, 1] - gt.cy)
+        candidates = np.argsort(dist, kind="stable")[:k]
+        ious = np.array([bev_iou(anchors[int(i)], gt) for i in candidates])
+        threshold = float(ious.mean() + ious.std())
+        thresholds.append(threshold)
+        for i, value in zip(candidates, ious):
+            i = int(i)
+            if value >= threshold and gt.contains_bev(anchors[i].cx, anchors[i].cy):
+                if value > best_iou[i]:
+                    best_iou[i] = float(value)
+                    labels[i] = AnchorLabel.POSITIVE
+                    gt_indices[i] = j
+    return AssignmentResult(labels, gt_indices, adaptive_thresholds=thresholds)
 
 
 def reference_iou_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D], iou_fn) -> np.ndarray:

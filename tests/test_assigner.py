@@ -5,7 +5,7 @@ import pytest
 
 from lidarpost.assigner import AnchorLabel, AssignmentResult, adaptive_assign, fixed_assign
 from lidarpost.geometry import Box3D, bev_iou
-from oracles import random_box
+from oracles import random_box, reference_adaptive_assign
 
 
 def _box(cx, cy, l=4.0, w=2.0, heading=0.0, cz=0.0, h=1.5):
@@ -305,3 +305,51 @@ class TestAdaptiveAssign:
             )
             assert base_adaptive.labels == scaled_adaptive.labels
             assert base_adaptive.gt_indices == scaled_adaptive.gt_indices
+
+
+class TestNearestCandidates:
+    """adaptive_assign sorts only the distances at or below the k-th
+    smallest; the oracle sorts them all (stable), so ties go to the lower
+    anchor index in both."""
+
+    @staticmethod
+    def _grid(n_side, stride):
+        """Anchors on a square grid, two headings per center, as a detector's
+        anchor file lays them out: every distance is shared at least twice."""
+        anchors = []
+        for x in np.arange(n_side) * stride:
+            for y in np.arange(n_side) * stride:
+                for heading in (0.0, 1.5708):
+                    anchors.append(Box3D(cx=float(x), cy=float(y), cz=-0.9, length=4.5,
+                                         width=1.9, height=1.6, heading=heading))
+        return anchors
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 10, 49, 50, 51, 200])
+    def test_grid_with_duplicate_centers_matches_the_oracle(self, k):
+        rng = np.random.default_rng(k)
+        anchors = self._grid(5, 1.5)
+        # Ground truths on grid points, half-way between them and off the grid.
+        gts = [_box(float(x), float(y), l=4.0, w=1.8, heading=float(h))
+               for x, y, h in [(3.0, 3.0, 0.0), (2.25, 3.0, 0.3), (0.75, 0.75, 1.5708),
+                               (*rng.uniform(0.0, 6.0, 2), rng.uniform(-3.0, 3.0))]]
+        result = adaptive_assign(anchors, gts, k)
+        expected = reference_adaptive_assign(anchors, gts, k)
+        assert result.labels == expected.labels
+        assert result.gt_indices == expected.gt_indices
+        assert result.adaptive_thresholds == expected.adaptive_thresholds
+
+    def test_k_at_and_beyond_the_anchor_count_matches_the_oracle(self):
+        rng = np.random.default_rng(47)
+        for trial in range(40):
+            anchors = [random_box(rng, span=3.0) for _ in range(int(rng.integers(1, 9)))]
+            # Copies put several anchors at one distance.
+            anchors += anchors[: int(rng.integers(0, len(anchors) + 1))]
+            gts = [random_box(rng, span=3.0) for _ in range(int(rng.integers(1, 4)))]
+            for k in (len(anchors) - 1, len(anchors), len(anchors) + 1, 1000):
+                if k < 1:
+                    continue
+                result = adaptive_assign(anchors, gts, k)
+                expected = reference_adaptive_assign(anchors, gts, k)
+                assert result.labels == expected.labels, (trial, k)
+                assert result.gt_indices == expected.gt_indices, (trial, k)
+                assert result.adaptive_thresholds == expected.adaptive_thresholds, (trial, k)

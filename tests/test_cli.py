@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import struct
 
 import pytest
@@ -436,6 +437,40 @@ class TestAssign:
         ]
 
 
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+    def test_report_bytes_are_json_dumps_of_each_record(self, tmp_path, mode):
+        anchors = tmp_path / "anchors.jsonl"
+        gts = tmp_path / "gts.jsonl"
+        frame_ids = ['a"b', "\\", "\u00e9", "\u2028", "plain"]
+        _write_jsonl(anchors, [_record(frame_id=f, cx=x, cy=y, heading=h)
+                               for f in frame_ids for x in (0.0, 1.5) for y in (0.0, 2.0)
+                               for h in (0.0, 1.5708)])
+        # The last frame has no ground truth.
+        _write_jsonl(gts, [_record(frame_id=f, cx=0.5, cy=1.0) for f in frame_ids[:-1]])
+        out = tmp_path / "assign.jsonl"
+        assert run(["assign", "--anchors", str(anchors), "--gts", str(gts), "--mode", mode,
+                    "--k", "3", "--output", str(out)]) == 0
+        expected = []
+        gt_frames = read_boxes(gts)
+        for frame_id, anchor_set in read_boxes(anchors).items():
+            gt_boxes = gt_frames[frame_id].boxes if frame_id in gt_frames else []
+            if mode == "fixed":
+                result = fixed_assign(anchor_set.boxes, gt_boxes)
+            else:
+                result = adaptive_assign(anchor_set.boxes, gt_boxes, 3)
+            for i, (label, gt_index) in enumerate(zip(result.labels, result.gt_indices)):
+                record = {"frame_id": frame_id, "anchor_index": i, "label": label.value}
+                if gt_index is not None:
+                    record["gt_index"] = gt_index
+                expected.append(record)
+            for j, threshold in enumerate(result.adaptive_thresholds or ()):
+                expected.append({"frame_id": frame_id, "gt_index": j,
+                                 "adaptive_threshold": threshold})
+        assert any("gt_index" in r and "label" in r for r in expected)
+        assert out.read_bytes() == "".join(
+            json.dumps(r, allow_nan=False) + "\n" for r in expected).encode()
+
+
 class TestTrack:
     def _detections_file(self, path):
         _write_jsonl(path, [
@@ -667,6 +702,19 @@ class TestEnsemble:
                     "--output", str(out)]) == 0
         merged = read_boxes(out)["f0"].boxes
         assert sorted((b.cx, b.source_id) for b in merged) == [(0.0, 0), (20.0, 1), (40.0, 2)]
+
+    def test_step_line_is_the_same_for_a_file_grid_and_a_flag_grid(self, tmp_path, capsys):
+        gt, det_a, det_b = self._files(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"weight_grid": [1]}}))
+        argv = ["ensemble", "--inputs", str(det_a), str(det_b), "--gt", str(gt),
+                "--class", "VEHICLE", "--output", str(tmp_path / "o.jsonl")]
+        stdouts = []
+        for grid in (["--config", str(cfg)], ["--grid", "1"]):
+            assert run(argv + grid) == 0
+            stdouts.append(re.sub(r"elapsed_s=\S+", "", capsys.readouterr().out))
+        assert "detector_1 weight=1.0 score=1.0" in stdouts[0]
+        assert stdouts[0] == stdouts[1]
 
     def test_empty_weight_grid_is_exit_2(self, tmp_path, capsys):
         gt, det_a, det_b = self._files(tmp_path)

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from lidarpost.geometry import (
     iou3d,
     iou_matrix,
     polygon_area,
+    unchecked_box,
     wrap_angle,
+    wrap_angles,
 )
 from oracles import mc_bev_iou, random_box
 
@@ -50,6 +53,18 @@ class TestWrapAngle:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 wrap_angle(bad)
+
+    def test_array_form_is_bit_identical(self):
+        rng = np.random.default_rng(10)
+        edges = [k * math.pi for k in range(-7, 8)]
+        near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+        theta = np.concatenate([
+            rng.uniform(-50.0, 50.0, 5000), rng.uniform(-1e12, 1e12, 1000),
+            np.array(edges + near + [0.0, -0.0, 1.7e308, -1.7e308, 5e-324, -5e-324]),
+        ])
+        got = wrap_angles(theta)
+        want = np.array([wrap_angle(float(t)) for t in theta])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestHeadingError:
@@ -136,7 +151,7 @@ class TestWithCopy:
 
     @pytest.mark.parametrize("changes", [
         dict(score=0.25), dict(score=0.0), dict(score=1.0), dict(source_id=3),
-        dict(score=0.9 * 0.7, source_id=0),
+        dict(score=0.9 * 0.7, source_id=0), dict(source_id=2**63 + 1),
     ])
     def test_same_fields_as_replace(self, changes):
         rng = np.random.default_rng(12)
@@ -145,8 +160,34 @@ class TestWithCopy:
             before = dict(vars(box))
             copy = box._with(**changes)
             assert type(copy) is Box3D and copy is not box
-            assert vars(copy) == vars(replace(box, **changes))
+            expected = replace(box, **changes)
+            assert vars(copy) == vars(expected)
+            assert [type(v) for v in vars(copy).values()] == [
+                type(v) for v in vars(expected).values()]
             assert vars(box) == before
+
+    def test_copies_take_no_more_memory_than_checked_boxes(self):
+        box = Box3D(cx=1.0, cy=2.0, cz=0.5, length=4.0, width=2.0, height=1.5, heading=0.1)
+
+        def allocated(make):
+            tracemalloc.start()
+            try:
+                boxes = [make() for _ in range(2000)]
+                return tracemalloc.get_traced_memory()[0], boxes
+            finally:
+                tracemalloc.stop()
+
+        checked, _ = allocated(lambda: replace(box, score=0.5))
+        copied, _ = allocated(lambda: box._with(score=0.5))
+        assert copied <= checked
+
+    def test_unchecked_box_equals_the_checked_constructor(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            box = random_box(rng, span=50.0)
+            values = [getattr(box, f.name) for f in fields(Box3D)]
+            built = unchecked_box(*values)
+            assert type(built) is Box3D and built == Box3D(*values)
 
     @pytest.mark.parametrize("changes", [
         dict(score=1.5), dict(score=-0.1), dict(score=math.nan),
