@@ -125,8 +125,7 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[tuple, np.ndarray, List[B
     together as columns, or None if any record fails a check.
 
     The checks accept exactly the records that :func:`_parse_record`
-    accepts, and the boxes hold the same values. A column of floats is
-    kept as parsed, as that path keeps each float; ints are converted.
+    accepts, and the boxes hold the same values.
     """
     text = list(filterfalse(str.isspace, lines))
     if not text:
@@ -136,17 +135,18 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[tuple, np.ndarray, List[B
         frame_ids, *numbers, labels, track_ids, difficulties, num_points, source_ids = zip(
             *map(_fields, map(json.loads, text)))
         labels = list(map(_LABELS.__getitem__, labels))
-        present = [set(column) - {None}
-                   for column in (track_ids, difficulties, num_points, source_ids)]
-    except (ValueError, AttributeError, KeyError, TypeError):
-        # Undecodable bytes, bad JSON, a non-object record, a missing key,
-        # an unknown or unhashable label, an unhashable id.
+    except (ValueError, AttributeError, KeyError, TypeError, RecursionError):
+        # Undecodable bytes, bad or too deeply nested JSON, a non-object
+        # record, a missing key, an unknown or unhashable label.
         return None
-    number_types = [set(map(type, column)) for column in numbers]
+    # Types are checked on the raw columns: a set holds one of 1, 1.0 and
+    # True, so a set of the values would hide a float or bool id.
     if (set(map(type, frame_ids)) != {str}
-            or not set().union(*number_types) <= {int, float}
-            or not set(map(type, chain.from_iterable(present))) <= {int}):
+            or not set(map(type, chain.from_iterable(numbers))) <= {int, float}
+            or not set(map(type, chain(track_ids, difficulties, num_points, source_ids)))
+            <= {int, type(None)}):
         return None
+    present = [set(column) - {None} for column in (track_ids, difficulties, num_points)]
     try:
         values = np.array(numbers, dtype=np.float64)
     except OverflowError:  # an integer too large for a float
@@ -158,11 +158,8 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[tuple, np.ndarray, List[B
             and present[1] <= {1, 2}
             and min(present[2], default=0) >= 0):
         return None
-    columns = [column if types == {float} else row.tolist()
-               for column, types, row in zip(numbers, number_types, values)]
-    heading = wrap_angles(values[7])
-    if not np.array_equal(heading.view(np.int64), values[7].view(np.int64)):
-        columns[7] = heading.tolist()
+    columns = values.tolist()
+    columns[7] = wrap_angles(values[7]).tolist()
     boxes = list(map(unchecked_box, *columns[1:], labels,
                      track_ids, difficulties, num_points, source_ids))
     return frame_ids, values[0], boxes

@@ -77,7 +77,7 @@ HEADING = (st.floats(-1e4, 1e4) | st.integers(-10, 10)
                               math.nextafter(-math.pi, -4.0), 3 * math.pi, -3 * math.pi,
                               1.7e308, -1.7e308, -0.0]))
 SCORE = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
-ID = st.none() | st.integers(0, 2**70) | st.sampled_from([2**63 + 1, 10**400])
+ID = st.none() | st.sampled_from([0, 1, 2**63 + 1, 10**400]) | st.integers(0, 2**70)
 FRAME_IDS = st.sampled_from(["a", "b", "c", " ", "\u00e9", "\u2028", 'q"\\'])
 
 
@@ -123,8 +123,8 @@ BAD_FOR = {
     "score": [-0.1, 1.5, 1.0000000000000002, -5e-324, 2],
     "label": ["TRUCK", "vehicle", "", 1, ["VEHICLE"]],
     "heading": [float("inf"), float("-inf"), "0.1"],
-    "track_id": [-1, 1.5, 2.0, False, "1"], "num_points": [-1, 0.0, True],
-    "difficulty": [0, 3, 1.0, True, -1], "source_id": [1.5, True, "0", [0]],
+    "track_id": [-1, 1.5, 1.0, False, "1"], "num_points": [-1, 0.0, 1.0, False],
+    "difficulty": [0, 3, 1.0, True, -1], "source_id": [1.5, 0.0, True, "0", [0]],
 }
 KEYS = ["frame_id", "timestamp", "cx", "cy", "cz", "l", "w", "h", "heading", "score",
         "label", "track_id", "difficulty", "num_points", "source_id"]
@@ -229,6 +229,25 @@ def test_a_frame_across_the_boundary_and_one_that_reappears_after_it(tmp_path):
     lines = [_line(_record("a"))] * (CHUNK - 1) + [_line(_record("b")), _line(_record("a"))]
     _write(path, lines)
     assert _assert_same(path)[1].startswith(f"line {CHUNK + 1}: frame 'a' appears again")
+
+
+@pytest.mark.parametrize("key, good, bad", [
+    ("track_id", 1, True), ("difficulty", 1, 1.0), ("num_points", 0, False),
+    ("num_points", 1, 1.0), ("source_id", 0, 0.0), ("difficulty", 2, 2.0),
+])
+def test_an_id_equal_to_an_earlier_int_in_the_chunk(tmp_path, key, good, bad):
+    # 1, 1.0 and True are one set member; the bad one must still be seen.
+    path = tmp_path / "boxes.jsonl"
+    _write(path, [_line(_record(**{key: good})), _line(_record(**{key: bad}))])
+    assert _assert_same(path) == (io.ValidationError, f"line 2: key {key!r} must be an integer")
+
+
+def test_a_line_nested_too_deep_after_a_bad_line(tmp_path):
+    # The first bad line is reported, not the nesting of a later one.
+    path = tmp_path / "boxes.jsonl"
+    _write(path, [_line(_record(score=2.0)), "[" * 100_000 + "\n"])
+    got = _assert_same(path)
+    assert got[0] is io.ValidationError and got[1].startswith("line 1: ")
 
 
 def test_a_chunk_of_blank_lines_only(tmp_path):
