@@ -47,6 +47,16 @@ class AssignmentResult:
             if (label is AnchorLabel.POSITIVE) != (gt is not None):
                 raise ValueError("gt_indices must be set exactly for POSITIVE anchors")
 
+    @classmethod
+    def _trusted(cls, labels, gt_indices, adaptive_thresholds=None) -> "AssignmentResult":
+        """Build a result without the per-anchor walk above, for
+        fixed_assign and adaptive_assign only: they set a gt index on
+        exactly the anchors they label POSITIVE."""
+        result = object.__new__(cls)
+        result.__dict__.update(labels=labels, gt_indices=gt_indices,
+                               adaptive_thresholds=adaptive_thresholds)
+        return result
+
 
 def fixed_assign(
     anchors: Sequence[Box3D],
@@ -73,7 +83,7 @@ def fixed_assign(
     labels = [AnchorLabel.NEGATIVE] * n
     gt_indices: List[Optional[int]] = [None] * n
     if not anchors or not gts:
-        return AssignmentResult(labels, gt_indices)
+        return AssignmentResult._trusted(labels, gt_indices)
 
     iou = iou_matrix(anchors, gts, bev_iou)
 
@@ -93,7 +103,7 @@ def fixed_assign(
         if iou[best_i, j] > 0.0:
             labels[best_i] = AnchorLabel.POSITIVE
             gt_indices[best_i] = j
-    return AssignmentResult(labels, gt_indices)
+    return AssignmentResult._trusted(labels, gt_indices)
 
 
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -130,7 +140,7 @@ def adaptive_assign(
     labels = [AnchorLabel.NEGATIVE] * n
     gt_indices: List[Optional[int]] = [None] * n
     if not gts:
-        return AssignmentResult(labels, gt_indices, adaptive_thresholds=[])
+        return AssignmentResult._trusted(labels, gt_indices, adaptive_thresholds=[])
 
     xs = np.fromiter(map(attrgetter("cx"), anchors), np.float64, n)
     ys = np.fromiter(map(attrgetter("cy"), anchors), np.float64, n)
@@ -149,4 +159,4 @@ def adaptive_assign(
                     best_iou[i] = float(value)
                     labels[i] = AnchorLabel.POSITIVE
                     gt_indices[i] = j
-    return AssignmentResult(labels, gt_indices, adaptive_thresholds=thresholds)
+    return AssignmentResult._trusted(labels, gt_indices, adaptive_thresholds=thresholds)

@@ -49,6 +49,11 @@ class Label(Enum):
 def wrap_angle(theta: float) -> float:
     """Wrap an angle in radians to the interval (-pi, pi].
 
+    The floor form below rounds once. For the rare finite theta so large
+    that its result leaves (-pi, pi], the exact remainder ``fmod`` is used
+    instead, shifted into range by one exact step. So every result lies in
+    (-pi, pi], and wrapping a wrapped angle returns it bit for bit.
+
     Raises:
         ValueError: if theta is NaN or infinite.
     """
@@ -57,6 +62,12 @@ def wrap_angle(theta: float) -> float:
     wrapped = theta - _TAU * math.floor((theta + math.pi) / _TAU)
     if wrapped <= -math.pi:  # floor form yields [-pi, pi); move the closed end
         wrapped += _TAU
+    if not -math.pi < wrapped <= math.pi:  # |theta| so large that the product rounds
+        wrapped = math.fmod(theta, _TAU)
+        if wrapped > math.pi:
+            wrapped -= _TAU
+        elif wrapped <= -math.pi:
+            wrapped += _TAU
     return wrapped
 
 
@@ -64,7 +75,13 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """:func:`wrap_angle` of each element of a finite float64 array, with
     the same IEEE operations in the same order, so bit for bit equal."""
     wrapped = theta - _TAU * np.floor((theta + math.pi) / _TAU)
-    return np.where(wrapped <= -math.pi, wrapped + _TAU, wrapped)
+    wrapped = np.where(wrapped <= -math.pi, wrapped + _TAU, wrapped)
+    off = ~((wrapped > -math.pi) & (wrapped <= math.pi))
+    if off.any():
+        exact = np.fmod(theta[off], _TAU)
+        exact = np.where(exact > math.pi, exact - _TAU, exact)
+        wrapped[off] = np.where(exact <= -math.pi, exact + _TAU, exact)
+    return wrapped
 
 
 def heading_error(a: float, b: float) -> float:
@@ -117,9 +134,10 @@ class Box3D:
 
     def _with(self, **changes) -> "Box3D":
         """A copy with changes, without the checks above, for changes that
-        keep a valid box valid only: a source id, or a score in [0, 1] such
-        as a valid score times a weight in (0, 1]. The heading is already
-        wrapped. Use dataclasses.replace for anything else."""
+        keep a valid box valid only: a source id, a non-negative track id,
+        or a score in [0, 1] such as a valid score times a weight in (0, 1].
+        The heading is already wrapped, and wrapping it again would return
+        it bit for bit. Use dataclasses.replace for anything else."""
         box = unchecked_box(*_field_values(self))
         for name, value in changes.items():
             setattr(box, name, value)

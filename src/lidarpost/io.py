@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, filterfalse, groupby, islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -268,31 +268,59 @@ def write_boxes(
 ) -> None:
     """Write detection sets as JSONL, one box per line, LF terminated.
 
-    Floats serialize at full precision so a read-back compares equal.
+    Each line holds the bytes ``json.dumps(record, allow_nan=False)``
+    gives for the box's record, keys in the order of the reader's. Floats
+    serialize at full precision so a read-back compares equal.
+
+    Raises:
+        ValueError: on a non-finite float, as ``json.dumps`` does.
     """
     if isinstance(sets, Mapping):
         sets = sets.values()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for ds in sets:
-            for box in ds.boxes:
-                record = {
-                    "frame_id": ds.frame_id,
-                    "timestamp": ds.timestamp,
-                    "cx": box.cx,
-                    "cy": box.cy,
-                    "cz": box.cz,
-                    "l": box.length,
-                    "w": box.width,
-                    "h": box.height,
-                    "heading": box.heading,
-                    "score": box.score,
-                    "label": box.label.value,
-                }
-                for key in _OPTIONAL_INT_KEYS:
-                    value = getattr(box, key)
-                    if value is not None:
-                        record[key] = value
-                fh.write(json.dumps(record, allow_nan=False) + "\n")
+            fh.writelines(_frame_lines(ds))
+
+
+_numbers = attrgetter("cx", "cy", "cz", "length", "width", "height", "heading", "score")
+_ids = attrgetter(*_OPTIONAL_INT_KEYS)
+_LABEL_TEXT = {label: json.dumps(label.value) for label in Label}
+
+
+def _json(value) -> str:
+    return json.dumps(value, allow_nan=False)
+
+
+def _frame_lines(ds: DetectionSet) -> List[str]:
+    """A frame's lines, on a prefix that encodes frame id and timestamp once.
+
+    When every box value is a finite float, an int id or None, and a Label,
+    values are written with ``repr``, the text ``json`` writes for them;
+    otherwise each one goes through ``json.dumps``.
+    """
+    boxes = ds.boxes
+    if not boxes:
+        return []
+    numbers = list(map(_numbers, boxes))
+    ids = list(map(_ids, boxes))
+    labels = [box.label for box in boxes]
+    flat = list(chain.from_iterable(numbers))
+    if (set(map(type, flat)) == {float} and all(map(math.isfinite, flat))
+            and set(map(type, chain.from_iterable(ids))) <= {int, type(None)}
+            and set(map(type, labels)) == {Label}):
+        enc, label_text = repr, _LABEL_TEXT.__getitem__
+    else:
+        enc, label_text = _json, lambda label: json.dumps(label.value)
+    prefix = f'{{"frame_id": {_json(ds.frame_id)}, "timestamp": {_json(ds.timestamp)}, '
+    return [
+        f'{prefix}"cx": {enc(cx)}, "cy": {enc(cy)}, "cz": {enc(cz)}, "l": {enc(l)}, '
+        f'"w": {enc(w)}, "h": {enc(h)}, "heading": {enc(heading)}, "score": {enc(score)}, '
+        f'"label": {label_text(label)}'
+        + "".join([f', "{key}": {enc(value)}'
+                   for key, value in zip(_OPTIONAL_INT_KEYS, box_ids) if value is not None])
+        + "}\n"
+        for (cx, cy, cz, l, w, h, heading, score), label, box_ids in zip(numbers, labels, ids)
+    ]
 
 
 def read_points(

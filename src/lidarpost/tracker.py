@@ -7,17 +7,33 @@ step ahead, so a dropped frame counts as a single step. Detections are
 associated to predicted tracks per class with :func:`lidarpost.matching.hungarian`
 on 1 - IoU, gated at a minimum IoU, as in AB3DMOT (Weng et al., IROS 2020).
 Track ids start at 0 and are never reused within a sequence.
+
+:class:`TrackState`, :func:`predict` and :func:`update` filter one track.
+:class:`Tracker` holds all live tracks as the rows of one table and runs
+the same matrix operations on the stacked rows, so its states are bit for
+bit those of the per-track functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Box3D, DetectionSet, Label, heading_error, iou3d, iou_matrix, wrap_angle
+from .geometry import (
+    Box3D,
+    DetectionSet,
+    Label,
+    heading_error,
+    iou3d,
+    iou_matrix,
+    unchecked_box,
+    wrap_angle,
+    wrap_angles,
+)
 from .matching import hungarian
 
 STATE_DIM = 10
@@ -31,6 +47,8 @@ _H[:OBS_DIM, :OBS_DIM] = np.eye(OBS_DIM)
 
 # Births start with this variance on the unobserved velocity components.
 _INITIAL_VELOCITY_VAR = 10.0
+_BIRTH_COV = np.eye(STATE_DIM)
+_BIRTH_COV[7, 7] = _BIRTH_COV[8, 8] = _BIRTH_COV[9, 9] = _INITIAL_VELOCITY_VAR
 
 # Boxes built from a Kalman mean clamp dimensions here so a drifting filter
 # can never produce an invalid box during association.
@@ -96,8 +114,8 @@ class TrackState:
     @classmethod
     def _trusted(cls, mean, covariance, id, hits, time_since_update, age, label) -> "TrackState":
         """Build a state without the checks above, for predict, update and
-        _new_track only: they make fresh float64 arrays of the right shapes,
-        symmetrize the covariance and keep the counters in range."""
+        the tracker's rows only: they hold float64 arrays of the right
+        shapes, a symmetrized covariance and counters in range."""
         state = object.__new__(cls)
         state.__dict__.update(mean=mean, covariance=covariance, id=id, hits=hits,
                               time_since_update=time_since_update, age=age, label=label)
@@ -220,36 +238,106 @@ def associate(
     )
 
 
-def _new_track(det: Box3D, track_id: int) -> TrackState:
-    mean = np.array(
-        [det.cx, det.cy, det.cz, det.heading, det.length, det.width, det.height,
-         0.0, 0.0, 0.0],
-        dtype=np.float64,
-    )
-    cov = np.eye(STATE_DIM)
-    cov[7, 7] = cov[8, 8] = cov[9, 9] = _INITIAL_VELOCITY_VAR
-    return TrackState._trusted(mean, cov, track_id, hits=1, time_since_update=0, age=1,
-                               label=det.label)
+class _Rows(NamedTuple):
+    """The live tracks, one row each: the columns of :class:`TrackState`."""
+
+    mean: np.ndarray  # (T, STATE_DIM) float64
+    cov: np.ndarray  # (T, STATE_DIM, STATE_DIM) float64
+    id: np.ndarray  # (T,) int64, and so are the counters
+    hits: np.ndarray
+    age: np.ndarray
+    since: np.ndarray  # time since update
+    label: np.ndarray  # (T,) object, Label members
+
+    def state(self, row: int, mean: np.ndarray, cov: np.ndarray) -> TrackState:
+        """A TrackState of the row's counters with the given mean and covariance."""
+        return TrackState._trusted(mean, cov, int(self.id[row]), int(self.hits[row]),
+                                   int(self.since[row]), int(self.age[row]), self.label[row])
+
+
+_NO_ROWS = _Rows(np.empty((0, STATE_DIM)), np.empty((0, STATE_DIM, STATE_DIM)),
+                 *(np.empty(0, dtype=np.int64) for _ in range(4)), np.empty(0, dtype=object))
+
+
+def _transpose(stack: np.ndarray) -> np.ndarray:
+    return stack.transpose(0, 2, 1)
+
+
+def _predicted_boxes(rows: _Rows) -> List[Box3D]:
+    """``to_box()`` of each predicted row, built without the box checks.
+
+    Raises:
+        ValueError: the one ``to_box`` raises, for the first row whose box
+            values are not finite.
+    """
+    finite = np.isfinite(rows.mean[:, :OBS_DIM]).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        rows.state(row, rows.mean[row], rows.cov[row]).to_box()
+    cx, cy, cz = rows.mean[:, :3].T.tolist()
+    length, width, height = np.maximum(rows.mean[:, 4:7], _MIN_DIM).T.tolist()
+    n = len(rows.id)
+    return list(map(unchecked_box, cx, cy, cz, length, width, height,
+                    wrap_angles(rows.mean[:, 3]).tolist(), repeat(1.0, n), rows.label.tolist(),
+                    rows.id.tolist(), repeat(None, n), repeat(None, n), repeat(None, n)))
+
+
+def _update_rows(
+    mean: np.ndarray, cov: np.ndarray, dets: List[Box3D], config: TrackerConfig
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`update` of each predicted row with its detection, stacked: the
+    same operations in the same order, so the rows are bit for bit equal.
+
+    Returns None where ``update`` would raise for some row: a heading
+    residual or an updated heading that is not finite.
+    """
+    z = np.array([(d.cx, d.cy, d.cz, d.heading, d.length, d.width, d.height) for d in dets],
+                 dtype=np.float64)
+    observed = z[:, 3]
+    flip = np.abs(wrap_angles(observed - mean[:, 3])) > 0.5 * math.pi
+    z[:, 3] = wrap_angles(np.where(flip, observed + math.pi, observed))
+    residual = z - (_H @ mean[:, :, None])[:, :, 0]
+    if not np.isfinite(residual[:, 3]).all():
+        return None
+    residual[:, 3] = wrap_angles(residual[:, 3])
+    r = config.measurement_noise * np.eye(OBS_DIM)
+    s = _H @ cov @ _H.T + r
+    gain = _transpose(np.linalg.solve(s, _H @ cov))
+    mean = mean + (gain @ residual[:, :, None])[:, :, 0]
+    if not np.isfinite(mean[:, 3]).all():
+        return None
+    mean[:, 3] = wrap_angles(mean[:, 3])
+    joseph = np.eye(STATE_DIM) - gain @ _H
+    cov = joseph @ cov @ _transpose(joseph) + gain @ r @ _transpose(gain)
+    return mean, 0.5 * (cov + _transpose(cov))
 
 
 class Tracker:
     """Stateful per-sequence tracker; feed frames in temporal order.
 
-    Each step predicts all tracks, associates, updates the matched ones,
-    births tracks from unmatched detections, prunes stale tracks, and
-    reports the current frame's confirmed tracks as the matched detection
-    boxes stamped with their track ids.
+    The live tracks are the rows of one table: a ``(T, 10)`` mean array, a
+    ``(T, 10, 10)`` covariance array, int columns for id, hits, age and
+    time since update, and a label column. Each step predicts all rows at
+    once, associates their boxes with the detections, updates the matched
+    rows at once, appends births as rows, prunes stale rows with one mask,
+    and reports the current frame's confirmed tracks as the matched
+    detection boxes stamped with their track ids. The stacked steps run the
+    matrix operations of :func:`predict` and :func:`update` in their order,
+    so every row is bit for bit the state those functions give.
     """
 
     def __init__(self, config: TrackerConfig = DEFAULT_CONFIG) -> None:
         self.config = config
-        self._tracks: List[TrackState] = []
+        self._rows = _NO_ROWS
         self._next_id = 0
         self._last_timestamp: Optional[float] = None
 
     @property
     def tracks(self) -> List[TrackState]:
-        return list(self._tracks)
+        """Copies of the live tracks, in table order."""
+        rows = self._rows
+        return [rows.state(i, mean.copy(), cov.copy())
+                for i, (mean, cov) in enumerate(zip(rows.mean, rows.cov))]
 
     @property
     def tracks_created(self) -> int:
@@ -263,40 +351,56 @@ class Tracker:
         confirmed (hits >= min_hits) or still young (age <= min_hits).
 
         Raises:
-            ValueError: if the frame timestamp precedes the previous one.
+            ValueError: if the frame timestamp is not finite or precedes the
+                previous one, or if a track's state stops being finite.
         """
-        if (
-            self._last_timestamp is not None
-            and detections.timestamp < self._last_timestamp
-        ):
+        timestamp = detections.timestamp
+        if not math.isfinite(timestamp):
+            raise ValueError(f"frame timestamp must be finite, got {timestamp!r}")
+        if self._last_timestamp is not None and timestamp < self._last_timestamp:
             raise ValueError(
-                f"frames must arrive in temporal order: {detections.timestamp!r} "
+                f"frames must arrive in temporal order: {timestamp!r} "
                 f"after {self._last_timestamp!r}"
             )
-        self._last_timestamp = detections.timestamp
+        self._last_timestamp = timestamp
         cfg = self.config
+        old = self._rows
 
-        states = [predict(t, cfg) for t in self._tracks]
-        track_boxes = [s.to_box() for s in states]
+        cov = _F @ old.cov @ _F.T + cfg.process_noise * np.eye(STATE_DIM)
+        rows = old._replace(mean=(_F @ old.mean[:, :, None])[:, :, 0],
+                            cov=0.5 * (cov + _transpose(cov)),
+                            hits=old.hits.copy(), age=old.age + 1, since=old.since + 1)
         det_boxes = detections.boxes
-        matches, _, unmatched_dets = associate(track_boxes, det_boxes, cfg.iou_min)
+        matches, _, unmatched = associate(_predicted_boxes(rows), det_boxes, cfg.iou_min)
 
-        reported_det: Dict[int, Box3D] = {}
-        for ti, dj in matches:
-            states[ti] = update(states[ti], det_boxes[dj], cfg)
-            reported_det[states[ti].id] = det_boxes[dj]
-        for dj in unmatched_dets:
-            state = _new_track(det_boxes[dj], self._next_id)
-            self._next_id += 1
-            states.append(state)
-            reported_det[state.id] = det_boxes[dj]
+        det_of_row = np.full(len(rows.id), -1)
+        if matches:
+            matched, dets = map(list, zip(*matches))
+            updated = _update_rows(rows.mean[matched], rows.cov[matched],
+                                   [det_boxes[j] for j in dets], cfg)
+            if updated is None:
+                for i, j in matches:  # update() raises for the first failing row
+                    update(rows.state(i, rows.mean[i], rows.cov[i]), det_boxes[j], cfg)
+                raise AssertionError("update() accepted rows the stacked update refused")
+            rows.mean[matched], rows.cov[matched] = updated
+            rows.hits[matched] += 1
+            rows.since[matched] = 0
+            det_of_row[matched] = dets
 
-        self._tracks = [s for s in states if s.time_since_update <= cfg.max_age]
+        born = [det_boxes[j] for j in unmatched]
+        n = len(born)
+        births = _Rows(
+            np.array([(d.cx, d.cy, d.cz, d.heading, d.length, d.width, d.height, 0.0, 0.0, 0.0)
+                      for d in born], dtype=np.float64).reshape(n, STATE_DIM),
+            np.broadcast_to(_BIRTH_COV, (n, STATE_DIM, STATE_DIM)),
+            np.arange(self._next_id, self._next_id + n), np.ones(n, dtype=np.int64),
+            np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+            np.array([d.label for d in born], dtype=object))
+        self._next_id += n
+        det_of_row = np.concatenate([det_of_row, np.array(unmatched, dtype=np.int64)])
 
-        reported: List[Box3D] = []
-        for state in self._tracks:
-            if state.time_since_update == 0 and (
-                state.hits >= cfg.min_hits or state.age <= cfg.min_hits
-            ):
-                reported.append(replace(reported_det[state.id], track_id=state.id))
-        return reported
+        keep = np.concatenate([rows.since, births.since]) <= cfg.max_age
+        self._rows = rows = _Rows(*(np.concatenate(pair)[keep] for pair in zip(rows, births)))
+        report = (rows.since == 0) & ((rows.hits >= cfg.min_hits) | (rows.age <= cfg.min_hits))
+        return [det_boxes[j]._with(track_id=i)
+                for j, i in zip(det_of_row[keep][report].tolist(), rows.id[report].tolist())]

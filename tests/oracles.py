@@ -12,7 +12,11 @@ iou_fn on every pair, where the library calls it on candidate pairs only, and
 the weighted two-detector merge pools and scores its boxes afresh for every
 weight, where the library pools a frame once for a whole weight grid. The
 box file reader checks one record at a time, where the library checks a
-chunk of records at once as columns.
+chunk of records at once as columns, and the box file writer builds one
+dict and one json.dumps per box, where the library writes from a prefix
+per frame. The reference tracker keeps one TrackState per track and steps
+each with the public predict and update, where the library steps a table
+of rows at once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -30,6 +34,15 @@ from lidarpost.assigner import AnchorLabel, AssignmentResult
 from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, heading_error
 from lidarpost.io import FormatError, ValidationError, _parse_record
 from lidarpost.metrics import DetectionOutcome, MatchLedger
+from lidarpost.tracker import (
+    _INITIAL_VELOCITY_VAR,
+    STATE_DIM,
+    TrackerConfig,
+    TrackState,
+    associate,
+    predict,
+    update,
+)
 
 
 def random_box(
@@ -436,3 +449,90 @@ def reference_voxelize(points: np.ndarray, cfg, capped: bool) -> ReferenceGrid:
         dropped_points=dropped_points,
         dropped_voxels=len(refused),
     )
+
+
+def reference_new_track(det: Box3D, track_id: int) -> TrackState:
+    mean = np.array(
+        [det.cx, det.cy, det.cz, det.heading, det.length, det.width, det.height,
+         0.0, 0.0, 0.0],
+        dtype=np.float64,
+    )
+    cov = np.eye(STATE_DIM)
+    cov[7, 7] = cov[8, 8] = cov[9, 9] = _INITIAL_VELOCITY_VAR
+    return TrackState(mean, cov, track_id, hits=1, time_since_update=0, age=1,
+                      label=det.label)
+
+
+class ReferenceTracker:
+    """One TrackState per track, stepped with the public predict, update and
+    associate, reported with dataclasses.replace."""
+
+    def __init__(self, config: TrackerConfig) -> None:
+        self.config = config
+        self.tracks: List[TrackState] = []
+        self.tracks_created = 0
+        self._last_timestamp: Optional[float] = None
+
+    def step(self, detections: DetectionSet) -> List[Box3D]:
+        if (
+            self._last_timestamp is not None
+            and detections.timestamp < self._last_timestamp
+        ):
+            raise ValueError(
+                f"frames must arrive in temporal order: {detections.timestamp!r} "
+                f"after {self._last_timestamp!r}"
+            )
+        self._last_timestamp = detections.timestamp
+        cfg = self.config
+
+        states = [predict(t, cfg) for t in self.tracks]
+        track_boxes = [s.to_box() for s in states]
+        det_boxes = detections.boxes
+        matches, _, unmatched_dets = associate(track_boxes, det_boxes, cfg.iou_min)
+
+        reported_det: Dict[int, Box3D] = {}
+        for ti, dj in matches:
+            states[ti] = update(states[ti], det_boxes[dj], cfg)
+            reported_det[states[ti].id] = det_boxes[dj]
+        for dj in unmatched_dets:
+            state = reference_new_track(det_boxes[dj], self.tracks_created)
+            self.tracks_created += 1
+            states.append(state)
+            reported_det[state.id] = det_boxes[dj]
+
+        self.tracks = [s for s in states if s.time_since_update <= cfg.max_age]
+
+        reported: List[Box3D] = []
+        for state in self.tracks:
+            if state.time_since_update == 0 and (
+                state.hits >= cfg.min_hits or state.age <= cfg.min_hits
+            ):
+                reported.append(replace(reported_det[state.id], track_id=state.id))
+        return reported
+
+
+def reference_write_boxes(sets, path) -> None:
+    """One dict and one json.dumps per box."""
+    if isinstance(sets, Mapping):
+        sets = sets.values()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for ds in sets:
+            for box in ds.boxes:
+                record = {
+                    "frame_id": ds.frame_id,
+                    "timestamp": ds.timestamp,
+                    "cx": box.cx,
+                    "cy": box.cy,
+                    "cz": box.cz,
+                    "l": box.length,
+                    "w": box.width,
+                    "h": box.height,
+                    "heading": box.heading,
+                    "score": box.score,
+                    "label": box.label.value,
+                }
+                for key in ("track_id", "difficulty", "num_points", "source_id"):
+                    value = getattr(box, key)
+                    if value is not None:
+                        record[key] = value
+                fh.write(json.dumps(record, allow_nan=False) + "\n")

@@ -28,6 +28,29 @@ class TestAssignmentResult:
         with pytest.raises(ValueError):
             AssignmentResult(labels=[AnchorLabel.NEGATIVE], gt_indices=[0])
 
+    def test_library_results_pass_the_check_they_skip(self):
+        """fixed_assign and adaptive_assign build results without the check;
+        rebuilt through the constructor, each passes it unchanged."""
+        rng = np.random.default_rng(31)
+        anchors = [random_box(rng, span=6.0) for _ in range(60)]
+        gts = [random_box(rng, span=6.0) for _ in range(5)]
+        for result in (fixed_assign(anchors, gts), fixed_assign(anchors, []),
+                       adaptive_assign(anchors, gts), adaptive_assign(anchors, [])):
+            assert AssignmentResult(result.labels, result.gt_indices,
+                                    result.adaptive_thresholds) == result
+
+    def test_caller_built_results_are_still_checked(self):
+        rng = np.random.default_rng(32)
+        anchors = [random_box(rng, span=6.0) for _ in range(60)]
+        result = fixed_assign(anchors, [random_box(rng, span=6.0) for _ in range(5)])
+        positive = result.labels.index(AnchorLabel.POSITIVE)
+        labels = list(result.labels)
+        labels[positive] = AnchorLabel.NEGATIVE
+        with pytest.raises(ValueError, match="exactly for POSITIVE"):
+            AssignmentResult(labels, result.gt_indices)
+        with pytest.raises(ValueError, match="equal length"):
+            AssignmentResult(result.labels, result.gt_indices[1:])
+
 
 class TestFixedAssign:
     def test_threshold_semantics(self):

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lidarpost.geometry import (
     Box3D,
@@ -65,6 +67,31 @@ class TestWrapAngle:
         got = wrap_angles(theta)
         want = np.array([wrap_angle(float(t)) for t in theta])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_PI_MULTIPLES = [k * math.pi for k in (1, 2, 3, 7, 1e6, 2**52, 1e16, 1e300)]
+_PI_EDGES = [s * e for e in _PI_MULTIPLES for s in (1.0, -1.0)]
+_NEAR_PI_EDGES = [math.nextafter(e, d) for e in _PI_EDGES for d in (-math.inf, math.inf)]
+
+
+class TestWrapIdempotent:
+    """Wrapping a wrapped angle returns it bit for bit, so a box whose
+    heading is wrapped keeps it when it goes through Box3D again."""
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from(_PI_EDGES + _NEAR_PI_EDGES)))
+    @example(7.398931900000001e25)  # the floor form alone leaves (-pi, pi] here
+    def test_wrap_twice_equals_wrap_once(self, theta):
+        once = wrap_angle(theta)
+        assert -math.pi < once <= math.pi
+        assert math.copysign(1.0, wrap_angle(once)) == math.copysign(1.0, once)
+        assert wrap_angle(once) == once
+        assert wrap_angles(np.array([theta])).view(np.int64)[0] == np.array([once]).view(np.int64)[0]
+
+    def test_box_heading_survives_replace(self):
+        box = Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, heading=7.398931900000001e25)
+        assert replace(box, track_id=3).heading == box.heading == wrap_angle(box.heading)
 
 
 class TestHeadingError:

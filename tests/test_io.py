@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpost.ensemble import DetectionSet
 from lidarpost.geometry import Box3D, Label
@@ -17,7 +19,7 @@ from lidarpost.io import (
     write_points,
 )
 from lidarpost.pointcloud import PointCloud
-from oracles import random_box
+from oracles import random_box, reference_write_boxes
 
 
 def _record(frame_id="f0", timestamp=0.0, cx=1.0, cy=2.0, cz=0.5, l=4.0, w=2.0,
@@ -211,6 +213,65 @@ class TestWriteBoxes:
         write_boxes(sets, p1)
         write_boxes(sets, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBER = st.one_of(_FLOAT, st.integers(-10**6, 10**6), st.booleans())
+_SIZE = st.floats(min_value=1e-300, max_value=1e300)
+_FRAME_ID = st.one_of(st.text(), st.sampled_from(["\u2028", 'quote " back \\ slash', "é\x00\n"]))
+
+
+@st.composite
+def _frames(draw):
+    """A frame whose box values are all floats, ints and None, the writer's
+    fast case, or one that also holds ints and bools in float fields and
+    bools in id fields."""
+    if draw(st.booleans()):
+        number, size, score = _FLOAT, _SIZE, st.floats(0.0, 1.0)
+        ident, difficulty = st.one_of(st.none(), st.integers(0, 2**70)), [None, 1, 2]
+    else:
+        number, size = _NUMBER, st.one_of(_SIZE, st.integers(1, 10**6), st.just(True))
+        score = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, True]))
+        ident, difficulty = st.one_of(st.none(), st.integers(0, 2**70), st.booleans()), [1, True]
+    boxes = [
+        Box3D(
+            *(draw(number) for _ in range(3)), *(draw(size) for _ in range(3)),
+            heading=draw(number),
+            score=draw(score),
+            label=draw(st.sampled_from(Label)),
+            track_id=draw(ident),
+            difficulty=draw(st.sampled_from(difficulty)),
+            num_points=draw(ident),
+            source_id=draw(ident),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return DetectionSet(draw(_FRAME_ID), boxes, 0, draw(_NUMBER))
+
+
+class TestWriteBoxesAgainstReference:
+    """write_boxes against one dict and one json.dumps per box."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(_frames(), max_size=4))
+    def test_same_bytes(self, tmp_path_factory, sets):
+        base = tmp_path_factory.getbasetemp()
+        write_boxes(sets, base / "got.jsonl")
+        reference_write_boxes(sets, base / "want.jsonl")
+        assert (base / "got.jsonl").read_bytes() == (base / "want.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("field", ["cx", "length", "heading", "score", "timestamp"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_same_error_on_a_non_finite_float(self, tmp_path, field, bad):
+        box = Box3D(cx=1.0, cy=2.0, cz=0.0, length=4.0, width=2.0, height=1.5, heading=0.1)
+        frame = DetectionSet("f", [box], 0, 0.5)
+        setattr(frame if field == "timestamp" else box, field, bad)
+        errors = []
+        for write in (write_boxes, reference_write_boxes):
+            with pytest.raises(ValueError) as info:
+                write([frame], tmp_path / "bad.jsonl")
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 class TestReadPoints:

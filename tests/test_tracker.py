@@ -1,7 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpost.ensemble import DetectionSet
 from lidarpost.geometry import Box3D, Label, iou3d
@@ -18,7 +21,7 @@ from lidarpost.tracker import (
     predict,
     update,
 )
-from oracles import brute_force_assignment, random_box
+from oracles import ReferenceTracker, brute_force_assignment, random_box
 
 
 def _state(mean=None, cov=None, **kwargs):
@@ -546,3 +549,151 @@ class TestTrackerStep:
         tracker = Tracker(TrackerConfig(min_hits=1))
         tracker.step(DetectionSet(frame_id="0", boxes=[_det(0, 0), _det(30, 0)]))
         assert tracker.tracks_created == 2
+
+    def test_non_finite_timestamp_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Tracker().step(DetectionSet("0", [_det(0.0, 0.0)], 0, bad))
+
+    def test_rejected_nan_frame_keeps_the_order_check(self):
+        """A NaN frame used to pass the order check, since every comparison
+        with NaN is false, and then let any later frame through."""
+        tracker = Tracker()
+        tracker.step(DetectionSet("0", [], 0, 0.0))
+        with pytest.raises(ValueError):
+            tracker.step(DetectionSet("1", [], 0, math.nan))
+        with pytest.raises(ValueError, match="temporal order"):
+            tracker.step(DetectionSet("2", [], 0, -100.0))
+
+    def test_tracks_are_copies(self):
+        """Changing a state that tracks returned leaves the tracker as it was."""
+        frames = [DetectionSet(str(f), [_det(0.5 * f, 0.0), _det(20.0, 0.2 * f)], 0, float(f))
+                  for f in range(4)]
+        touched, clean = Tracker(), Tracker()
+        for frame in frames[:3]:
+            touched.step(frame)
+            clean.step(frame)
+        for state in touched.tracks:
+            state.mean[:] = 1e3
+            state.covariance[:] = 0.0
+            state.hits = state.age = 99
+            state.time_since_update = 5
+        _assert_same_boxes(touched.step(frames[3]), clean.step(frames[3]))
+        _assert_same_states(touched.tracks, clean.tracks)
+
+
+def _box_values(box: Box3D) -> list:
+    """Each field as (type, repr): repr tells every float apart, -0.0 too."""
+    return [(type(v), repr(v)) for v in (getattr(box, f.name) for f in fields(box))]
+
+
+def _assert_same_boxes(got, want) -> None:
+    assert [_box_values(b) for b in got] == [_box_values(b) for b in want]
+
+
+def _assert_same_states(got, want) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        counters = (g.id, g.hits, g.time_since_update, g.age)
+        assert counters == (w.id, w.hits, w.time_since_update, w.age)
+        assert all(type(v) is int for v in counters)
+        assert g.label is w.label
+        assert g.mean.dtype == g.covariance.dtype == np.float64
+        assert g.mean.shape == w.mean.shape and g.covariance.shape == w.covariance.shape
+        assert g.mean.tobytes() == w.mean.tobytes()
+        assert g.covariance.tobytes() == w.covariance.tobytes()
+
+
+def _scene(rng, labels, n_objects, n_frames, drop, flip, steps, spread=15.0):
+    """Frames of objects moving at constant velocity, seen with noise.
+
+    Each detection is dropped with probability drop and reports the flipped
+    heading with probability flip; a frame is empty with probability 0.1,
+    and up to two false positives join it otherwise.
+    """
+    objects = [
+        (rng.uniform(-spread, spread, 2), rng.uniform(-1.5, 1.5, 2), rng.uniform(-math.pi, math.pi),
+         rng.uniform(0.5, 4.5, 3), labels[int(rng.integers(len(labels)))])
+        for _ in range(n_objects)
+    ]
+    frames = []
+    timestamp = 0.0
+    for f in range(n_frames):
+        timestamp += steps[f]
+        boxes = []
+        if rng.random() >= 0.1:
+            for start, velocity, heading, dims, label in objects:
+                if rng.random() < drop:
+                    continue
+                x, y = start + f * velocity + rng.normal(0.0, 0.2, 2)
+                turned = heading + (math.pi if rng.random() < flip else 0.0)
+                boxes.append(Box3D(float(x), float(y), float(rng.normal(0.0, 0.1)),
+                                   *map(float, dims), heading=turned + float(rng.normal(0.0, 0.05)),
+                                   score=float(rng.uniform()), label=label))
+            boxes += [random_box(rng, spread, labels[int(rng.integers(len(labels)))])
+                      for _ in range(int(rng.integers(3)))]
+        frames.append(DetectionSet(f"f{f}", boxes, 0, timestamp))
+    return frames
+
+
+def _assert_steps_equal_reference(config, frames) -> None:
+    tracker, reference = Tracker(config), ReferenceTracker(config)
+    for frame in frames:
+        _assert_same_boxes(tracker.step(frame), reference.step(frame))
+        assert tracker.tracks_created == reference.tracks_created
+        _assert_same_states(tracker.tracks, reference.tracks)
+
+
+@st.composite
+def _configs_and_scenes(draw):
+    config = TrackerConfig(iou_min=draw(st.sampled_from([0.0, 0.1, 0.3])),
+                           max_age=draw(st.integers(1, 3)), min_hits=draw(st.integers(1, 3)))
+    labels = draw(st.sampled_from([[Label.VEHICLE], list(Label)]))
+    n_frames = draw(st.integers(1, 8))
+    frames = _scene(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        labels,
+        n_objects=draw(st.integers(0, 8)),
+        n_frames=n_frames,
+        drop=draw(st.sampled_from([0.0, 0.3, 0.7])),
+        flip=draw(st.sampled_from([0.0, 0.2])),
+        steps=draw(st.lists(st.sampled_from([0.0, 0.1, 1.0]),
+                            min_size=n_frames, max_size=n_frames)),
+    )
+    return config, frames
+
+
+class TestAgainstReference:
+    """The table tracker against the per-track reference: equal reported
+    boxes with equal value types, equal ids and counters, and bit-equal
+    means and covariances after every step."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_configs_and_scenes())
+    def test_random_scenes(self, config_and_frames):
+        _assert_steps_equal_reference(*config_and_frames)
+
+    def test_dense_scene_in_three_classes(self):
+        frames = _scene(np.random.default_rng(11), list(Label), n_objects=60, n_frames=15,
+                        drop=0.1, flip=0.05, steps=[0.1] * 15, spread=40.0)
+        _assert_steps_equal_reference(DEFAULT_CONFIG, frames)
+
+    @pytest.mark.parametrize("start, later, message", [
+        # A matched pair with no overlap gives a residual of inf: update()
+        # wraps a heading of NaN.
+        (-1e308, 1e308, "angle must be finite"),
+        # A finite update whose next prediction overflows: to_box() names cx.
+        (1.5e308, 1.79e308, "cx must be finite"),
+    ])
+    def test_non_finite_states_raise_what_the_reference_raises(self, start, later, message):
+        config = TrackerConfig(iou_min=0.0, min_hits=1)
+        frames = [DetectionSet(str(f), [_det(cx, 0.0)], 0, float(f))
+                  for f, cx in enumerate([start, later, later, later])]
+        errors = []
+        for tracker in (Tracker(config), ReferenceTracker(config)):
+            with pytest.raises(ValueError) as info, np.errstate(all="ignore"):
+                for frame in frames:
+                    tracker.step(frame)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert message in errors[0][1]
