@@ -273,7 +273,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     config = default_config()
     if getattr(args, "config", None) is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
+            try:
+                user = json.load(fh)
+            except RecursionError as exc:  # nested too deeply to parse
+                raise ValueError(f"config {args.config}: invalid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ValueError(f"config {args.config}: expected a JSON object at top level")
         config = _merge_checked(config, user, "", "")
@@ -461,7 +464,10 @@ def cmd_filter(args: argparse.Namespace, config: dict) -> dict:
     for frame in frames.values():
         boxes = _filter_class(frame.boxes, args.cls)
         boxes_in += len(boxes)
-        kept = transform(boxes, config["ensemble"])
+        try:
+            kept = transform(boxes, config["ensemble"])
+        except ValueError as exc:  # e.g. a voted box whose values overflow
+            raise ValidationError(str(exc)) from exc
         boxes_out += len(kept)
         outputs.append(replace(frame, boxes=kept))
     write_boxes(outputs, args.output)

@@ -207,8 +207,9 @@ def _read_records(
                 raise FormatError(f"line {lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
+            reason = getattr(exc, "msg", exc)  # a RecursionError: nested too deeply
+            raise FormatError(f"line {lineno}: invalid JSON: {reason}") from exc
         if not isinstance(record, dict):
             raise FormatError(f"line {lineno}: expected a JSON object")
         frame_id, timestamp, box = _parse_record(record, lineno)

@@ -8,10 +8,10 @@ associated to predicted tracks per class with :func:`lidarpost.matching.hungaria
 on 1 - IoU, gated at a minimum IoU, as in AB3DMOT (Weng et al., IROS 2020).
 Track ids start at 0 and are never reused within a sequence.
 
-:class:`TrackState`, :func:`predict` and :func:`update` filter one track.
-:class:`Tracker` holds all live tracks as the rows of one table and runs
-the same matrix operations on the stacked rows, so its states are bit for
-bit those of the per-track functions.
+There is one Kalman filter: a stacked predict and a stacked update over the
+rows of a table. :class:`Tracker` holds all live tracks as such rows, and
+:func:`predict` and :func:`update` filter one :class:`TrackState` as the
+one-row case of the same step.
 """
 
 from __future__ import annotations
@@ -138,24 +138,62 @@ class TrackState:
         )
 
 
+def _transpose(stack: np.ndarray) -> np.ndarray:
+    return stack.transpose(0, 2, 1)
+
+
+def _predict_rows(
+    mean: np.ndarray, cov: np.ndarray, config: TrackerConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The Kalman predict of ``(T, 10)`` means and ``(T, 10, 10)``
+    covariances, stacked: ``F m`` and the symmetrized ``F P F' + Q``."""
+    cov = _F @ cov @ _F.T + config.process_noise * np.eye(STATE_DIM)
+    return (_F @ mean[:, :, None])[:, :, 0], 0.5 * (cov + _transpose(cov))
+
+
+def _update_rows(
+    mean: np.ndarray, cov: np.ndarray, dets: List[Box3D], config: TrackerConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The Kalman update of each row with its detection, stacked.
+
+    Each row's result is bit for bit the one this gives for the row alone.
+
+    Raises:
+        ValueError: for the first row whose heading residual (observed
+            heading minus the row's) or updated heading is not finite,
+            :func:`~lidarpost.geometry.wrap_angle`'s error for that value.
+    """
+    z = np.array([(d.cx, d.cy, d.cz, d.heading, d.length, d.width, d.height) for d in dets],
+                 dtype=np.float64)
+    observed = z[:, 3]
+    turn = observed - mean[:, 3]
+    flip = np.abs(wrap_angles(turn)) > 0.5 * math.pi
+    z[:, 3] = wrap_angles(np.where(flip, observed + math.pi, observed))
+    residual = z - (_H @ mean[:, :, None])[:, :, 0]
+    residual[:, 3] = wrap_angles(residual[:, 3])
+    r = config.measurement_noise * np.eye(OBS_DIM)
+    s = _H @ cov @ _H.T + r
+    gain = _transpose(np.linalg.solve(s, _H @ cov))
+    mean = mean + (gain @ residual[:, :, None])[:, :, 0]
+    failed = ~(np.isfinite(turn) & np.isfinite(mean[:, 3]))
+    if failed.any():
+        row = int(np.argmax(failed))
+        wrap_angle(float(turn[row]) if not math.isfinite(turn[row]) else mean[row, 3])
+    mean[:, 3] = wrap_angles(mean[:, 3])
+    joseph = np.eye(STATE_DIM) - gain @ _H
+    cov = joseph @ cov @ _transpose(joseph) + gain @ r @ _transpose(gain)
+    return mean, 0.5 * (cov + _transpose(cov))
+
+
 def predict(state: TrackState, config: TrackerConfig = DEFAULT_CONFIG) -> TrackState:
     """Advance one frame under the constant-velocity model.
 
     The mean moves by its velocity; the covariance becomes F P F' + Q. Age
     and time_since_update both increment.
     """
-    mean = _F @ state.mean
-    cov = _F @ state.covariance @ _F.T + config.process_noise * np.eye(STATE_DIM)
-    cov = 0.5 * (cov + cov.T)
-    return TrackState._trusted(
-        mean,
-        cov,
-        state.id,
-        hits=state.hits,
-        time_since_update=state.time_since_update + 1,
-        age=state.age + 1,
-        label=state.label,
-    )
+    mean, cov = _predict_rows(state.mean[None], state.covariance[None], config)
+    return TrackState._trusted(mean[0], cov[0], state.id, state.hits,
+                               state.time_since_update + 1, state.age + 1, state.label)
 
 
 def correct_heading_flip(observed: float, reference: float) -> float:
@@ -178,32 +216,14 @@ def update(
     The observed heading is flip-corrected against the track before the
     residual (whose heading component is wrapped) enters the standard gain
     update; the covariance uses the Joseph form to stay positive-definite.
+
+    Raises:
+        ValueError: if the track's heading or its updated heading is not
+            finite.
     """
-    heading = correct_heading_flip(det.heading, float(state.mean[3]))
-    z = np.array(
-        [det.cx, det.cy, det.cz, heading, det.length, det.width, det.height],
-        dtype=np.float64,
-    )
-    residual = z - _H @ state.mean
-    residual[3] = wrap_angle(residual[3])
-    p = state.covariance
-    r = config.measurement_noise * np.eye(OBS_DIM)
-    s = _H @ p @ _H.T + r
-    gain = np.linalg.solve(s, _H @ p).T
-    mean = state.mean + gain @ residual
-    mean[3] = wrap_angle(mean[3])
-    joseph = np.eye(STATE_DIM) - gain @ _H
-    cov = joseph @ p @ joseph.T + gain @ r @ gain.T
-    cov = 0.5 * (cov + cov.T)
-    return TrackState._trusted(
-        mean,
-        cov,
-        state.id,
-        hits=state.hits + 1,
-        time_since_update=0,
-        age=state.age,
-        label=state.label,
-    )
+    mean, cov = _update_rows(state.mean[None], state.covariance[None], [det], config)
+    return TrackState._trusted(mean[0], cov[0], state.id, state.hits + 1, 0, state.age,
+                               state.label)
 
 
 def associate(
@@ -259,10 +279,6 @@ _NO_ROWS = _Rows(np.empty((0, STATE_DIM)), np.empty((0, STATE_DIM, STATE_DIM)),
                  *(np.empty(0, dtype=np.int64) for _ in range(4)), np.empty(0, dtype=object))
 
 
-def _transpose(stack: np.ndarray) -> np.ndarray:
-    return stack.transpose(0, 2, 1)
-
-
 def _predicted_boxes(rows: _Rows) -> List[Box3D]:
     """``to_box()`` of each predicted row, built without the box checks.
 
@@ -282,36 +298,6 @@ def _predicted_boxes(rows: _Rows) -> List[Box3D]:
                     rows.id.tolist(), repeat(None, n), repeat(None, n), repeat(None, n)))
 
 
-def _update_rows(
-    mean: np.ndarray, cov: np.ndarray, dets: List[Box3D], config: TrackerConfig
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """:func:`update` of each predicted row with its detection, stacked: the
-    same operations in the same order, so the rows are bit for bit equal.
-
-    Returns None where ``update`` would raise for some row: a heading
-    residual or an updated heading that is not finite.
-    """
-    z = np.array([(d.cx, d.cy, d.cz, d.heading, d.length, d.width, d.height) for d in dets],
-                 dtype=np.float64)
-    observed = z[:, 3]
-    flip = np.abs(wrap_angles(observed - mean[:, 3])) > 0.5 * math.pi
-    z[:, 3] = wrap_angles(np.where(flip, observed + math.pi, observed))
-    residual = z - (_H @ mean[:, :, None])[:, :, 0]
-    if not np.isfinite(residual[:, 3]).all():
-        return None
-    residual[:, 3] = wrap_angles(residual[:, 3])
-    r = config.measurement_noise * np.eye(OBS_DIM)
-    s = _H @ cov @ _H.T + r
-    gain = _transpose(np.linalg.solve(s, _H @ cov))
-    mean = mean + (gain @ residual[:, :, None])[:, :, 0]
-    if not np.isfinite(mean[:, 3]).all():
-        return None
-    mean[:, 3] = wrap_angles(mean[:, 3])
-    joseph = np.eye(STATE_DIM) - gain @ _H
-    cov = joseph @ cov @ _transpose(joseph) + gain @ r @ _transpose(gain)
-    return mean, 0.5 * (cov + _transpose(cov))
-
-
 class Tracker:
     """Stateful per-sequence tracker; feed frames in temporal order.
 
@@ -321,9 +307,8 @@ class Tracker:
     once, associates their boxes with the detections, updates the matched
     rows at once, appends births as rows, prunes stale rows with one mask,
     and reports the current frame's confirmed tracks as the matched
-    detection boxes stamped with their track ids. The stacked steps run the
-    matrix operations of :func:`predict` and :func:`update` in their order,
-    so every row is bit for bit the state those functions give.
+    detection boxes stamped with their track ids. :func:`predict` and
+    :func:`update` run the same two stacked steps on one row.
     """
 
     def __init__(self, config: TrackerConfig = DEFAULT_CONFIG) -> None:
@@ -366,23 +351,17 @@ class Tracker:
         cfg = self.config
         old = self._rows
 
-        cov = _F @ old.cov @ _F.T + cfg.process_noise * np.eye(STATE_DIM)
-        rows = old._replace(mean=(_F @ old.mean[:, :, None])[:, :, 0],
-                            cov=0.5 * (cov + _transpose(cov)),
-                            hits=old.hits.copy(), age=old.age + 1, since=old.since + 1)
+        mean, cov = _predict_rows(old.mean, old.cov, cfg)
+        rows = old._replace(mean=mean, cov=cov, hits=old.hits.copy(), age=old.age + 1,
+                            since=old.since + 1)
         det_boxes = detections.boxes
         matches, _, unmatched = associate(_predicted_boxes(rows), det_boxes, cfg.iou_min)
 
         det_of_row = np.full(len(rows.id), -1)
         if matches:
             matched, dets = map(list, zip(*matches))
-            updated = _update_rows(rows.mean[matched], rows.cov[matched],
-                                   [det_boxes[j] for j in dets], cfg)
-            if updated is None:
-                for i, j in matches:  # update() raises for the first failing row
-                    update(rows.state(i, rows.mean[i], rows.cov[i]), det_boxes[j], cfg)
-                raise AssertionError("update() accepted rows the stacked update refused")
-            rows.mean[matched], rows.cov[matched] = updated
+            rows.mean[matched], rows.cov[matched] = _update_rows(
+                rows.mean[matched], rows.cov[matched], [det_boxes[j] for j in dets], cfg)
             rows.hits[matched] += 1
             rows.since[matched] = 0
             det_of_row[matched] = dets

@@ -15,8 +15,9 @@ box file reader checks one record at a time, where the library checks a
 chunk of records at once as columns, and the box file writer builds one
 dict and one json.dumps per box, where the library writes from a prefix
 per frame. The reference tracker keeps one TrackState per track and steps
-each with the public predict and update, where the library steps a table
-of rows at once.
+each with a per-track Kalman predict and update of its own matrices, where
+the library runs one stacked step over a table of rows, of which its public
+predict and update are the one-row case.
 """
 
 from __future__ import annotations
@@ -31,17 +32,17 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from lidarpost.assigner import AnchorLabel, AssignmentResult
-from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, heading_error
+from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, heading_error, wrap_angle
 from lidarpost.io import FormatError, ValidationError, _parse_record
 from lidarpost.metrics import DetectionOutcome, MatchLedger
 from lidarpost.tracker import (
     _INITIAL_VELOCITY_VAR,
+    OBS_DIM,
     STATE_DIM,
     TrackerConfig,
     TrackState,
     associate,
-    predict,
-    update,
+    correct_heading_flip,
 )
 
 
@@ -82,6 +83,8 @@ def reference_read_boxes(path) -> Dict[str, DetectionSet]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise FormatError(f"line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise FormatError(f"line {lineno}: expected a JSON object")
             frame_id, timestamp, box = _parse_record(record, lineno)
@@ -451,6 +454,59 @@ def reference_voxelize(points: np.ndarray, cfg, capped: bool) -> ReferenceGrid:
     )
 
 
+# Constant-velocity transition and position-only observation matrices.
+_F = np.eye(STATE_DIM)
+_F[0, 7] = _F[1, 8] = _F[2, 9] = 1.0
+_H = np.zeros((OBS_DIM, STATE_DIM))
+_H[:OBS_DIM, :OBS_DIM] = np.eye(OBS_DIM)
+
+
+def reference_predict(state: TrackState, config: TrackerConfig) -> TrackState:
+    """One track's Kalman predict with 2-D matrix products."""
+    mean = _F @ state.mean
+    cov = _F @ state.covariance @ _F.T + config.process_noise * np.eye(STATE_DIM)
+    cov = 0.5 * (cov + cov.T)
+    return TrackState._trusted(
+        mean,
+        cov,
+        state.id,
+        hits=state.hits,
+        time_since_update=state.time_since_update + 1,
+        age=state.age + 1,
+        label=state.label,
+    )
+
+
+def reference_update(state: TrackState, det: Box3D, config: TrackerConfig) -> TrackState:
+    """One track's Kalman update with 2-D matrix products, the heading flip
+    and wraps taken one float at a time."""
+    heading = correct_heading_flip(det.heading, float(state.mean[3]))
+    z = np.array(
+        [det.cx, det.cy, det.cz, heading, det.length, det.width, det.height],
+        dtype=np.float64,
+    )
+    residual = z - _H @ state.mean
+    residual[3] = wrap_angle(residual[3])
+    p = state.covariance
+    r = config.measurement_noise * np.eye(OBS_DIM)
+    s = _H @ p @ _H.T + r
+    gain = np.linalg.solve(s, _H @ p).T
+    mean = state.mean + gain @ residual
+    mean[3] = wrap_angle(mean[3])
+    joseph = np.eye(STATE_DIM) - gain @ _H
+    cov = joseph @ p @ joseph.T + gain @ r @ gain.T
+    cov = 0.5 * (cov + cov.T)
+    return TrackState._trusted(
+        mean,
+        cov,
+        state.id,
+        hits=state.hits + 1,
+        time_since_update=0,
+        age=state.age,
+        label=state.label,
+    )
+
+
 def reference_new_track(det: Box3D, track_id: int) -> TrackState:
     mean = np.array(
         [det.cx, det.cy, det.cz, det.heading, det.length, det.width, det.height,
@@ -464,8 +520,9 @@ def reference_new_track(det: Box3D, track_id: int) -> TrackState:
 
 
 class ReferenceTracker:
-    """One TrackState per track, stepped with the public predict, update and
-    associate, reported with dataclasses.replace."""
+    """One TrackState per track, stepped with reference_predict,
+    reference_update and the public associate, reported with
+    dataclasses.replace."""
 
     def __init__(self, config: TrackerConfig) -> None:
         self.config = config
@@ -485,14 +542,14 @@ class ReferenceTracker:
         self._last_timestamp = detections.timestamp
         cfg = self.config
 
-        states = [predict(t, cfg) for t in self.tracks]
+        states = [reference_predict(t, cfg) for t in self.tracks]
         track_boxes = [s.to_box() for s in states]
         det_boxes = detections.boxes
         matches, _, unmatched_dets = associate(track_boxes, det_boxes, cfg.iou_min)
 
         reported_det: Dict[int, Box3D] = {}
         for ti, dj in matches:
-            states[ti] = update(states[ti], det_boxes[dj], cfg)
+            states[ti] = reference_update(states[ti], det_boxes[dj], cfg)
             reported_det[states[ti].id] = det_boxes[dj]
         for dj in unmatched_dets:
             state = reference_new_track(det_boxes[dj], self.tracks_created)

@@ -250,6 +250,15 @@ def test_a_line_nested_too_deep_after_a_bad_line(tmp_path):
     assert got[0] is io.ValidationError and got[1].startswith("line 1: ")
 
 
+@pytest.mark.parametrize("before", [[], [_line(_record())]])
+def test_a_line_nested_too_deep_is_invalid_json(tmp_path, before):
+    path = tmp_path / "boxes.jsonl"
+    _write(path, before + ["[" * 100_000 + "\n"])
+    assert _assert_same(path) == (
+        io.FormatError, f"line {len(before) + 1}: invalid JSON: maximum recursion depth "
+                        "exceeded while decoding a JSON array from a unicode string")
+
+
 def test_a_chunk_of_blank_lines_only(tmp_path):
     lines = [_line(_record("a"))] + ["\n", " \r\n", "\x0c\n", "\r"] * (CHUNK // 2)
     lines += [_line(_record("a", cx=7.0)), _line(_record("b"))]

@@ -89,6 +89,17 @@ class TestArgumentErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("ERROR 2:")
 
+    def test_config_nested_too_deep_is_exit_2(self, tmp_path, capsys):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record()])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        code = run(["nms", "--input", str(det), "--config", str(cfg),
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"ERROR 2: config {cfg}: invalid JSON: maximum recursion depth exceeded")
+
     def test_config_must_be_object(self, tmp_path, capsys):
         det = tmp_path / "d.jsonl"
         _write_jsonl(det, [_record()])
@@ -108,6 +119,16 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.startswith("ERROR 3:")
         assert "line 2" in err
+
+    @pytest.mark.parametrize("command", ["nms", "track"])
+    @pytest.mark.parametrize("good_lines", [0, 1])
+    def test_line_nested_too_deep_is_exit_3(self, tmp_path, capsys, command, good_lines):
+        det = tmp_path / "d.jsonl"
+        det.write_text((json.dumps(_record()) + "\n") * good_lines + "[" * 100_000 + "\n")
+        code = run([command, "--input", str(det), "--output", str(tmp_path / "o.jsonl")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"ERROR 3: line {good_lines + 1}: invalid JSON: maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("lines, bad_line, byte", [
         ([b"\xff"], 1, "0xff"),
@@ -263,6 +284,16 @@ class TestSoftNmsAndVote:
         assert len(boxes) == 1
         assert boxes[0].cx == pytest.approx(0.25, abs=1e-12)
         assert boxes[0].score == 0.9
+
+    def test_vote_mean_that_overflows_is_exit_3(self, tmp_path, capsys):
+        # Each box is valid (at cy 0 the 4e-300 width still has area), but
+        # their score-weighted mean center overflows.
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record(cx=1e308, cy=0.0, l=1e300, w=4e-300, heading=0.0)] * 2)
+        out = tmp_path / "o.jsonl"
+        assert run(["vote", "--input", str(det), "--output", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("ERROR 3: cx must be finite, got inf")
+        assert not out.exists()
 
 
 class TestConcat:

@@ -15,13 +15,20 @@ from lidarpost.tracker import (
     Tracker,
     TrackerConfig,
     TrackState,
+    _update_rows,
     associate,
     correct_heading_flip,
     hungarian,
     predict,
     update,
 )
-from oracles import ReferenceTracker, brute_force_assignment, random_box
+from oracles import (
+    ReferenceTracker,
+    brute_force_assignment,
+    random_box,
+    reference_predict,
+    reference_update,
+)
 
 
 def _state(mean=None, cov=None, **kwargs):
@@ -697,3 +704,78 @@ class TestAgainstReference:
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         assert message in errors[0][1]
+
+
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308])
+
+
+@st.composite
+def _states_and_detections(draw):
+    """A track state and a detection: headings at +-pi among them, observed
+    headings within 1e-12 of the +-pi/2 flip, and states with one mean or
+    covariance entry that is not finite or overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mean = rng.normal(0.0, 5.0, STATE_DIM)
+    mean[3] = draw(st.sampled_from([math.pi, -math.pi]) | st.floats(-math.pi, math.pi))
+    a = rng.normal(0.0, 1.0, (STATE_DIM, STATE_DIM))
+    cov = draw(st.sampled_from([np.eye(STATE_DIM), a @ a.T + 0.1 * np.eye(STATE_DIM)]))
+    where = draw(st.sampled_from(["none", "mean", "cov"]))
+    if where == "mean":
+        mean[draw(st.just(3) | st.integers(0, STATE_DIM - 1))] = draw(_NON_FINITE)
+    elif where == "cov":
+        i, j = draw(st.integers(0, STATE_DIM - 1)), draw(st.integers(0, STATE_DIM - 1))
+        cov[i, j] = cov[j, i] = draw(_NON_FINITE)
+    counters = [draw(st.integers(1, 50)) for _ in range(3)]
+    state = TrackState._trusted(mean, cov, draw(st.integers(0, 99)), counters[0],
+                                counters[1] - 1, counters[2], draw(st.sampled_from(list(Label))))
+    flip = st.tuples(st.sampled_from([0.5 * math.pi, -0.5 * math.pi]), st.floats(-1e-12, 1e-12))
+    near_flip = flip.map(lambda t: float(mean[3]) + t[0] + t[1] if math.isfinite(mean[3]) else 0.0)
+    heading = draw(st.sampled_from([math.pi, -math.pi]) | st.floats(-math.pi, math.pi) | near_flip)
+    det = _det(*map(float, rng.normal(0.0, 5.0, 3)), heading=heading,
+               l=float(rng.uniform(0.5, 5.0)), w=float(rng.uniform(0.5, 5.0)))
+    config = TrackerConfig(process_noise=draw(st.sampled_from([1.0, 0.01, 7.5])),
+                           measurement_noise=draw(st.sampled_from([1.0, 1e-12, 3.0])))
+    return state, det, config
+
+
+def _result(fn, *args):
+    """The state fn returns, as bytes and counters, or its exception."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+    counters = (out.id, out.hits, out.time_since_update, out.age, out.label)
+    assert all(type(v) is int for v in counters[:4])
+    assert out.mean.shape == (STATE_DIM,) and out.covariance.shape == (STATE_DIM, STATE_DIM)
+    return out.mean.dtype, out.mean.tobytes(), out.covariance.tobytes(), counters
+
+
+class TestOneRowAgainstReference:
+    """predict and update run the stacked step on one row; the per-track
+    reference_predict and reference_update are the oracle."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_states_and_detections())
+    def test_predict_and_update_equal_the_reference(self, case):
+        state, det, config = case
+        assert _result(predict, state, config) == _result(reference_predict, state, config)
+        assert _result(update, state, det, config) == _result(reference_update, state, det, config)
+
+    def test_the_first_failing_row_raises_its_error(self):
+        mean = np.zeros((2, STATE_DIM))
+        mean[:, 4:7] = (4.0, 2.0, 1.5)
+        mean[0, 0] = -1e308  # the cx residual overflows: the updated heading is NaN
+        mean[1, 3] = math.inf  # the heading residual is not finite
+        cov = np.stack([np.eye(STATE_DIM)] * 2)
+        dets = [_det(1e308, 0.0), _det(0.0, 0.0)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as stacked:
+                _update_rows(mean, cov, dets, DEFAULT_CONFIG)
+            with pytest.raises(ValueError) as replayed:
+                for i, det in enumerate(dets):
+                    reference_update(TrackState(mean[i], cov[i], i), det, DEFAULT_CONFIG)
+            with pytest.raises(ValueError, match="got -inf$"):
+                _update_rows(mean[1:], cov[1:], dets[1:], DEFAULT_CONFIG)
+        assert str(stacked.value) == str(replayed.value)
+        assert str(stacked.value) == f"angle must be finite, got {np.float64(math.nan)!r}"
