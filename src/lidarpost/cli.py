@@ -18,6 +18,10 @@ of range is an argument error too.
 The per-frame box filters (nms, soft-nms, vote) share one table, FILTERS,
 and one command, cmd_filter. One walk, _merge_checked, checks the --config file
 and then each flag at its OVERRIDES path, value by value as it is merged.
+Only run() turns an exception into an exit code, and by stage. Until the
+config is resolved, before any input is read, a bad argument or a ValueError
+or OSError exits 2. Once the command runs, an OSError or argparse.ArgumentError
+exits 2, any other ValueError 3 (the inputs are at fault), and the rest 1.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .ensemble import (
     soft_nms,
 )
 from .geometry import Box3D, DetectionSet, Label
-from .io import InputError, ValidationError, read_boxes, read_points, write_boxes, write_points
+from .io import read_boxes, read_points, write_boxes, write_points
 from .metrics import (
     DEFAULT_IOU_THRESHOLDS,
     Difficulty,
@@ -464,10 +468,7 @@ def cmd_filter(args: argparse.Namespace, config: dict) -> dict:
     for frame in frames.values():
         boxes = _filter_class(frame.boxes, args.cls)
         boxes_in += len(boxes)
-        try:
-            kept = transform(boxes, config["ensemble"])
-        except ValueError as exc:  # e.g. a voted box whose values overflow
-            raise ValidationError(str(exc)) from exc
+        kept = transform(boxes, config["ensemble"])
         boxes_out += len(kept)
         outputs.append(replace(frame, boxes=kept))
     write_boxes(outputs, args.output)
@@ -498,10 +499,10 @@ def _class_ledgers(
 def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
     section = config["ensemble"]
     if len(args.inputs) < 2:
-        raise ValueError("ensemble needs at least two --inputs files")
+        raise argparse.ArgumentError(None, "ensemble needs at least two --inputs files")
     label = args.cls
     if label is None:
-        raise ValueError("ensemble requires --class to score the merge")
+        raise argparse.ArgumentError(None, "ensemble requires --class to score the merge")
     iou_thr = section["nms_iou"][label.value]
     stop_delta = section["stop_delta"]
     metric_iou = config["metrics"]["iou_thr"][label.value]
@@ -560,10 +561,7 @@ def cmd_track(args: argparse.Namespace, config: dict) -> dict:
     outputs: List[DetectionSet] = []
     reported = 0
     for frame in frames.values():
-        try:
-            boxes = tracker.step(replace(frame, boxes=_filter_class(frame.boxes, args.cls)))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        boxes = tracker.step(replace(frame, boxes=_filter_class(frame.boxes, args.cls)))
         reported += len(boxes)
         outputs.append(replace(frame, boxes=boxes))
     write_boxes(outputs, args.output)
@@ -633,10 +631,7 @@ def cmd_eval_mot(args: argparse.Namespace, config: dict) -> dict:
         tracked_seq = [_filter_class(tracked.boxes, label) for _, tracked in frames]
         gt_seq = [_filter_class(gt.boxes, label) for gt, _ in frames]
         gt_total = sum(len(gts) for gts in gt_seq)
-        try:
-            result = mota_motp(tracked_seq, gt_seq, iou_map[label.value])
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        result = mota_motp(tracked_seq, gt_seq, iou_map[label.value])
         lines.append(f"{label.value}.MOTA={result.mota!r}")
         lines.append(f"{label.value}.MOTP={result.motp!r}")
         lines.append(f"{label.value}.FP={result.fp}")
@@ -664,7 +659,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     # The docstring's last paragraph is for readers of this module, not of --help.
     parser = _Parser(prog="lidarpost", description=(__doc__ or "").rsplit("\n\n", 1)[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
     defaults = default_config()
 
     def command(name, func, help_text, output_required=True, shared=("--config", "--class")):
@@ -739,32 +734,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Execute one CLI invocation; returns the process exit code."""
-    parser = build_parser()
+    """Execute one CLI invocation; returns the process exit code, which only
+    this function chooses, by the stage that failed (see the module docstring)."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # the parser has printed its ERROR 2 line, or --help
         return 0 if exc.code in (0, None) else int(exc.code)
-    if getattr(args, "func", None) is None:
-        print("ERROR 2: a subcommand is required", file=sys.stderr)
-        return 2
     start = time.perf_counter()
+    config = None
     try:
+        config = _resolve_config(args)
         # A command returns the fields of its one-line run summary, if any.
-        summary = args.func(args, _resolve_config(args))
+        summary = args.func(args, config)
         if summary is not None:
             summary["elapsed_s"] = f"{time.perf_counter() - start:.3f}"
             print(" ".join(f"{key}={value}" for key, value in summary.items()))
         return 0
-    except InputError as exc:
-        print(f"ERROR 3: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"ERROR 2: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"ERROR 1: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        if isinstance(exc, ValueError) and config is not None:
+            code = 3
+        elif isinstance(exc, (ValueError, OSError, argparse.ArgumentError)):
+            code = 2
+        else:
+            code = 1
+        print(f"ERROR {code}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def _reduced_costs(
@@ -78,6 +77,7 @@ def hungarian(cost) -> List[Tuple[int, int]]:
         raise ValueError(f"cost must be a 2-D matrix, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
+    from scipy.optimize import linear_sum_assignment  # slow to load: only when solving
     n_rows, n_cols = cost.shape
     n = max(n_rows, n_cols)
     square = np.zeros((n, n))

@@ -182,6 +182,53 @@ class TestArgumentErrors:
         assert not out.exists()
 
 
+class TestExitCodeByStage:
+    """run() picks the exit code by the stage that raised: argument and
+    config errors exit 2 before any input is read; once a command runs, an
+    OSError or argparse.ArgumentError exits 2, any other ValueError 3 and
+    anything else 1."""
+
+    def test_no_subcommand_prints_one_error_line(self, capsys):
+        assert run([]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 2:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("inputs, cls, message", [
+        (["a.jsonl"], ["--class", "VEHICLE"], "ensemble needs at least two --inputs files"),
+        (["a.jsonl", "b.jsonl"], [], "ensemble requires --class to score the merge"),
+    ])
+    def test_ensemble_argument_error_reads_no_input(self, tmp_path, capsys, monkeypatch,
+                                                    inputs, cls, message):
+        def read_boxes(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "read_boxes", read_boxes)
+        code = run(["ensemble", "--inputs", *(str(tmp_path / name) for name in inputs),
+                    "--gt", str(tmp_path / "gt.jsonl"), *cls,
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == f"ERROR 2: {message}\n"
+
+    @pytest.mark.parametrize("error, code", [
+        (ValueError("track_id 3 is not finite"), 3),
+        (OSError("disk full"), 2),
+        (RuntimeError("a bug"), 1),
+    ])
+    def test_error_while_a_command_runs(self, tmp_path, capsys, monkeypatch, error, code):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record()])
+
+        def write_boxes(frames, path):
+            raise error
+
+        monkeypatch.setattr(cli, "write_boxes", write_boxes)
+        assert run(["track", "--input", str(det), "--output", str(tmp_path / "o.jsonl")]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"ERROR {code}: {error}\n"
+        assert captured.out == ""
+
+
 class TestNms:
     def _three_box_file(self, path):
         _write_jsonl(path, [
@@ -294,6 +341,21 @@ class TestSoftNmsAndVote:
         assert run(["vote", "--input", str(det), "--output", str(out)]) == 3
         assert capsys.readouterr().err.startswith("ERROR 3: cx must be finite, got inf")
         assert not out.exists()
+
+    def test_soft_nms_on_a_nan_overlap_is_not_an_argument_error(self, tmp_path, capsys):
+        # Two valid boxes whose BEV overlap comes out NaN and decays the
+        # second score to NaN: the inputs are at fault, not the arguments.
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [
+            _record(cx=1e154, cy=3.0, cz=0.0, l=1e155, w=1e154, h=1.0, heading=0.0),
+            _record(cx=1.7e308, cy=1.7e308, cz=0.0, l=5e-324, w=1e-300, h=1.0, heading=1.0,
+                    score=0.8),
+        ])
+        out = tmp_path / "o.jsonl"
+        code = run(["soft-nms", "--input", str(det), "--output", str(out)])
+        assert code in (0, 3), capsys.readouterr().err
+        if code == 0:
+            read_boxes(out)
 
 
 class TestConcat:

@@ -75,9 +75,12 @@ def _fresh_import(statement: str, expression: str) -> str:
     return out.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_csgraph_unloaded():
+@pytest.mark.parametrize("package", ["scipy.sparse.csgraph", "scipy.optimize"])
+def test_cli_import_leaves_scipy_csgraph_unloaded(package):
+    """Only track and eval-mot solve an assignment, so only they load
+    scipy.optimize, when they first call hungarian."""
     loaded = _fresh_import("import lidarpost.cli",
-                           "any(m.startswith('scipy.sparse.csgraph') for m in sys.modules)")
+                           f"any(m.startswith({package!r}) for m in sys.modules)")
     assert loaded == "False"
 
 
