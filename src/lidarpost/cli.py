@@ -33,7 +33,9 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import partial, reduce
+from operator import add
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,7 +80,7 @@ from .pointcloud import (
     RangeSpec,
     concat_frames,
 )
-from .tracker import Tracker, TrackerConfig
+from .tracker import MAX_NOISE, Tracker, TrackerConfig
 from .voxelizer import VoxelConfig, voxelize_dynamic, voxelize_hard
 
 
@@ -142,6 +144,7 @@ _POSITIVE = _Range(0.0, math.inf, low_open=True, high_open=True)
 _COUNT = _Range(1, math.inf, high_open=True)
 _UNIT = _Range(0.0, 1.0)
 _UNIT_ABOVE_0 = _Range(0.0, 1.0, low_open=True)
+_NOISE = _Range(0.0, MAX_NOISE, low_open=True)
 
 # The values each config key may take: the checks the library makes where
 # it reads the key, so that run() can make them all before a command starts.
@@ -171,8 +174,8 @@ CONFIG_RANGES: Dict[str, object] = {
     "tracker.iou_min": _UNIT,
     "tracker.max_age": _COUNT,
     "tracker.min_hits": _COUNT,
-    "tracker.process_noise": _POSITIVE,
-    "tracker.measurement_noise": _POSITIVE,
+    "tracker.process_noise": _NOISE,
+    "tracker.measurement_noise": _NOISE,
     "metrics.iou_thr": _UNIT_ABOVE_0,
     "metrics.difficulty": tuple(level.value for level in Difficulty),
 }
@@ -334,21 +337,6 @@ def _aligned(
         yield a, b
 
 
-def _classwise_nms(boxes: Sequence[Box3D], iou_map: Dict[str, float]) -> List[Box3D]:
-    """NMS at each class's threshold; kept boxes in descending (score, index) order.
-
-    nms runs for every class, also one without boxes, so that an out-of-range
-    threshold is an error whatever classes a frame holds.
-    """
-    kept: List[int] = []
-    for label in Label:
-        idx = [i for i, b in enumerate(boxes) if b.label is label]
-        subset = [boxes[i] for i in idx]
-        kept.extend(idx[i] for i in nms(subset, iou_map[label.value]))
-    kept.sort(key=lambda i: (-boxes[i].score, i))
-    return [boxes[i] for i in kept]
-
-
 def _write_report(lines: Iterable[str], output: Optional[str]) -> None:
     """Write lines to output (standard output if None) one by one, so that
     a generator of lines is never held in memory whole."""
@@ -443,7 +431,7 @@ def _assign_lines(results: Iterable[Tuple[str, AssignmentResult]]) -> Iterator[s
 FILTERS: Dict[str, Tuple[str, Callable[[List[Box3D], dict], List[Box3D]]]] = {
     "nms": (
         "non-maximum suppression",
-        lambda boxes, section: _classwise_nms(boxes, section["nms_iou"]),
+        lambda boxes, section: [boxes[i] for i in nms(boxes, section["nms_iou"])],
     ),
     "soft-nms": (
         "score-decaying suppression",
@@ -452,8 +440,8 @@ FILTERS: Dict[str, Tuple[str, Callable[[List[Box3D], dict], List[Box3D]]]] = {
     ),
     "vote": (
         "suppress then refine by box voting",
-        lambda boxes, section: box_vote(_classwise_nms(boxes, section["nms_iou"]), boxes,
-                                        section["vote_iou"]),
+        lambda boxes, section: box_vote([boxes[i] for i in nms(boxes, section["nms_iou"])],
+                                        boxes, section["vote_iou"]),
     ),
 }
 
@@ -606,8 +594,10 @@ def cmd_eval_det(args: argparse.Namespace, config: dict) -> dict:
                 f"{point.heading_precision!r}"
             )
     if ap_values:
-        lines.append(f"mean.AP={sum(ap_values) / len(ap_values)!r}")
-        lines.append(f"mean.APH={sum(aph_values) / len(aph_values)!r}")
+        # Added to 0.0 left to right: Python 3.12's sum compensates, which
+        # can change the last bit.
+        lines.append(f"mean.AP={reduce(add, ap_values, 0.0) / len(ap_values)!r}")
+        lines.append(f"mean.APH={reduce(add, aph_values, 0.0) / len(aph_values)!r}")
     frame_count = len(gt_frames.keys() | det_frames.keys())
     lines.append(f"difficulty={level.value}")
     lines.append(f"frames={frame_count}")
@@ -650,7 +640,25 @@ def cmd_default_config(args: argparse.Namespace, config: dict) -> None:
     _write_report([json.dumps(default_config(), indent=2, sort_keys=True)], args.output)
 
 
+def _reads_as_numbers(token: str) -> bool:
+    """Whether each comma-separated part of token parses as a float."""
+    try:
+        for part in token.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
+    """Errors exit 2 with one "ERROR 2:" line. A token that starts with "-"
+    is a flag's value when it reads as numbers, such as -1e-05, -inf or
+    -0.5,0.5, where argparse's own pattern knows only -1 and -1.5."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = SimpleNamespace(match=_reads_as_numbers)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         print(f"ERROR 2: {message}", file=sys.stderr)
         raise SystemExit(2)

@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
+from functools import reduce
+from operator import add
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
 from .geometry import Box3D, DetectionSet, Label, bev_iou, candidate_columns
 
 IouFn = Callable[[Box3D, Box3D], float]
+Thresholds = Union[float, Mapping[str, float]]
 T = TypeVar("T")
 
 DEFAULT_NMS_IOU = {"VEHICLE": 0.7, "PEDESTRIAN": 0.5, "CYCLIST": 0.5}
@@ -32,22 +35,24 @@ DEFAULT_SOFT_NMS_FLOOR = 0.001
 DEFAULT_STOP_DELTA = 0.001
 
 
-def nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn: IouFn = bev_iou) -> List[int]:
+def nms(boxes: Sequence[Box3D], iou_thr: Thresholds, iou_fn: IouFn = bev_iou) -> List[int]:
     """Greedy non-maximum suppression; returns kept indices in keep order.
 
     Boxes are scanned by descending score (ties by lower original index); a
     box is kept iff its IoU with every already-kept box of the same label is
-    strictly below iou_thr. iou_fn is called only on candidate pairs (see
-    :func:`lidarpost.geometry.candidate_columns`), as iou_fn(box, kept) in
-    keep order, and must return 0 for boxes whose circumscribed circles are
-    disjoint; every other pair has IoU 0, so at iou_thr 0 any kept box of the
-    same label suppresses.
+    strictly below its class's threshold: iou_thr, or iou_thr[label name]
+    for a map from every class name, as ensemble.nms_iou. iou_fn is called
+    only on candidate pairs (see :func:`lidarpost.geometry.candidate_columns`),
+    as iou_fn(box, kept) in keep order, and must return 0 for boxes whose
+    circumscribed circles are disjoint; every other pair has IoU 0, so at a
+    threshold of 0 any kept box of the same label suppresses.
 
     Raises:
-        ValueError: if iou_thr is outside [0, 1].
+        ValueError: before any pair is scored, if a threshold is outside
+            [0, 1] or a map misses a class or names an unknown one.
     """
     return _greedy_keep(
-        sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i)),
+        np.array([box.score for box in boxes], dtype=np.float64),
         [box.label for box in boxes],
         candidate_columns(boxes, boxes),
         lambda i, j: iou_fn(boxes[i], boxes[j]),
@@ -55,30 +60,43 @@ def nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn: IouFn = bev_iou) -> List
     )
 
 
+def _class_thresholds(iou_thr: Thresholds) -> Dict[Label, float]:
+    """Each class's threshold: iou_thr for all, or iou_thr[class name]."""
+    named = iou_thr if isinstance(iou_thr, Mapping) else dict.fromkeys(Label.__members__, iou_thr)
+    if named.keys() != Label.__members__.keys():
+        raise ValueError(f"iou_thr must map each class name and no other, got {list(named)!r}")
+    for name, thr in named.items():
+        if not (0.0 <= thr <= 1.0):
+            raise ValueError(f"iou_thr must lie in [0, 1], got {thr!r} for {name}")
+    return {Label(name): thr for name, thr in named.items()}
+
+
 def _greedy_keep(
-    order: Sequence[int],
+    scores: np.ndarray,
     labels: Sequence[Label],
     candidates: Sequence[Sequence[int]],
     iou_at: Callable[[int, int], float],
-    iou_thr: float,
+    iou_thr: Thresholds,
 ) -> List[int]:
-    """The suppression loop of :func:`nms` over box indices.
+    """The suppression loop of :func:`nms` and :meth:`PairPool.merge`.
 
-    Visits boxes in order and keeps one unless iou_at(box, kept) >= iou_thr
-    for a kept candidate of its label, asked in keep order; at iou_thr 0 any
-    kept box of the same label suppresses, without asking.
+    Visits boxes by descending score and keeps one unless iou_at(box, kept)
+    reaches its class's threshold for a kept candidate of its label, asked
+    in keep order; at a threshold of 0 any kept box of the same label
+    suppresses, without asking.
     """
-    if not (0.0 <= iou_thr <= 1.0):
-        raise ValueError(f"iou_thr must lie in [0, 1], got {iou_thr!r}")
+    thresholds = _class_thresholds(iou_thr)
     # kept_near[i]: kept candidates of box i with its label, in keep order.
     kept_near: List[List[int]] = [[] for _ in labels]
     kept_labels = set()
     kept: List[int] = []
-    for i in order:
+    # A stable sort of the negated scores orders ties by index, as the key (-score, index).
+    for i in np.argsort(-scores, kind="stable").tolist():
         label = labels[i]
-        if iou_thr == 0.0 and label in kept_labels:
+        thr = thresholds[label]
+        if thr == 0.0 and label in kept_labels:
             continue
-        if any(iou_at(i, j) >= iou_thr for j in kept_near[i]):
+        if any(iou_at(i, j) >= thr for j in kept_near[i]):
             continue
         kept.append(i)
         kept_labels.add(label)
@@ -167,15 +185,17 @@ def box_vote(
             out.append(box)
             continue
         n = len(voters)
+        # Added to 0.0 left to right: Python 3.12's sum compensates, which
+        # can change the last bit.
         out.append(
             replace(
                 box,
-                cx=sum(o.cx for o in voters) / n,
-                cy=sum(o.cy for o in voters) / n,
-                cz=sum(o.cz for o in voters) / n,
-                length=sum(o.length for o in voters) / n,
-                width=sum(o.width for o in voters) / n,
-                height=sum(o.height for o in voters) / n,
+                cx=reduce(add, (o.cx for o in voters), 0.0) / n,
+                cy=reduce(add, (o.cy for o in voters), 0.0) / n,
+                cz=reduce(add, (o.cz for o in voters), 0.0) / n,
+                length=reduce(add, (o.length for o in voters), 0.0) / n,
+                width=reduce(add, (o.width for o in voters), 0.0) / n,
+                height=reduce(add, (o.height for o in voters), 0.0) / n,
             )
         )
     return out
@@ -250,11 +270,9 @@ class PairPool:
                 raise ValueError(f"{name} must lie in (0, 1], got {w!r}")
         weights = np.full(len(self._scores), float(w_b))
         weights[: self._split] = w_a
-        # One IEEE product per box, as score * w; a stable sort of the
-        # negated scores orders ties by index, as the key (-score, index).
+        # One IEEE product per box, as score * w.
         scores = self._scores * weights
-        order = np.argsort(-scores, kind="stable").tolist()
-        keep = _greedy_keep(order, self._labels, self._candidates, self._iou_at, iou_thr)
+        keep = _greedy_keep(scores, self._labels, self._candidates, self._iou_at, iou_thr)
         return replace(
             self._merged, boxes=[self._boxes[i]._with(score=float(scores[i])) for i in keep]
         )

@@ -50,6 +50,11 @@ _INITIAL_VELOCITY_VAR = 10.0
 _BIRTH_COV = np.eye(STATE_DIM)
 _BIRTH_COV[7, 7] = _BIRTH_COV[8, 8] = _BIRTH_COV[9, 9] = _INITIAL_VELOCITY_VAR
 
+# The largest process or measurement noise. A track that coasts k frames
+# grows its covariance like noise * k**3: at 1e100 a 2,000-frame coast steps
+# clean, where from about 1e307 up the Kalman step overflows to inf and NaN.
+MAX_NOISE = 1e100
+
 # Boxes built from a Kalman mean clamp dimensions here so a drifting filter
 # can never produce an invalid box during association.
 _MIN_DIM = 1e-3
@@ -72,8 +77,8 @@ class TrackerConfig:
             raise ValueError(f"min_hits must be >= 1, got {self.min_hits!r}")
         for name in ("process_noise", "measurement_noise"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            if not (0.0 < value <= MAX_NOISE):
+                raise ValueError(f"{name} must lie in (0, {MAX_NOISE!r}], got {value!r}")
 
 
 DEFAULT_CONFIG = TrackerConfig()

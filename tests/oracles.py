@@ -18,6 +18,9 @@ per frame. The reference tracker keeps one TrackState per track and steps
 each with a per-track Kalman predict and update of its own matrices, where
 the library runs one stacked step over a table of rows, of which its public
 predict and update are the one-row case.
+Class-wise NMS at one threshold per class splits a frame by class and scans
+each class alone, where the library holds each class to its threshold in one
+loop.
 """
 
 from __future__ import annotations
@@ -158,6 +161,21 @@ def reference_nms(boxes: Sequence[Box3D], iou_thr: float, iou_fn) -> List[int]:
     return keep
 
 
+def reference_classwise_nms(
+    boxes: Sequence[Box3D], thresholds: Mapping[str, float], iou_fn
+) -> List[int]:
+    """NMS class by class, each class at thresholds[its name]: one scan over
+    each class's boxes, also an empty one, then the kept indices of all
+    classes merged by the key (-score, index)."""
+    kept: List[int] = []
+    for label in Label:
+        idx = [i for i, box in enumerate(boxes) if box.label is label]
+        subset = [boxes[i] for i in idx]
+        kept.extend(idx[i] for i in reference_nms(subset, thresholds[label.value], iou_fn))
+    kept.sort(key=lambda i: (-boxes[i].score, i))
+    return kept
+
+
 def reference_ensemble_pair(a, b, w_a: float, w_b: float, iou_thr: float, iou_fn):
     """Weighted two-detector merge, pooled afresh for one weight pair.
 
@@ -230,6 +248,30 @@ def reference_soft_nms(
     return kept
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """values added to 0.0 one at a time, as the built-in sum adds floats
+    before Python 3.12; from 3.12 on it compensates for rounding."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def compensated_sum(values, start=0, _builtin_sum=sum):
+    """The built-in sum of Python 3.12 and later on floats: Neumaier's
+    compensated summation from 0.0. Any other input goes to the built-in sum
+    of the running interpreter, so that a test can put this one in its place."""
+    values = list(values)
+    if start != 0 or not values or not all(type(v) is float for v in values):
+        return _builtin_sum(values, start)
+    total = compensation = 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
 def reference_box_vote(
     nms_boxes: Sequence[Box3D], original_boxes: Sequence[Box3D], iou_thr: float, iou_fn
 ) -> List[Box3D]:
@@ -244,12 +286,12 @@ def reference_box_vote(
         n = len(voters)
         out.append(replace(
             box,
-            cx=sum(o.cx for o in voters) / n,
-            cy=sum(o.cy for o in voters) / n,
-            cz=sum(o.cz for o in voters) / n,
-            length=sum(o.length for o in voters) / n,
-            width=sum(o.width for o in voters) / n,
-            height=sum(o.height for o in voters) / n,
+            cx=_left_sum(o.cx for o in voters) / n,
+            cy=_left_sum(o.cy for o in voters) / n,
+            cz=_left_sum(o.cz for o in voters) / n,
+            length=_left_sum(o.length for o in voters) / n,
+            width=_left_sum(o.width for o in voters) / n,
+            height=_left_sum(o.height for o in voters) / n,
         ))
     return out
 

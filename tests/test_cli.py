@@ -1,21 +1,24 @@
 import argparse
+import builtins
 import json
 import math
 import re
 import struct
+import warnings
 
 import pytest
 
 from lidarpost import cli
 from lidarpost.assigner import adaptive_assign, fixed_assign
 from lidarpost.cli import CONFIG_ORDER, CONFIG_RANGES, OVERRIDES, default_config, run
-from lidarpost.ensemble import PairPool, box_vote, nms, soft_nms
+from lidarpost.ensemble import DEFAULT_NMS_IOU, PairPool, box_vote, nms, soft_nms
 from lidarpost.geometry import Box3D, DetectionSet, Label
 from lidarpost.io import read_boxes, read_points
 from lidarpost.metrics import Difficulty, match_frame
 from lidarpost.pointcloud import PointCloud, RangeSpec, concat_frames
 from lidarpost.tracker import TrackerConfig
 from lidarpost.voxelizer import VoxelConfig
+from oracles import compensated_sum
 
 
 def _record(frame_id="f0", timestamp=0.0, cx=1.0, cy=2.0, cz=0.5, l=4.0, w=2.0,
@@ -289,6 +292,27 @@ class TestNms:
         assert run(["nms", "--input", str(det), "--output", str(out_a)]) == 0
         assert run(["nms", "--input", str(det), "--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+    @pytest.mark.parametrize("command", ["nms", "vote"])
+    def test_one_nms_call_per_frame_with_every_class_threshold(self, tmp_path, monkeypatch,
+                                                               command):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [
+            _record(frame_id=frame_id, cx=cx, label=label)
+            for frame_id in ("f0", "f1")
+            for cx, label in ((0.0, "VEHICLE"), (0.5, "VEHICLE"), (0.0, "PEDESTRIAN"),
+                              (0.5, "CYCLIST"))
+        ])
+        calls = []
+
+        def recording_nms(boxes, iou_thr):
+            calls.append((len(boxes), iou_thr))
+            return nms(boxes, iou_thr)
+
+        monkeypatch.setattr(cli, "nms", recording_nms)
+        assert run([command, "--input", str(det), "--output", str(tmp_path / "o.jsonl")]) == 0
+        assert calls == [(4, DEFAULT_NMS_IOU)] * 2
 
 
 class TestSoftNmsAndVote:
@@ -652,6 +676,26 @@ class TestEvalDet:
         assert run(["eval-det", "--detections", str(det), "--gt", str(gt)]) == 0
         out = capsys.readouterr().out
         assert f"VEHICLE.AP={1.0 / 3.0!r}" in out
+
+
+    def test_mean_adds_left_to_right_whatever_the_python(self, tmp_path, capsys, monkeypatch):
+        # (0.1 + 0.2 + 0.3) / 3 added left to right, where the compensated
+        # built-in sum of Python 3.12 on gives 0.19999999999999998.
+        gt = tmp_path / "gt.jsonl"
+        _write_jsonl(gt, [_record(cx=10.0 * i, label=label)
+                          for i, label in enumerate(("VEHICLE", "PEDESTRIAN", "CYCLIST"))])
+        values = iter([0.1, 0.2, 0.3])
+
+        def stub_average_precision(ledgers, gt_count):
+            value = next(values)
+            return value, value
+
+        monkeypatch.setattr(cli, "average_precision", stub_average_precision)
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert run(["eval-det", "--detections", str(gt), "--gt", str(gt)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "mean.AP=0.20000000000000004" in out
+        assert "mean.APH=0.20000000000000004" in out
 
 
 class TestEvalMot:
@@ -1074,6 +1118,73 @@ def _library_reads(config):
     VoxelConfig(range=range_spec, **config["voxelizer"])
     TrackerConfig(**config["tracker"])
     Difficulty(config["metrics"]["difficulty"])
+
+
+class TestTrackerNoiseBound:
+    """Either noise may reach 1e100, where a track that coasts for
+    thousands of frames still steps without overflow, and no further."""
+
+    def test_noise_at_the_bound_coasts_2000_frames_clean(self, tmp_path, capsys):
+        # A vehicle seen once coasts while a pedestrian is seen every frame.
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record(frame_id="f0000", cx=0.0, cy=0.0)] + [
+            _record(frame_id=f"f{k:04d}", timestamp=0.1 * k, cx=50.0, cy=50.0,
+                    l=0.9, w=0.8, label="PEDESTRIAN")
+            for k in range(2000)
+        ])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tracker": {
+            "process_noise": 1e100, "measurement_noise": 1e100, "max_age": 10**9}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["track", "--input", str(det), "--config", str(cfg),
+                        "--output", str(tmp_path / "o.jsonl")])
+        assert code == 0, capsys.readouterr().err
+        assert "frames=2000 tracks=2 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["process_noise", "measurement_noise"])
+    def test_next_float_above_the_bound_is_exit_2_before_any_input(self, tmp_path, capsys,
+                                                                   key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tracker": {key: math.nextafter(1e100, math.inf)}}))
+        code = run(["track", "--input", str(tmp_path / "missing.jsonl"),
+                    "--config", str(cfg), "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"ERROR 2: config tracker.{key}:")
+
+
+class TestNegativeNumberFlags:
+    """A flag's value may start with "-" in every form its type reads:
+    exponents, inf and comma lists, which argparse alone takes for flags."""
+
+    @pytest.fixture
+    def det(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        _write_jsonl(path, [_record()])
+        return str(path)
+
+    def _error(self, argv, capsys, tmp_path):
+        assert run(argv + ["--output", str(tmp_path / "o.jsonl")]) == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--iou-min", "-1e-05"], ["--iou-min=-1e-05"]])
+    def test_exponent(self, det, capsys, tmp_path, flag):
+        err = self._error(["track", "--input", det] + flag, capsys, tmp_path)
+        assert err == "ERROR 2: config tracker.iou_min: must be in [0.0, 1.0], got -1e-05\n"
+
+    def test_negative_infinity(self, det, capsys, tmp_path):
+        err = self._error(["nms", "--input", det, "--iou", "-inf"], capsys, tmp_path)
+        assert err.startswith("ERROR 2: config ensemble.nms_iou.VEHICLE:")
+
+    def test_comma_list(self, det, capsys, tmp_path):
+        err = self._error(["ensemble", "--inputs", det, det, "--gt", det, "--class", "VEHICLE",
+                           "--grid", "-0.5,0.5"], capsys, tmp_path)
+        assert err.startswith("ERROR 2: config ensemble.weight_grid[0]:")
+
+    def test_a_flag_is_still_not_a_value(self, det, capsys, tmp_path):
+        err = self._error(["track", "--input", det, "--iou-min", "--max-age", "3"],
+                          capsys, tmp_path)
+        assert err == "ERROR 2: argument --iou-min: expected one argument\n"
 
 
 class TestRangesAgreeWithTheLibrary:

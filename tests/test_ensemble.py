@@ -1,7 +1,10 @@
+import builtins
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpost.ensemble import (
     DEFAULT_NMS_IOU,
@@ -17,7 +20,13 @@ from lidarpost.ensemble import (
     soft_nms,
 )
 from lidarpost.geometry import Box3D, Label, bev_iou
-from oracles import random_box, reference_nms
+from oracles import (
+    compensated_sum,
+    random_box,
+    reference_box_vote,
+    reference_classwise_nms,
+    reference_nms,
+)
 
 
 def _box(cx, cy, score, label=Label.VEHICLE, l=4.0, w=2.0, heading=0.0, cz=0.0, h=1.5,
@@ -110,6 +119,68 @@ class TestNms:
         kept = nms(boxes, iou_thr=0.3)
         survivors = [boxes[i] for i in kept]
         assert nms(survivors, iou_thr=0.3) == list(range(len(survivors)))
+
+
+CLASS_NAMES = list(Label.__members__)
+THRESHOLDS = st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0])
+
+
+@st.composite
+def classwise_frames(draw):
+    """Up to 14 boxes crowded into a few meters, of all three classes or of
+    one, with scores drawn from a short list so that some are shared."""
+    labels = draw(st.sampled_from([tuple(Label)] + [(label,) for label in Label]))
+    coord = st.floats(-3.0, 3.0)
+    dim = st.floats(0.5, 4.0)
+    score = st.sampled_from([0.2, 0.5, 0.9]) | st.floats(0.0, 1.0)
+    return [
+        Box3D(cx=draw(coord), cy=draw(coord), cz=0.0, length=draw(dim), width=draw(dim),
+              height=1.5, heading=draw(st.floats(-3.0, 3.0)), score=draw(score),
+              label=draw(st.sampled_from(labels)))
+        for _ in range(draw(st.integers(0, 14)))
+    ]
+
+
+class TestClasswiseThresholds:
+    """nms takes a map from every class name to its threshold and holds each
+    class to its own, in one loop; the reference splits the frame by class."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(classwise_frames(), st.fixed_dictionaries({name: THRESHOLDS for name in CLASS_NAMES}),
+           THRESHOLDS)
+    def test_matches_one_scan_per_class(self, boxes, thresholds, thr):
+        assert nms(boxes, thresholds) == reference_classwise_nms(boxes, thresholds, bev_iou)
+        assert nms(boxes, thr) == nms(boxes, dict.fromkeys(CLASS_NAMES, thr))
+
+    def test_each_class_gets_its_own_threshold(self):
+        # Both pairs overlap at IoU 0.6: above the 0.5 pedestrian threshold
+        # and below the 0.7 vehicle one.
+        shift = _shift_for_iou(0.6)
+        boxes = [_box(0.0, 0.0, 0.9), _box(shift, 0.0, 0.8),
+                 _box(0.0, 0.0, 0.7, label=Label.PEDESTRIAN),
+                 _box(shift, 0.0, 0.6, label=Label.PEDESTRIAN)]
+        assert nms(boxes, DEFAULT_NMS_IOU) == [0, 1, 2]
+
+    @pytest.mark.parametrize("thresholds", [
+        {"VEHICLE": 0.7, "PEDESTRIAN": 0.5},
+        {**DEFAULT_NMS_IOU, "TRUCK": 0.5},
+        {**DEFAULT_NMS_IOU, "CYCLIST": 1.5},
+        {**DEFAULT_NMS_IOU, "VEHICLE": -0.1},
+        {**DEFAULT_NMS_IOU, "PEDESTRIAN": math.nan},
+    ], ids=["missing", "unknown", "above-1", "below-0", "nan"])
+    @pytest.mark.parametrize("count", [0, 4])
+    def test_bad_map_raises_before_any_pair_is_scored(self, thresholds, count):
+        calls = []
+
+        def recording_iou(a, b):
+            calls.append((a, b))
+            return bev_iou(a, b)
+
+        boxes = [_box(0.1 * i, 0.0, 0.9 - 0.1 * i, label=label)
+                 for i, label in zip(range(count), [*Label, Label.VEHICLE])]
+        with pytest.raises(ValueError, match="iou_thr"):
+            nms(boxes, thresholds, iou_fn=recording_iou)
+        assert calls == []
 
 
 class TestSoftNms:
@@ -248,6 +319,16 @@ class TestBoxVote:
                 assert after.heading == before.heading
                 assert after.score == before.score
                 assert after.label is before.label
+
+    def test_means_add_left_to_right_whatever_the_python(self, monkeypatch):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 added left to right, and 0.6
+        # compensated, as the built-in sum adds from Python 3.12 on.
+        kept = _box(0.2, 0.0, 0.9)
+        pool = [_box(0.1, 0.0, 0.5), kept, _box(0.3, 0.0, 0.4)]
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        voted = box_vote([kept], pool, iou_thr=0.55)
+        assert voted[0].cx == 0.20000000000000004
+        assert voted == reference_box_vote([kept], pool, 0.55, bev_iou)
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,12 @@ class TestTrackerConfig:
         with pytest.raises(ValueError):
             TrackerConfig(measurement_noise=-1.0)
 
+    @pytest.mark.parametrize("key", ["process_noise", "measurement_noise"])
+    def test_noise_is_bounded_at_1e100(self, key):
+        assert getattr(TrackerConfig(**{key: 1e100}), key) == 1e100
+        with pytest.raises(ValueError, match=key):
+            TrackerConfig(**{key: 1e101})
+
 
 class TestTrackState:
     def test_shape_validation(self):
