@@ -43,19 +43,11 @@ class AssignmentResult:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.gt_indices):
             raise ValueError("labels and gt_indices must have equal length")
-        for label, gt in zip(self.labels, self.gt_indices):
-            if (label is AnchorLabel.POSITIVE) != (gt is not None):
-                raise ValueError("gt_indices must be set exactly for POSITIVE anchors")
-
-    @classmethod
-    def _trusted(cls, labels, gt_indices, adaptive_thresholds=None) -> "AssignmentResult":
-        """Build a result without the per-anchor walk above, for
-        fixed_assign and adaptive_assign only: they set a gt index on
-        exactly the anchors they label POSITIVE."""
-        result = object.__new__(cls)
-        result.__dict__.update(labels=labels, gt_indices=gt_indices,
-                               adaptive_thresholds=adaptive_thresholds)
-        return result
+        # The member is read once: a read per anchor makes this check 4x slower.
+        positive = AnchorLabel.POSITIVE
+        has_gt = [gt is not None for gt in self.gt_indices]
+        if [label is positive for label in self.labels] != has_gt:
+            raise ValueError("gt_indices must be set exactly for POSITIVE anchors")
 
 
 def fixed_assign(
@@ -83,7 +75,7 @@ def fixed_assign(
     labels = [AnchorLabel.NEGATIVE] * n
     gt_indices: List[Optional[int]] = [None] * n
     if not anchors or not gts:
-        return AssignmentResult._trusted(labels, gt_indices)
+        return AssignmentResult(labels, gt_indices)
 
     iou = iou_matrix(anchors, gts, bev_iou)
 
@@ -103,7 +95,7 @@ def fixed_assign(
         if iou[best_i, j] > 0.0:
             labels[best_i] = AnchorLabel.POSITIVE
             gt_indices[best_i] = j
-    return AssignmentResult._trusted(labels, gt_indices)
+    return AssignmentResult(labels, gt_indices)
 
 
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -140,7 +132,7 @@ def adaptive_assign(
     labels = [AnchorLabel.NEGATIVE] * n
     gt_indices: List[Optional[int]] = [None] * n
     if not gts:
-        return AssignmentResult._trusted(labels, gt_indices, adaptive_thresholds=[])
+        return AssignmentResult(labels, gt_indices, adaptive_thresholds=[])
 
     xs = np.fromiter(map(attrgetter("cx"), anchors), np.float64, n)
     ys = np.fromiter(map(attrgetter("cy"), anchors), np.float64, n)
@@ -159,4 +151,4 @@ def adaptive_assign(
                     best_iou[i] = float(value)
                     labels[i] = AnchorLabel.POSITIVE
                     gt_indices[i] = j
-    return AssignmentResult._trusted(labels, gt_indices, adaptive_thresholds=thresholds)
+    return AssignmentResult(labels, gt_indices, adaptive_thresholds=thresholds)

@@ -33,7 +33,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import partial, reduce
+from functools import reduce
 from operator import add
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -58,7 +58,6 @@ from .ensemble import (
     PairPool,
     box_vote,
     ensemble_pair,  # unused here; perfbench's tracer times it by this name
-    grid_search_weight,
     nms,
     soft_nms,
 )
@@ -509,26 +508,27 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
         ap, _ = average_precision(ledgers, gt_count)
         return ap
 
-    def merge_frames(frame_pools: Dict[str, PairPool], weight: float) -> Dict[str, DetectionSet]:
-        return {fid: pool.merge(1.0, weight, iou_thr) for fid, pool in frame_pools.items()}
-
     current = detectors[0]
     current_score = score(current)
     steps = [f"detector_0 score={current_score!r}"]
     for index, candidate in enumerate(detectors[1:], start=1):
-        # One pool per frame serves every grid weight and the final merge.
+        # One pool per frame serves every grid weight; the best merge is kept.
         frame_pools = {a.frame_id: PairPool(a, b) for a, b in _aligned(current, candidate)}
-        best_weight, best_score = grid_search_weight(
-            section["weight_grid"], partial(merge_frames, frame_pools), score
-        )
+        best_score = -math.inf
+        for weight in section["weight_grid"]:
+            merged = {fid: pool.merge(1.0, weight, iou_thr) for fid, pool in frame_pools.items()}
+            merged_score = score(merged)
+            # Strictly greater: a tie keeps the earliest weight.
+            if merged_score > best_score:
+                best_weight, best_score, best = weight, merged_score, merged
+        del frame_pools, merged
         if best_score - current_score < stop_delta:
             steps.append(
                 f"detector_{index} skipped (best gain "
                 f"{best_score - current_score!r} < {stop_delta!r})"
             )
             break
-        current = merge_frames(frame_pools, best_weight)
-        del frame_pools
+        current = best
         current_score = best_score
         steps.append(f"detector_{index} weight={float(best_weight)!r} score={best_score!r}")
 

@@ -2,8 +2,9 @@
 
 Greedy NMS, score-decaying soft-NMS, box voting (averaging the pool of
 originals that overlap each surviving box), and pairwise score-weighted
-detector merging with grid search over the weight. Suppression is always
-class-wise: boxes of different labels never interact.
+detector merging at any weight; the ensemble command searches a weight
+grid with it. Suppression is always class-wise: boxes of different labels
+never interact.
 
 A weight search merges the same two detectors once per grid weight. Only
 the scores and so the NMS order depend on the weight: :class:`PairPool`
@@ -18,7 +19,7 @@ import math
 from dataclasses import replace
 from functools import reduce
 from operator import add
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .geometry import Box3D, DetectionSet, Label, bev_iou, candidate_columns
 
 IouFn = Callable[[Box3D, Box3D], float]
 Thresholds = Union[float, Mapping[str, float]]
-T = TypeVar("T")
 
 DEFAULT_NMS_IOU = {"VEHICLE": 0.7, "PEDESTRIAN": 0.5, "CYCLIST": 0.5}
 DEFAULT_VOTE_IOU = 0.55
@@ -300,32 +300,3 @@ def ensemble_pair(
     """
     return PairPool(a, b, iou_fn).merge(w_a, w_b, iou_thr)
 
-
-def grid_search_weight(
-    grid: Sequence[float],
-    merge: Callable[[float], T],
-    score_fn: Callable[[T], float],
-) -> Tuple[float, float]:
-    """Pick the weight whose merged detector maximizes score_fn.
-
-    merge(w) builds the merged detector for weight w, for example
-    pool.merge(1.0, w, iou_thr) for one frame, with
-    pool = PairPool(fixed, candidate) built once for the whole grid, or a
-    frame-by-frame merge of whole sequences. Evaluates score_fn(merge(w))
-    for every w in grid and returns (best_weight, best_score); ties go to
-    the earliest grid entry.
-
-    Raises:
-        ValueError: if grid is empty.
-    """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    best_w = grid[0]
-    best_score = -math.inf
-    for w in grid:
-        score = score_fn(merge(w))
-        if score > best_score:
-            best_w = w
-            best_score = score
-    return best_w, best_score

@@ -30,10 +30,6 @@ _TAU = 2.0 * math.pi
 # Clipped footprints smaller than this are floating-point slivers, not overlap.
 _AREA_EPS = 1e-12
 
-# Relative slack on the candidate test's squared reach: np.hypot and
-# math.hypot may differ in the last bit, and the batched test must never
-# reject a pair that the scalar reject in _footprint_intersection keeps.
-_REACH_SLACK = 1.0 + 1e-9
 # Upper bound on the cells of one block of the candidate test's temporaries.
 _BLOCK_CELLS = 1 << 20
 
@@ -89,6 +85,10 @@ def heading_error(a: float, b: float) -> float:
     return abs(wrap_angle(a - b))
 
 
+_NUMBER_FIELDS = ("cx", "cy", "cz", "length", "width", "height", "heading", "score")
+_ID_FIELDS = ("track_id", "difficulty", "num_points", "source_id")
+
+
 @dataclass
 class Box3D:
     """Oriented 3D bounding box with detection metadata.
@@ -113,6 +113,15 @@ class Box3D:
     source_id: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # A box file carries numbers and integer ids, and reads a bool as neither.
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in _ID_FIELDS:
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{name} must be an integer or None, got {value!r}")
         for name in ("cx", "cy", "cz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -326,20 +335,22 @@ def iou3d(a: Box3D, b: Box3D) -> float:
 
 
 def _circles(boxes: Sequence[Box3D]) -> np.ndarray:
-    """(N, 3) array of footprint centers and circumscribed radii."""
-    out = np.array([(b.cx, b.cy, b.length, b.width) for b in boxes], dtype=np.float64)
-    return np.column_stack([out[:, 0], out[:, 1], 0.5 * np.hypot(out[:, 2], out[:, 3])])
+    """(N, 3) array of footprint centers and circumscribed radii, each radius
+    the expression of the scalar reject in :func:`_footprint_intersection`."""
+    return np.array([(b.cx, b.cy, 0.5 * math.hypot(b.length, b.width)) for b in boxes],
+                    dtype=np.float64)
 
 
 def candidate_columns(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> List[List[int]]:
     """For each row box, the ascending indices of the column boxes that can overlap it.
 
     A pair is a candidate when its circumscribed circles can touch:
-    d^2 <= (ra + rb)^2 * (1 + 1e-9), with d the distance between the
-    footprint centers and ra, rb the half-diagonals. The slack keeps every
-    pair that the scalar reject in :func:`bev_iou` and :func:`iou3d` keeps,
-    so a pair left out has IoU 0. Rows are tested in blocks of about 1M
-    cells, so memory stays bounded for any list sizes.
+    d^2 <= (ra + rb)^2, with d the distance between the footprint centers
+    and ra, rb the half-diagonals. Those are the IEEE operations of the
+    scalar reject in :func:`bev_iou` and :func:`iou3d`, in either argument
+    order, so the candidates are exactly the pairs it keeps, and a pair
+    left out has IoU 0. Rows are tested in blocks of about 1M cells, so
+    memory stays bounded for any list sizes.
     """
     if not rows or not cols:
         return [[] for _ in rows]
@@ -358,7 +369,6 @@ def candidate_columns(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> List[List
             d2 += dy
             reach = np.add(block[:, 2:3], b[:, 2], out=dy)  # dy is spent: reuse it
             reach *= reach
-            reach *= _REACH_SLACK
         hits = d2 <= reach
         flat = np.nonzero(hits)[1].tolist()
         ends = np.cumsum(hits.sum(axis=1)).tolist()

@@ -97,6 +97,15 @@ def _touching_pairs():
     return pairs
 
 
+def _overflow_rows_cols():
+    """Rows and columns whose squared distances or reaches pass the float range."""
+    rows = [Box3D(1e308, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0),
+            Box3D(0.0, 0.0, 0.0, 1e308, 1e308, 1.0, 0.0)]
+    cols = [Box3D(-1e308, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0),
+            Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)]
+    return rows, cols
+
+
 def _boundary_frame():
     return [box for pair in _touching_pairs() for box in pair]
 
@@ -150,10 +159,27 @@ class TestCandidateColumns:
         outside = [Box3D(reach * f, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0) for f in (1.0 + 1e-6, 3.0)]
         assert candidate_columns([a], inside + outside) == [[0, 1]]
 
-    def test_touching_pairs_and_one_ulp_either_side_are_candidates(self):
-        for a, b in _touching_pairs():
+    def test_touching_pairs_and_one_ulp_either_side_agree_with_the_scalar_test(self):
+        pairs = _touching_pairs()
+        for a, b in pairs:
+            assert candidate_columns([a], [b]) == [[0] if _scalar_keeps(a, b) else []]
+            assert candidate_columns([b], [a]) == [[0] if _scalar_keeps(b, a) else []]
+        for a, b in pairs[1::3]:  # the pairs at exactly the touching distance
             assert candidate_columns([a], [b]) == [[0]]
             assert candidate_columns([b], [a]) == [[0]]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", [*sorted(FRAMES), "overflow"])
+    def test_drops_only_pairs_the_scalar_test_rejects(self, name):
+        if name == "overflow":
+            rows, cols = _overflow_rows_cols()
+        else:
+            rows, cols = FRAMES[name][::2], FRAMES[name][1::2]
+        cand = candidate_columns(rows, cols)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(cols):
+                if j not in cand[i]:
+                    assert not _scalar_keeps(a, b) and not _scalar_keeps(b, a)
 
     @pytest.mark.parametrize("n_rows, n_cols", [(3, 0), (0, 4), (0, 0)])
     def test_empty_sides(self, n_rows, n_cols):

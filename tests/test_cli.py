@@ -5,20 +5,22 @@ import math
 import re
 import struct
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lidarpost import cli
 from lidarpost.assigner import adaptive_assign, fixed_assign
 from lidarpost.cli import CONFIG_ORDER, CONFIG_RANGES, OVERRIDES, default_config, run
 from lidarpost.ensemble import DEFAULT_NMS_IOU, PairPool, box_vote, nms, soft_nms
-from lidarpost.geometry import Box3D, DetectionSet, Label
-from lidarpost.io import read_boxes, read_points
-from lidarpost.metrics import Difficulty, match_frame
+from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou
+from lidarpost.io import read_boxes, read_points, write_boxes
+from lidarpost.metrics import DEFAULT_IOU_THRESHOLDS, Difficulty, average_precision, match_frame
 from lidarpost.pointcloud import PointCloud, RangeSpec, concat_frames
 from lidarpost.tracker import TrackerConfig
 from lidarpost.voxelizer import VoxelConfig
-from oracles import compensated_sum
+from oracles import compensated_sum, reference_ensemble_pair
 
 
 def _record(frame_id="f0", timestamp=0.0, cx=1.0, cy=2.0, cz=0.5, l=4.0, w=2.0,
@@ -742,6 +744,35 @@ class TestEvalMot:
         assert capsys.readouterr().err.startswith("ERROR 3:")
 
 
+def _two_detector_scene(tmp_path, seed, frames=3, objects=5):
+    """Ground truth and two noisy detectors over a few frames: each detector
+    finds each object with probability 0.6 and adds two false positives and
+    a pedestrian per frame. Returns the paths (gt, det_0, det_1)."""
+    rng = np.random.default_rng(seed)
+    gt, dets = [], ([], [])
+    for f in range(frames):
+        frame = dict(frame_id=f"f{f}", timestamp=0.1 * f)
+        centers = [(12.0 * k + rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
+                   for k in range(objects)]
+        gt += [_record(**frame, cx=x, cy=y, heading=0.0) for x, y in centers]
+        for det in dets:
+            det += [_record(**frame, cx=x + rng.normal(0.0, 0.4),
+                            cy=y + rng.normal(0.0, 0.4),
+                            heading=float(rng.normal(0.0, 0.1)),
+                            score=float(rng.uniform(0.05, 1.0)))
+                    for x, y in centers if rng.uniform() < 0.6]
+            det += [_record(**frame, cx=float(rng.uniform(-5.0, 60.0)),
+                            cy=float(rng.uniform(-5.0, 5.0)),
+                            score=float(rng.uniform(0.05, 1.0)))
+                    for _ in range(2)]
+            det.append(_record(**frame, cx=centers[0][0], cy=centers[0][1], l=0.8, w=0.6,
+                               label="PEDESTRIAN", score=float(rng.uniform(0.05, 1.0))))
+    paths = [tmp_path / name for name in ("gt.jsonl", "det_0.jsonl", "det_1.jsonl")]
+    for path, records in zip(paths, (gt, *dets)):
+        _write_jsonl(path, records)
+    return paths
+
+
 class TestEnsemble:
     def _files(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
@@ -862,6 +893,79 @@ class TestEnsemble:
                     "--output", str(tmp_path / "o.jsonl")])
         assert code == 2
         assert "grid" in capsys.readouterr().err
+
+    def test_merges_each_frame_once_per_grid_weight(self, tmp_path, monkeypatch, capsys):
+        # Each of three detectors finds a different one of three objects in
+        # every frame, so both candidates are merged.
+        frames = [("f0", 0.0), ("f1", 0.1), ("f2", 0.2)]
+        xs = (0.0, 30.0, 60.0)
+        gt = tmp_path / "gt.jsonl"
+        _write_jsonl(gt, [_record(frame_id=f, timestamp=t, cx=x, heading=0.0)
+                          for f, t in frames for x in xs])
+        inputs = []
+        for k, x in enumerate(xs):
+            path = tmp_path / f"det_{k}.jsonl"
+            _write_jsonl(path, [_record(frame_id=f, timestamp=t, cx=x, heading=0.0)
+                                for f, t in frames])
+            inputs.append(str(path))
+        weights = []
+        merge = PairPool.merge
+
+        def counting(pool, w_a, w_b, iou_thr):
+            weights.append(w_b)
+            return merge(pool, w_a, w_b, iou_thr)
+
+        monkeypatch.setattr(PairPool, "merge", counting)
+        grid = [0.25, 0.5, 1.0]
+        assert run(["ensemble", "--inputs", *inputs, "--gt", str(gt), "--class", "VEHICLE",
+                    "--grid", "0.25,0.5,1.0", "--output", str(tmp_path / "o.jsonl")]) == 0
+        assert "detector_2 weight=" in capsys.readouterr().out
+        assert weights == [w for _ in inputs[1:] for w in grid for _ in frames]
+
+    def test_tied_weights_keep_the_first_in_grid_order(self, tmp_path, capsys):
+        # The candidate's one box is a true positive at any weight: AP 1.0 throughout.
+        gt, det_a, det_b = self._files(tmp_path)
+        out = tmp_path / "merged.jsonl"
+        assert run(["ensemble", "--inputs", str(det_a), str(det_b), "--gt", str(gt),
+                    "--class", "VEHICLE", "--grid", "0.7,0.3,1.0", "--output", str(out)]) == 0
+        assert "detector_1 weight=0.7 score=1.0" in capsys.readouterr().out
+        assert {b.cx: b.score for b in read_boxes(out)["f0"].boxes} == {0.0: 0.9, 30.0: 0.9 * 0.7}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weight_and_output_are_the_earliest_argmax_over_the_grid(self, tmp_path, capsys,
+                                                                     seed):
+        gt, *inputs = _two_detector_scene(tmp_path, seed)
+        out = tmp_path / "merged.jsonl"
+        assert run(["ensemble", "--inputs", *map(str, inputs), "--gt", str(gt),
+                    "--class", "VEHICLE", "--output", str(out)]) == 0
+        stdout = capsys.readouterr().out
+
+        config = default_config()
+        grid = config["ensemble"]["weight_grid"]
+        gt_frames = read_boxes(gt)
+        a, b = ({fid: replace(ds, boxes=[replace(box, source_id=i) for box in ds.boxes])
+                 for fid, ds in read_boxes(path).items()} for i, path in enumerate(inputs))
+
+        def ap(frames):
+            ledgers, gt_count = [], 0
+            for fid, gt_set in gt_frames.items():
+                gts = [box for box in gt_set.boxes if box.label is Label.VEHICLE]
+                dets = [box for box in frames[fid].boxes if box.label is Label.VEHICLE]
+                ledgers.append(match_frame(dets, gts, DEFAULT_IOU_THRESHOLDS[Label.VEHICLE]))
+                gt_count += len(gts)
+            return average_precision(ledgers, gt_count)[0]
+
+        merges = [{fid: reference_ensemble_pair(a[fid], b[fid], 1.0, w,
+                                                DEFAULT_NMS_IOU["VEHICLE"], bev_iou)
+                   for fid in a} for w in grid]
+        scores = [ap(merged) for merged in merges]
+        assert len(set(scores)) > 1, "a scene whose AP is flat over the grid tests no argmax"
+        best = scores.index(max(scores))
+        assert scores[best] - ap(a) >= config["ensemble"]["stop_delta"]
+        assert f"detector_0 score={ap(a)!r}" in stdout
+        assert f"detector_1 weight={float(grid[best])!r} score={scores[best]!r}" in stdout
+        write_boxes(merges[best], tmp_path / "want.jsonl")
+        assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
 class TestDefaultConfig:

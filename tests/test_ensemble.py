@@ -14,7 +14,6 @@ from lidarpost.ensemble import (
     DetectionSet,
     box_vote,
     ensemble_pair,
-    grid_search_weight,
     merge_sources,
     nms,
     soft_nms,
@@ -426,88 +425,6 @@ class TestEnsemblePair:
             ]
             expected = [pool[i] for i in nms(pool, iou_thr=0.5)]
             assert out.boxes == expected
-
-
-class TestGridSearchWeight:
-    @staticmethod
-    def _sets():
-        fixed = DetectionSet(frame_id="f", boxes=[_box(0.0, 0.0, 0.5)], source_id=0)
-        candidate = DetectionSet(frame_id="f", boxes=[_box(30.0, 0.0, 1.0)], source_id=1)
-        return fixed, candidate
-
-    @staticmethod
-    def _merge(fixed, candidate):
-        """merge(w) for grid_search_weight: the pair merged at weight w, IoU 0.7."""
-        return lambda w: ensemble_pair(fixed, candidate, 1.0, w, 0.7)
-
-    @staticmethod
-    def _candidate_score(merged):
-        """Score of the candidate's box (at cx=30) inside the merged set."""
-        return next(b.score for b in merged.boxes if b.cx == 30.0)
-
-    def test_singleton_grid(self):
-        fixed, candidate = self._sets()
-        weight, score = grid_search_weight(
-            [1.0], self._merge(fixed, candidate), lambda ds: 0.5
-        )
-        assert (weight, score) == (1.0, 0.5)
-
-    def test_constant_objective_keeps_earliest(self):
-        fixed, candidate = self._sets()
-        weight, score = grid_search_weight(
-            [0.3, 0.5, 0.7], self._merge(fixed, candidate), lambda ds: 1.0
-        )
-        assert weight == 0.3
-        assert score == 1.0
-
-    def test_picks_argmax_over_merged_sets(self):
-        fixed, candidate = self._sets()
-        grid = [0.1 * i for i in range(1, 11)]
-        weight, score = grid_search_weight(
-            grid,
-            self._merge(fixed, candidate),
-            lambda ds: -((self._candidate_score(ds) - 0.6) ** 2),
-        )
-        assert weight == pytest.approx(0.6)
-        assert score == pytest.approx(0.0, abs=1e-12)
-
-    def test_empty_grid_rejected(self):
-        fixed, candidate = self._sets()
-        with pytest.raises(ValueError):
-            grid_search_weight([], self._merge(fixed, candidate), lambda ds: 1.0)
-
-    def test_matches_exhaustive_reevaluation(self):
-        # candidate contributes only false positives; an objective that
-        # penalizes their weighted rank is maximized by the smallest weight
-        rng = np.random.default_rng(58)
-        fixed, candidate = self._sets()
-        grid = [round(0.1 * i, 2) for i in range(1, 11)]
-        for _ in range(10):
-            table = {w: float(rng.uniform(0.0, 1.0)) for w in grid}
-
-            def objective(ds, table=table):
-                # derive the applied weight from the candidate box's score
-                return table[round(self._candidate_score(ds), 2)]
-
-            weight, score = grid_search_weight(
-                grid, self._merge(fixed, candidate), objective
-            )
-            sequential = [
-                (w, objective(ensemble_pair(fixed, candidate, 1.0, w, 0.7)))
-                for w in grid
-            ]
-            best = max(s for _, s in sequential)
-            assert score == best
-            assert weight == min(w for w, s in sequential if s == best)
-
-    def test_false_positive_candidate_prefers_low_weight(self):
-        fixed, candidate = self._sets()
-        grid = [round(0.1 * i, 2) for i in range(1, 11)]
-        # rank penalty: the lower the false positive's score, the better
-        weight, _ = grid_search_weight(
-            grid, self._merge(fixed, candidate), lambda ds: -self._candidate_score(ds)
-        )
-        assert weight == grid[0]
 
 
 class TestPermutationStability:

@@ -154,6 +154,21 @@ class TestBox3D:
         with pytest.raises(ValueError):
             Box3D(cx=0, cy=0, cz=0, length=1, width=1, height=1, heading=0, num_points=-5)
 
+    @pytest.mark.parametrize("field, value", [
+        *((name, True) for name in ("cx", "cy", "cz", "length", "width", "height", "heading",
+                                    "score")),
+        *((name, True) for name in ("track_id", "difficulty", "num_points", "source_id")),
+        ("track_id", False), ("track_id", 1.5), ("difficulty", 2.0), ("num_points", 2.0),
+        ("source_id", 1.0),
+    ])
+    def test_values_a_box_file_cannot_carry_rejected(self, field, value):
+        """A bool is no number and a float no id to read_boxes, so a box
+        that holds one could be written but not read back."""
+        kwargs = dict(cx=0, cy=0, cz=0, length=1, width=1, height=1, heading=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Box3D(**kwargs)
+
     def test_corners_are_counter_clockwise(self):
         rng = np.random.default_rng(10)
         for _ in range(50):

@@ -141,3 +141,26 @@ def test_filter_commands_call_the_current_module_attributes(tmp_path, monkeypatc
                                "score": 0.9, "label": "VEHICLE"}) + "\n")
     assert cli.run([command, "--input", str(det), "--output", str(tmp_path / "o.jsonl")]) == 0
     assert calls == reached
+
+
+# Imported names a module keeps without using them, by module.
+UNUSED_ON_PURPOSE = {
+    # The benchmark's tracer times ensemble_pair by replacing this attribute.
+    "cli": {"ensemble_pair"},
+}
+
+
+def test_every_imported_name_is_used():
+    """Each name bound by a top-level import of a package module appears in
+    that module as a name, alone or as the base of an attribute."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = bound - used - UNUSED_ON_PURPOSE.get(path.stem, set())
+        assert not unused, f"{path.stem} imports {sorted(unused)} and never uses them"

@@ -216,7 +216,7 @@ class TestWriteBoxes:
 
 
 _FLOAT = st.floats(allow_nan=False, allow_infinity=False)
-_NUMBER = st.one_of(_FLOAT, st.integers(-10**6, 10**6), st.booleans())
+_NUMBER = st.one_of(_FLOAT, st.integers(-10**6, 10**6))
 _SIZE = st.floats(min_value=1e-300, max_value=1e300)
 _FRAME_ID = st.one_of(st.text(), st.sampled_from(["\u2028", 'quote " back \\ slash', "é\x00\n"]))
 
@@ -224,15 +224,15 @@ _FRAME_ID = st.one_of(st.text(), st.sampled_from(["\u2028", 'quote " back \\ sla
 @st.composite
 def _frames(draw):
     """A frame whose box values are all floats, ints and None, the writer's
-    fast case, or one that also holds ints and bools in float fields and
-    bools in id fields."""
+    fast case, or one that also holds ints in float fields. Either way the
+    frame's timestamp may be a float, an int or a bool; a box refuses bools."""
     if draw(st.booleans()):
         number, size, score = _FLOAT, _SIZE, st.floats(0.0, 1.0)
         ident, difficulty = st.one_of(st.none(), st.integers(0, 2**70)), [None, 1, 2]
     else:
-        number, size = _NUMBER, st.one_of(_SIZE, st.integers(1, 10**6), st.just(True))
-        score = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, True]))
-        ident, difficulty = st.one_of(st.none(), st.integers(0, 2**70), st.booleans()), [1, True]
+        number, size = _NUMBER, st.one_of(_SIZE, st.integers(1, 10**6))
+        score = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+        ident, difficulty = st.one_of(st.none(), st.integers(0, 2**70)), [1, 2]
     boxes = [
         Box3D(
             *(draw(number) for _ in range(3)), *(draw(size) for _ in range(3)),
@@ -246,7 +246,47 @@ def _frames(draw):
         )
         for _ in range(draw(st.integers(0, 4)))
     ]
-    return DetectionSet(draw(_FRAME_ID), boxes, 0, draw(_NUMBER))
+    return DetectionSet(draw(_FRAME_ID), boxes, 0, draw(st.one_of(_NUMBER, st.booleans())))
+
+
+@st.composite
+def _readable_frames(draw):
+    """Frames with distinct ids and at least one box each, every number field
+    an int or a float and every id an int or None."""
+    frame_ids = draw(st.lists(st.text(), min_size=1, max_size=3, unique=True))
+    number = st.one_of(_FLOAT, st.integers(-10**6, 10**6))
+    size = st.one_of(_SIZE, st.integers(1, 10**6))
+    score = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+    ident = st.one_of(st.none(), st.integers(0, 2**70))
+    return [
+        DetectionSet(frame_id, [
+            Box3D(
+                *(draw(number) for _ in range(3)), *(draw(size) for _ in range(3)),
+                heading=draw(number),
+                score=draw(score),
+                label=draw(st.sampled_from(Label)),
+                track_id=draw(ident),
+                difficulty=draw(st.sampled_from([None, 1, 2])),
+                num_points=draw(ident),
+                source_id=draw(st.one_of(st.none(), st.integers(-2**70, 2**70))),
+            )
+            for _ in range(draw(st.integers(1, 4)))
+        ], 0, draw(number))
+        for frame_id in frame_ids
+    ]
+
+
+class TestRoundTrip:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_readable_frames())
+    def test_read_boxes_returns_the_boxes_written(self, tmp_path_factory, sets):
+        path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+        write_boxes(sets, path)
+        frames = read_boxes(path)
+        assert list(frames) == [s.frame_id for s in sets]
+        for s in sets:
+            assert frames[s.frame_id].timestamp == s.timestamp
+            assert frames[s.frame_id].boxes == s.boxes
 
 
 class TestWriteBoxesAgainstReference:
