@@ -118,6 +118,11 @@ class Box3D:
             value = getattr(self, name)
             if isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, int):  # tested, not converted: a box file writes 1 and 1.0 apart
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(f"{name} must be within float range") from None
         for name in _ID_FIELDS:
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
@@ -222,12 +227,29 @@ def unchecked_box(cx, cy, cz, length, width, height, heading, score, label,
 
 @dataclass
 class DetectionSet:
-    """Ordered detections for one frame, tagged with the producing detector."""
+    """Ordered detections for one frame, tagged with the producing detector.
+
+    Raises:
+        ValueError: if the timestamp is a bool, not an int or a float, an int
+            beyond float range, or not finite: what a box file's reader
+            refuses, so every set that is written reads back.
+    """
 
     frame_id: str
     boxes: List[Box3D] = field(default_factory=list)
     source_id: int = 0
     timestamp: float = 0.0
+
+    def __post_init__(self) -> None:
+        timestamp = self.timestamp
+        if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
+            raise ValueError(f"timestamp must be a number, got {timestamp!r}")
+        try:
+            finite = math.isfinite(timestamp)
+        except OverflowError:
+            raise ValueError("timestamp must be within float range") from None
+        if not finite:
+            raise ValueError(f"timestamp must be finite, got {timestamp!r}")
 
     def __len__(self) -> int:
         return len(self.boxes)

@@ -42,20 +42,27 @@ class PointCloud:
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        given = np.asarray(self.points, dtype=np.float64)
+        given = np.asarray(self.points)
         if given.ndim != 2 or given.shape[1] not in (4, 5):
             raise ValueError(f"expected an (N, 4) or (N, 5) array, got shape {given.shape}")
         points = np.zeros((len(given), 5))
-        points[:, : given.shape[1]] = given
-        finite = np.isfinite(points).all(axis=1)
-        bad = ~finite | (points[:, 3] < 0.0) | (points[:, 4] < 0.0)
-        if bad.any():
-            index = int(np.argmax(bad))
-            row = points[index]
-            if not finite[index]:
-                raise ValueError(f"record {index}: non-finite value")
-            name, value = ("intensity", row[3]) if row[3] < 0.0 else ("t", row[4])
-            raise ValueError(f"record {index}: {name} must be non-negative, got {float(value)!r}")
+        points[:, : given.shape[1]] = given  # the one copy, cast to float64 as it is stored
+        # The sum is finite exactly when no value is NaN or inf and the sum
+        # does not overflow, which a float64 sum of float32 values cannot.
+        # Only a cloud that fails this test is scanned row by row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = points.sum()
+        if not (math.isfinite(total) and points[:, 3:].min(initial=0.0) >= 0.0):
+            finite = np.isfinite(points).all(axis=1)
+            bad = ~finite | (points[:, 3] < 0.0) | (points[:, 4] < 0.0)
+            if bad.any():
+                index = int(np.argmax(bad))
+                row = points[index]
+                if not finite[index]:
+                    raise ValueError(f"record {index}: non-finite value")
+                name, value = ("intensity", row[3]) if row[3] < 0.0 else ("t", row[4])
+                raise ValueError(
+                    f"record {index}: {name} must be non-negative, got {float(value)!r}")
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
 

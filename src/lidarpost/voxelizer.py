@@ -1,10 +1,12 @@
 """Sparse voxelization of point clouds, in hard (capped) and dynamic modes.
 
 Both modes run one grouping step: each in-range point gets its grid cell,
-cells are numbered by the arrival of their first point, and each voxel's
-feature is the mean of its stored points. Dynamic mode keeps every in-range
-point. Hard mode enforces per-voxel and total-voxel caps in first-arrival
-order, so drop behavior is reproducible for a given input ordering.
+one stable sort of the cell keys lines each voxel's points up in arrival
+order, voxels are numbered by the arrival of their first point without a
+second sort, and each voxel's feature is the mean of its stored points.
+Dynamic mode keeps every in-range point. Hard mode enforces per-voxel and
+total-voxel caps in first-arrival order, so drop behavior is reproducible
+for a given input ordering.
 """
 
 from __future__ import annotations
@@ -101,10 +103,10 @@ def voxel_coords(points: np.ndarray, cfg: VoxelConfig) -> np.ndarray:
     into the last voxel.
     """
     r = cfg.range
-    lo = np.array([r.x_min, r.y_min, r.z_min])
-    edge = np.array([cfg.vx, cfg.vy, cfg.vz])
-    cells = np.floor((points[:, :3] - lo) / edge).astype(np.int64)
-    return np.minimum(cells, np.array(cfg.grid_shape) - 1)
+    cells = points[:, :3] - np.array([r.x_min, r.y_min, r.z_min])
+    cells /= np.array([cfg.vx, cfg.vy, cfg.vz])
+    cells = np.floor(cells, out=cells).astype(np.int64)
+    return np.minimum(cells, np.array(cfg.grid_shape) - 1, out=cells)
 
 
 def _group(
@@ -119,39 +121,53 @@ def _group(
     the first max_voxels voxels, with the drop accounting of voxelize_hard."""
     inside = np.flatnonzero(cfg.range.contains(cloud.points))
     nx, ny, nz = cfg.grid_shape
-    cells = voxel_coords(cloud.points[inside], cfg)
-    keys = (cells[:, 0] * ny + cells[:, 1]) * nz + cells[:, 2]
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    # Rank of each point among the points of its voxel, in arrival order.
-    by_key = np.argsort(inverse, kind="stable")
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[by_key] = np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)
-    # Renumber voxels by the arrival of their first point.
-    arrival = np.argsort(first, kind="stable")
-    renumber = np.empty_like(arrival)
-    renumber[arrival] = np.arange(len(arrival))
-    voxel = renumber[inverse]
-
-    stored = (rank < max_points_per_voxel) & (voxel < max_voxels)
-    num_voxels = min(len(first), max_voxels)
+    cells = voxel_coords(cloud.points[inside, :3], cfg)
+    keys = cells[:, 0] * ny
+    keys += cells[:, 1]
+    keys *= nz
+    keys += cells[:, 2]
+    # The one sort: a stable sort makes each voxel's points one run of equal
+    # keys, in arrival order.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    opens = np.empty(len(keys), dtype=bool)  # the sorted point opens a run
+    opens[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=opens[1:])
+    del keys
+    starts = np.flatnonzero(opens)
+    run = np.cumsum(opens)
+    run -= 1
+    del opens
+    # A voxel's number counts the voxels whose first point arrives before
+    # its own, so marking the first points in arrival order numbers them.
+    first = order[starts]
+    lead = np.zeros(len(order), dtype=bool)
+    lead[first] = True
+    voxel = np.cumsum(lead)[first] - 1
+    del first
+    voxel = voxel[run]
+    # The sorted point's rank among its voxel's points is its offset in the run.
+    stored = (np.arange(len(order)) - starts[run] < max_points_per_voxel) & (voxel < max_voxels)
+    del run
     voxel = voxel[stored]
-    kept = inside[stored]
-    members = cloud.points[kept]
+    kept = inside[order[stored]]
+    del order, stored
+    num_voxels = min(len(starts), max_voxels)
     stored_counts = np.bincount(voxel, minlength=num_voxels)
-    # bincount adds in arrival order, as a running per-voxel sum would.
-    sums = [np.bincount(voxel, weights=column, minlength=num_voxels) for column in members.T]
+    # Within a run the points keep their arrival order, so bincount adds each
+    # voxel's points in arrival order, as a running per-voxel sum would.
+    sums = [np.bincount(voxel, weights=cloud.points[kept, column], minlength=num_voxels)
+            for column in range(5)]
     point_voxel = np.full(len(cloud), -1, dtype=np.int64)
     point_voxel[kept] = voxel
     return VoxelGrid(
-        coords=cells[first[arrival[:num_voxels]]],
+        coords=cells[np.flatnonzero(lead)[:num_voxels]],
         counts=stored_counts,
         features=np.column_stack(sums) / stored_counts[:, None],
         point_voxel=point_voxel,
         mode=mode,
-        dropped_points=len(keys) - len(voxel),
-        dropped_voxels=len(first) - num_voxels,
+        dropped_points=len(inside) - len(voxel),
+        dropped_voxels=len(starts) - num_voxels,
     )
 
 

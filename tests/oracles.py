@@ -20,7 +20,11 @@ the library runs one stacked step over a table of rows, of which its public
 predict and update are the one-row case.
 Class-wise NMS at one threshold per class splits a frame by class and scans
 each class alone, where the library holds each class to its threshold in one
-loop.
+loop. The reference grouping numbers voxels with np.unique, a second stable
+sort of the inverse and a sort of the first arrivals, where the library
+sorts the cell keys once. The point check scans one row at a time, where the
+library scans a cloud's rows only when one sum and one minimum over the
+whole cloud say that some row may be bad.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from lidarpost.assigner import AnchorLabel, AssignmentResult
 from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, heading_error, wrap_angle
 from lidarpost.io import FormatError, ValidationError, _parse_record
 from lidarpost.metrics import DetectionOutcome, MatchLedger
+from lidarpost.pointcloud import PointCloud
 from lidarpost.tracker import (
     _INITIAL_VELOCITY_VAR,
     OBS_DIM,
@@ -47,6 +52,7 @@ from lidarpost.tracker import (
     associate,
     correct_heading_flip,
 )
+from lidarpost.voxelizer import VoxelConfig, VoxelGrid, VoxelMode
 
 
 def random_box(
@@ -430,6 +436,19 @@ def reference_ap(outcomes: Sequence[Tuple[float, bool]], gt_count: int) -> float
     return ap
 
 
+def reference_point_error(points) -> Optional[str]:
+    """The message PointCloud raises for an (N, 4) or (N, 5) array-like, found
+    by a scan of one row at a time, or None for a cloud it accepts."""
+    for index, row in enumerate(np.asarray(points, dtype=np.float64).tolist()):
+        values = row + [0.0] * (5 - len(row))
+        if not all(map(math.isfinite, values)):
+            return f"record {index}: non-finite value"
+        for name, value in (("intensity", values[3]), ("t", values[4])):
+            if value < 0.0:
+                return f"record {index}: {name} must be non-negative, got {value!r}"
+    return None
+
+
 class ReferenceGrid(NamedTuple):
     coords: np.ndarray
     counts: np.ndarray
@@ -493,6 +512,58 @@ def reference_voxelize(points: np.ndarray, cfg, capped: bool) -> ReferenceGrid:
         point_voxel=np.array(point_voxel, dtype=np.int64),
         dropped_points=dropped_points,
         dropped_voxels=len(refused),
+    )
+
+
+def reference_group(
+    cloud: PointCloud,
+    cfg: VoxelConfig,
+    mode: VoxelMode,
+    max_points_per_voxel: int,
+    max_voxels: int,
+) -> VoxelGrid:
+    """The grouping step of the voxelizer with three sorts: np.unique of the
+    cell keys, a stable argsort of its inverse for each point's rank in its
+    voxel, and a stable argsort of the first arrivals to number the voxels."""
+    inside = np.flatnonzero(cfg.range.contains(cloud.points))
+    nx, ny, nz = cfg.grid_shape
+    r = cfg.range
+    lo = np.array([r.x_min, r.y_min, r.z_min])
+    edge = np.array([cfg.vx, cfg.vy, cfg.vz])
+    cells = np.floor((cloud.points[inside, :3] - lo) / edge).astype(np.int64)
+    cells = np.minimum(cells, np.array(cfg.grid_shape) - 1)
+    keys = (cells[:, 0] * ny + cells[:, 1]) * nz + cells[:, 2]
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    # Rank of each point among the points of its voxel, in arrival order.
+    by_key = np.argsort(inverse, kind="stable")
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[by_key] = np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # Renumber voxels by the arrival of their first point.
+    arrival = np.argsort(first, kind="stable")
+    renumber = np.empty_like(arrival)
+    renumber[arrival] = np.arange(len(arrival))
+    voxel = renumber[inverse]
+
+    stored = (rank < max_points_per_voxel) & (voxel < max_voxels)
+    num_voxels = min(len(first), max_voxels)
+    voxel = voxel[stored]
+    kept = inside[stored]
+    members = cloud.points[kept]
+    stored_counts = np.bincount(voxel, minlength=num_voxels)
+    # bincount adds in arrival order, as a running per-voxel sum would.
+    sums = [np.bincount(voxel, weights=column, minlength=num_voxels) for column in members.T]
+    point_voxel = np.full(len(cloud), -1, dtype=np.int64)
+    point_voxel[kept] = voxel
+    return VoxelGrid(
+        coords=cells[first[arrival[:num_voxels]]],
+        counts=stored_counts,
+        features=np.column_stack(sums) / stored_counts[:, None],
+        point_voxel=point_voxel,
+        mode=mode,
+        dropped_points=len(keys) - len(voxel),
+        dropped_voxels=len(first) - num_voxels,
     )
 
 

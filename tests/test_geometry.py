@@ -160,14 +160,25 @@ class TestBox3D:
         *((name, True) for name in ("track_id", "difficulty", "num_points", "source_id")),
         ("track_id", False), ("track_id", 1.5), ("difficulty", 2.0), ("num_points", 2.0),
         ("source_id", 1.0),
+        *((name, sign * 10**400) for name in ("cx", "cy", "cz", "length", "width", "height",
+                                              "heading", "score") for sign in (1, -1)),
+        ("cx", 2**1024 - 2**970),
     ])
     def test_values_a_box_file_cannot_carry_rejected(self, field, value):
-        """A bool is no number and a float no id to read_boxes, so a box
-        that holds one could be written but not read back."""
+        """A bool is no number, a float no id and an int beyond float range
+        out of range to read_boxes, so a box that holds one could be written
+        but not read back."""
         kwargs = dict(cx=0, cy=0, cz=0, length=1, width=1, height=1, heading=0)
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"^{field} must be"):
             Box3D(**kwargs)
+
+    def test_ints_within_float_range_are_kept_as_ints(self):
+        largest = 2**1024 - 2**970 - 1  # the largest int that float() takes
+        box = Box3D(cx=largest, cy=-largest, cz=0, length=largest, width=1, height=1,
+                    heading=0, score=1)
+        assert (box.cx, box.cy, box.length, box.score) == (largest, -largest, largest, 1)
+        assert all(type(v) is int for v in (box.cx, box.cy, box.length, box.score))
 
     def test_corners_are_counter_clockwise(self):
         rng = np.random.default_rng(10)

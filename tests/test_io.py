@@ -225,7 +225,7 @@ _FRAME_ID = st.one_of(st.text(), st.sampled_from(["\u2028", 'quote " back \\ sla
 def _frames(draw):
     """A frame whose box values are all floats, ints and None, the writer's
     fast case, or one that also holds ints in float fields. Either way the
-    frame's timestamp may be a float, an int or a bool; a box refuses bools."""
+    frame's timestamp may be a float or an int; a box and a set refuse bools."""
     if draw(st.booleans()):
         number, size, score = _FLOAT, _SIZE, st.floats(0.0, 1.0)
         ident, difficulty = st.one_of(st.none(), st.integers(0, 2**70)), [None, 1, 2]
@@ -246,34 +246,47 @@ def _frames(draw):
         )
         for _ in range(draw(st.integers(0, 4)))
     ]
-    return DetectionSet(draw(_FRAME_ID), boxes, 0, draw(st.one_of(_NUMBER, st.booleans())))
+    return DetectionSet(draw(_FRAME_ID), boxes, 0, draw(_NUMBER))
 
 
 @st.composite
-def _readable_frames(draw):
-    """Frames with distinct ids and at least one box each, every number field
-    an int or a float and every id an int or None."""
-    frame_ids = draw(st.lists(st.text(), min_size=1, max_size=3, unique=True))
+def _readable_box(draw):
+    """A box whose number fields are each an int or a float and whose ids are
+    each an int or None."""
     number = st.one_of(_FLOAT, st.integers(-10**6, 10**6))
     size = st.one_of(_SIZE, st.integers(1, 10**6))
     score = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
     ident = st.one_of(st.none(), st.integers(0, 2**70))
+    return Box3D(
+        *(draw(number) for _ in range(3)), *(draw(size) for _ in range(3)),
+        heading=draw(number),
+        score=draw(score),
+        label=draw(st.sampled_from(Label)),
+        track_id=draw(ident),
+        difficulty=draw(st.sampled_from([None, 1, 2])),
+        num_points=draw(ident),
+        source_id=draw(st.one_of(st.none(), st.integers(-2**70, 2**70))),
+    )
+
+
+@st.composite
+def _readable_frames(draw):
+    """Frames with distinct ids and at least one box each."""
+    frame_ids = draw(st.lists(st.text(), min_size=1, max_size=3, unique=True))
     return [
-        DetectionSet(frame_id, [
-            Box3D(
-                *(draw(number) for _ in range(3)), *(draw(size) for _ in range(3)),
-                heading=draw(number),
-                score=draw(score),
-                label=draw(st.sampled_from(Label)),
-                track_id=draw(ident),
-                difficulty=draw(st.sampled_from([None, 1, 2])),
-                num_points=draw(ident),
-                source_id=draw(st.one_of(st.none(), st.integers(-2**70, 2**70))),
-            )
-            for _ in range(draw(st.integers(1, 4)))
-        ], 0, draw(number))
+        DetectionSet(frame_id, draw(st.lists(_readable_box(), min_size=1, max_size=4)), 0,
+                     draw(_NUMBER))
         for frame_id in frame_ids
     ]
+
+
+# Every timestamp a set takes: a finite float, or an int up to the largest
+# that float() takes; beyond it an int rounds to 2**1024.
+_LARGEST_INT = 2**1024 - 2**970 - 1
+_TIMESTAMP = st.one_of(
+    _FLOAT, st.integers(-_LARGEST_INT, _LARGEST_INT),
+    st.sampled_from([-0.0, 5e-324, _LARGEST_INT, -_LARGEST_INT]),
+)
 
 
 class TestRoundTrip:
@@ -287,6 +300,35 @@ class TestRoundTrip:
         for s in sets:
             assert frames[s.frame_id].timestamp == s.timestamp
             assert frames[s.frame_id].boxes == s.boxes
+
+
+class TestDetectionSetTimestamp:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_FRAME_ID, st.lists(_readable_box(), max_size=4), _TIMESTAMP)
+    def test_every_valid_frame_reads_back(self, tmp_path_factory, frame_id, boxes, timestamp):
+        path = tmp_path_factory.getbasetemp() / "one_frame.jsonl"
+        write_boxes([DetectionSet(frame_id, boxes, 0, timestamp)], path)
+        frames = read_boxes(path)
+        if not boxes:  # a frame without boxes writes no line
+            assert frames == {}
+            return
+        assert list(frames) == [frame_id]
+        assert frames[frame_id].timestamp == float(timestamp)
+        assert frames[frame_id].boxes == boxes
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "must be a number"), (False, "must be a number"), ("1.0", "must be a number"),
+        (None, "must be a number"), (10**400, "must be within float range"),
+        (-(2**1024 - 2**970), "must be within float range"), (math.nan, "must be finite"),
+        (math.inf, "must be finite"), (-math.inf, "must be finite"),
+    ])
+    def test_a_timestamp_the_reader_refuses_is_refused(self, tmp_path, bad, message):
+        with pytest.raises(ValueError, match=f"^timestamp {message}"):
+            DetectionSet("f", [], 0, bad)
+        path = tmp_path / "bad.jsonl"
+        _write_jsonl(path, [_record(timestamp=bad)])
+        with pytest.raises(ValidationError, match="^line 1: key 'timestamp'"):
+            read_boxes(path)
 
 
 class TestWriteBoxesAgainstReference:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpost.geometry import Box3D, wrap_angle
 from lidarpost.pointcloud import (
@@ -19,6 +21,7 @@ from lidarpost.pointcloud import (
     global_scale,
     sample_augmentation,
 )
+from oracles import reference_point_error
 
 
 X, Y, Z, INTENSITY, T = range(5)
@@ -70,6 +73,90 @@ class TestPointValidation:
         assert cloud.points[0, X] == 1.0
         with pytest.raises(ValueError):
             cloud.points[0, X] = 9.0
+
+
+_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, -1e-300, 5e-324,
+                     1e308, -1e308, 3.4e38]),
+)
+
+
+def _error(points):
+    try:
+        PointCloud(points)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _point_inputs(draw):
+    """An (N, 4) or (N, 5) float32, float64 or int array, or a list of rows."""
+    rows = draw(st.lists(st.lists(_VALUES, min_size=5, max_size=5), max_size=8))
+    width = draw(st.sampled_from([4, 5]))
+    values = np.array(rows, dtype=np.float64).reshape(-1, 5)[:, :width]
+    kind = draw(st.sampled_from(["float64", "float32", "int", "list"]))
+    if kind == "float32":
+        with np.errstate(over="ignore"):
+            return values.astype(np.float32)
+    if kind == "int":
+        return np.array([[draw(st.integers(-3, 3)) for _ in range(width)] for _ in rows],
+                        dtype=np.int64).reshape(-1, width)
+    # An empty list has shape (0,), which no cloud has.
+    return values.tolist() if kind == "list" and rows else values
+
+
+class TestOnePassCheck:
+    """The constructor accepts and refuses exactly the clouds a scan of one
+    row at a time does, with the same message."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(_point_inputs())
+    def test_same_verdict_as_the_row_scan(self, points):
+        assert _error(points) == reference_point_error(points)
+
+    @pytest.mark.parametrize("width", [4, 5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_anywhere(self, width, bad):
+        for row in range(3):
+            for column in range(width):
+                points = np.full((3, width), 0.5)
+                points[row, column] = bad
+                for given_points in (points, points.astype(np.float32), points.tolist()):
+                    assert _error(given_points) == f"record {row}: non-finite value"
+
+    def test_signed_zeros_pass_and_negatives_are_named(self):
+        assert _error(np.array([[0.0, 0.0, 0.0, -0.0, -0.0]])) is None
+        assert _error([[1.0, 2.0, 3.0, 0.5, 0.0], [1.0, 2.0, 3.0, -1e-300, 0.0]]) == (
+            "record 1: intensity must be non-negative, got -1e-300")
+        assert _error(np.array([[1, 2, 3, 4, -2]])) == "record 0: t must be non-negative, got -2.0"
+        assert _error(np.array([[0.0, 0.0, 0.0, -5.0, -1.0]], dtype=np.float32)) == (
+            "record 0: intensity must be non-negative, got -5.0")
+
+    def test_finite_rows_whose_sum_overflows_are_accepted(self):
+        points = np.array([[1e308, 1e308, 1e308, 1e308, 1e308]] * 3)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(points.sum())
+        np.testing.assert_array_equal(PointCloud(points).points, points)
+        mixed = np.array([[1e308, -1e308, 1e308, 0.0], [-1e308, 1e308, -1e308, 1e308]])
+        np.testing.assert_array_equal(PointCloud(mixed).points[:, :4], mixed)
+
+    def test_an_overflowing_sum_still_names_the_first_bad_row(self):
+        points = np.array([[1e308] * 5, [1e308] * 5, [0.0, 0.0, 0.0, 1.0, -0.5]])
+        assert _error(points) == "record 2: t must be non-negative, got -0.5"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.int32, list])
+    @pytest.mark.parametrize("width", [4, 5])
+    def test_every_input_kind_is_copied_to_float64(self, dtype, width):
+        values = np.array([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])[:, :width]
+        given_points = values.tolist() if dtype is list else values.astype(dtype)
+        cloud = PointCloud(given_points)
+        assert cloud.points.dtype == np.float64 and cloud.points.shape == (2, 5)
+        expected = np.zeros((2, 5))
+        expected[:, :width] = values
+        np.testing.assert_array_equal(cloud.points, expected)
+        assert not np.shares_memory(cloud.points, given_points)
 
 
 class TestPointCloudContainer:

@@ -563,18 +563,26 @@ class TestTrackerStep:
         tracker.step(DetectionSet(frame_id="0", boxes=[_det(0, 0), _det(30, 0)]))
         assert tracker.tracks_created == 2
 
+    @staticmethod
+    def _frame_at(frame_id, boxes, timestamp):
+        """A frame whose timestamp is set after construction, which refuses
+        a non-finite one, so that the tracker's own check is what runs."""
+        frame = DetectionSet(frame_id, boxes, 0, 0.0)
+        frame.timestamp = timestamp
+        return frame
+
     def test_non_finite_timestamp_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                Tracker().step(DetectionSet("0", [_det(0.0, 0.0)], 0, bad))
+            with pytest.raises(ValueError, match="^frame timestamp must be finite"):
+                Tracker().step(self._frame_at("0", [_det(0.0, 0.0)], bad))
 
     def test_rejected_nan_frame_keeps_the_order_check(self):
         """A NaN frame used to pass the order check, since every comparison
         with NaN is false, and then let any later frame through."""
         tracker = Tracker()
         tracker.step(DetectionSet("0", [], 0, 0.0))
-        with pytest.raises(ValueError):
-            tracker.step(DetectionSet("1", [], 0, math.nan))
+        with pytest.raises(ValueError, match="^frame timestamp must be finite"):
+            tracker.step(self._frame_at("1", [], math.nan))
         with pytest.raises(ValueError, match="temporal order"):
             tracker.step(DetectionSet("2", [], 0, -100.0))
 

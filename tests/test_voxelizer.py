@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpost.pointcloud import DEFAULT_RANGE, PointCloud, RangeSpec
 from lidarpost.voxelizer import (
@@ -9,7 +11,7 @@ from lidarpost.voxelizer import (
     voxelize_dynamic,
     voxelize_hard,
 )
-from oracles import reference_voxelize
+from oracles import reference_group, reference_voxelize
 
 
 def _cloud(coords):
@@ -438,3 +440,112 @@ class TestAgainstReference:
         ])
         points[::4, :3] = points[1, :3]
         self._check(points, config)
+
+
+# Keys (ix * ny + iy) * nz + iz reach (2**31 - 1)**2 * 2 - 1, within 2**33 of 2**63.
+NEAR_KEY_LIMIT = VoxelConfig(
+    range=RangeSpec(0.0, 2.0**31 - 1.0, 0.0, 2.0**31 - 1.0, 0.0, 2.0),
+    vx=1.0, vy=1.0, vz=1.0, max_points_per_voxel=2, max_voxels=3,
+)
+_CONFIGS = [
+    SMALL_CONFIG,
+    VoxelConfig(range=SMALL_RANGE, vx=0.3, vy=0.7, vz=0.45),
+    VoxelConfig(range=RangeSpec(-1.0, 1.5, -2.0, 0.5, -0.5, 1.0), vx=0.25, vy=0.5, vz=1.0),
+    NEAR_KEY_LIMIT,
+]
+
+
+@st.composite
+def _clouds(draw):
+    """A config with caps of 1 to 4 points and 1 to 12 voxels, and up to 40
+    points: coordinates inside, on either bound of or just beyond the range,
+    many of them piled on a few shared positions."""
+    config = draw(st.sampled_from(_CONFIGS))
+    config = VoxelConfig(range=config.range, vx=config.vx, vy=config.vy, vz=config.vz,
+                         max_points_per_voxel=draw(st.integers(1, 4)),
+                         max_voxels=draw(st.integers(1, 12)))
+    r = config.range
+    axes = [(r.x_min, r.x_max), (r.y_min, r.y_max), (r.z_min, r.z_max)]
+    coordinate = [
+        st.one_of(st.floats(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)), st.sampled_from([lo, hi]))
+        for lo, hi in axes
+    ]
+    position = st.tuples(*coordinate)
+    shared = draw(st.lists(position, min_size=1, max_size=3))
+    rows = draw(st.lists(
+        st.tuples(st.one_of(position, st.sampled_from(shared)),
+                  st.floats(0.0, 10.0), st.floats(0.0, 1.0)),
+        max_size=40,
+    ))
+    points = np.array([(*xyz, intensity, t) for xyz, intensity, t in rows]).reshape(-1, 5)
+    return points, config
+
+
+class TestAgainstReferenceGroup:
+    """The one-sort grouping against the three-sort reference: every array
+    equal byte for byte, and both drop counts equal, in both modes."""
+
+    @staticmethod
+    def _check(points, config):
+        cloud = PointCloud(points=points)
+        caps = {
+            VoxelMode.DYNAMIC: (voxelize_dynamic, len(cloud), len(cloud)),
+            VoxelMode.HARD: (voxelize_hard, config.max_points_per_voxel, config.max_voxels),
+        }
+        for mode, (voxelize, max_points, max_voxels) in caps.items():
+            grid = voxelize(cloud, config)
+            ref = reference_group(cloud, config, mode, max_points, max_voxels)
+            assert grid.mode is ref.mode is mode
+            for name in ("coords", "counts", "features", "point_voxel"):
+                got, want = getattr(grid, name), getattr(ref, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
+            assert (grid.dropped_points, grid.dropped_voxels) == (
+                ref.dropped_points, ref.dropped_voxels)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_clouds())
+    def test_equal_to_the_reference(self, case):
+        self._check(*case)
+
+    def test_empty_cloud(self):
+        self._check(np.zeros((0, 5)), SMALL_CONFIG)
+
+    def test_every_point_in_one_voxel(self):
+        rng = np.random.default_rng(960)
+        points = np.column_stack([
+            rng.uniform(1.0, 2.0, (50, 3)), rng.random(50), 0.1 * rng.random(50)])
+        for max_points in (1, 7, 50, 51):
+            self._check(points, VoxelConfig(range=SMALL_RANGE, vx=1.0, vy=1.0, vz=1.0,
+                                            max_points_per_voxel=max_points, max_voxels=1))
+
+    def test_points_on_the_upper_bounds(self):
+        corners = [(x, y, z, 0.5, 0.0) for x in (3.9, 4.0) for y in (3.9, 4.0)
+                   for z in (1.9, 2.0)]
+        points = np.array(corners * 3)
+        for config in _CONFIGS[:3]:
+            self._check(points, config)
+
+    @pytest.mark.parametrize("max_points, max_voxels", [(1, 1), (1, 10**6), (10**6, 1)])
+    def test_caps_of_one(self, max_points, max_voxels):
+        rng = np.random.default_rng(961)
+        points = np.column_stack([
+            rng.uniform(-0.5, 4.5, 400), rng.uniform(-0.5, 4.5, 400),
+            rng.uniform(-0.2, 2.2, 400), rng.random(400), np.zeros(400)])
+        points[::3, :3] = points[0, :3]
+        self._check(points, VoxelConfig(range=SMALL_RANGE, vx=0.5, vy=0.5, vz=0.5,
+                                        max_points_per_voxel=max_points,
+                                        max_voxels=max_voxels))
+
+    def test_keys_near_the_int64_limit(self):
+        top = 2.0**31 - 1.0
+        points = np.array([
+            (top, top, 2.0, 1.0, 0.0), (0.0, 0.0, 0.0, 2.0, 0.0), (top, top, 1.5, 3.0, 0.0),
+            (top - 1.0, top, 2.0, 4.0, 0.0), (top, top, 2.0, 5.0, 0.0), (top, 0.0, 2.0, 6.0, 0.0),
+            (top, top, 2.0, 7.0, 0.0),
+        ])
+        nx, ny, nz = NEAR_KEY_LIMIT.grid_shape
+        assert 2**63 - 2**34 < nx * ny * nz <= 2**63 - 1
+        self._check(points, NEAR_KEY_LIMIT)
+        grid = voxelize_dynamic(PointCloud(points), NEAR_KEY_LIMIT)
+        assert _cells(grid)[0] == (nx - 1, ny - 1, nz - 1)
