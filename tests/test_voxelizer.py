@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -460,10 +462,9 @@ def _clouds(draw):
     """A config with caps of 1 to 4 points and 1 to 12 voxels, and up to 40
     points: coordinates inside, on either bound of or just beyond the range,
     many of them piled on a few shared positions."""
-    config = draw(st.sampled_from(_CONFIGS))
-    config = VoxelConfig(range=config.range, vx=config.vx, vy=config.vy, vz=config.vz,
-                         max_points_per_voxel=draw(st.integers(1, 4)),
-                         max_voxels=draw(st.integers(1, 12)))
+    config = replace(draw(st.sampled_from(_CONFIGS)),
+                     max_points_per_voxel=draw(st.integers(1, 4)),
+                     max_voxels=draw(st.integers(1, 12)))
     r = config.range
     axes = [(r.x_min, r.x_max), (r.y_min, r.y_max), (r.z_min, r.z_max)]
     coordinate = [
