@@ -361,9 +361,12 @@ def write_points(cloud: PointCloud, path: PathLike, channels: int = 5) -> None:
     """
     if channels not in (4, 5):
         raise ValueError(f"channels must be 4 or 5, got {channels!r}")
-    with np.errstate(over="ignore"):
+    # A float64 sum of float32 values cannot overflow, so it is finite exactly
+    # when every record is; only a failing cloud is scanned for its record.
+    with np.errstate(over="ignore", invalid="ignore"):
         records = cloud.points[:, :channels].astype("<f4")
-    finite = np.isfinite(records).all(axis=1)
-    if not finite.all():
+        total = records.sum(dtype=np.float64)
+    if not math.isfinite(total):
+        finite = np.isfinite(records).all(axis=1)
         raise ValueError(f"record {int(np.argmin(finite))}: non-finite value as float32")
     Path(path).write_bytes(records.tobytes())

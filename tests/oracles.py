@@ -24,7 +24,10 @@ loop. The reference grouping numbers voxels with np.unique, a second stable
 sort of the inverse and a sort of the first arrivals, where the library
 sorts the cell keys once. The point check scans one row at a time, where the
 library scans a cloud's rows only when one sum and one minimum over the
-whole cloud say that some row may be bad.
+whole cloud say that some row may be bad. The sweeping tie-break runs one
+reverse path sweep for every row that has a column within budget below its
+own, where the library skips the rows that provably cannot move and settles
+rows on dummy columns from its last sweep.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from scipy.optimize import linear_sum_assignment
 from lidarpost.assigner import AnchorLabel, AssignmentResult
 from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, heading_error, wrap_angle
 from lidarpost.io import FormatError, ValidationError, _parse_record
+from lidarpost.matching import _reduced_costs
 from lidarpost.metrics import DetectionOutcome, MatchLedger
 from lidarpost.pointcloud import PointCloud
 from lidarpost.tracker import (
@@ -412,6 +416,70 @@ def reference_hungarian(cost) -> List[Tuple[int, int]]:
                 fixed_cost += float(cost[r, c])
                 break
     return result
+
+
+def reference_sweep_hungarian(cost) -> List[Tuple[int, int]]:
+    """The single-solve tie-break with one reverse sweep for every row that
+    has an open column within budget below its own, dummy columns included.
+
+    This is lidarpost.matching.hungarian before it learnt which rows cannot
+    move: it keeps no sweep from one row to the next and groups no rows, so
+    it is fast enough for benchmark-sized matrices but pays for every row.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.size == 0:
+        return []
+    n_rows, n_cols = cost.shape
+    n = max(n_rows, n_cols)
+    square = np.zeros((n, n))
+    square[:n_rows, :n_cols] = cost
+    _, col_of_row = linear_sum_assignment(square)
+    budget = 1e-9 * max(1.0, abs(float(square[np.arange(n), col_of_row].sum())))
+    row_of_col = np.empty(n, dtype=np.intp)
+    row_of_col[col_of_row] = np.arange(n)
+    rc = _reduced_costs(square, col_of_row, row_of_col)
+    for r in range(n_rows):
+        t = col_of_row[r]
+        if not ((row_of_col[:t] > r) & (rc[r, :t] <= budget)).any():
+            continue
+        # Least reduced cost of freeing each column by moving rows after r
+        # along alternating paths that end with t taken.
+        dist = np.full(n, np.inf)
+        toward = np.full(n, -1, dtype=np.intp)
+        dist[t] = 0.0
+        movable = np.flatnonzero(row_of_col > r)
+        movers = row_of_col[movable]
+        frontier = np.array([t])
+        while frontier.size and movable.size:
+            via = rc[np.ix_(movers, frontier)] + dist[frontier]
+            pick = via.argmin(axis=1)
+            best = np.take_along_axis(via, pick[:, None], axis=1)[:, 0]
+            better = (best < dist[movable]) & (best <= budget)
+            improved = movable[better]
+            dist[improved] = best[better]
+            toward[improved] = frontier[pick[better]]
+            frontier = improved
+        fits = rc[r, :t] + dist[:t] <= budget
+        if not fits.any():
+            continue
+        c = int(np.argmax(fits))
+        budget -= float(rc[r, c] + dist[c])
+        if dist[c] > 0.0:
+            shift = np.minimum(dist, dist[c])
+            later = rc[r + 1:]
+            later += shift - shift[col_of_row[r + 1:]][:, None]
+            np.maximum(later, 0.0, out=later)
+        row, col = r, c
+        while True:
+            holder = row_of_col[col]
+            col_of_row[row] = col
+            row_of_col[col] = row
+            if col == t:
+                break
+            row, col = holder, toward[col]
+        if dist[c] > 0.0:
+            rc[np.arange(r + 1, n), col_of_row[r + 1:]] = 0.0
+    return [(r, int(c)) for r, c in enumerate(col_of_row[:n_rows]) if c < n_cols]
 
 
 def reference_ap(outcomes: Sequence[Tuple[float, bool]], gt_count: int) -> float:

@@ -449,6 +449,24 @@ class TestWritePoints:
         write_points(cloud, path, channels=4)
         assert path.stat().st_size == 32
 
+    @pytest.mark.parametrize("channels", [4, 5])
+    def test_write_names_the_first_record_beyond_float32_when_infinities_cancel(
+        self, tmp_path, channels
+    ):
+        # +inf and -inf make the records' sum NaN rather than inf.
+        points = np.zeros((6, 5))
+        points[3, 0] = 1e39
+        points[4, 1] = -1e39
+        points[5, 2] = 3e38
+        points[5, 0] = -3e38
+        cloud = PointCloud(points=points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(points[:, :channels].astype("<f4").sum(dtype=np.float64))
+        path = tmp_path / "points.bin"
+        with pytest.raises(ValueError, match=r"^record 3: non-finite value as float32$"):
+            write_points(cloud, path, channels=channels)
+        assert not path.exists()
+
     def test_little_endian_layout(self, tmp_path):
         cloud = PointCloud(
             points=np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]),

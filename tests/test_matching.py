@@ -1,5 +1,6 @@
 """The single-solve tie-break of lidarpost.matching.hungarian against the
-re-solving reference and exhaustive enumeration."""
+re-solving reference, the tie-break that sweeps for every row, and
+exhaustive enumeration."""
 
 import time
 
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from lidarpost.matching import hungarian
-from oracles import brute_force_assignment, reference_hungarian
+from oracles import brute_force_assignment, reference_hungarian, reference_sweep_hungarian
 
 SHAPES = {"tall": (8, 5), "wide": (5, 8), "square": (8, 8)}
 
@@ -33,6 +34,21 @@ def _one_minus_iou(rng, rows, cols, density):
     cost = np.ones((rows, cols))
     overlap = rng.random((rows, cols)) < density
     cost[overlap] = 1.0 - rng.uniform(0.05, 0.95, int(overlap.sum()))
+    return cost
+
+
+def _fill_heavy(rng, rows, cols, density=0.03, near_ties=False):
+    """A 1 - IoU matrix like the tracker's: exact 1.0 fill, sparse overlaps,
+    several all-1.0 rows and columns, rows of the one other constant 0.5 and
+    a few copies of other rows."""
+    cost = _one_minus_iou(rng, rows, cols, density)
+    cost[rng.choice(rows, size=max(1, rows // 8), replace=False)] = 1.0
+    cost[:, rng.choice(cols, size=max(1, cols // 8), replace=False)] = 1.0
+    cost[rng.choice(rows, size=max(1, rows // 10), replace=False)] = 0.5
+    copies = rng.choice(rows, size=(2, max(1, rows // 10)))
+    cost[copies[1]] = cost[copies[0]]
+    if near_ties:
+        cost += rng.integers(0, 3, size=(rows, cols)) * 3e-10
     return cost
 
 
@@ -95,6 +111,45 @@ class TestAgainstReference:
             cost += rng.integers(0, 3, size=(rows, cols)) * 3e-10
             assert hungarian(cost) == reference_hungarian(cost), cost.tolist()
 
+    def test_near_ties_after_a_rotation_that_spends_budget(self):
+        """Row 2's move to column 1 spends budget on its path and shifts the
+        potentials; the sweep kept from row 0 holds the old reduced costs and
+        must not settle the rows on dummy columns after row 2."""
+        a, b, c = 3e-10, 6e-10, 1.0000000003
+        cost = [[a, 1.0000000006, a, c, 1.0],
+                [0.0, c, 0.0, 1.0, c],
+                [1.0000000006, b, 1.0000000006, 0.0, a],
+                [b, c, a, 1.0, b],
+                [b, 1.0000000006, b, a, 1.0000000006],
+                [a, 0.0, 0.0, b, 1.0000000006],
+                [1.0, b, 1.0000000006, 0.0, a]]
+        expected = [(0, 0), (1, 2), (2, 1), (3, 4), (6, 3)]
+        assert hungarian(cost) == reference_hungarian(cost) == expected
+
+    def test_kept_sweep_is_held_to_the_budget_it_was_made_with(self):
+        """Row 2 spends 9e-10 after the sweep kept from row 0. Row 5, on a
+        dummy column, can still take column 1: a kept distance may exceed
+        the present one by what was spent since it was made."""
+        a, b, c, d = 3e-10, 6e-10, 1.0000000003, 1.0000000006
+        cost = [[1.0, d, a], [c, d, d], [b, 0.0, b], [a, d, d], [a, c, c],
+                [0.0, a, a], [0.0, a, c]]
+        expected = [(0, 2), (2, 0), (5, 1)]
+        assert hungarian(cost) == reference_hungarian(cost) == expected
+
+    def test_two_rows_that_overlap_only_the_last_column(self):
+        """The lexicographic rule counts fill columns: row 0 takes column 0
+        so that row 1 can take the one overlap."""
+        cost = [[1, 1, 1, 1, 1, 0.5], [1, 1, 1, 1, 1, 0.5]]
+        assert hungarian(cost) == reference_hungarian(cost) == [(0, 0), (1, 5)]
+
+    @pytest.mark.parametrize("shape", [(30, 22), (22, 30), (45, 36), (36, 45), (60, 50)])
+    @pytest.mark.parametrize("near_ties", [False, True])
+    def test_fill_heavy_one_minus_iou_matrices(self, shape, near_ties):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + near_ties)
+        for _ in range(2):
+            cost = _fill_heavy(rng, *shape, near_ties=near_ties)
+            assert hungarian(cost) == reference_hungarian(cost), cost.tolist()
+
     def test_dense_random_150(self):
         cost = np.random.default_rng(23).uniform(0.0, 1.0, size=(150, 150))
         start = time.perf_counter()
@@ -106,12 +161,50 @@ class TestAgainstReference:
         assert elapsed < 0.5
 
 
+class TestAgainstSweepingReference:
+    """Benchmark-sized matrices, where re-solving is too slow, against the
+    tie-break that sweeps for every row."""
+
+    @pytest.mark.parametrize("shape", [(108, 89), (102, 91), (88, 89), (90, 88), (26, 20),
+                                       (20, 26), (47, 36)])
+    @pytest.mark.parametrize("near_ties", [False, True])
+    def test_fill_heavy_one_minus_iou_matrices(self, shape, near_ties):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1] + near_ties)
+        for density in (0.01, 0.03, 0.1):
+            cost = _fill_heavy(rng, *shape, density, near_ties)
+            assert hungarian(cost) == reference_sweep_hungarian(cost)
+
+    def test_tie_heavy_integer_matrices(self):
+        rng = np.random.default_rng(24)
+        for trial in range(60):
+            rows, cols = (int(v) for v in rng.integers(20, 60, size=2))
+            cost = rng.integers(0, 2 + trial % 3, size=(rows, cols)).astype(float)
+            if trial % 2:
+                cost += rng.integers(0, 3, size=(rows, cols)) * 3e-10
+            assert hungarian(cost) == reference_sweep_hungarian(cost)
+
+
 def _matrices():
     ties = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
                   elements=st.sampled_from([0.0, 0.5, 1.0]))
     floats = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
                     elements=st.floats(-10.0, 10.0, allow_nan=False))
     return ties | floats
+
+
+@st.composite
+def _fill_heavy_matrices(draw):
+    """1 - IoU shaped matrices: 1.0 fill with a few overlap values, all-1.0
+    and all-0.5 rows, all-1.0 columns, and near-ties of 3e-10 steps."""
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    cost = draw(arrays(np.float64, shape,
+                       elements=st.sampled_from([1.0, 1.0, 1.0, 0.75, 0.5, 0.25])))
+    for r in draw(st.lists(st.integers(0, shape[0] - 1), max_size=3)):
+        cost[r] = draw(st.sampled_from([1.0, 0.5]))
+    for c in draw(st.lists(st.integers(0, shape[1] - 1), max_size=2)):
+        cost[:, c] = 1.0
+    steps = draw(arrays(np.int64, shape, elements=st.integers(0, 2)))
+    return cost + steps * 3e-10
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,3 +217,9 @@ def test_property_complete_optimal_and_equal_to_the_reference(cost):
     best, tol = _tolerance(cost)
     assert abs(sum(cost[r, c] for r, c in pairs) - best) <= tol
     assert pairs == reference_hungarian(cost)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fill_heavy_matrices())
+def test_property_fill_heavy_matrices_equal_the_references(cost):
+    assert hungarian(cost) == reference_hungarian(cost) == reference_sweep_hungarian(cost)
