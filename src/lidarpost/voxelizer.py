@@ -1,9 +1,13 @@
 """Sparse voxelization of point clouds, in hard (capped) and dynamic modes.
 
 Both modes run one grouping step: each in-range point gets its grid cell,
-one stable sort of the cell keys lines each voxel's points up in arrival
-order, voxels are numbered by the arrival of their first point without a
-second sort, and each voxel's feature is the mean of its stored points.
+one sort of the cell keys lines each voxel's points up in arrival order,
+voxels are numbered by the arrival of their first point without a second
+sort, and each voxel's feature is the mean of its stored points. The sort
+is an in-place sort of the keys tagged with their arrival, key * n + i for
+the i-th of n in-range points. A grid of more than (2**63 - 1) / n cells,
+whose tagged keys could pass the int64 range, takes a stable argsort of the
+untagged keys instead; both give the same order.
 Dynamic mode keeps every in-range point. Hard mode enforces per-voxel and
 total-voxel caps in first-arrival order, so drop behavior is reproducible
 for a given input ordering.
@@ -126,10 +130,23 @@ def _group(
     keys += cells[:, 1]
     keys *= nz
     keys += cells[:, 2]
-    # The one sort: a stable sort makes each voxel's points one run of equal
-    # keys, in arrival order.
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    # The one sort makes each voxel's points one run of equal keys, in arrival
+    # order. Tagged with its arrival i as key * n + i, every key is distinct,
+    # so NumPy's in-place SIMD sort gives the stable order: the quotient by n
+    # is the sorted key and the remainder the point's arrival. The check is
+    # on Python ints; past it a tagged key could wrap, and a stable argsort
+    # of the untagged keys gives the same order.
+    n = len(keys)
+    if nx * ny * nz * n <= _INT64_MAX:
+        keys *= n
+        keys += np.arange(n)
+        keys.sort()
+        order = keys
+        keys = order // n
+        order -= keys * n
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
     opens = np.empty(len(keys), dtype=bool)  # the sorted point opens a run
     opens[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=opens[1:])
@@ -156,14 +173,16 @@ def _group(
     stored_counts = np.bincount(voxel, minlength=num_voxels)
     # Within a run the points keep their arrival order, so bincount adds each
     # voxel's points in arrival order, as a running per-voxel sum would.
-    sums = [np.bincount(voxel, weights=cloud.points[kept, column], minlength=num_voxels)
-            for column in range(5)]
+    features = np.empty((num_voxels, 5))
+    for column in range(5):
+        np.divide(np.bincount(voxel, weights=cloud.points[kept, column], minlength=num_voxels),
+                  stored_counts, out=features[:, column])
     point_voxel = np.full(len(cloud), -1, dtype=np.int64)
     point_voxel[kept] = voxel
     return VoxelGrid(
         coords=cells[np.flatnonzero(lead)[:num_voxels]],
         counts=stored_counts,
-        features=np.column_stack(sums) / stored_counts[:, None],
+        features=features,
         point_voxel=point_voxel,
         mode=mode,
         dropped_points=len(inside) - len(voxel),

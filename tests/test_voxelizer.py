@@ -550,3 +550,29 @@ class TestAgainstReferenceGroup:
         self._check(points, NEAR_KEY_LIMIT)
         grid = voxelize_dynamic(PointCloud(points), NEAR_KEY_LIMIT)
         assert _cells(grid)[0] == (nx - 1, ny - 1, nz - 1)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_few_points_on_the_largest_grid(self, count):
+        top = 2.0**31 - 1.0
+        points = np.array([(top, top, 2.0, 1.0, 0.0)] * count).reshape(-1, 5)
+        self._check(points, NEAR_KEY_LIMIT)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_points_in_the_last_cell_either_side_of_the_tagged_key_bound(self, count):
+        # Tagged keys key * n + arrival fit in int64 for n = 2 in-range points
+        # and not for n = 3; the hard cap of 2 keeps the first two arrivals.
+        top = 2.0**31 - 1.0
+        config = VoxelConfig(range=RangeSpec(0.0, top, 0.0, top, 0.0, 1.0),
+                             vx=1.0, vy=1.0, vz=1.0, max_points_per_voxel=2, max_voxels=3)
+        nx, ny, nz = config.grid_shape
+        assert (nx, ny, nz) == (2**31 - 1, 2**31 - 1, 1)
+        largest_tagged = (nx * ny * nz - 1) * count + count - 1
+        if count == 2:
+            assert 2**63 - 2**33 < largest_tagged <= 2**63 - 1
+        else:
+            assert largest_tagged > 2**63 - 1
+        points = np.array([(top, top, 1.0, float(i), 0.5 * i) for i in range(count)])
+        self._check(points, config)
+        grid = voxelize_hard(PointCloud(points), config)
+        assert _cells(grid) == [(nx - 1, ny - 1, nz - 1)]
+        assert grid.point_voxel.tolist() == [0, 0, -1][:count]
