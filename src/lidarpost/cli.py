@@ -61,7 +61,7 @@ from .ensemble import (
     nms,
     soft_nms,
 )
-from .geometry import Box3D, DetectionSet, Label
+from .geometry import Box3D, DetectionSet, Label, iou3d
 from .io import read_boxes, read_points, write_boxes, write_points
 from .metrics import (
     DEFAULT_IOU_THRESHOLDS,
@@ -468,9 +468,11 @@ def _class_ledgers(
     label: Label,
     iou_thr: float,
     level: Difficulty,
+    iou_fn: Callable[[Box3D, Box3D], float] = iou3d,
 ) -> Tuple[List[MatchLedger], int, int]:
     """Match one class frame by frame, ground truth cut to the difficulty
-    level; returns (ledgers, gt_count, det_count)."""
+    level, with ``match_frame``'s iou_fn; returns (ledgers, gt_count,
+    det_count)."""
     ledgers: List[MatchLedger] = []
     gt_count = 0
     det_count = 0
@@ -479,7 +481,7 @@ def _class_ledgers(
         gts = split_difficulty(_filter_class(gt_set.boxes, label), level)
         det_count += len(dets)
         gt_count += len(gts)
-        ledgers.append(match_frame(dets, gts, iou_thr))
+        ledgers.append(match_frame(dets, gts, iou_thr, iou_fn=iou_fn))
     return ledgers, gt_count, det_count
 
 
@@ -503,8 +505,24 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
             frame.boxes = [box._with(source_id=source_id) for box in frame.boxes]
         detectors.append(frames)
 
+    # A merged box is a detector's box with another score, so its iou3d
+    # with a ground truth is the same at every weight and in every round:
+    # each pair is computed once, keyed by the detector's box (found by the
+    # id of each box scored) and the ground truth.
+    origin = {id(box): id(box) for frames in detectors for frame in frames.values()
+              for box in frame.boxes}
+    overlaps: Dict[Tuple[int, int], float] = {}
+
+    def shared_iou3d(det: Box3D, gt: Box3D) -> float:
+        key = (origin[id(det)], id(gt))
+        value = overlaps.get(key)
+        if value is None:
+            value = overlaps[key] = iou3d(det, gt)
+        return value
+
     def score(frames: Dict[str, DetectionSet]) -> float:
-        ledgers, gt_count, _ = _class_ledgers(frames, gt_frames, label, metric_iou, level)
+        ledgers, gt_count, _ = _class_ledgers(
+            frames, gt_frames, label, metric_iou, level, iou_fn=shared_iou3d)
         ap, _ = average_precision(ledgers, gt_count)
         return ap
 
@@ -513,10 +531,15 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
     steps = [f"detector_0 score={current_score!r}"]
     for index, candidate in enumerate(detectors[1:], start=1):
         # One pool per frame serves every grid weight; the best merge is kept.
-        frame_pools = {a.frame_id: PairPool(a, b) for a, b in _aligned(current, candidate)}
+        frame_pools = {a.frame_id: (PairPool(a, b), [*a.boxes, *b.boxes])
+                       for a, b in _aligned(current, candidate)}
         best_score = -math.inf
         for weight in section["weight_grid"]:
-            merged = {fid: pool.merge(1.0, weight, iou_thr) for fid, pool in frame_pools.items()}
+            merged = {}
+            for fid, (pool, pooled) in frame_pools.items():
+                merged[fid] = frame = pool.merge(1.0, weight, iou_thr)
+                origin.update(zip(map(id, frame.boxes),
+                                  [origin[id(pooled[row])] for row in pool.rows]))
             merged_score = score(merged)
             # Strictly greater: a tie keeps the earliest weight.
             if merged_score > best_score:

@@ -234,7 +234,9 @@ class PairPool:
     that depends on the weights, so a weight search builds one pool per
     frame and each :meth:`merge` only reweights, reorders and suppresses.
     iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
-    as :func:`nms` requires.
+    as :func:`nms` requires. After each merge, ``rows`` holds the pool row of
+    each of its boxes, in keep order: rows 0 to len(a) - 1 are a's boxes,
+    then b's.
 
     Raises:
         ValueError: if the frame ids of a and b differ.
@@ -249,6 +251,7 @@ class PairPool:
         self._candidates = candidate_columns(boxes, boxes)
         self._iou_fn = iou_fn
         self._iou: Dict[Tuple[int, int], float] = {}
+        self.rows: List[int] = []
 
     def _iou_at(self, i: int, j: int) -> float:
         value = self._iou.get((i, j))
@@ -272,7 +275,8 @@ class PairPool:
         weights[: self._split] = w_a
         # One IEEE product per box, as score * w.
         scores = self._scores * weights
-        keep = _greedy_keep(scores, self._labels, self._candidates, self._iou_at, iou_thr)
+        self.rows = keep = _greedy_keep(
+            scores, self._labels, self._candidates, self._iou_at, iou_thr)
         return replace(
             self._merged, boxes=[self._boxes[i]._with(score=float(scores[i])) for i in keep]
         )

@@ -2,7 +2,11 @@
 
 Box files carry one JSON object per line (UTF-8; written LF terminated, read
 split at LF, CR or CRLF), each frame's records contiguous, and are grouped
-by frame on read. The reader checks a chunk of lines at a time as columns:
+by frame on read. The reader parses a chunk of lines with one
+``json.loads`` of them as a JSON array when the chunk's text proves that
+each line is one object with no other brace; a JSON string holds no raw
+line break, so the array's items are then the lines' own objects. Any other
+chunk is parsed one line at a time. The records are checked as columns:
 the value types per key, then one array test of finiteness, sizes and
 scores, with no per-record checks or constructor. A chunk that fails any
 check is read again one record at a time by the path that words every
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, filterfalse, groupby, islice
+from itertools import chain, filterfalse, groupby, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -104,23 +108,49 @@ def _parse_record(record: dict, lineno: int) -> Tuple[str, float, Box3D]:
     return frame_id, timestamp, box
 
 
-# Lines read and checked together. A chunk's lines and values live until
-# its boxes are built, but each parsed record only until its values are
-# taken, so the reader needs little memory beyond the boxes it returns.
+# Lines read and checked together. A chunk's lines and columns live until
+# its boxes are built, and its parsed records until their columns are taken,
+# so the reader needs little memory beyond the boxes it returns.
 _CHUNK_LINES = 512
 
-_required = itemgetter(*_REQUIRED_KEYS)
+_FRAME_ID, *_NUMBERS, _LABEL = map(itemgetter, _REQUIRED_KEYS)
 _LABELS = {label.value: label for label in Label}
 
 
-def _fields(record: dict) -> tuple:
-    """A record's required values in key order, then its optional ids."""
-    get = record.get
-    return _required(record) + (
-        get("track_id"), get("difficulty"), get("num_points"), get("source_id"))
+def _records(text: List[str]) -> list:
+    """The values of a chunk's non-blank lines.
+
+    The lines are parsed with one ``json.loads`` of ``[line,line,...]``
+    when their text proves that each line is one object that holds no other
+    brace. For n lines, the joined text must start with ``{``, end with
+    ``}`` or ``}`` and a line feed, and hold n ``{``, n ``}`` and n - 1
+    line feeds between a ``}`` and a ``{``. A JSON string cannot hold a raw
+    line break, so each line is then ``{...}`` with no brace between: the
+    object that opens at a line's ``{`` must close at its ``}``, and the
+    array's items are the lines' own values. Otherwise, or when that parse
+    raises (one more level of nesting can pass the recursion limit), each
+    line is parsed alone.
+
+    Raises:
+        ValueError: on an undecodable byte or a line that is not JSON.
+        RecursionError: on a line nested too deeply.
+    """
+    joined = "".join(text)
+    joined.encode("utf-8")
+    n = len(text)
+    flat = (joined.startswith("{") and joined.endswith(("}", "}\n"))
+            and joined.count("{") == n and joined.count("}") == n
+            and joined.count("}\n{") == n - 1)
+    del joined
+    if flat:
+        try:
+            return json.loads(f"[{','.join(text)}]")
+        except (ValueError, RecursionError):
+            pass
+    return list(map(json.loads, text))
 
 
-def _checked_chunk(lines: List[str]) -> Optional[Tuple[tuple, np.ndarray, List[Box3D]]]:
+def _checked_chunk(lines: List[str]) -> Optional[Tuple[list, np.ndarray, List[Box3D]]]:
     """The frame ids, timestamps and boxes of a chunk's records, checked
     together as columns, or None if any record fails a check.
 
@@ -129,16 +159,20 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[tuple, np.ndarray, List[B
     """
     text = list(filterfalse(str.isspace, lines))
     if not text:
-        return (), np.empty(0), []
+        return [], np.empty(0), []
     try:
-        "".join(text).encode("utf-8")
-        frame_ids, *numbers, labels, track_ids, difficulties, num_points, source_ids = zip(
-            *map(_fields, map(json.loads, text)))
-        labels = list(map(_LABELS.__getitem__, labels))
+        records = _records(text)
+        # One C-level pass over the records per key.
+        frame_ids = list(map(_FRAME_ID, records))
+        numbers = [list(map(getter, records)) for getter in _NUMBERS]
+        labels = list(map(_LABELS.__getitem__, map(_LABEL, records)))
+        track_ids, difficulties, num_points, source_ids = (
+            list(map(dict.get, records, repeat(key))) for key in _OPTIONAL_INT_KEYS)
     except (ValueError, AttributeError, KeyError, TypeError, RecursionError):
         # Undecodable bytes, bad or too deeply nested JSON, a non-object
         # record, a missing key, an unknown or unhashable label.
         return None
+    del records
     # Types are checked on the raw columns: a set holds one of 1, 1.0 and
     # True, so a set of the values would hide a float or bool id.
     if (set(map(type, frame_ids)) != {str}
@@ -151,6 +185,7 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[tuple, np.ndarray, List[B
         values = np.array(numbers, dtype=np.float64)
     except OverflowError:  # an integer too large for a float
         return None
+    del numbers
     score = values[8]
     if not (np.isfinite(values).all() and (values[4:7] > 0.0).all()
             and (score >= 0.0).all() and (score <= 1.0).all()
@@ -166,7 +201,7 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[tuple, np.ndarray, List[B
 
 
 def _runs(
-    checked: Tuple[tuple, np.ndarray, List[Box3D]],
+    checked: Tuple[list, np.ndarray, List[Box3D]],
     frames: Dict[str, DetectionSet],
     frame: Optional[DetectionSet],
 ) -> Optional[List[Tuple[str, float, List[Box3D]]]]:
@@ -233,10 +268,15 @@ def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
 
     The file is read ``_CHUNK_LINES`` lines at a time, split where iterating
     the text file splits it (LF, CR or CRLF; not at the form feeds and other
-    breaks that ``str.splitlines`` knows). Each chunk's records are checked
-    together as columns and become boxes without ``Box3D.__post_init__``. A
-    chunk that fails any check is read again record by record; that path
-    words the error and names the first bad line.
+    breaks that ``str.splitlines`` knows). A chunk is parsed with one
+    ``json.loads`` when its text proves that each line is one object with
+    no other brace: each line then starts at a ``{`` and ends at the one
+    ``}`` that closes it, since a JSON string holds no raw line break (see
+    ``_records``). Any other chunk, or one whose joined parse raises, is
+    parsed line by line. Each chunk's records are checked together as
+    columns and become boxes without ``Box3D.__post_init__``. A chunk that
+    fails any check is read again record by record; that path words the
+    error and names the first bad line.
 
     Raises:
         FormatError: on a line that is not valid UTF-8 or not a JSON object.

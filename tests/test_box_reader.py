@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarpost import io
-from lidarpost.geometry import Label
-from lidarpost.io import read_boxes
+from lidarpost.geometry import Box3D, DetectionSet, Label
+from lidarpost.io import read_boxes, write_boxes
 from oracles import reference_read_boxes
+from test_io import _readable_box
 
 CHUNK = io._CHUNK_LINES
 FIELDS = ("cx", "cy", "cz", "length", "width", "height", "heading", "score", "label",
@@ -65,6 +66,14 @@ def _line(record) -> str:
     return json.dumps(record) + "\n"
 
 
+def _split_pair(record) -> str:
+    """Two lines, ``{<record>, "x": [{}`` and ``{}], "y": 1}, {<record>}``:
+    joined as ``[line1,line2]`` they parse into two records, one per line,
+    yet the first line alone is not JSON."""
+    text = json.dumps(record)
+    return text[:-1] + ', "x": [{}\n{}], "y": 1}, ' + text + "\n"
+
+
 # --- hypothesis: valid files and files with one bad line -------------------
 
 BIG_INTS = st.sampled_from([2**53 + 1, -(2**53 + 1), 2**63 + 1, 2**64 + 3, -(2**63) - 1])
@@ -78,7 +87,14 @@ HEADING = (st.floats(-1e4, 1e4) | st.integers(-10, 10)
                               1.7e308, -1.7e308, -0.0]))
 SCORE = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
 ID = st.none() | st.sampled_from([0, 1, 2**63 + 1, 10**400]) | st.integers(0, 2**70)
-FRAME_IDS = st.sampled_from(["a", "b", "c", " ", "\u00e9", "\u2028", 'q"\\'])
+# Braces in a frame id fail the one-parse guard, so such a chunk is parsed
+# one line at a time; U+2028 inside a string ends no line.
+FRAME_IDS = st.sampled_from(["a", "b", "c", " ", "\u00e9", "\u2028", 'q"\\', "{", "}", "x}{y"])
+# Unknown values: an array, nested objects (more braces) and a deep array.
+EXTRA = st.sampled_from([{"nested": [1, 2]}, [1, [2.5, "x"]], {"a": {"b": [{}]}},
+                         "t\u2028u", [[[[[[[[[[[[[[[[0]]]]]]]]]]]]]]]]])
+# JSON whitespace that json.loads takes around a line's object.
+PAD = st.sampled_from(["", "", " ", "\t", " \t "])
 
 
 @st.composite
@@ -93,22 +109,36 @@ def records(draw, frame_id):
         if draw(st.booleans()):
             record[key] = draw(ids)
     if draw(st.booleans()):
-        record["extra"] = {"nested": [1, 2]}
+        record["extra"] = draw(EXTRA)
     return record
+
+
+def _duplicate_first(text: str, key: str, value) -> str:
+    """A record's text with key given value first; the record's own value,
+    later in the line, is the one json.loads keeps."""
+    return "{" + json.dumps(key) + ": " + json.dumps(value) + ", " + text[1:]
 
 
 @st.composite
 def box_lines(draw):
     """Lines (with terminators) of a valid box file: runs of one frame id,
-    each id used once, blank lines between and any of LF, CRLF and CR."""
+    each id used once, blank lines between and any of LF, CRLF and CR. A
+    line may be padded with spaces and tabs or hold a key twice, and the
+    last line may have no terminator."""
     frame_ids = draw(st.lists(FRAME_IDS, min_size=1, max_size=4, unique=True))
     lines = []
     for frame_id in frame_ids:
         for record in draw(st.lists(records(frame_id), min_size=1, max_size=6)):
             text = json.dumps(record, ensure_ascii=draw(st.booleans()))
+            if draw(st.integers(0, 3)) == 0:
+                text = _duplicate_first(text, draw(st.sampled_from(sorted(record))),
+                                        draw(BAD_VALUES))
+            text = draw(PAD) + text + draw(PAD)
             lines.append(text + draw(st.sampled_from(["\n", "\r\n", "\r"])))
             if draw(st.integers(0, 5)) == 0:
                 lines.append(draw(st.sampled_from(["\n", " \n", "\t\r\n", "\x0c\n", "\r"])))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
     return lines
 
 
@@ -135,10 +165,22 @@ def bad_line(draw, frame_id):
     """One line that no valid file holds, or a valid record the rest of the
     file makes bad (a frame id seen before)."""
     record = draw(records(frame_id))
-    kind = draw(st.sampled_from(["value", "drop", "text", "bytes", "reappear"]))
+    kind = draw(st.sampled_from(["value", "drop", "text", "bytes", "reappear", "duplicate",
+                                 "joined"]))
     if kind == "value":
         key = draw(st.sampled_from(KEYS))
         record[key] = draw(BAD_VALUES | st.sampled_from(BAD_FOR.get(key, [None])))
+    elif kind == "duplicate":
+        # The bad value comes last, so it is the one json.loads keeps.
+        key = draw(st.sampled_from(KEYS))
+        bad = draw(BAD_VALUES | st.sampled_from(BAD_FOR.get(key, [None])))
+        good = json.dumps({**record, key: bad}, allow_nan=True)
+        text = _duplicate_first(good, key, record.get(key, 0.5))
+        return draw(PAD) + text + draw(PAD) + "\n"
+    elif kind == "joined":
+        # Two lines that join into two valid records, one per line, though
+        # the first alone is not JSON.
+        return _split_pair(record)
     elif kind == "drop":
         del record[draw(st.sampled_from(sorted(record)))]
     elif kind == "text":
@@ -146,6 +188,7 @@ def bad_line(draw, frame_id):
             "{not json\n", "[1, 2]\n", "3\n", '"text"\n', "null\n",
             _line(record)[:-1] + "\x0c" + _line(record), "\ufeff" + _line(record),
             _line(record)[:-1] + " 1\n", '{"frame_id": "a"}\n',
+            _line(record)[:-1] + "\u2028\n", " " + _line(record)[:-1] + "\t}\n",
         ]))
     elif kind == "bytes":
         # An undecodable byte inside a string value, or after the object.
@@ -303,6 +346,187 @@ def test_undecodable_bytes_name_the_line_and_byte(tmp_path, record):
                      + json.dumps(record, ensure_ascii=False).encode("latin-1") + b"\n")
     got = _assert_same(path)
     assert got[0] is io.FormatError and got[1].startswith("line 2: invalid UTF-8 byte 0x")
+
+
+# --- one parse per chunk, and the lines it must leave to one parse each ----
+
+def _loads_calls(path):
+    """What read_boxes gives, and how many json.loads calls it took."""
+    with mock.patch.object(io.json, "loads", wraps=json.loads) as loads:
+        got = _outcome(read_boxes, path)
+    return got, loads.call_count
+
+
+def _assert_read_in(path, calls):
+    """The file reads like the oracle in the given number of json.loads
+    calls, without the record-by-record path."""
+    with mock.patch.object(io, "_read_records", side_effect=AssertionError):
+        got, made = _loads_calls(path)
+    assert got == _outcome(reference_read_boxes, path)
+    assert isinstance(got, list) and made == calls
+    return got
+
+
+def test_lines_that_join_into_two_records_are_parsed_one_at_a_time(tmp_path):
+    lines = _split_pair(_record()).splitlines(keepends=True)
+    joined = json.loads("[" + ",".join(lines) + "]")
+    assert [record["frame_id"] for record in joined] == ["f", "f"]
+    path = tmp_path / "boxes.jsonl"
+    _write(path, lines)
+    got = _assert_same(path)
+    assert got[0] is io.FormatError and got[1].startswith("line 1: invalid JSON: ")
+
+
+@pytest.mark.parametrize("frame_id", ["{", "}", "{}", "}{", "a}\n{b", "}\n{"])
+def test_a_frame_id_that_holds_a_brace(tmp_path, frame_id):
+    path = tmp_path / "boxes.jsonl"
+    _write(path, [_line(_record(frame_id)), _line(_record(frame_id)), _line(_record("g"))])
+    assert _assert_read_in(path, 3)[0][1] == _typed(frame_id)
+
+
+@pytest.mark.parametrize("before, after", [(" ", ""), ("", " "), ("\t", ""), ("", "\t"),
+                                           (" \t", "\t "), ("", " \n")])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_lines_padded_with_spaces_and_tabs(tmp_path, before, after, at):
+    lines = [_line(_record(cx=float(i))) for i in range(3)]
+    lines[at] = before + lines[at][:-1] + after + "\n"
+    path = tmp_path / "boxes.jsonl"
+    _write(path, lines)
+    assert len(_assert_read_in(path, 3)[0][4]) == 3
+
+
+@pytest.mark.parametrize("extra, calls", [
+    ([1, [2.5, "x"]], 1), ([], 1), ({}, 3), ({"a": 1}, 3), ({"a": {"b": [{}]}}, 3),
+    ([[{"c": None}]], 3),
+])
+def test_an_unknown_key_holding_an_array_or_an_object(tmp_path, extra, calls):
+    path = tmp_path / "boxes.jsonl"
+    _write(path, [_line(_record()), _line(_record(extra=extra)), _line(_record("g"))])
+    _assert_read_in(path, calls)
+
+
+@pytest.mark.parametrize("last, calls", [("", 1), (" ", 2), ("\t", 2)])
+def test_a_last_line_without_a_line_feed(tmp_path, last, calls):
+    path = tmp_path / "boxes.jsonl"
+    _write(path, [_line(_record()), _line(_record("g"))[:-1] + last])
+    assert [len(frame[4]) for frame in _assert_read_in(path, calls)] == [1, 1]
+
+
+@pytest.mark.parametrize("text, error", [
+    # json.loads keeps a key's last value.
+    (_duplicate_first(json.dumps(_record()), "score", 2.0), None),
+    (_duplicate_first(json.dumps(_record()), "frame_id", 7), None),
+    (_duplicate_first(json.dumps(_record(score=2.0)), "score", 0.9),
+     "line 2: score must lie in [0, 1], got 2.0"),
+    (_duplicate_first(json.dumps(_record(label="TRUCK")), "label", "VEHICLE"),
+     "line 2: unknown label 'TRUCK'"),
+])
+def test_duplicate_keys(tmp_path, text, error):
+    path = tmp_path / "boxes.jsonl"
+    _write(path, [_line(_record()), text + "\n", _line(_record("g"))])
+    got = _assert_same(path)
+    if error is None:
+        assert [len(frame[4]) for frame in got] == [2, 1]
+    else:
+        assert got == (io.ValidationError, error)
+
+
+def test_u2028_inside_a_string_ends_no_line(tmp_path):
+    path = tmp_path / "boxes.jsonl"
+    records = [_record("a\u2028b"), _record("a\u2028b", extra="x\u2028y"), _record("g")]
+    _write(path, [json.dumps(record, ensure_ascii=False) + "\n" for record in records])
+    got = _assert_read_in(path, 1)
+    assert [frame[1] for frame in got] == [_typed("a\u2028b"), _typed("g")]
+
+
+def _nested_file(path, depth):
+    # A valid record whose unknown key nests depth arrays, after a plain one.
+    deep = json.dumps(_record())[:-1] + ', "deep": ' + "[" * depth + "]" * depth + "}\n"
+    _write(path, [_line(_record()), deep])
+
+
+def _deepest(read, path) -> int:
+    """The deepest nesting that read takes, called as _assert_same calls it."""
+    low, high = 1, 2
+    while True:  # read takes low levels; high is the next guess
+        _nested_file(path, high)
+        if not isinstance(_outcome(read, path), list):
+            break
+        low, high = high, 2 * high
+    while high - low > 1:  # read takes low levels and refuses high
+        middle = (low + high) // 2
+        _nested_file(path, middle)
+        low, high = (middle, high) if isinstance(_outcome(read, path), list) else (low, middle)
+    return low
+
+
+def test_a_line_nested_just_below_and_just_above_the_recursion_limit(tmp_path):
+    """Each depth up to the deepest that read_boxes takes, and from the
+    shallowest that the oracle refuses, reads as the oracle reads it.
+
+    The limit counts the caller's frames too, and the reader parses one
+    frame deeper than the oracle (in ``_read_records``), so it may refuse
+    one level that the oracle takes. Just below its limit the chunk's one
+    parse, a level deeper than a line alone, raises and the chunk's lines
+    are parsed again one at a time.
+    """
+    path = tmp_path / "boxes.jsonl"
+    below, above = _deepest(read_boxes, path), _deepest(reference_read_boxes, path) + 1
+    assert 1 <= above - below <= 2
+    for depth in [*range(below - 4, below + 1), *range(above, above + 4)]:
+        _nested_file(path, depth)
+        if depth < below:  # parsed in the chunk, at once or one line at a time
+            with mock.patch.object(io, "_read_records", side_effect=AssertionError):
+                got = _assert_same(path)
+        else:
+            got = _assert_same(path)
+        if depth <= below:
+            assert isinstance(got, list)
+        else:
+            assert got == (io.FormatError,
+                           "line 2: invalid JSON: maximum recursion depth exceeded "
+                           "while decoding a JSON array from a unicode string")
+
+
+def test_three_chunks_written_by_write_boxes_take_three_parses(tmp_path):
+    frames = [DetectionSet(f"frame-{k}", [
+        Box3D(float(i), -float(i), 0.5, 4.0, 2.0, 1.5, 0.01 * i, 0.5, Label.VEHICLE,
+              track_id=i, difficulty=1 + i % 2, num_points=i, source_id=-i)
+        for i in range(CHUNK // 2)], 0, 0.1 * k) for k in range(6)]
+    path = tmp_path / "boxes.jsonl"
+    write_boxes(frames, path)
+    with mock.patch.object(io.json, "loads", wraps=json.loads) as loads:
+        got = read_boxes(path)
+    assert loads.call_count == 3
+    assert [frame.boxes for frame in got.values()] == [frame.boxes for frame in frames]
+
+
+@st.composite
+def _frame_sets(draw):
+    """Frames with distinct ids and at least one box each, more boxes than
+    the chunk size drawn beside them."""
+    frame_ids = draw(st.lists(st.text(), min_size=2, max_size=4, unique=True))
+    return [DetectionSet(frame_id, draw(st.lists(_readable_box(), min_size=1, max_size=4)),
+                         0, draw(st.floats(allow_nan=False, allow_infinity=False)))
+            for frame_id in frame_ids]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sets=_frame_sets(), chunk=st.integers(1, 4))
+def test_multi_frame_sets_read_back_across_chunk_boundaries(tmp_path_factory, sets, chunk):
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+    write_boxes(sets, path)
+    lines = sum(len(frame) for frame in sets)
+    with mock.patch.object(io, "_CHUNK_LINES", chunk):
+        got, calls = _loads_calls(path)
+        assert got == _outcome(reference_read_boxes, path)
+        frames = read_boxes(path)
+    assert list(frames) == [frame.frame_id for frame in sets]
+    for frame in sets:
+        assert frames[frame.frame_id].timestamp == frame.timestamp
+        assert frames[frame.frame_id].boxes == frame.boxes
+    if not any("{" in frame.frame_id or "}" in frame.frame_id for frame in sets):
+        assert calls == -(-lines // chunk)  # one parse per chunk
 
 
 # --- memory ---------------------------------------------------------------

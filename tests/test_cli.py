@@ -744,15 +744,16 @@ class TestEvalMot:
         assert capsys.readouterr().err.startswith("ERROR 3:")
 
 
-def _two_detector_scene(tmp_path, seed, frames=3, objects=5):
+def _two_detector_scene(tmp_path, seed, frames=3, objects=5, spacing=12.0):
     """Ground truth and two noisy detectors over a few frames: each detector
-    finds each object with probability 0.6 and adds two false positives and
-    a pedestrian per frame. Returns the paths (gt, det_0, det_1)."""
+    finds each object (spacing apart along x) with probability 0.6 and adds
+    two false positives and a pedestrian per frame. Returns the paths (gt,
+    det_0, det_1)."""
     rng = np.random.default_rng(seed)
     gt, dets = [], ([], [])
     for f in range(frames):
         frame = dict(frame_id=f"f{f}", timestamp=0.1 * f)
-        centers = [(12.0 * k + rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
+        centers = [(spacing * k + rng.normal(0.0, 1.0), rng.normal(0.0, 1.0))
                    for k in range(objects)]
         gt += [_record(**frame, cx=x, cy=y, heading=0.0) for x, y in centers]
         for det in dets:
@@ -921,6 +922,40 @@ class TestEnsemble:
                     "--grid", "0.25,0.5,1.0", "--output", str(tmp_path / "o.jsonl")]) == 0
         assert "detector_2 weight=" in capsys.readouterr().out
         assert weights == [w for _ in inputs[1:] for w in grid for _ in frames]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("spacing", [12.0, 3.0])  # at 3 m a box reaches three objects
+    def test_each_ground_truth_overlap_is_computed_once(self, tmp_path, monkeypatch, capsys,
+                                                        seed, spacing):
+        gt, *inputs = _two_detector_scene(tmp_path, seed, spacing=spacing)
+        (tmp_path / "other").mkdir()
+        inputs.append(_two_detector_scene(tmp_path / "other", seed + 10, spacing=spacing)[1])
+        argv = ["ensemble", "--inputs", *map(str, inputs), "--gt", str(gt), "--class", "VEHICLE",
+                "--grid", "0.25,0.5,0.75,1.0"]
+        plain, calls = cli.iou3d, []
+
+        def recording(det, gt_box):
+            calls.append(tuple((box.cx, box.cy, box.cz, box.length, box.width, box.height,
+                                box.heading) for box in (det, gt_box)))
+            return plain(det, gt_box)
+
+        monkeypatch.setattr(cli, "iou3d", recording)
+        assert run(argv + ["--output", str(tmp_path / "shared.jsonl")]) == 0
+        shared_steps = re.sub(r"elapsed_s=\S+", "", capsys.readouterr().out)
+        shared = list(calls)
+        assert shared and len(set(shared)) == len(shared)
+
+        # Scored with the recording iou3d itself, every merge computes its
+        # pairs again: the same pairs, the same output and the same steps.
+        ledgers = cli._class_ledgers
+        monkeypatch.setattr(cli, "_class_ledgers",
+                            lambda *args, iou_fn: ledgers(*args, iou_fn=recording))
+        calls.clear()
+        assert run(argv + ["--output", str(tmp_path / "plain.jsonl")]) == 0
+        assert re.sub(r"elapsed_s=\S+", "", capsys.readouterr().out) == shared_steps
+        assert "detector_1 weight=" in shared_steps
+        assert len(calls) > len(shared) and set(calls) == set(shared)
+        assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "shared.jsonl").read_bytes()
 
     def test_tied_weights_keep_the_first_in_grid_order(self, tmp_path, capsys):
         # The candidate's one box is a true positive at any weight: AP 1.0 throughout.
