@@ -34,7 +34,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -485,6 +485,9 @@ def _class_ledgers(
     return ledgers, gt_count, det_count
 
 
+_geometry = attrgetter("cx", "cy", "cz", "length", "width", "height", "heading")
+
+
 def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
     section = config["ensemble"]
     if len(args.inputs) < 2:
@@ -505,16 +508,12 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
             frame.boxes = [box._with(source_id=source_id) for box in frame.boxes]
         detectors.append(frames)
 
-    # A merged box is a detector's box with another score, so its iou3d
-    # with a ground truth is the same at every weight and in every round:
-    # each pair is computed once, keyed by the detector's box (found by the
-    # id of each box scored) and the ground truth.
-    origin = {id(box): id(box) for frames in detectors for frame in frames.values()
-              for box in frame.boxes}
-    overlaps: Dict[Tuple[int, int], float] = {}
+    # iou3d reads geometry alone, and a merged box keeps its detector box's:
+    # each pair of geometries is computed once over all weights and rounds.
+    overlaps: Dict[Tuple[tuple, tuple], float] = {}
 
     def shared_iou3d(det: Box3D, gt: Box3D) -> float:
-        key = (origin[id(det)], id(gt))
+        key = (_geometry(det), _geometry(gt))
         value = overlaps.get(key)
         if value is None:
             value = overlaps[key] = iou3d(det, gt)
@@ -531,15 +530,10 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
     steps = [f"detector_0 score={current_score!r}"]
     for index, candidate in enumerate(detectors[1:], start=1):
         # One pool per frame serves every grid weight; the best merge is kept.
-        frame_pools = {a.frame_id: (PairPool(a, b), [*a.boxes, *b.boxes])
-                       for a, b in _aligned(current, candidate)}
+        frame_pools = {a.frame_id: PairPool(a, b) for a, b in _aligned(current, candidate)}
         best_score = -math.inf
         for weight in section["weight_grid"]:
-            merged = {}
-            for fid, (pool, pooled) in frame_pools.items():
-                merged[fid] = frame = pool.merge(1.0, weight, iou_thr)
-                origin.update(zip(map(id, frame.boxes),
-                                  [origin[id(pooled[row])] for row in pool.rows]))
+            merged = {fid: pool.merge(1.0, weight, iou_thr) for fid, pool in frame_pools.items()}
             merged_score = score(merged)
             # Strictly greater: a tie keeps the earliest weight.
             if merged_score > best_score:

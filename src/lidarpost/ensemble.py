@@ -234,9 +234,7 @@ class PairPool:
     that depends on the weights, so a weight search builds one pool per
     frame and each :meth:`merge` only reweights, reorders and suppresses.
     iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
-    as :func:`nms` requires. After each merge, ``rows`` holds the pool row of
-    each of its boxes, in keep order: rows 0 to len(a) - 1 are a's boxes,
-    then b's.
+    as :func:`nms` requires.
 
     Raises:
         ValueError: if the frame ids of a and b differ.
@@ -251,7 +249,6 @@ class PairPool:
         self._candidates = candidate_columns(boxes, boxes)
         self._iou_fn = iou_fn
         self._iou: Dict[Tuple[int, int], float] = {}
-        self.rows: List[int] = []
 
     def _iou_at(self, i: int, j: int) -> float:
         value = self._iou.get((i, j))
@@ -259,14 +256,15 @@ class PairPool:
             value = self._iou[i, j] = self._iou_fn(self._boxes[i], self._boxes[j])
         return value
 
-    def merge(self, w_a: float, w_b: float, iou_thr: float) -> DetectionSet:
+    def merge(self, w_a: float, w_b: float, iou_thr: Thresholds) -> DetectionSet:
         """Scale the scores of a by w_a and of b by w_b, then run NMS at iou_thr.
 
-        Returns the kept boxes with their weighted scores, in keep order,
-        exactly as :func:`ensemble_pair` does.
+        iou_thr is one threshold or a map from every class name, as for
+        :func:`nms`. Returns the kept boxes with their weighted scores, in
+        keep order, exactly as :func:`ensemble_pair` does.
 
         Raises:
-            ValueError: unless both weights lie in (0, 1] and iou_thr in [0, 1].
+            ValueError: unless both weights lie in (0, 1], or as :func:`nms` does.
         """
         for name, w in (("w_a", w_a), ("w_b", w_b)):
             if not (0.0 < w <= 1.0):
@@ -275,7 +273,7 @@ class PairPool:
         weights[: self._split] = w_a
         # One IEEE product per box, as score * w.
         scores = self._scores * weights
-        self.rows = keep = _greedy_keep(
+        keep = _greedy_keep(
             scores, self._labels, self._candidates, self._iou_at, iou_thr)
         return replace(
             self._merged, boxes=[self._boxes[i]._with(score=float(scores[i])) for i in keep]
@@ -287,20 +285,21 @@ def ensemble_pair(
     b: DetectionSet,
     w_a: float,
     w_b: float,
-    iou_thr: float,
+    iou_thr: Thresholds,
     iou_fn: IouFn = bev_iou,
 ) -> DetectionSet:
     """Merge two detectors into one: weight scores, pool, suppress.
 
     Scores of a are scaled by w_a and of b by w_b (the products stay in
-    [0, 1]), the pools are concatenated, and NMS at iou_thr resolves
-    duplicates. The result acts as a single detector for further pairing.
-    iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
-    as :func:`nms` requires. To merge one frame at many weights, build one
+    [0, 1]), the pools are concatenated, and NMS at iou_thr (one threshold
+    or a map from every class name, as for :func:`nms`) resolves duplicates.
+    The result acts as a single detector for further pairing. iou_fn must
+    return 0 for boxes whose circumscribed circles are disjoint, as
+    :func:`nms` requires. To merge one frame at many weights, build one
     :class:`PairPool` and call its merge for each.
 
     Raises:
-        ValueError: unless both weights lie in (0, 1].
+        ValueError: unless both weights lie in (0, 1], or as :func:`nms` does.
     """
     return PairPool(a, b, iou_fn).merge(w_a, w_b, iou_thr)
 

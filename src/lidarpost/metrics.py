@@ -219,8 +219,11 @@ def mota_motp(
     as :func:`lidarpost.geometry.iou_matrix` requires.
 
     Raises:
-        ValueError: on length mismatch, missing ids, or duplicate ids.
+        ValueError: unless iou_thr in (0, 1]; on length mismatch, missing
+            ids, or duplicate ids.
     """
+    if not (0.0 < iou_thr <= 1.0):
+        raise ValueError(f"iou_thr must lie in (0, 1], got {iou_thr!r}")
     if len(tracked) != len(gt):
         raise ValueError(
             f"sequences must be frame-aligned: {len(tracked)} vs {len(gt)} frames"

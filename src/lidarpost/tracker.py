@@ -244,7 +244,10 @@ def associate(
     (matches, unmatched_tracks, unmatched_detections); the three outputs
     partition both input index sets. iou_fn must return 0 for boxes whose
     circumscribed circles are disjoint, as :func:`iou_matrix` requires.
+    Raises ValueError unless iou_min in [0, 1].
     """
+    if not (0.0 <= iou_min <= 1.0):
+        raise ValueError(f"iou_min must lie in [0, 1], got {iou_min!r}")
     matches: List[Tuple[int, int]] = []
     for label in sorted({b.label for b in tracks}, key=lambda l: l.value):
         t_idx = [i for i, b in enumerate(tracks) if b.label is label]

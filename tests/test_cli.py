@@ -1,26 +1,39 @@
 import argparse
 import builtins
+import importlib.util
 import json
 import math
 import re
 import struct
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpost import cli
 from lidarpost.assigner import adaptive_assign, fixed_assign
 from lidarpost.cli import CONFIG_ORDER, CONFIG_RANGES, OVERRIDES, default_config, run
 from lidarpost.ensemble import DEFAULT_NMS_IOU, PairPool, box_vote, nms, soft_nms
-from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou
+from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, iou3d
 from lidarpost.io import read_boxes, read_points, write_boxes
-from lidarpost.metrics import DEFAULT_IOU_THRESHOLDS, Difficulty, average_precision, match_frame
+from lidarpost.metrics import (
+    DEFAULT_IOU_THRESHOLDS,
+    Difficulty,
+    average_precision,
+    match_frame,
+    mota_motp,
+)
 from lidarpost.pointcloud import PointCloud, RangeSpec, concat_frames
-from lidarpost.tracker import TrackerConfig
+from lidarpost.tracker import TrackerConfig, associate
 from lidarpost.voxelizer import VoxelConfig
 from oracles import compensated_sum, reference_ensemble_pair
+
+GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 
 def _record(frame_id="f0", timestamp=0.0, cx=1.0, cy=2.0, cz=0.5, l=4.0, w=2.0,
@@ -774,6 +787,52 @@ def _two_detector_scene(tmp_path, seed, frames=3, objects=5, spacing=12.0):
     return paths
 
 
+@pytest.fixture(scope="module")
+def keyed_iou3d(tmp_path_factory):
+    """The iou_fn that cmd_ensemble scores its merges with, kept from one run."""
+    tmp_path = tmp_path_factory.mktemp("keyed")
+    gt, *inputs = _two_detector_scene(tmp_path, 0)
+    scorers = set()
+    ledgers = cli._class_ledgers
+
+    def keeping(*args, iou_fn):
+        scorers.add(iou_fn)
+        return ledgers(*args, iou_fn=iou_fn)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_class_ledgers", keeping)
+        assert run(["ensemble", "--inputs", *map(str, inputs), "--gt", str(gt),
+                    "--class", "VEHICLE", "--output", str(tmp_path / "o.jsonl")]) == 0
+    (scorer,) = scorers
+    return scorer
+
+
+_coordinate = st.just(0.0) | st.floats(-1.5, 1.5)
+_size = st.floats(1e-300, 1e-3) | st.floats(0.1, 5.0)
+_geometry_fields = [_coordinate] * 3 + [_size] * 3 + [st.just(0.0) | st.floats(-math.pi, math.pi)]
+
+
+@st.composite
+def _related_boxes(draw):
+    """A box; its twin, of the same geometry with its own score, label and
+    ids and with some zero coordinates or heading of the other sign; and a
+    box whose geometry differs from the first in one field."""
+    geometry = [draw(field) for field in _geometry_fields]
+    other = list(geometry)
+    changed = draw(st.integers(0, 6))
+    other[changed] = draw(_geometry_fields[changed].filter(lambda v: v != geometry[changed]))
+
+    def box(values):
+        return Box3D(*values, score=draw(st.floats(0.0, 1.0)), label=draw(st.sampled_from(Label)),
+                     track_id=draw(st.none() | st.integers(0, 9)),
+                     difficulty=draw(st.sampled_from([None, 1, 2])),
+                     num_points=draw(st.none() | st.integers(0, 9)),
+                     source_id=draw(st.none() | st.integers(-9, 9)))
+
+    return (box(geometry), box([-v if v == 0.0 and draw(st.booleans()) else v for v in geometry]),
+            box(other))
+
+
 class TestEnsemble:
     def _files(self, tmp_path):
         gt = tmp_path / "gt.jsonl"
@@ -925,11 +984,21 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("spacing", [12.0, 3.0])  # at 3 m a box reaches three objects
+    # The third detector is another scene's, or the second's boxes with other scores.
+    @pytest.mark.parametrize("third", ["other", "rescored"])
     def test_each_ground_truth_overlap_is_computed_once(self, tmp_path, monkeypatch, capsys,
-                                                        seed, spacing):
+                                                        seed, spacing, third):
         gt, *inputs = _two_detector_scene(tmp_path, seed, spacing=spacing)
-        (tmp_path / "other").mkdir()
-        inputs.append(_two_detector_scene(tmp_path / "other", seed + 10, spacing=spacing)[1])
+        if third == "other":
+            (tmp_path / "other").mkdir()
+            inputs.append(_two_detector_scene(tmp_path / "other", seed + 10,
+                                              spacing=spacing)[1])
+        else:
+            rng = np.random.default_rng(seed)
+            records = [dict(json.loads(line), score=float(rng.uniform(0.05, 1.0)))
+                       for line in inputs[1].read_text().splitlines()]
+            inputs.append(tmp_path / "rescored.jsonl")
+            _write_jsonl(inputs[2], records)
         argv = ["ensemble", "--inputs", *map(str, inputs), "--gt", str(gt), "--class", "VEHICLE",
                 "--grid", "0.25,0.5,0.75,1.0"]
         plain, calls = cli.iou3d, []
@@ -956,6 +1025,38 @@ class TestEnsemble:
         assert "detector_1 weight=" in shared_steps
         assert len(calls) > len(shared) and set(calls) == set(shared)
         assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "shared.jsonl").read_bytes()
+
+    def test_the_benchmark_scene_stays_within_800_overlaps(self, tmp_path, monkeypatch, capsys):
+        # The benchmark's default detect inputs: 740 distinct pairs of a
+        # scored box and a ground truth, where scoring each merge afresh
+        # makes 7,570 iou3d calls.
+        spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+        spec.loader.exec_module(gen)
+        files = gen.generate("detect", 0, tmp_path)["files"]
+        plain, calls = cli.iou3d, []
+
+        def counting(det, gt_box):
+            calls.append(None)
+            return plain(det, gt_box)
+
+        monkeypatch.setattr(cli, "iou3d", counting)
+        assert run(["ensemble", "--inputs", files["det_a"], files["det_b"], "--gt", files["gt"],
+                    "--class", "VEHICLE", "--output", str(tmp_path / "ensemble.jsonl")]) == 0
+        assert "detector_1 " in capsys.readouterr().out
+        assert 0 < len(calls) <= 800
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_related_boxes(), _related_boxes()), min_size=1, max_size=4))
+    def test_the_keyed_scorer_returns_iou3d_bit_for_bit(self, keyed_iou3d, pairs):
+        # Boxes whose geometries are equal as values share one key, so the
+        # first of them to be scored gives the value for all; a box that
+        # differs in one field of its geometry has its own.
+        for dets, gts in pairs:
+            for det in dets:
+                for gt in gts:
+                    assert keyed_iou3d(det, gt).hex() == iou3d(det, gt).hex()
 
     def test_tied_weights_keep_the_first_in_grid_order(self, tmp_path, capsys):
         # The candidate's one box is a true positive at any weight: AP 1.0 throughout.
@@ -1248,6 +1349,7 @@ def _library_reads(config):
     box_vote(boxes, boxes, section["vote_iou"])
     for threshold in config["metrics"]["iou_thr"].values():
         match_frame(boxes, boxes, threshold)
+        mota_motp([], [], threshold)
     assigner = config["assigner"]
     fixed_assign(boxes, boxes, assigner["pos_thr"], assigner["neg_thr"])
     adaptive_assign(boxes, boxes, assigner["k"])
@@ -1256,6 +1358,7 @@ def _library_reads(config):
     range_spec = RangeSpec(**config["pointcloud"]["range"])
     VoxelConfig(range=range_spec, **config["voxelizer"])
     TrackerConfig(**config["tracker"])
+    associate([], [], config["tracker"]["iou_min"])
     Difficulty(config["metrics"]["difficulty"])
 
 
@@ -1330,10 +1433,9 @@ class TestRangesAgreeWithTheLibrary:
     """The CLI's CONFIG_RANGES and the library's own checks are two sources
     of the same ranges; the library keeps its checks for callers without the
     CLI. No value that the CLI accepts may be one that the library refuses.
-    The CLI is deliberately stricter in two places: pointcloud.delta must lie
-    in float32's normal range, where concat_frames takes any positive finite
-    delta, and metrics.iou_thr must lie in (0, 1], which match_frame checks
-    and mota_motp does not."""
+    The CLI is deliberately stricter only for pointcloud.delta, which must
+    lie in float32's normal range, where concat_frames takes any positive
+    finite delta."""
 
     @pytest.mark.parametrize("keys, default", _config_leaves(default_config()))
     def test_every_accepted_value_is_accepted_by_the_library(self, tmp_path, keys, default):

@@ -1,5 +1,6 @@
 import builtins
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lidarpost.ensemble import (
     DEFAULT_SOFT_NMS_SIGMA,
     DEFAULT_VOTE_IOU,
     DetectionSet,
+    PairPool,
     box_vote,
     ensemble_pair,
     merge_sources,
@@ -150,6 +152,25 @@ class TestClasswiseThresholds:
     def test_matches_one_scan_per_class(self, boxes, thresholds, thr):
         assert nms(boxes, thresholds) == reference_classwise_nms(boxes, thresholds, bev_iou)
         assert nms(boxes, thr) == nms(boxes, dict.fromkeys(CLASS_NAMES, thr))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(classwise_frames(), classwise_frames(),
+           st.fixed_dictionaries({name: THRESHOLDS for name in CLASS_NAMES}), THRESHOLDS,
+           st.sampled_from([0.3, 0.7, 1.0]))
+    def test_a_merge_holds_each_class_to_its_own_threshold(self, boxes_a, boxes_b, thresholds,
+                                                           thr, w_b):
+        a = DetectionSet("f", boxes_a, source_id=0)
+        b = DetectionSet("f", boxes_b, source_id=1)
+        pool = PairPool(a, b)
+        merged = pool.merge(1.0, w_b, thresholds)
+        weighted = [replace(box, source_id=s.source_id, score=box.score * w)
+                    for s, w in ((a, 1.0), (b, w_b)) for box in s.boxes]
+        assert merged.boxes == [weighted[i] for i in
+                                reference_classwise_nms(weighted, thresholds, bev_iou)]
+        assert ensemble_pair(a, b, 1.0, w_b, thresholds) == merged
+        one_value = dict.fromkeys(CLASS_NAMES, thr)
+        assert pool.merge(1.0, w_b, one_value) == pool.merge(1.0, w_b, thr)
+        assert ensemble_pair(a, b, 1.0, w_b, one_value) == ensemble_pair(a, b, 1.0, w_b, thr)
 
     def test_each_class_gets_its_own_threshold(self):
         # Both pairs overlap at IoU 0.6: above the 0.5 pedestrian threshold

@@ -366,6 +366,22 @@ class TestMotaMotp:
         with pytest.raises(ValueError):
             mota_motp([[]], [[], []], iou_thr=0.5)
 
+    # A hypothesis 50 m from its ground truth: IoU 0, so no gate in (0, 1]
+    # matches it; at a gate of 0 or NaN it used to score MOTA = MOTP = 1.
+    _far = ([[_box(50.0, 0.0, track_id=1)]], [[_box(0.0, 0.0, track_id=0)]])
+
+    @pytest.mark.parametrize("iou_thr", [math.nan, 0.0, -0.5, math.nextafter(1.0, 2.0),
+                                         math.inf])
+    def test_threshold_outside_zero_to_one_is_refused(self, iou_thr):
+        with pytest.raises(ValueError, match="iou_thr must lie in"):
+            mota_motp(*self._far, iou_thr=iou_thr)
+
+    @pytest.mark.parametrize("iou_thr", [5e-324, 1.0])
+    def test_threshold_at_each_bound_is_a_gate(self, iou_thr):
+        result = mota_motp(*self._far, iou_thr=iou_thr)
+        assert (result.fp, result.fn, result.mota) == (1, 1, -1.0)
+        assert math.isnan(result.motp)
+
     def test_missing_and_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             mota_motp([[_box(0, 0)]], [[_box(0, 0, track_id=0)]], iou_thr=0.5)

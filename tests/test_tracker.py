@@ -352,6 +352,19 @@ class TestAssociate:
         assert matches == []
         assert ut == [0] and ud == [0]
 
+    @pytest.mark.parametrize("iou_min", [math.nan, -5e-324, math.nextafter(1.0, 2.0),
+                                         -math.inf])
+    def test_gate_outside_zero_to_one_is_refused(self, iou_min):
+        with pytest.raises(ValueError, match="iou_min must lie in"):
+            associate([_det(0.0, 0.0)], [_det(0.2, 0.0)], iou_min=iou_min)
+
+    @pytest.mark.parametrize("iou_min, matches", [(0.0, [(0, 0)]), (1.0, [])])
+    def test_gate_at_each_bound(self, iou_min, matches):
+        # A box matches itself at either bound; disjoint boxes pair up only
+        # at a gate of 0, where IoU 0 passes.
+        assert associate([_det(0.0, 0.0)], [_det(0.0, 0.0)], iou_min)[0] == [(0, 0)]
+        assert associate([_det(0.0, 0.0)], [_det(50.0, 0.0)], iou_min)[0] == matches
+
     def test_no_cross_label_matches(self):
         track = _det(0.0, 0.0, label=Label.VEHICLE)
         det = _det(0.0, 0.0, label=Label.PEDESTRIAN)
