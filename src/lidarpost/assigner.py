@@ -16,10 +16,21 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .geometry import Box3D, bev_iou, iou_matrix
+from .schema import COUNT, UNIT, Section, check, setting
 
 DEFAULT_K = 9
 DEFAULT_POS_THR = 0.6
 DEFAULT_NEG_THR = 0.45
+
+
+@dataclass(frozen=True)
+class AssignerConfig(Section):
+    """adaptive_assign's k, and fixed_assign's thresholds, neg_thr <= pos_thr."""
+
+    k: int = setting(COUNT, default=DEFAULT_K)
+    pos_thr: float = setting(UNIT, default=DEFAULT_POS_THR)
+    neg_thr: float = setting(UNIT, default=DEFAULT_NEG_THR)
+    ORDER = (("neg_thr", "pos_thr", False),)
 
 
 class AnchorLabel(Enum):
@@ -65,12 +76,9 @@ def fixed_assign(
     unclaimed; later ground truths win when they contest the same anchor.
 
     Raises:
-        ValueError: unless 0 <= neg_thr <= pos_thr <= 1.
+        ValueError: unless 0 <= neg_thr <= pos_thr <= 1, by AssignerConfig's checks.
     """
-    if not (0.0 <= neg_thr <= pos_thr <= 1.0):
-        raise ValueError(
-            f"require 0 <= neg_thr <= pos_thr <= 1, got neg={neg_thr!r} pos={pos_thr!r}"
-        )
+    AssignerConfig(pos_thr=pos_thr, neg_thr=neg_thr)
     n = len(anchors)
     labels = [AnchorLabel.NEGATIVE] * n
     gt_indices: List[Optional[int]] = [None] * n
@@ -124,8 +132,7 @@ def adaptive_assign(
     Raises:
         ValueError: if anchors is empty or k < 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
+    check("k", k, COUNT)
     if not anchors:
         raise ValueError("anchors must be non-empty")
     n = len(anchors)

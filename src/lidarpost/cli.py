@@ -12,12 +12,13 @@ errors, 1 internal failures; every failure prints one line starting with
 the defaults printed by default-config; unknown keys and values of the
 wrong type are argument errors. Override flags such as --iou take
 precedence over the config (see OVERRIDES). Every value of the result is
-then checked against CONFIG_RANGES before the command starts, and one out
-of range is an argument error too.
+then checked against the range that its config section declares before the
+command starts, and one out of range is an argument error too.
 
 The per-frame box filters (nms, soft-nms, vote) share one table, FILTERS,
 and one command, cmd_filter. One walk, _merge_checked, checks the --config file
-and then each flag at its OVERRIDES path, value by value as it is merged.
+and then each flag at its OVERRIDES path, value by value as it is merged, against
+the ranges that Config's sections declare; commands get the typed sections.
 Only run() turns an exception into an exit code, and by stage. Until the
 config is resolved, before any input is read, a bad argument or a ValueError
 or OSError exits 2. Once the command runs, an OSError or argparse.ArgumentError
@@ -38,23 +39,9 @@ from operator import add, attrgetter
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .assigner import (
-    DEFAULT_K,
-    DEFAULT_NEG_THR,
-    DEFAULT_POS_THR,
-    AnchorLabel,
-    AssignmentResult,
-    adaptive_assign,
-    fixed_assign,
-)
+from .assigner import AnchorLabel, AssignerConfig, AssignmentResult, adaptive_assign, fixed_assign
 from .ensemble import (
-    DEFAULT_NMS_IOU,
-    DEFAULT_SOFT_NMS_FLOOR,
-    DEFAULT_SOFT_NMS_SIGMA,
-    DEFAULT_STOP_DELTA,
-    DEFAULT_VOTE_IOU,
+    EnsembleConfig,
     PairPool,
     box_vote,
     ensemble_pair,  # unused here; perfbench's tracer times it by this name
@@ -64,127 +51,53 @@ from .ensemble import (
 from .geometry import Box3D, DetectionSet, Label, iou3d
 from .io import read_boxes, read_points, write_boxes, write_points
 from .metrics import (
-    DEFAULT_IOU_THRESHOLDS,
     Difficulty,
     MatchLedger,
+    MetricsConfig,
     average_precision,
     match_frame,
     mota_motp,
     pr_points,
     split_difficulty,
 )
-from .pointcloud import (
-    DEFAULT_DELTA,
-    DEFAULT_RANGE,
-    RangeSpec,
-    concat_frames,
-)
-from .tracker import MAX_NOISE, Tracker, TrackerConfig
+from .pointcloud import PointcloudConfig, RangeSpec, concat_frames
+from .schema import Section
+from .tracker import Tracker, TrackerConfig
 from .voxelizer import VoxelConfig, voxelize_dynamic, voxelize_hard
 
 
-def default_config() -> dict:
-    """All tunable defaults, one section per module.
-
-    pointcloud.range, voxelizer and tracker hold exactly the fields of
-    RangeSpec, VoxelConfig (less its range) and TrackerConfig, so commands
-    build those objects straight from a validated config.
-    """
-    voxelizer = asdict(VoxelConfig())
-    del voxelizer["range"]
-    return {
-        "pointcloud": {
-            "range": asdict(DEFAULT_RANGE),
-            "delta": DEFAULT_DELTA,
-        },
-        "voxelizer": voxelizer,
-        "assigner": {
-            "k": DEFAULT_K,
-            "pos_thr": DEFAULT_POS_THR,
-            "neg_thr": DEFAULT_NEG_THR,
-        },
-        "ensemble": {
-            "nms_iou": dict(DEFAULT_NMS_IOU),
-            "vote_iou": DEFAULT_VOTE_IOU,
-            "soft_nms_sigma": DEFAULT_SOFT_NMS_SIGMA,
-            "soft_nms_score_floor": DEFAULT_SOFT_NMS_FLOOR,
-            "weight_grid": [round(0.1 * i, 1) for i in range(1, 11)],
-            "stop_delta": DEFAULT_STOP_DELTA,
-        },
-        "tracker": asdict(TrackerConfig()),
-        "metrics": {
-            "iou_thr": {label.value: thr for label, thr in DEFAULT_IOU_THRESHOLDS.items()},
-            "difficulty": Difficulty.L2.value,
-        },
-    }
-
-
 @dataclass(frozen=True)
-class _Range:
-    """The numbers from low to high; an open end leaves its bound out."""
+class Config(Section):
+    """Every setting, one section per module. The voxelizer's grid spans
+    pointcloud.range, which its section leaves out."""
 
-    low: float
-    high: float
-    low_open: bool = False
-    high_open: bool = False
-
-    def __contains__(self, value: float) -> bool:
-        above = value > self.low if self.low_open else value >= self.low
-        below = value < self.high if self.high_open else value <= self.high
-        return above and below
-
-    def __str__(self) -> str:
-        return (f"{'(' if self.low_open else '['}{self.low!r}, "
-                f"{self.high!r}{')' if self.high_open else ']'}")
+    pointcloud: PointcloudConfig = PointcloudConfig()
+    voxelizer: VoxelConfig = VoxelConfig()
+    assigner: AssignerConfig = AssignerConfig()
+    ensemble: EnsembleConfig = EnsembleConfig()
+    tracker: TrackerConfig = TrackerConfig()
+    metrics: MetricsConfig = MetricsConfig()
 
 
-_FINITE = _Range(-math.inf, math.inf, low_open=True, high_open=True)
-_POSITIVE = _Range(0.0, math.inf, low_open=True, high_open=True)
-_COUNT = _Range(1, math.inf, high_open=True)
-_UNIT = _Range(0.0, 1.0)
-_UNIT_ABOVE_0 = _Range(0.0, 1.0, low_open=True)
-_NOISE = _Range(0.0, MAX_NOISE, low_open=True)
+_DEFAULTS = Config()
+# Parsing this text copies the defaults several times faster than asdict does.
+_DEFAULT_TEXT = json.dumps(asdict(_DEFAULTS))
 
-# The values each config key may take: the checks the library makes where
-# it reads the key, so that run() can make them all before a command starts.
-# A range on a map holds for each of its entries, and one on a list for each
-# of its elements; such a list must not be empty.
-CONFIG_RANGES: Dict[str, object] = {
-    "pointcloud.range": _FINITE,
-    # float32's normal range: the time channel is written as float32, where a
-    # larger delta overflows to inf and a smaller one loses precision or reads 0.
-    "pointcloud.delta": _Range(float(np.finfo(np.float32).tiny),
-                               float(np.finfo(np.float32).max)),
-    "voxelizer.vx": _POSITIVE,
-    "voxelizer.vy": _POSITIVE,
-    "voxelizer.vz": _POSITIVE,
-    "voxelizer.max_points_per_voxel": _COUNT,
-    "voxelizer.max_voxels": _COUNT,
-    "assigner.k": _COUNT,
-    "assigner.pos_thr": _UNIT,
-    "assigner.neg_thr": _UNIT,
-    "ensemble.nms_iou": _UNIT,
-    "ensemble.vote_iou": _UNIT_ABOVE_0,
-    "ensemble.soft_nms_sigma": _POSITIVE,
-    "ensemble.soft_nms_score_floor": _Range(0.0, 1.0, high_open=True),
-    "ensemble.weight_grid": _UNIT_ABOVE_0,
-    # Any number works; only NaN, which JSON parsing lets in, is refused.
-    "ensemble.stop_delta": _Range(-math.inf, math.inf),
-    "tracker.iou_min": _UNIT,
-    "tracker.max_age": _COUNT,
-    "tracker.min_hits": _COUNT,
-    "tracker.process_noise": _NOISE,
-    "tracker.measurement_noise": _NOISE,
-    "metrics.iou_thr": _UNIT_ABOVE_0,
-    "metrics.difficulty": tuple(level.value for level in Difficulty),
-}
-# (lower, upper, strict): pairs of keys whose values the library orders.
-CONFIG_ORDER: Tuple[Tuple[str, str, bool], ...] = (
-    ("pointcloud.range.x_min", "pointcloud.range.x_max", True),
-    ("pointcloud.range.y_min", "pointcloud.range.y_max", True),
-    ("pointcloud.range.z_min", "pointcloud.range.z_max", True),
-    ("assigner.neg_thr", "assigner.pos_thr", False),
-)
+
+def default_config() -> dict:
+    """All tunable defaults, one section per module: the Config defaults as
+    JSON values, which a --config file is laid over."""
+    config = json.loads(_DEFAULT_TEXT)
+    del config["voxelizer"]["range"]
+    return config
+
+
+def _field_rule(section: Section, name: str):
+    """The section nested in section at name, or the values its setting name may take."""
+    nested = getattr(section, name)
+    if isinstance(nested, Section):
+        return nested
+    return section.__dataclass_fields__[name].metadata["allowed"]
 
 
 # Override flags: subcommand -> {argparse dest: dotted config path}. A flag
@@ -221,13 +134,15 @@ OVERRIDES: Dict[str, Dict[str, str]] = {
 }
 
 
-def _merge_checked(default, value, path: str, rule: str):
+def _merge_checked(default, value, path: str, rule):
     """value, at dotted key path, laid over default, deep-merging objects.
 
-    Raises ValueError naming the path where value departs from default's shape
-    (an unknown key, another type, an empty list) or where a leaf lies outside
-    CONFIG_RANGES[rule], rule being path or the map or list that holds it. An
-    int stands in for a float that can hold it, and is kept as an int."""
+    rule is the section whose settings default holds, or the values that the
+    setting at path may take, on each entry of a map and element of a list.
+    Raises ValueError naming the path where value departs from default's
+    shape (an unknown key, another type, an empty list) or where a leaf lies
+    outside its rule. An int stands in for a float that can hold it, and is
+    kept as an int."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config {path}: expected an object, got {value!r}")
@@ -236,7 +151,7 @@ def _merge_checked(default, value, path: str, rule: str):
             key_path = f"{path}.{key}" if path else key
             if key not in default:
                 raise ValueError(f"config {key_path}: unknown key")
-            key_rule = rule if rule in CONFIG_RANGES else key_path
+            key_rule = _field_rule(rule, key) if isinstance(rule, Section) else rule
             merged[key] = _merge_checked(default[key], item, key_path, key_rule)
         return merged
     if isinstance(default, list):
@@ -254,54 +169,57 @@ def _merge_checked(default, value, path: str, rule: str):
             float(value)
         except OverflowError:  # an integer too large for a float
             raise ValueError(f"config {path}: out of float range") from None
-    allowed = CONFIG_RANGES[rule]
-    if value not in allowed:
-        raise ValueError(f"config {path}: must be in {allowed}, got {value!r}")
+    if value not in rule:
+        raise ValueError(f"config {path}: must be in {rule}, got {value!r}")
     return value
 
 
-def _slot(config: dict, path: str) -> Tuple[dict, str]:
-    """The dict that holds the value at a dotted config path, and its key."""
-    *sections, key = path.split(".")
-    for name in sections:
-        config = config[name]
-    return config, key
+def _check_order(config: dict, section: Section, path: str = "") -> None:
+    """Raise ValueError naming the first pair of values in config, laid out
+    as section, out of the ORDER that their section declares, depth first."""
+    for low, high, strict in section.ORDER:
+        a, b = config[low], config[high]
+        if not (a < b if strict else a <= b):
+            sign = "<" if strict else "<="
+            raise ValueError(f"config {path}{low}: must be {sign} {path}{high} ({b!r}), got {a!r}")
+    for key, value in config.items():
+        nested = getattr(section, key)
+        if isinstance(nested, Section):
+            _check_order(value, nested, f"{path}{key}.")
 
 
-def _voxel_config(config: dict) -> VoxelConfig:
-    return VoxelConfig(range=RangeSpec(**config["pointcloud"]["range"]), **config["voxelizer"])
-
-
-def _resolve_config(args: argparse.Namespace) -> dict:
+def _resolve_config(args: argparse.Namespace) -> Config:
     """The --config file over the defaults, then the command's override flags,
     each value checked as it is merged; then the checks across keys."""
-    defaults = default_config()
     config = default_config()
     if getattr(args, "config", None) is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 user = json.load(fh)
-            except RecursionError as exc:  # nested too deeply to parse
+            except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or nested too deep
                 raise ValueError(f"config {args.config}: invalid JSON: {exc}") from None
         if not isinstance(user, dict):
             raise ValueError(f"config {args.config}: expected a JSON object at top level")
-        config = _merge_checked(config, user, "", "")
+        config = _merge_checked(config, user, "", _DEFAULTS)
     for dest, path in OVERRIDES.get(args.command, {}).items():
         value = getattr(args, dest)
         if value is None:
             continue
+        *sections, key = path.split(".")
+        given = reduce(dict.__getitem__, sections, config)
+        section = reduce(getattr, sections, _DEFAULTS)
         # Typed by the default, as the file may have given an int for a float.
-        (given, key), (default, _) = _slot(config, path), _slot(defaults, path)
-        if isinstance(default[key], dict):
-            value = dict.fromkeys(default[key], value)
-        given[key] = _merge_checked(default[key], value, path, path)
-    for low, high, strict in CONFIG_ORDER:
-        a, b = (section[key] for section, key in (_slot(config, low), _slot(config, high)))
-        if not (a < b if strict else a <= b):
-            relation = "<" if strict else "<="
-            raise ValueError(f"config {low}: must be {relation} {high} ({b!r}), got {a!r}")
-    _voxel_config(config)
-    return config
+        default = getattr(section, key)
+        if isinstance(default, dict):
+            value = dict.fromkeys(default, value)
+        given[key] = _merge_checked(default, value, path, _field_rule(section, key))
+    _check_order(config, _DEFAULTS)
+    point = config["pointcloud"]
+    point_range = RangeSpec(**point["range"])
+    return Config(PointcloudConfig(point_range, point["delta"]),
+                  VoxelConfig(point_range, **config["voxelizer"]),
+                  AssignerConfig(**config["assigner"]), EnsembleConfig(**config["ensemble"]),
+                  TrackerConfig(**config["tracker"]), MetricsConfig(**config["metrics"]))
 
 
 def _float_list(text: str) -> List[float]:
@@ -347,10 +265,10 @@ def _write_report(lines: Iterable[str], output: Optional[str]) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def cmd_concat(args: argparse.Namespace, config: dict) -> dict:
+def cmd_concat(args: argparse.Namespace, config: Config) -> dict:
     current = read_points(args.current, args.channels, frame_id="current")
     previous = read_points(args.previous, args.channels, frame_id="previous")
-    merged = concat_frames(current, previous, config["pointcloud"]["delta"])
+    merged = concat_frames(current, previous, config.pointcloud.delta)
     write_points(merged, args.output, channels=5)
     return dict(
         points_current=len(current),
@@ -359,17 +277,16 @@ def cmd_concat(args: argparse.Namespace, config: dict) -> dict:
     )
 
 
-def cmd_voxelize(args: argparse.Namespace, config: dict) -> dict:
-    vox_config = _voxel_config(config)
+def cmd_voxelize(args: argparse.Namespace, config: Config) -> dict:
     cloud = read_points(args.points, args.channels)
     grid = (
-        voxelize_hard(cloud, vox_config)
+        voxelize_hard(cloud, config.voxelizer)
         if args.mode == "hard"
-        else voxelize_dynamic(cloud, vox_config)
+        else voxelize_dynamic(cloud, config.voxelizer)
     )
     summary = {
         "mode": grid.mode.value,
-        "grid_shape": list(vox_config.grid_shape),
+        "grid_shape": list(config.voxelizer.grid_shape),
         "num_voxels": grid.num_voxels,
         "stored_points": grid.stored_points,
         "dropped_points": grid.dropped_points,
@@ -385,8 +302,8 @@ def cmd_voxelize(args: argparse.Namespace, config: dict) -> dict:
     )
 
 
-def cmd_assign(args: argparse.Namespace, config: dict) -> dict:
-    section = config["assigner"]
+def cmd_assign(args: argparse.Namespace, config: Config) -> dict:
+    section = config.assigner
     anchors_by_frame = read_boxes(args.anchors)
     gts_by_frame = read_boxes(args.gts)
     results: List[Tuple[str, AssignmentResult]] = []
@@ -399,9 +316,9 @@ def cmd_assign(args: argparse.Namespace, config: dict) -> dict:
             continue
         anchor_count += len(anchors)
         if args.mode == "fixed":
-            result = fixed_assign(anchors, gts, section["pos_thr"], section["neg_thr"])
+            result = fixed_assign(anchors, gts, section.pos_thr, section.neg_thr)
         else:
-            result = adaptive_assign(anchors, gts, section["k"])
+            result = adaptive_assign(anchors, gts, section.k)
         results.append((frame_id, result))
     _write_report(_assign_lines(results), args.output)
     return dict(
@@ -425,27 +342,27 @@ def _assign_lines(results: Iterable[Tuple[str, AssignmentResult]]) -> Iterator[s
 
 
 # The per-frame box filters: command -> (help text, transform of one frame's
-# boxes under config["ensemble"]). The transforms look the library functions up
+# boxes under config.ensemble). The transforms look the library functions up
 # by their module names when they run, so replacing cli.nms reaches every call.
-FILTERS: Dict[str, Tuple[str, Callable[[List[Box3D], dict], List[Box3D]]]] = {
+FILTERS: Dict[str, Tuple[str, Callable[[List[Box3D], EnsembleConfig], List[Box3D]]]] = {
     "nms": (
         "non-maximum suppression",
-        lambda boxes, section: [boxes[i] for i in nms(boxes, section["nms_iou"])],
+        lambda boxes, section: [boxes[i] for i in nms(boxes, section.nms_iou)],
     ),
     "soft-nms": (
         "score-decaying suppression",
-        lambda boxes, section: soft_nms(boxes, sigma=section["soft_nms_sigma"],
-                                        score_floor=section["soft_nms_score_floor"]),
+        lambda boxes, section: soft_nms(boxes, sigma=section.soft_nms_sigma,
+                                        score_floor=section.soft_nms_score_floor),
     ),
     "vote": (
         "suppress then refine by box voting",
-        lambda boxes, section: box_vote([boxes[i] for i in nms(boxes, section["nms_iou"])],
-                                        boxes, section["vote_iou"]),
+        lambda boxes, section: box_vote([boxes[i] for i in nms(boxes, section.nms_iou)],
+                                        boxes, section.vote_iou),
     ),
 }
 
 
-def cmd_filter(args: argparse.Namespace, config: dict) -> dict:
+def cmd_filter(args: argparse.Namespace, config: Config) -> dict:
     """Run one FILTERS transform on each frame of --input."""
     _, transform = FILTERS[args.command]
     frames = read_boxes(args.input)
@@ -455,7 +372,7 @@ def cmd_filter(args: argparse.Namespace, config: dict) -> dict:
     for frame in frames.values():
         boxes = _filter_class(frame.boxes, args.cls)
         boxes_in += len(boxes)
-        kept = transform(boxes, config["ensemble"])
+        kept = transform(boxes, config.ensemble)
         boxes_out += len(kept)
         outputs.append(replace(frame, boxes=kept))
     write_boxes(outputs, args.output)
@@ -488,17 +405,16 @@ def _class_ledgers(
 _geometry = attrgetter("cx", "cy", "cz", "length", "width", "height", "heading")
 
 
-def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
-    section = config["ensemble"]
+def cmd_ensemble(args: argparse.Namespace, config: Config) -> dict:
+    section = config.ensemble
     if len(args.inputs) < 2:
         raise argparse.ArgumentError(None, "ensemble needs at least two --inputs files")
     label = args.cls
     if label is None:
         raise argparse.ArgumentError(None, "ensemble requires --class to score the merge")
-    iou_thr = section["nms_iou"][label.value]
-    stop_delta = section["stop_delta"]
-    metric_iou = config["metrics"]["iou_thr"][label.value]
-    level = Difficulty(config["metrics"]["difficulty"])
+    iou_thr = section.nms_iou[label.value]
+    metric_iou = config.metrics.iou_thr[label.value]
+    level = Difficulty(config.metrics.difficulty)
     gt_frames = read_boxes(args.gt)
 
     detectors: List[Dict[str, DetectionSet]] = []
@@ -532,17 +448,17 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
         # One pool per frame serves every grid weight; the best merge is kept.
         frame_pools = {a.frame_id: PairPool(a, b) for a, b in _aligned(current, candidate)}
         best_score = -math.inf
-        for weight in section["weight_grid"]:
+        for weight in section.weight_grid:
             merged = {fid: pool.merge(1.0, weight, iou_thr) for fid, pool in frame_pools.items()}
             merged_score = score(merged)
             # Strictly greater: a tie keeps the earliest weight.
             if merged_score > best_score:
                 best_weight, best_score, best = weight, merged_score, merged
         del frame_pools, merged
-        if best_score - current_score < stop_delta:
+        if best_score - current_score < section.stop_delta:
             steps.append(
                 f"detector_{index} skipped (best gain "
-                f"{best_score - current_score!r} < {stop_delta!r})"
+                f"{best_score - current_score!r} < {section.stop_delta!r})"
             )
             break
         current = best
@@ -560,9 +476,9 @@ def cmd_ensemble(args: argparse.Namespace, config: dict) -> dict:
     )
 
 
-def cmd_track(args: argparse.Namespace, config: dict) -> dict:
+def cmd_track(args: argparse.Namespace, config: Config) -> dict:
     frames = read_boxes(args.input)
-    tracker = Tracker(TrackerConfig(**config["tracker"]))
+    tracker = Tracker(config.tracker)
     outputs: List[DetectionSet] = []
     reported = 0
     for frame in frames.values():
@@ -584,9 +500,8 @@ def _labels_for(args: argparse.Namespace, gt_frames: Dict[str, DetectionSet]) ->
     return [label for label in Label if label in present]
 
 
-def cmd_eval_det(args: argparse.Namespace, config: dict) -> dict:
-    iou_map = config["metrics"]["iou_thr"]
-    level = Difficulty(config["metrics"]["difficulty"])
+def cmd_eval_det(args: argparse.Namespace, config: Config) -> dict:
+    level = Difficulty(config.metrics.difficulty)
     det_frames = read_boxes(args.detections)
     gt_frames = read_boxes(args.gt)
     labels = _labels_for(args, gt_frames)
@@ -596,7 +511,7 @@ def cmd_eval_det(args: argparse.Namespace, config: dict) -> dict:
     aph_values = []
     for label in labels:
         ledgers, gt_count, det_count = _class_ledgers(
-            det_frames, gt_frames, label, iou_map[label.value], level
+            det_frames, gt_frames, label, config.metrics.iou_thr[label.value], level
         )
         ap, aph = average_precision(ledgers, gt_count)
         ap_values.append(ap)
@@ -627,8 +542,7 @@ def cmd_eval_det(args: argparse.Namespace, config: dict) -> dict:
     )
 
 
-def cmd_eval_mot(args: argparse.Namespace, config: dict) -> dict:
-    iou_map = config["metrics"]["iou_thr"]
+def cmd_eval_mot(args: argparse.Namespace, config: Config) -> dict:
     tracked_frames = read_boxes(args.tracked)
     gt_frames = read_boxes(args.gt)
     labels = _labels_for(args, gt_frames)
@@ -638,7 +552,7 @@ def cmd_eval_mot(args: argparse.Namespace, config: dict) -> dict:
         tracked_seq = [_filter_class(tracked.boxes, label) for _, tracked in frames]
         gt_seq = [_filter_class(gt.boxes, label) for gt, _ in frames]
         gt_total = sum(len(gts) for gts in gt_seq)
-        result = mota_motp(tracked_seq, gt_seq, iou_map[label.value])
+        result = mota_motp(tracked_seq, gt_seq, config.metrics.iou_thr[label.value])
         lines.append(f"{label.value}.MOTA={result.mota!r}")
         lines.append(f"{label.value}.MOTP={result.motp!r}")
         lines.append(f"{label.value}.FP={result.fp}")
@@ -653,7 +567,7 @@ def cmd_eval_mot(args: argparse.Namespace, config: dict) -> dict:
     )
 
 
-def cmd_default_config(args: argparse.Namespace, config: dict) -> None:
+def cmd_default_config(args: argparse.Namespace, config: Config) -> None:
     _write_report([json.dumps(default_config(), indent=2, sort_keys=True)], args.output)
 
 
@@ -685,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     # The docstring's last paragraph is for readers of this module, not of --help.
     parser = _Parser(prog="lidarpost", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    defaults = default_config()
 
     def command(name, func, help_text, output_required=True, shared=("--config", "--class")):
         """A subcommand with --output, the shared flags it names and its
@@ -703,8 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="restrict processing to one class",
             )
         for dest, path in OVERRIDES.get(name, {}).items():
-            section, key = _slot(defaults, path)
-            value = section[key]
+            value = attrgetter(path)(_DEFAULTS)
             flag_help = f"sets config {path}"
             if isinstance(value, dict):
                 value = next(iter(value.values()))

@@ -16,7 +16,7 @@ suppression loop.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 import numpy as np
 
 from .geometry import Box3D, DetectionSet, Label, bev_iou, candidate_columns
+from .schema import POSITIVE, UNIT, UNIT_ABOVE_0, UNIT_BELOW_1, Range, Section, check, setting
 
 IouFn = Callable[[Box3D, Box3D], float]
 Thresholds = Union[float, Mapping[str, float]]
@@ -32,7 +33,22 @@ DEFAULT_NMS_IOU = {"VEHICLE": 0.7, "PEDESTRIAN": 0.5, "CYCLIST": 0.5}
 DEFAULT_VOTE_IOU = 0.55
 DEFAULT_SOFT_NMS_SIGMA = 0.5
 DEFAULT_SOFT_NMS_FLOOR = 0.001
-DEFAULT_STOP_DELTA = 0.001
+
+
+@dataclass(frozen=True)
+class EnsembleConfig(Section):
+    """The box filters' thresholds, nms_iou by class name as :func:`nms` takes
+    it, and the ensemble command's weight search: the weights it tries, and
+    the least gain in AP for which it keeps a detector."""
+
+    nms_iou: Dict[str, float] = setting(UNIT, default_factory=lambda: dict(DEFAULT_NMS_IOU))
+    vote_iou: float = setting(UNIT_ABOVE_0, default=DEFAULT_VOTE_IOU)
+    soft_nms_sigma: float = setting(POSITIVE, default=DEFAULT_SOFT_NMS_SIGMA)
+    soft_nms_score_floor: float = setting(UNIT_BELOW_1, default=DEFAULT_SOFT_NMS_FLOOR)
+    weight_grid: List[float] = setting(
+        UNIT_ABOVE_0, default_factory=lambda: [round(0.1 * i, 1) for i in range(1, 11)])
+    # Any number works; only NaN, which JSON parsing lets in, is refused.
+    stop_delta: float = setting(Range(-math.inf, math.inf), default=0.001)
 
 
 def nms(boxes: Sequence[Box3D], iou_thr: Thresholds, iou_fn: IouFn = bev_iou) -> List[int]:
@@ -66,8 +82,7 @@ def _class_thresholds(iou_thr: Thresholds) -> Dict[Label, float]:
     if named.keys() != Label.__members__.keys():
         raise ValueError(f"iou_thr must map each class name and no other, got {list(named)!r}")
     for name, thr in named.items():
-        if not (0.0 <= thr <= 1.0):
-            raise ValueError(f"iou_thr must lie in [0, 1], got {thr!r} for {name}")
+        check(f"iou_thr for {name}", thr, UNIT)
     return {Label(name): thr for name, thr in named.items()}
 
 
@@ -124,10 +139,8 @@ def soft_nms(
     Raises:
         ValueError: unless sigma > 0 and score_floor in [0, 1).
     """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    if not (0.0 <= score_floor < 1.0):
-        raise ValueError(f"score_floor must lie in [0, 1), got {score_floor!r}")
+    check("sigma", sigma, POSITIVE)
+    check("score_floor", score_floor, UNIT_BELOW_1)
     scores = np.array([box.score for box in boxes], dtype=np.float64)
     alive = np.ones(len(boxes), dtype=bool)
     candidates = candidate_columns(boxes, boxes)
@@ -172,8 +185,7 @@ def box_vote(
     Raises:
         ValueError: unless iou_thr in (0, 1].
     """
-    if not (0.0 < iou_thr <= 1.0):
-        raise ValueError(f"iou_thr must lie in (0, 1], got {iou_thr!r}")
+    check("iou_thr", iou_thr, UNIT_ABOVE_0)
     out: List[Box3D] = []
     for box, js in zip(nms_boxes, candidate_columns(nms_boxes, original_boxes)):
         voters = [
@@ -266,9 +278,8 @@ class PairPool:
         Raises:
             ValueError: unless both weights lie in (0, 1], or as :func:`nms` does.
         """
-        for name, w in (("w_a", w_a), ("w_b", w_b)):
-            if not (0.0 < w <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1], got {w!r}")
+        check("w_a", w_a, UNIT_ABOVE_0)
+        check("w_b", w_b, UNIT_ABOVE_0)
         weights = np.full(len(self._scores), float(w_b))
         weights[: self._split] = w_a
         # One IEEE product per box, as score * w.

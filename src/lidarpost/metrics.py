@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import Box3D, Label, candidate_columns, heading_error, iou3d, iou_matrix
 from .matching import hungarian
+from .schema import NON_NEGATIVE, UNIT_ABOVE_0, Section, check, setting
 
 DEFAULT_IOU_THRESHOLDS = {
     Label.VEHICLE: 0.7,
@@ -29,6 +30,17 @@ DEFAULT_IOU_THRESHOLDS = {
 class Difficulty(Enum):
     L1 = "L1"
     L2 = "L2"
+
+
+@dataclass(frozen=True)
+class MetricsConfig(Section):
+    """Each class name's IoU threshold for a match, and the difficulty level
+    (a :class:`Difficulty` value) that detection scoring cuts ground truth to."""
+
+    iou_thr: Dict[str, float] = setting(UNIT_ABOVE_0, default_factory=lambda: {
+        label.value: thr for label, thr in DEFAULT_IOU_THRESHOLDS.items()})
+    difficulty: str = setting(tuple(level.value for level in Difficulty),
+                              default=Difficulty.L2.value)
 
 
 @dataclass(frozen=True)
@@ -72,8 +84,7 @@ def match_frame(
     Raises:
         ValueError: unless iou_thr in (0, 1].
     """
-    if not (0.0 < iou_thr <= 1.0):
-        raise ValueError(f"iou_thr must lie in (0, 1], got {iou_thr!r}")
+    check("iou_thr", iou_thr, UNIT_ABOVE_0)
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     candidates = candidate_columns(dets, gts)
     gt_matched = [False] * len(gts)
@@ -139,8 +150,7 @@ def average_precision(
     over the same recall grid, so APH <= AP always. With no ground truth the
     pair is (1, 1) when there are no detections and (0, 0) otherwise.
     """
-    if gt_count < 0:
-        raise ValueError(f"gt_count must be >= 0, got {gt_count!r}")
+    check("gt_count", gt_count, NON_NEGATIVE)
     ledgers = list(ledgers)
     points = pr_points(ledgers, gt_count)
     if gt_count == 0:
@@ -222,8 +232,7 @@ def mota_motp(
         ValueError: unless iou_thr in (0, 1]; on length mismatch, missing
             ids, or duplicate ids.
     """
-    if not (0.0 < iou_thr <= 1.0):
-        raise ValueError(f"iou_thr must lie in (0, 1], got {iou_thr!r}")
+    check("iou_thr", iou_thr, UNIT_ABOVE_0)
     if len(tracked) != len(gt):
         raise ValueError(
             f"sequences must be frame-aligned: {len(tracked)} vs {len(gt)} frames"

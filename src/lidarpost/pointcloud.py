@@ -17,6 +17,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .geometry import Box3D, wrap_angle
+from .schema import FINITE, POSITIVE, Range, Section, check, setting
 
 DEFAULT_DELTA = 0.1
 SCALE_RANGE = (0.95, 1.05)
@@ -71,21 +72,16 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class RangeSpec:
-    """Closed axis-aligned crop bounds, min < max on every axis."""
+class RangeSpec(Section):
+    """Closed axis-aligned crop bounds, finite, min < max on every axis."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    z_min: float
-    z_max: float
-
-    def __post_init__(self) -> None:
-        for lo, hi in (("x_min", "x_max"), ("y_min", "y_max"), ("z_min", "z_max")):
-            lo_v, hi_v = getattr(self, lo), getattr(self, hi)
-            if not (math.isfinite(lo_v) and math.isfinite(hi_v) and lo_v < hi_v):
-                raise ValueError(f"require finite {lo} < {hi}, got {lo_v!r}, {hi_v!r}")
+    x_min: float = setting(FINITE)
+    x_max: float = setting(FINITE)
+    y_min: float = setting(FINITE)
+    y_max: float = setting(FINITE)
+    z_min: float = setting(FINITE)
+    z_max: float = setting(FINITE)
+    ORDER = (("x_min", "x_max", True), ("y_min", "y_max", True), ("z_min", "z_max", True))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Mask of the rows of an (N, >= 3) array whose (x, y, z) lie inside
@@ -99,6 +95,17 @@ class RangeSpec:
 
 
 DEFAULT_RANGE = RangeSpec(-75.2, 75.2, -75.2, 75.2, -2.0, 4.0)
+
+
+@dataclass(frozen=True)
+class PointcloudConfig(Section):
+    """The crop range, and the time offset of a previous frame."""
+
+    range: RangeSpec = DEFAULT_RANGE
+    # float32's normal range: the time channel is written as float32, where a
+    # larger delta overflows to inf and a smaller one loses precision or reads 0.
+    delta: float = setting(Range(float(np.finfo(np.float32).tiny),
+                                 float(np.finfo(np.float32).max)), default=DEFAULT_DELTA)
 
 
 class Axis(Enum):
@@ -119,8 +126,7 @@ def concat_frames(
     Raises:
         ValueError: if delta is not a positive finite number.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    check("delta", delta, POSITIVE)
     points = np.concatenate([current.points, previous.points])
     points[: len(current), 4] = 0.0
     points[len(current) :, 4] = delta
@@ -166,8 +172,7 @@ def global_scale(
     Raises:
         ValueError: if factor is not a positive finite number.
     """
-    if not (math.isfinite(factor) and factor > 0.0):
-        raise ValueError(f"factor must be positive and finite, got {factor!r}")
+    check("factor", factor, POSITIVE)
     points = cloud.points * [factor, factor, factor, 1.0, 1.0]
     scaled = [
         replace(

@@ -35,6 +35,7 @@ from .geometry import (
     wrap_angles,
 )
 from .matching import hungarian
+from .schema import COUNT, NON_NEGATIVE, UNIT, Range, Section, check, setting
 
 STATE_DIM = 10
 OBS_DIM = 7
@@ -54,6 +55,7 @@ _BIRTH_COV[7, 7] = _BIRTH_COV[8, 8] = _BIRTH_COV[9, 9] = _INITIAL_VELOCITY_VAR
 # grows its covariance like noise * k**3: at 1e100 a 2,000-frame coast steps
 # clean, where from about 1e307 up the Kalman step overflows to inf and NaN.
 MAX_NOISE = 1e100
+_NOISE = Range(0.0, MAX_NOISE, low_open=True)
 
 # Boxes built from a Kalman mean clamp dimensions here so a drifting filter
 # can never produce an invalid box during association.
@@ -61,24 +63,12 @@ _MIN_DIM = 1e-3
 
 
 @dataclass(frozen=True)
-class TrackerConfig:
-    iou_min: float = 0.1
-    max_age: int = 2
-    min_hits: int = 3
-    process_noise: float = 1.0
-    measurement_noise: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.iou_min <= 1.0):
-            raise ValueError(f"iou_min must lie in [0, 1], got {self.iou_min!r}")
-        if self.max_age < 1:
-            raise ValueError(f"max_age must be >= 1, got {self.max_age!r}")
-        if self.min_hits < 1:
-            raise ValueError(f"min_hits must be >= 1, got {self.min_hits!r}")
-        for name in ("process_noise", "measurement_noise"):
-            value = getattr(self, name)
-            if not (0.0 < value <= MAX_NOISE):
-                raise ValueError(f"{name} must lie in (0, {MAX_NOISE!r}], got {value!r}")
+class TrackerConfig(Section):
+    iou_min: float = setting(UNIT, default=0.1)
+    max_age: int = setting(COUNT, default=2)
+    min_hits: int = setting(COUNT, default=3)
+    process_noise: float = setting(_NOISE, default=1.0)
+    measurement_noise: float = setting(_NOISE, default=1.0)
 
 
 DEFAULT_CONFIG = TrackerConfig()
@@ -107,14 +97,10 @@ class TrackState:
             )
         if not np.allclose(self.covariance, self.covariance.T, atol=1e-9):
             raise ValueError("covariance must be symmetric")
-        if self.id < 0:
-            raise ValueError(f"id must be non-negative, got {self.id!r}")
-        if self.hits < 1:
-            raise ValueError(f"hits must be >= 1, got {self.hits!r}")
-        if self.time_since_update < 0:
-            raise ValueError(f"time_since_update must be >= 0, got {self.time_since_update!r}")
-        if self.age < 1:
-            raise ValueError(f"age must be >= 1, got {self.age!r}")
+        check("id", self.id, NON_NEGATIVE)
+        check("hits", self.hits, COUNT)
+        check("time_since_update", self.time_since_update, NON_NEGATIVE)
+        check("age", self.age, COUNT)
 
     @classmethod
     def _trusted(cls, mean, covariance, id, hits, time_since_update, age, label) -> "TrackState":
@@ -246,8 +232,7 @@ def associate(
     circumscribed circles are disjoint, as :func:`iou_matrix` requires.
     Raises ValueError unless iou_min in [0, 1].
     """
-    if not (0.0 <= iou_min <= 1.0):
-        raise ValueError(f"iou_min must lie in [0, 1], got {iou_min!r}")
+    check("iou_min", iou_min, UNIT)
     matches: List[Tuple[int, int]] = []
     for label in sorted({b.label for b in tracks}, key=lambda l: l.value):
         t_idx = [i for i, b in enumerate(tracks) if b.label is label]

@@ -23,38 +23,32 @@ from typing import Tuple
 import numpy as np
 
 from .pointcloud import DEFAULT_RANGE, PointCloud, RangeSpec
+from .schema import COUNT, POSITIVE, Section, setting
 
 _INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
-class VoxelConfig:
+class VoxelConfig(Section):
     """Grid geometry plus the hard-mode caps."""
 
     range: RangeSpec = DEFAULT_RANGE
-    vx: float = 0.1
-    vy: float = 0.1
-    vz: float = 0.15
-    max_points_per_voxel: int = 5
-    max_voxels: int = 150000
+    vx: float = setting(POSITIVE, default=0.1)
+    vy: float = setting(POSITIVE, default=0.1)
+    vz: float = setting(POSITIVE, default=0.15)
+    max_points_per_voxel: int = setting(COUNT, default=5)
+    max_voxels: int = setting(COUNT, default=150000)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         r = self.range
         extents = (r.x_max - r.x_min, r.y_max - r.y_min, r.z_max - r.z_min)
         for name, extent in zip(("vx", "vy", "vz"), extents):
             edge = getattr(self, name)
-            if not (math.isfinite(edge) and edge > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {edge!r}")
             # Compared before rounding up, so an infinite quotient fails here too.
             if extent / edge > _INT32_MAX:
                 raise ValueError(f"{name}={edge!r} makes a grid dimension exceed 32-bit signed range")
-        if self.max_points_per_voxel < 1:
-            raise ValueError(
-                f"max_points_per_voxel must be >= 1, got {self.max_points_per_voxel!r}"
-            )
-        if self.max_voxels < 1:
-            raise ValueError(f"max_voxels must be >= 1, got {self.max_voxels!r}")
         # Voxels are grouped by the linear key (ix * ny + iy) * nz + iz, which
         # is exact in int64 only while every key fits.
         nx, ny, nz = self.grid_shape

@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import hashlib
 import importlib.util
 import json
 import math
@@ -7,7 +8,8 @@ import re
 import struct
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from lidarpost import cli
 from lidarpost.assigner import adaptive_assign, fixed_assign
-from lidarpost.cli import CONFIG_ORDER, CONFIG_RANGES, OVERRIDES, default_config, run
+from lidarpost.cli import OVERRIDES, Config, default_config, run
 from lidarpost.ensemble import DEFAULT_NMS_IOU, PairPool, box_vote, nms, soft_nms
 from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, iou3d
 from lidarpost.io import read_boxes, read_points, write_boxes
@@ -28,8 +30,8 @@ from lidarpost.metrics import (
     match_frame,
     mota_motp,
 )
-from lidarpost.pointcloud import PointCloud, RangeSpec, concat_frames
-from lidarpost.tracker import TrackerConfig, associate
+from lidarpost.pointcloud import PointCloud, concat_frames
+from lidarpost.tracker import associate
 from lidarpost.voxelizer import VoxelConfig
 from oracles import compensated_sum, reference_ensemble_pair
 
@@ -117,6 +119,23 @@ class TestArgumentErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"ERROR 2: config {cfg}: invalid JSON: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("data, reason", [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"tracker": ', "Expecting value: line 1 column 13 (char 12)"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 "
+                            "(char 0)"),
+    ], ids=["empty", "truncated", "not-utf-8", "utf-8-bom"])
+    def test_unparsable_config_names_the_file(self, tmp_path, capsys, data, reason):
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record()])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        code = run(["nms", "--input", str(det), "--config", str(cfg),
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == f"ERROR 2: config {cfg}: invalid JSON: {reason}\n"
 
     def test_config_must_be_object(self, tmp_path, capsys):
         det = tmp_path / "d.jsonl"
@@ -1280,14 +1299,15 @@ class TestConfigValidation:
 
         defaults = default_config()
         walk(defaults, "")
+        declared, order = _schema()
         for leaf in leaves:
-            governing = [key for key in CONFIG_RANGES
+            governing = [key for key in declared
                          if leaf == key or leaf.startswith((key + ".", key + "["))]
             assert len(governing) == 1, (leaf, governing)
         assert {path for flags in OVERRIDES.values() for path in flags.values()} <= set(
-            CONFIG_RANGES)
-        assert {path for pair in CONFIG_ORDER for path in pair[:2]} <= leaves
-        assert cli._merge_checked(default_config(), defaults, "", "") == defaults
+            declared)
+        assert {path for pair in order for path in pair[:2]} <= leaves
+        assert cli._merge_checked(default_config(), defaults, "", Config()) == defaults
 
     @pytest.mark.parametrize("config", [
         {"assigner": {"neg_thr": 0.6, "pos_thr": 0.6}},
@@ -1312,6 +1332,133 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("ERROR 2:")
 
 
+def _schema():
+    """The settings that the Config sections declare, {dotted path: the
+    values it may take}, laid out as default_config() lays them out, and
+    their ORDER pairs as (lower path, upper path, strict)."""
+    declared, order = {}, []
+
+    def walk(section, config, prefix):
+        order.extend((prefix + low, prefix + high, strict)
+                     for low, high, strict in getattr(section, "ORDER", ()))
+        for f in fields(section):
+            if "allowed" in f.metadata:
+                declared[prefix + f.name] = f.metadata["allowed"]
+            elif f.name in config:
+                walk(getattr(section, f.name), config[f.name], f"{prefix}{f.name}.")
+
+    walk(Config(), default_config(), "")
+    return declared, order
+
+
+def _nested(path, value, config=None):
+    """config (a new dict if None) with value set at a dotted path."""
+    config = {} if config is None else config
+    *sections, key = path.split(".")
+    node = config
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return config
+
+
+def _resolve_file(tmp_path, config):
+    """The resolved config of a --config file holding config."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return cli._resolve_config(argparse.Namespace(command="default-config", config=str(cfg)))
+
+
+# Each config leaf's range, as an out-of-range value's error prints it.
+LEAF_RANGES = {
+    "pointcloud.range.x_min": "(-inf, inf)",
+    "pointcloud.range.x_max": "(-inf, inf)",
+    "pointcloud.range.y_min": "(-inf, inf)",
+    "pointcloud.range.y_max": "(-inf, inf)",
+    "pointcloud.range.z_min": "(-inf, inf)",
+    "pointcloud.range.z_max": "(-inf, inf)",
+    "pointcloud.delta": "[1.1754943508222875e-38, 3.4028234663852886e+38]",
+    "voxelizer.vx": "(0.0, inf)",
+    "voxelizer.vy": "(0.0, inf)",
+    "voxelizer.vz": "(0.0, inf)",
+    "voxelizer.max_points_per_voxel": "[1, inf)",
+    "voxelizer.max_voxels": "[1, inf)",
+    "assigner.k": "[1, inf)",
+    "assigner.pos_thr": "[0.0, 1.0]",
+    "assigner.neg_thr": "[0.0, 1.0]",
+    "ensemble.nms_iou.VEHICLE": "[0.0, 1.0]",
+    "ensemble.nms_iou.PEDESTRIAN": "[0.0, 1.0]",
+    "ensemble.nms_iou.CYCLIST": "[0.0, 1.0]",
+    "ensemble.vote_iou": "(0.0, 1.0]",
+    "ensemble.soft_nms_sigma": "(0.0, inf)",
+    "ensemble.soft_nms_score_floor": "[0.0, 1.0)",
+    "ensemble.weight_grid": "(0.0, 1.0]",
+    "ensemble.stop_delta": "[-inf, inf]",
+    "tracker.iou_min": "[0.0, 1.0]",
+    "tracker.max_age": "[1, inf)",
+    "tracker.min_hits": "[1, inf)",
+    "tracker.process_noise": "(0.0, 1e+100]",
+    "tracker.measurement_noise": "(0.0, 1e+100]",
+    "metrics.iou_thr.VEHICLE": "(0.0, 1.0]",
+    "metrics.iou_thr.PEDESTRIAN": "(0.0, 1.0]",
+    "metrics.iou_thr.CYCLIST": "(0.0, 1.0]",
+    "metrics.difficulty": "('L1', 'L2')",
+}
+# The pairs of leaves that must be in order: (lower, upper, strict).
+ORDERED_LEAVES = [
+    ("pointcloud.range.x_min", "pointcloud.range.x_max", True),
+    ("pointcloud.range.y_min", "pointcloud.range.y_max", True),
+    ("pointcloud.range.z_min", "pointcloud.range.z_max", True),
+    ("assigner.neg_thr", "assigner.pos_thr", False),
+]
+
+
+class TestConfigSchema:
+    """The config's bytes, ranges and orders, pinned against literal values."""
+
+    def test_default_config_bytes(self, capsys):
+        assert run(["default-config"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 1013
+        assert hashlib.sha256(out).hexdigest() == (
+            "88913b6168493417172ac29a527a3072cdb45dc082dabd448715556945da4bb2")
+
+    def test_the_schema_declares_each_leaf_range(self):
+        declared = {}
+        for path, rule in _schema()[0].items():
+            default = reduce(dict.__getitem__, path.split("."), default_config())
+            keys = [f"{path}.{key}" for key in default] if isinstance(default, dict) else [path]
+            declared.update(dict.fromkeys(keys, str(rule)))
+        assert list(declared.items()) == list(LEAF_RANGES.items())
+
+    @pytest.mark.parametrize("path", LEAF_RANGES)
+    def test_an_out_of_range_value_prints_its_leaf_range(self, tmp_path, path):
+        # Every range refuses NaN; each int setting's range starts at 1.
+        default = reduce(dict.__getitem__, path.split("."), default_config())
+        bad = {str: "L3", int: 0}.get(type(default), math.nan)
+        listed = path == "ensemble.weight_grid"
+        with pytest.raises(ValueError) as refused:
+            _resolve_file(tmp_path, _nested(path, [bad] if listed else bad))
+        where = path + "[0]" if listed else path
+        assert str(refused.value) == f"config {where}: must be in {LEAF_RANGES[path]}, got {bad!r}"
+
+    def test_the_schema_declares_the_ordered_pairs(self):
+        assert _schema()[1] == ORDERED_LEAVES
+
+    @pytest.mark.parametrize("low, high, strict", ORDERED_LEAVES)
+    def test_each_ordered_pair_is_checked(self, tmp_path, low, high, strict):
+        for value, refused in ((0.5, strict), (math.nextafter(0.5, 1.0), True)):
+            config = _nested(high, 0.5, _nested(low, value))
+            if not refused:
+                _resolve_file(tmp_path, config)
+                continue
+            with pytest.raises(ValueError) as error:
+                _resolve_file(tmp_path, config)
+            relation = "<" if strict else "<="
+            assert str(error.value) == (
+                f"config {low}: must be {relation} {high} (0.5), got {value!r}")
+
+
 def _config_leaves(node, keys=()):
     """(key tuple, default) of each default_config() value, named by its
     dotted key; a list is one value."""
@@ -1320,7 +1467,7 @@ def _config_leaves(node, keys=()):
     return [pytest.param(keys, node, id=".".join(keys))]
 
 
-# The edges of every range in CONFIG_RANGES, and the values just past them.
+# The edges of every declared range, and the values just past them.
 EDGE_VALUES = [-math.inf, -1, -1e-300, 0, 1e-300, 0.5, 1, 1 + 2**-52, 7, math.inf, math.nan]
 
 
@@ -1340,26 +1487,27 @@ def _library_reads(config):
     boxes += [Box3D(0.5, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=0.8, label=label)
               for label in Label]
     frame = DetectionSet("f", boxes)
-    section = config["ensemble"]
-    for threshold in section["nms_iou"].values():
+    section = config.ensemble
+    for threshold in section.nms_iou.values():
         nms(boxes, threshold)
-        for weight in section["weight_grid"]:
+        for weight in section.weight_grid:
             PairPool(frame, frame).merge(1.0, weight, threshold)
-    soft_nms(boxes, section["soft_nms_sigma"], section["soft_nms_score_floor"])
-    box_vote(boxes, boxes, section["vote_iou"])
-    for threshold in config["metrics"]["iou_thr"].values():
+    soft_nms(boxes, section.soft_nms_sigma, section.soft_nms_score_floor)
+    box_vote(boxes, boxes, section.vote_iou)
+    for threshold in config.metrics.iou_thr.values():
         match_frame(boxes, boxes, threshold)
         mota_motp([], [], threshold)
-    assigner = config["assigner"]
-    fixed_assign(boxes, boxes, assigner["pos_thr"], assigner["neg_thr"])
-    adaptive_assign(boxes, boxes, assigner["k"])
+    assigner = config.assigner
+    fixed_assign(boxes, boxes, assigner.pos_thr, assigner.neg_thr)
+    adaptive_assign(boxes, boxes, assigner.k)
     cloud = PointCloud([[1.0, 2.0, 0.5, 0.3]])
-    concat_frames(cloud, cloud, config["pointcloud"]["delta"])
-    range_spec = RangeSpec(**config["pointcloud"]["range"])
-    VoxelConfig(range=range_spec, **config["voxelizer"])
-    TrackerConfig(**config["tracker"])
-    associate([], [], config["tracker"]["iou_min"])
-    Difficulty(config["metrics"]["difficulty"])
+    concat_frames(cloud, cloud, config.pointcloud.delta)
+    # replace builds each section anew, through its checks.
+    range_spec = replace(config.pointcloud.range)
+    replace(config.voxelizer, range=range_spec)
+    replace(config.tracker)
+    associate([], [], config.tracker.iou_min)
+    Difficulty(config.metrics.difficulty)
 
 
 class TestTrackerNoiseBound:
@@ -1429,13 +1577,53 @@ class TestNegativeNumberFlags:
         assert err == "ERROR 2: argument --iou-min: expected one argument\n"
 
 
+def _past_each_end(rule, default):
+    """Values that rule refuses nearest each of its ends (an open end's
+    bound, the next number past a closed finite one), and NaN for a float;
+    an int setting takes integers only."""
+    if isinstance(rule, tuple):
+        return ["L3"]
+    is_int = type(default) is int
+    values = [] if is_int else [math.nan]
+    for bound, is_open, outward in ((rule.low, rule.low_open, -1), (rule.high, rule.high_open, 1)):
+        if is_open and not (is_int and math.isinf(bound)):
+            values.append(bound)
+        elif math.isfinite(bound):
+            values.append(bound + outward if is_int else math.nextafter(bound, outward * math.inf))
+    return values
+
+
 class TestRangesAgreeWithTheLibrary:
-    """The CLI's CONFIG_RANGES and the library's own checks are two sources
-    of the same ranges; the library keeps its checks for callers without the
-    CLI. No value that the CLI accepts may be one that the library refuses.
-    The CLI is deliberately stricter only for pointcloud.delta, which must
-    lie in float32's normal range, where concat_frames takes any positive
-    finite delta."""
+    """A config's ranges and the library's checks come from one source: the
+    settings that the config sections declare. The library functions check
+    their own arguments too, for callers without the CLI, and no value that
+    the CLI accepts may be one that they refuse. The CLI is deliberately
+    stricter only for pointcloud.delta, which must lie in float32's normal
+    range, where concat_frames takes any positive finite delta."""
+
+    @pytest.mark.parametrize("path, rule", [pytest.param(path, rule, id=path)
+                                            for path, rule in _schema()[0].items()])
+    def test_section_and_cli_refuse_past_each_end_naming_one_range(self, tmp_path, path,
+                                                                     rule):
+        *sections, name = path.split(".")
+        section = reduce(getattr, sections, Config())
+        default = getattr(section, name)
+        key = next(iter(default)) if isinstance(default, dict) else 0
+        element = default[key] if isinstance(default, (dict, list)) else default
+        for value in _past_each_end(rule, element):
+            if isinstance(default, dict):
+                key = next(iter(default))
+                given, where = {**default, key: value}, f"{path}.{key}"
+            elif isinstance(default, list):
+                given, where = [value], f"{path}[0]"
+            else:
+                given, where = value, path
+            with pytest.raises(ValueError) as by_cli:
+                _resolve_file(tmp_path, _nested(path, given))
+            assert str(by_cli.value) == f"config {where}: must be in {rule}, got {value!r}"
+            with pytest.raises(ValueError) as by_section:
+                replace(section, **{name: given})
+            assert str(by_section.value) == f"{name} must lie in {rule}, got {value!r}"
 
     @pytest.mark.parametrize("keys, default", _config_leaves(default_config()))
     def test_every_accepted_value_is_accepted_by_the_library(self, tmp_path, keys, default):

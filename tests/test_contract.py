@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from lidarpost import cli
 from lidarpost.geometry import Label
 from lidarpost.io import read_boxes, read_points
+from lidarpost.schema import Range
 
 PARSER = cli.build_parser()
 SUBCOMMANDS = next(action for action in PARSER._actions
@@ -46,12 +47,13 @@ REFUSED_NUMBERS = ["x", "", "1e400", "nan", "-inf"]
 
 
 def _rule(path):
-    """The CONFIG_RANGES entry that governs a dotted config path."""
-    parts = path.split(".")
-    for end in range(1, len(parts) + 1):
-        prefix = ".".join(parts[:end])
-        if prefix in cli.CONFIG_RANGES:
-            return cli.CONFIG_RANGES[prefix]
+    """The range (or tuple of choices) declared for the setting that governs
+    a dotted config path, the setting itself or the map that holds it."""
+    rule = cli.Config()
+    for key in path.split("."):
+        rule = cli._field_rule(rule, key)
+        if isinstance(rule, (Range, tuple)):
+            return rule
     raise KeyError(path)
 
 
@@ -195,7 +197,7 @@ def point_files(draw):
 
 
 def _numbers(rule, kind):
-    """Numbers inside a CONFIG_RANGES rule."""
+    """Numbers inside a declared Range."""
     if kind is int:
         return st.integers(int(rule.low), 12)
     return st.floats(rule.low, rule.high, exclude_min=rule.low_open, exclude_max=rule.high_open,

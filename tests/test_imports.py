@@ -17,7 +17,7 @@ from lidarpost import cli, matching, metrics, tracker
 PACKAGE_DIR = Path(lidarpost.__file__).parent
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 LAYERS = {"assigner", "ensemble", "io", "metrics", "tracker"}
-NEUTRAL = {"geometry", "matching", "pointcloud"}
+NEUTRAL = {"geometry", "matching", "pointcloud", "schema"}
 
 
 def _package_imports(module: str) -> set:
@@ -47,6 +47,11 @@ def test_layers_import_only_the_neutral_modules():
 def test_geometry_and_matching_import_no_package_module():
     assert _package_imports("geometry") == set()
     assert _package_imports("matching") == set()
+
+
+def test_schema_imports_no_package_module():
+    """Every layer may declare its settings with it."""
+    assert _package_imports("schema") == set()
 
 
 def _absolute_imports(module: str) -> set:
@@ -86,7 +91,9 @@ def test_cli_import_leaves_scipy_csgraph_unloaded(package):
 
 @pytest.mark.parametrize("module, allowed", [
     ("geometry", ["lidarpost", "lidarpost.geometry"]),
-    ("pointcloud", ["lidarpost", "lidarpost.geometry", "lidarpost.pointcloud"]),
+    ("schema", ["lidarpost", "lidarpost.schema"]),
+    ("pointcloud", ["lidarpost", "lidarpost.geometry", "lidarpost.pointcloud",
+                    "lidarpost.schema"]),
 ])
 def test_neutral_module_import_loads_no_other_layer_and_no_scipy(module, allowed):
     """The package root imports no module, so importing one loads only what
