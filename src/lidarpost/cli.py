@@ -52,7 +52,7 @@ from .geometry import Box3D, DetectionSet, Label, iou3d
 from .io import read_boxes, read_points, write_boxes, write_points
 from .metrics import (
     Difficulty,
-    MatchLedger,
+    FrameMatcher,
     MetricsConfig,
     average_precision,
     match_frame,
@@ -379,27 +379,17 @@ def cmd_filter(args: argparse.Namespace, config: Config) -> dict:
     return dict(frames=len(frames), boxes_in=boxes_in, boxes_out=boxes_out)
 
 
-def _class_ledgers(
+def _class_frames(
     det_frames: Dict[str, DetectionSet],
     gt_frames: Dict[str, DetectionSet],
     label: Label,
-    iou_thr: float,
     level: Difficulty,
-    iou_fn: Callable[[Box3D, Box3D], float] = iou3d,
-) -> Tuple[List[MatchLedger], int, int]:
-    """Match one class frame by frame, ground truth cut to the difficulty
-    level, with ``match_frame``'s iou_fn; returns (ledgers, gt_count,
-    det_count)."""
-    ledgers: List[MatchLedger] = []
-    gt_count = 0
-    det_count = 0
-    for gt_set, det_set in _aligned(gt_frames, det_frames):
-        dets = _filter_class(det_set.boxes, label)
-        gts = split_difficulty(_filter_class(gt_set.boxes, label), level)
-        det_count += len(dets)
-        gt_count += len(gts)
-        ledgers.append(match_frame(dets, gts, iou_thr, iou_fn=iou_fn))
-    return ledgers, gt_count, det_count
+) -> List[Tuple[DetectionSet, List[Box3D]]]:
+    """(detections, ground truth of label cut to the difficulty level) per
+    frame: the ground truth's frames, then the others, as _aligned pairs
+    them. The detections keep every class, so that indices into them hold."""
+    return [(det_set, split_difficulty(_filter_class(gt_set.boxes, label), level))
+            for gt_set, det_set in _aligned(gt_frames, det_frames)]
 
 
 _geometry = attrgetter("cx", "cy", "cz", "length", "width", "height", "heading")
@@ -416,13 +406,9 @@ def cmd_ensemble(args: argparse.Namespace, config: Config) -> dict:
     metric_iou = config.metrics.iou_thr[label.value]
     level = Difficulty(config.metrics.difficulty)
     gt_frames = read_boxes(args.gt)
-
-    detectors: List[Dict[str, DetectionSet]] = []
-    for source_id, path in enumerate(args.inputs):
-        frames = read_boxes(path)
-        for frame in frames.values():
-            frame.boxes = [box._with(source_id=source_id) for box in frame.boxes]
-        detectors.append(frames)
+    # Each box takes the index of its input file as its source id.
+    detectors = [{fid: replace(frame, boxes=[box._with(source_id=k) for box in frame.boxes])
+                  for fid, frame in read_boxes(path).items()} for k, path in enumerate(args.inputs)]
 
     # iou3d reads geometry alone, and a merged box keeps its detector box's:
     # each pair of geometries is computed once over all weights and rounds.
@@ -435,33 +421,44 @@ def cmd_ensemble(args: argparse.Namespace, config: Config) -> dict:
             value = overlaps[key] = iou3d(det, gt)
         return value
 
-    def score(frames: Dict[str, DetectionSet]) -> float:
-        ledgers, gt_count, _ = _class_ledgers(
-            frames, gt_frames, label, metric_iou, level, iou_fn=shared_iou3d)
-        ap, _ = average_precision(ledgers, gt_count)
-        return ap
+    def scorer(frames: Dict[str, DetectionSet]) -> Callable[[Dict[str, tuple]], float]:
+        """The AP of frames as each frame id's (indices in keep order, score
+        by index) ranks its boxes, matched frame by frame as eval-det
+        matches; candidates and overlaps are found once for every ranking."""
+        matchers = [(ds.frame_id, ds.boxes, FrameMatcher(ds.boxes, gts, metric_iou, shared_iou3d))
+                    for ds, gts in _class_frames(frames, gt_frames, label, level)]
+
+        def score(ranked: Dict[str, tuple]) -> float:
+            ledgers = []
+            for fid, boxes, matcher in matchers:
+                order, scores = ranked.get(fid, ((), ()))
+                ledgers.append(matcher.match([i for i in order if boxes[i].label is label], scores))
+            return average_precision(ledgers, sum(ledger.gt_count for ledger in ledgers))[0]
+
+        return score
 
     current = detectors[0]
-    current_score = score(current)
+    current_score = scorer(current)({fid: (
+        sorted(range(len(frame)), key=lambda i: (-frame.boxes[i].score, i)),
+        [box.score for box in frame.boxes]) for fid, frame in current.items()})
     steps = [f"detector_0 score={current_score!r}"]
     for index, candidate in enumerate(detectors[1:], start=1):
-        # One pool per frame serves every grid weight; the best merge is kept.
-        frame_pools = {a.frame_id: PairPool(a, b) for a, b in _aligned(current, candidate)}
+        # One pool and one matcher per frame serve every grid weight; only
+        # the best merge's boxes are built.
+        pools = {a.frame_id: PairPool(a, b) for a, b in _aligned(current, candidate)}
+        score = scorer({fid: pool.pooled for fid, pool in pools.items()})
         best_score = -math.inf
         for weight in section.weight_grid:
-            merged = {fid: pool.merge(1.0, weight, iou_thr) for fid, pool in frame_pools.items()}
-            merged_score = score(merged)
+            kept = {fid: pool.keep(1.0, weight, iou_thr) for fid, pool in pools.items()}
             # Strictly greater: a tie keeps the earliest weight.
-            if merged_score > best_score:
-                best_weight, best_score, best = weight, merged_score, merged
-        del frame_pools, merged
+            if (merged_score := score(kept)) > best_score:
+                best_weight, best_score, best = weight, merged_score, kept
         if best_score - current_score < section.stop_delta:
-            steps.append(
-                f"detector_{index} skipped (best gain "
-                f"{best_score - current_score!r} < {section.stop_delta!r})"
-            )
+            steps.append(f"detector_{index} skipped (best gain "
+                         f"{best_score - current_score!r} < {section.stop_delta!r})")
             break
-        current = best
+        current = {fid: pool.build(*best[fid]) for fid, pool in pools.items()}
+        del pools, score, kept, best
         current_score = best_score
         steps.append(f"detector_{index} weight={float(best_weight)!r} score={best_score!r}")
 
@@ -510,9 +507,11 @@ def cmd_eval_det(args: argparse.Namespace, config: Config) -> dict:
     ap_values = []
     aph_values = []
     for label in labels:
-        ledgers, gt_count, det_count = _class_ledgers(
-            det_frames, gt_frames, label, config.metrics.iou_thr[label.value], level
-        )
+        ledgers = [match_frame(_filter_class(det_set.boxes, label), gts,
+                               config.metrics.iou_thr[label.value])
+                   for det_set, gts in _class_frames(det_frames, gt_frames, label, level)]
+        gt_count = sum(ledger.gt_count for ledger in ledgers)
+        det_count = sum(len(ledger.outcomes) for ledger in ledgers)
         ap, aph = average_precision(ledgers, gt_count)
         ap_values.append(ap)
         aph_values.append(aph)

@@ -7,10 +7,12 @@ grid with it. Suppression is always class-wise: boxes of different labels
 never interact.
 
 A weight search merges the same two detectors once per grid weight. Only
-the scores and so the NMS order depend on the weight: :class:`PairPool`
-pools a frame's boxes, finds their candidate pairs and keeps each overlap
-it scores, once for all weights, and :func:`nms` and its merge share one
-suppression loop.
+the scores and so the keep order depend on the weight: :class:`PairPool`
+pools a frame's boxes, finds their same-label neighbours and keeps each
+overlap it scores, once for all weights, and a merge returns pool indices,
+so only the merge that is kept is built as boxes. :func:`nms` and the pool
+share one suppression loop, which marks the neighbours each kept box
+suppresses, as OpenPCDet's ``nms_kernel`` does.
 """
 
 from __future__ import annotations
@@ -67,13 +69,20 @@ def nms(boxes: Sequence[Box3D], iou_thr: Thresholds, iou_fn: IouFn = bev_iou) ->
         ValueError: before any pair is scored, if a threshold is outside
             [0, 1] or a map misses a class or names an unknown one.
     """
+    labels = [box.label for box in boxes]
     return _greedy_keep(
         np.array([box.score for box in boxes], dtype=np.float64),
-        [box.label for box in boxes],
-        candidate_columns(boxes, boxes),
+        labels,
+        _neighbours(labels, candidate_columns(boxes, boxes)),
         lambda i, j: iou_fn(boxes[i], boxes[j]),
         iou_thr,
     )
+
+
+def _neighbours(labels: Sequence[Label], candidates: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Each box's candidates of its own label, itself left out."""
+    return [[j for j in js if labels[j] is labels[i] and j != i]
+            for i, js in enumerate(candidates)]
 
 
 def _class_thresholds(iou_thr: Thresholds) -> Dict[Label, float]:
@@ -89,35 +98,41 @@ def _class_thresholds(iou_thr: Thresholds) -> Dict[Label, float]:
 def _greedy_keep(
     scores: np.ndarray,
     labels: Sequence[Label],
-    candidates: Sequence[Sequence[int]],
+    neighbours: Sequence[Sequence[int]],
     iou_at: Callable[[int, int], float],
     iou_thr: Thresholds,
 ) -> List[int]:
-    """The suppression loop of :func:`nms` and :meth:`PairPool.merge`.
+    """The suppression loop of :func:`nms` and :meth:`PairPool.keep`.
 
-    Visits boxes by descending score and keeps one unless iou_at(box, kept)
-    reaches its class's threshold for a kept candidate of its label, asked
-    in keep order; at a threshold of 0 any kept box of the same label
+    Visits boxes by descending score and keeps each one not yet suppressed.
+    A kept box suppresses each unvisited neighbour (see :func:`_neighbours`)
+    for which iou_at(neighbour, kept) reaches its class's threshold: so a
+    box is asked against the kept boxes near it in keep order until one
+    suppresses it. At a threshold of 0 any kept box of the same label
     suppresses, without asking.
     """
     thresholds = _class_thresholds(iou_thr)
-    # kept_near[i]: kept candidates of box i with its label, in keep order.
-    kept_near: List[List[int]] = [[] for _ in labels]
+    # done[i]: box i was visited or suppressed; visits follow the order, so
+    # a neighbour not done comes later and is not suppressed.
+    done = [False] * len(labels)
     kept_labels = set()
     kept: List[int] = []
     # A stable sort of the negated scores orders ties by index, as the key (-score, index).
     for i in np.argsort(-scores, kind="stable").tolist():
+        if done[i]:
+            continue
+        done[i] = True
         label = labels[i]
         thr = thresholds[label]
-        if thr == 0.0 and label in kept_labels:
-            continue
-        if any(iou_at(i, j) >= thr for j in kept_near[i]):
+        if thr == 0.0:
+            if label not in kept_labels:
+                kept_labels.add(label)
+                kept.append(i)
             continue
         kept.append(i)
-        kept_labels.add(label)
-        for j in candidates[i]:
-            if labels[j] is label:
-                kept_near[j].append(i)
+        for j in neighbours[i]:
+            if not done[j] and iou_at(j, i) >= thr:
+                done[j] = True
     return kept
 
 
@@ -240,40 +255,42 @@ def merge_sources(sets: Sequence[DetectionSet]) -> DetectionSet:
 class PairPool:
     """Two detectors' boxes for one frame, pooled once for any number of merges.
 
-    The pool stamps source ids (see :func:`merge_sources`), finds candidate
-    pairs and keeps every iou_fn value it computes, keyed by the ordered
-    pair (later box, kept box), since IoU need not be bit-symmetric. None of
-    that depends on the weights, so a weight search builds one pool per
-    frame and each :meth:`merge` only reweights, reorders and suppresses.
-    iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
-    as :func:`nms` requires.
+    The pool stamps source ids (see :func:`merge_sources`) on its boxes,
+    finds each box's same-label neighbours and keeps every iou_fn value it
+    computes, keyed by the ordered pair (later box, kept box), since IoU
+    need not be bit-symmetric. None of that depends on the weights, so a
+    weight search builds one pool per frame; each :meth:`keep` only
+    reweights, reorders and suppresses, and :meth:`build` makes the boxes
+    of the one merge that is kept. iou_fn must return 0 for boxes whose
+    circumscribed circles are disjoint, as :func:`nms` requires.
 
     Raises:
         ValueError: if the frame ids of a and b differ.
     """
 
     def __init__(self, a: DetectionSet, b: DetectionSet, iou_fn: IouFn = bev_iou) -> None:
-        self._merged = merge_sources([a, b])
-        self._boxes = boxes = self._merged.boxes
+        #: Both sets' boxes in one set, a's then b's, as keep and build index them.
+        self.pooled = merge_sources([a, b])
+        boxes = self.pooled.boxes
         self._split = len(a)
         self._scores = np.array([box.score for box in boxes], dtype=np.float64)
         self._labels = [box.label for box in boxes]
-        self._candidates = candidate_columns(boxes, boxes)
+        self._neighbours = _neighbours(self._labels, candidate_columns(boxes, boxes))
         self._iou_fn = iou_fn
         self._iou: Dict[Tuple[int, int], float] = {}
 
     def _iou_at(self, i: int, j: int) -> float:
         value = self._iou.get((i, j))
         if value is None:
-            value = self._iou[i, j] = self._iou_fn(self._boxes[i], self._boxes[j])
+            value = self._iou[i, j] = self._iou_fn(self.pooled.boxes[i], self.pooled.boxes[j])
         return value
 
-    def merge(self, w_a: float, w_b: float, iou_thr: Thresholds) -> DetectionSet:
+    def keep(self, w_a: float, w_b: float, iou_thr: Thresholds) -> Tuple[List[int], List[float]]:
         """Scale the scores of a by w_a and of b by w_b, then run NMS at iou_thr.
 
         iou_thr is one threshold or a map from every class name, as for
-        :func:`nms`. Returns the kept boxes with their weighted scores, in
-        keep order, exactly as :func:`ensemble_pair` does.
+        :func:`nms`. Returns the kept pool indices in keep order, and the
+        weighted score of every pooled box.
 
         Raises:
             ValueError: unless both weights lie in (0, 1], or as :func:`nms` does.
@@ -284,11 +301,19 @@ class PairPool:
         weights[: self._split] = w_a
         # One IEEE product per box, as score * w.
         scores = self._scores * weights
-        keep = _greedy_keep(
-            scores, self._labels, self._candidates, self._iou_at, iou_thr)
-        return replace(
-            self._merged, boxes=[self._boxes[i]._with(score=float(scores[i])) for i in keep]
-        )
+        return _greedy_keep(scores, self._labels, self._neighbours, self._iou_at,
+                            iou_thr), scores.tolist()
+
+    def build(self, kept: Sequence[int], scores: Sequence[float]) -> DetectionSet:
+        """The merged set of a :meth:`keep` result: the kept boxes, in keep
+        order, with their weighted scores."""
+        boxes = self.pooled.boxes
+        return replace(self.pooled, boxes=[boxes[i]._with(score=scores[i]) for i in kept])
+
+    def merge(self, w_a: float, w_b: float, iou_thr: Thresholds) -> DetectionSet:
+        """The boxes that :meth:`keep` keeps, built: exactly those of
+        :func:`ensemble_pair`. Raises as keep does."""
+        return self.build(*self.keep(w_a, w_b, iou_thr))
 
 
 def ensemble_pair(

@@ -84,32 +84,53 @@ def match_frame(
     Raises:
         ValueError: unless iou_thr in (0, 1].
     """
-    check("iou_thr", iou_thr, UNIT_ABOVE_0)
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    candidates = candidate_columns(dets, gts)
-    gt_matched = [False] * len(gts)
-    outcome_by_det: List[Optional[DetectionOutcome]] = [None] * len(dets)
-    for i in order:
-        det = dets[i]
-        best_j = -1
-        best_iou = 0.0
-        for j in candidates[i]:
-            if gt_matched[j]:
-                continue
-            value = iou_fn(det, gts[j])
-            if value >= iou_thr and value > best_iou:
-                best_iou = value
-                best_j = j
-        if best_j >= 0:
-            gt_matched[best_j] = True
-            weight = max(
-                0.0, 1.0 - heading_error(det.heading, gts[best_j].heading) / math.pi
-            )
-            outcome_by_det[i] = DetectionOutcome(det.score, True, best_j, weight)
-        else:
-            outcome_by_det[i] = DetectionOutcome(det.score, False, None, 0.0)
-    outcomes = [outcome_by_det[i] for i in order]
-    return MatchLedger(outcomes, gt_matched)
+    return FrameMatcher(dets, gts, iou_thr, iou_fn).match(order, [det.score for det in dets])
+
+
+class FrameMatcher:
+    """One frame's detections and ground truths, matched as by :func:`match_frame`
+    in any order and at any scores. Candidate pairs are found once, and each
+    iou_fn(dets[i], gts[j]) is computed once over all matches.
+
+    Raises:
+        ValueError: unless iou_thr in (0, 1].
+    """
+
+    def __init__(self, dets: Sequence[Box3D], gts: Sequence[Box3D], iou_thr: float,
+                 iou_fn=iou3d) -> None:
+        check("iou_thr", iou_thr, UNIT_ABOVE_0)
+        self._dets, self._gts, self._iou_thr, self._iou_fn = dets, gts, iou_thr, iou_fn
+        self._candidates = candidate_columns(dets, gts)
+        self._iou: Dict[Tuple[int, int], float] = {}
+
+    def match(self, order: Iterable[int], scores: Sequence[float]) -> MatchLedger:
+        """Match dets[i], scored scores[i], for each i of order in turn; the
+        outcomes come in that order."""
+        gts = self._gts
+        gt_matched = [False] * len(gts)
+        outcomes: List[DetectionOutcome] = []
+        for i in order:
+            best_j = -1
+            best_iou = 0.0
+            for j in self._candidates[i]:
+                if gt_matched[j]:
+                    continue
+                value = self._iou.get((i, j))
+                if value is None:
+                    value = self._iou[i, j] = self._iou_fn(self._dets[i], gts[j])
+                if value >= self._iou_thr and value > best_iou:
+                    best_iou = value
+                    best_j = j
+            if best_j >= 0:
+                gt_matched[best_j] = True
+                weight = max(
+                    0.0, 1.0 - heading_error(self._dets[i].heading, gts[best_j].heading) / math.pi
+                )
+                outcomes.append(DetectionOutcome(scores[i], True, best_j, weight))
+            else:
+                outcomes.append(DetectionOutcome(scores[i], False, None, 0.0))
+        return MatchLedger(outcomes, gt_matched)
 
 
 class PrPoint(NamedTuple):

@@ -61,12 +61,21 @@ class Section:
 
     def __post_init__(self) -> None:
         """Check each :func:`setting` in field order, then each ORDER pair;
-        raises ValueError for the first that fails."""
+        raises ValueError for the first that fails. A list setting must not
+        be empty, and a map must name the keys of its default and no other."""
         for f in fields(self):
             if "allowed" in f.metadata:
                 value = getattr(self, f.name)
-                if not isinstance(value, list):
-                    value = value.values() if isinstance(value, dict) else (value,)
+                if isinstance(value, dict):
+                    keys = f.default_factory().keys()
+                    if value.keys() != keys:
+                        raise ValueError(f"{f.name} must name {', '.join(keys)} and no other, "
+                                         f"got {list(value)!r}")
+                    value = value.values()
+                elif not isinstance(value, list):
+                    value = (value,)
+                elif not value:
+                    raise ValueError(f"{f.name} must not be empty")
                 for item in value:
                     check(f.name, item, f.metadata["allowed"])
         for low, high, strict in self.ORDER:

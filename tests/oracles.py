@@ -2,7 +2,7 @@
 
 Everything here is deliberately written with different algorithms or data
 layouts than the package code: Monte-Carlo IoU instead of polygon clipping,
-a mark-suppressed NMS scan instead of check-against-kept, exhaustive
+an NMS scan over all pairs instead of same-label neighbour lists, exhaustive
 enumeration instead of the assignment solver, a tie-break that re-solves a
 sub-matrix for every candidate pair instead of one solve and a walk over its
 tight edges, a naive quadratic PR integration instead of the vectorized
@@ -10,7 +10,11 @@ envelope, and a per-point first-arrival voxelizer instead of array grouping.
 The all-pairs IoU consumers (matrix, soft-NMS, voting, greedy matching) call
 iou_fn on every pair, where the library calls it on candidate pairs only, and
 the weighted two-detector merge pools and scores its boxes afresh for every
-weight, where the library pools a frame once for a whole weight grid. The
+weight, where the library pools a frame once for a whole weight grid. A
+second NMS checks each box against the kept ones when it is visited, where
+the library's loop marks the boxes that each kept box suppresses. The weight
+search builds and scores the boxes of every merge, where the ensemble
+command scores pool indices and builds the boxes of the winning merge. The
 box file reader checks one record at a time, where the library checks a
 chunk of records at once as columns, and the box file writer builds one
 dict and one json.dumps per box, where the library writes from a prefix
@@ -42,10 +46,26 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from lidarpost.assigner import AnchorLabel, AssignmentResult
-from lidarpost.geometry import Box3D, DetectionSet, Label, bev_iou, heading_error, wrap_angle
+from lidarpost.ensemble import PairPool
+from lidarpost.geometry import (
+    Box3D,
+    DetectionSet,
+    Label,
+    bev_iou,
+    heading_error,
+    iou3d,
+    wrap_angle,
+)
 from lidarpost.io import FormatError, ValidationError, _parse_record
 from lidarpost.matching import _reduced_costs
-from lidarpost.metrics import DetectionOutcome, MatchLedger
+from lidarpost.metrics import (
+    DetectionOutcome,
+    Difficulty,
+    MatchLedger,
+    average_precision,
+    match_frame,
+    split_difficulty,
+)
 from lidarpost.pointcloud import PointCloud
 from lidarpost.tracker import (
     _INITIAL_VELOCITY_VAR,
@@ -199,6 +219,76 @@ def reference_ensemble_pair(a, b, w_a: float, w_b: float, iou_thr: float, iou_fn
     boxes = [replace(box, score=box.score * w) for box, w in zip(stamped, weights)]
     keep = reference_nms(boxes, iou_thr, iou_fn)
     return replace(a, boxes=[boxes[i] for i in keep])
+
+
+def reference_check_on_visit(boxes: Sequence[Box3D], iou_thr, iou_fn) -> List[int]:
+    """NMS that checks each box when it is visited, by (-score, index): the
+    box is kept unless iou_fn(box, kept) reaches its class's threshold
+    (iou_thr, or iou_thr[label name] for a map) for a kept box of its label,
+    asked in keep order until one does. At a threshold of 0 a kept box of
+    the label suppresses without asking. Every kept box is asked, near or
+    far."""
+    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
+    kept: List[int] = []
+    for i in order:
+        box = boxes[i]
+        thr = iou_thr[box.label.value] if isinstance(iou_thr, Mapping) else iou_thr
+        same = [boxes[j] for j in kept if boxes[j].label is box.label]
+        if thr == 0.0 and same:
+            continue
+        if not any(iou_fn(box, other) >= thr for other in same):
+            kept.append(i)
+    return kept
+
+
+def reference_weight_search(detectors, gt_frames, label: Label, config, iou_fn=iou3d):
+    """The ensemble command's greedy search, building the boxes of every merge.
+
+    detectors and gt_frames are read_boxes results and config is shaped as
+    default_config(). Each detector's boxes get its index as source id; per
+    newcomer, one PairPool per frame merges at each grid weight, and each
+    merge is scored with match_frame per frame (the ground truth's frames,
+    then the others) and average_precision. Returns the merged frames and
+    the step lines.
+    """
+    search, scoring = config["ensemble"], config["metrics"]
+    level = Difficulty(scoring["difficulty"])
+
+    def ap(frames):
+        ledgers, gt_count = [], 0
+        for fid in dict.fromkeys([*gt_frames, *frames]):
+            gts = split_difficulty([box for box in gt_frames[fid].boxes if box.label is label]
+                                   if fid in gt_frames else [], level)
+            dets = [box for box in frames[fid].boxes if box.label is label] if fid in frames else []
+            ledgers.append(match_frame(dets, gts, scoring["iou_thr"][label.value], iou_fn))
+            gt_count += len(gts)
+        return average_precision(ledgers, gt_count)[0]
+
+    current, *newcomers = [
+        {fid: replace(frame, boxes=[replace(box, source_id=k) for box in frame.boxes])
+         for fid, frame in frames.items()} for k, frames in enumerate(detectors)]
+    current_score = ap(current)
+    steps = [f"detector_0 score={current_score!r}"]
+    for index, newcomer in enumerate(newcomers, start=1):
+        pools = {}
+        for fid in dict.fromkeys([*current, *newcomer]):
+            a, b = current.get(fid), newcomer.get(fid)
+            pools[fid] = PairPool(a if a is not None else DetectionSet(fid, [], 0, b.timestamp),
+                                  b if b is not None else DetectionSet(fid, [], 0, a.timestamp))
+        merges = []
+        for weight in search["weight_grid"]:
+            merged = {fid: pool.merge(1.0, weight, search["nms_iou"][label.value])
+                      for fid, pool in pools.items()}
+            merges.append((ap(merged), weight, merged))
+        # max keeps the first of equal scores: the earliest weight.
+        best_score, weight, best = max(merges, key=lambda merge: merge[0])
+        if best_score - current_score < search["stop_delta"]:
+            steps.append(f"detector_{index} skipped (best gain "
+                         f"{best_score - current_score!r} < {search['stop_delta']!r})")
+            break
+        current, current_score = best, best_score
+        steps.append(f"detector_{index} weight={float(weight)!r} score={best_score!r}")
+    return current, steps
 
 
 def reference_adaptive_assign(

@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarpost import geometry
 from dataclasses import replace
@@ -32,6 +34,7 @@ from lidarpost.metrics import match_frame
 from oracles import (
     random_box,
     reference_box_vote,
+    reference_check_on_visit,
     reference_ensemble_pair,
     reference_iou_matrix,
     reference_match_frame,
@@ -399,3 +402,54 @@ def test_nms_on_a_large_sparse_frame_stays_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
     assert 4800 < len(kept) < 5000
+
+
+@st.composite
+def _clusters(draw):
+    """Clustered boxes of mixed labels, scores often tied: jittered copies
+    of a few objects, so most boxes have several same-label neighbours."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 5))):
+        cx, cy = draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0))
+        label = draw(st.sampled_from(LABELS))
+        for _ in range(draw(st.integers(1, 6))):
+            boxes.append(Box3D(cx + draw(st.floats(-1.0, 1.0)), cy + draw(st.floats(-1.0, 1.0)),
+                               0.0, draw(st.floats(1.0, 5.0)), draw(st.floats(0.5, 2.5)), 1.5,
+                               draw(st.floats(-math.pi, math.pi)),
+                               score=draw(st.sampled_from([0.3, 0.6, 0.9]) | st.floats(0.0, 1.0)),
+                               label=draw(st.sampled_from([label, label, LABELS[0]]))))
+    return boxes
+
+
+_THRESHOLDS = st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]) | st.fixed_dictionaries(
+    {label.value: st.sampled_from([0.0, 0.3, 0.7, 1.0]) for label in LABELS})
+
+
+class TestAsksTheCheckOnVisitPairs:
+    """The suppression loop marks the neighbours of each kept box. It must
+    ask exactly the ordered pairs (later, kept) that a check of each box
+    against the kept boxes on its visit asks, left out the far pairs, and
+    keep the same boxes."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_clusters(), _THRESHOLDS)
+    def test_nms(self, boxes, iou_thr):
+        got, want = Recorder(bev_iou), Recorder(bev_iou)
+        assert nms(boxes, iou_thr, got) == reference_check_on_visit(boxes, iou_thr, want)
+        assert sorted(got.calls) == sorted(_on_candidates(want.calls,
+                                                          _candidate_ids(boxes, boxes)))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_clusters(), st.data(), _THRESHOLDS)
+    def test_pair_pool(self, boxes, data, iou_thr):
+        a, b = _sides(boxes, data.draw(st.integers(0, len(boxes))))
+        w_a, w_b = data.draw(st.sampled_from([(1.0, w) for w in GRID] + [(0.5, 1.0)]))
+        got = PoolRecorder()
+        kept, scores = PairPool(a, b, got).keep(w_a, w_b, iou_thr)
+        pooled = [replace(box, score=box.score * w)
+                  for box, w in zip(a.boxes + b.boxes, [w_a] * len(a) + [w_b] * len(b))]
+        want = PoolRecorder()
+        assert kept == reference_check_on_visit(pooled, iou_thr, want)
+        assert scores == [box.score for box in pooled]
+        assert sorted(got.calls) == sorted(_on_candidates(want.calls, {
+            (i, j) for i, js in enumerate(candidate_columns(pooled, pooled)) for j in js}))

@@ -1,12 +1,15 @@
 import argparse
 import builtins
+import contextlib
 import hashlib
+import io
 import importlib.util
 import json
 import math
 import re
 import struct
 import sys
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from functools import reduce
@@ -26,6 +29,7 @@ from lidarpost.io import read_boxes, read_points, write_boxes
 from lidarpost.metrics import (
     DEFAULT_IOU_THRESHOLDS,
     Difficulty,
+    FrameMatcher,
     average_precision,
     match_frame,
     mota_motp,
@@ -33,7 +37,7 @@ from lidarpost.metrics import (
 from lidarpost.pointcloud import PointCloud, concat_frames
 from lidarpost.tracker import associate
 from lidarpost.voxelizer import VoxelConfig
-from oracles import compensated_sum, reference_ensemble_pair
+from oracles import compensated_sum, reference_ensemble_pair, reference_weight_search
 
 GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
@@ -812,14 +816,13 @@ def keyed_iou3d(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("keyed")
     gt, *inputs = _two_detector_scene(tmp_path, 0)
     scorers = set()
-    ledgers = cli._class_ledgers
 
-    def keeping(*args, iou_fn):
+    def keeping(dets, gts, iou_thr, iou_fn):
         scorers.add(iou_fn)
-        return ledgers(*args, iou_fn=iou_fn)
+        return FrameMatcher(dets, gts, iou_thr, iou_fn)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_class_ledgers", keeping)
+        patch.setattr(cli, "FrameMatcher", keeping)
         assert run(["ensemble", "--inputs", *map(str, inputs), "--gt", str(gt),
                     "--class", "VEHICLE", "--output", str(tmp_path / "o.jsonl")]) == 0
     (scorer,) = scorers
@@ -850,6 +853,55 @@ def _related_boxes(draw):
 
     return (box(geometry), box([-v if v == 0.0 and draw(st.booleans()) else v for v in geometry]),
             box(other))
+
+
+ENSEMBLE_CASES = ["equal scores", "nms_iou 0", "nms_iou 1", "partial frames", "L1",
+                  "three detectors", "skip"]
+
+
+@st.composite
+def _ensemble_scene(draw, case):
+    """Records of ground truth and two or three detectors, and a config, for
+    one of ENSEMBLE_CASES. Objects stand 3 m apart, so a box can overlap
+    its neighbours' boxes too. "partial frames" adds a frame that only the
+    ground truth has, one that only the second detector has, and leaves
+    the first frame out of the first detector."""
+    frames = [(f"f{k}", 0.1 * k) for k in range(draw(st.integers(1, 3)))]
+    detectors = 3 if case == "three detectors" else draw(st.integers(2, 3))
+    # Scores tie across frames often in "partial frames", where the frame order decides ties.
+    score = {"equal scores": st.just(0.5), "partial frames": st.sampled_from([0.5, 1.0])}.get(
+        case, st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.05, 1.0))
+    offset = st.floats(-0.6, 0.6)
+    gt, dets = [], [[] for _ in range(detectors)]
+    for fid, t in frames:
+        objects = [(3.0 * k + draw(offset), draw(offset),
+                    draw(st.sampled_from(["VEHICLE", "PEDESTRIAN"])))
+                   for k in range(draw(st.integers(0, 5)))]
+        gt += [_record(frame_id=fid, timestamp=t, cx=x, cy=y, label=label, heading=0.0,
+                       difficulty=draw(st.sampled_from([1, 2]))) for x, y, label in objects]
+        for d, records in enumerate(dets):
+            if case == "partial frames" and d == 0 and fid == "f0":
+                continue
+            for x, y, label in objects:
+                for _ in range(draw(st.integers(0, 2))):
+                    records.append(_record(frame_id=fid, timestamp=t, cx=x + draw(offset),
+                                           cy=y + draw(offset), label=label,
+                                           heading=draw(st.floats(-0.3, 0.3)), score=draw(score)))
+    if case == "partial frames":
+        gt += [_record(frame_id="gt only", timestamp=1.0, cx=3.0 * k, heading=0.0)
+               for k in range(2)]
+        dets[1] += [_record(frame_id="det only", timestamp=2.0, cx=3.0 * k, heading=0.0,
+                            score=draw(score)) for k in range(2)]
+    grid = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=4))
+    nms_iou = {"nms_iou 0": 0.0, "nms_iou 1": 1.0}.get(case, draw(st.sampled_from([0.1, 0.5, 0.7])))
+    # A gain is at most 1 and at least -1: 2.0 skips the first newcomer, -2.0 none.
+    stop_delta = {"skip": 2.0, "three detectors": -2.0}.get(
+        case, draw(st.sampled_from([-2.0, 0.001])))
+    config = {"ensemble": {"nms_iou": dict.fromkeys(DEFAULT_NMS_IOU, nms_iou),
+                           "weight_grid": grid, "stop_delta": stop_delta},
+              "metrics": {"difficulty": "L1" if case == "L1"
+                          else draw(st.sampled_from(["L1", "L2"]))}}
+    return gt, dets, config
 
 
 class TestEnsemble:
@@ -988,13 +1040,13 @@ class TestEnsemble:
                                 for f, t in frames])
             inputs.append(str(path))
         weights = []
-        merge = PairPool.merge
+        keep = PairPool.keep
 
         def counting(pool, w_a, w_b, iou_thr):
             weights.append(w_b)
-            return merge(pool, w_a, w_b, iou_thr)
+            return keep(pool, w_a, w_b, iou_thr)
 
-        monkeypatch.setattr(PairPool, "merge", counting)
+        monkeypatch.setattr(PairPool, "keep", counting)
         grid = [0.25, 0.5, 1.0]
         assert run(["ensemble", "--inputs", *inputs, "--gt", str(gt), "--class", "VEHICLE",
                     "--grid", "0.25,0.5,1.0", "--output", str(tmp_path / "o.jsonl")]) == 0
@@ -1033,22 +1085,25 @@ class TestEnsemble:
         shared = list(calls)
         assert shared and len(set(shared)) == len(shared)
 
-        # Scored with the recording iou3d itself, every merge computes its
-        # pairs again: the same pairs, the same output and the same steps.
-        ledgers = cli._class_ledgers
-        monkeypatch.setattr(cli, "_class_ledgers",
-                            lambda *args, iou_fn: ledgers(*args, iou_fn=recording))
+        # The reference search scores every merge afresh with match_frame
+        # and the recording iou3d itself, so it computes pairs again: the
+        # same pairs, the same output and the same steps.
+        config = default_config()
+        config["ensemble"]["weight_grid"] = [0.25, 0.5, 0.75, 1.0]
         calls.clear()
-        assert run(argv + ["--output", str(tmp_path / "plain.jsonl")]) == 0
-        assert re.sub(r"elapsed_s=\S+", "", capsys.readouterr().out) == shared_steps
+        merged, steps = reference_weight_search([read_boxes(path) for path in inputs],
+                                                read_boxes(gt), Label.VEHICLE, config, recording)
+        assert [line for line in shared_steps.splitlines() if line.startswith("detector_")] == steps
         assert "detector_1 weight=" in shared_steps
         assert len(calls) > len(shared) and set(calls) == set(shared)
-        assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "shared.jsonl").read_bytes()
+        write_boxes(merged, tmp_path / "fresh.jsonl")
+        assert (tmp_path / "fresh.jsonl").read_bytes() == (tmp_path / "shared.jsonl").read_bytes()
 
     def test_the_benchmark_scene_stays_within_800_overlaps(self, tmp_path, monkeypatch, capsys):
         # The benchmark's default detect inputs: 740 distinct pairs of a
         # scored box and a ground truth, where scoring each merge afresh
-        # makes 7,570 iou3d calls.
+        # makes 7,570 iou3d calls, and 3,425 distinct ordered pairs that
+        # the pools' suppression asks.
         spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
         gen = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
@@ -1060,11 +1115,19 @@ class TestEnsemble:
             calls.append(None)
             return plain(det, gt_box)
 
+        suppression = []
+
+        def counting_bev(a, b):
+            suppression.append(None)
+            return bev_iou(a, b)
+
         monkeypatch.setattr(cli, "iou3d", counting)
+        monkeypatch.setattr(cli, "PairPool", lambda a, b: PairPool(a, b, counting_bev))
         assert run(["ensemble", "--inputs", files["det_a"], files["det_b"], "--gt", files["gt"],
                     "--class", "VEHICLE", "--output", str(tmp_path / "ensemble.jsonl")]) == 0
         assert "detector_1 " in capsys.readouterr().out
-        assert 0 < len(calls) <= 800
+        assert 0 < len(calls) <= 740
+        assert 0 < len(suppression) <= 3425
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(_related_boxes(), _related_boxes()), min_size=1, max_size=4))
@@ -1122,6 +1185,36 @@ class TestEnsemble:
         write_boxes(merges[best], tmp_path / "want.jsonl")
         assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
+
+    @pytest.mark.parametrize("case", ENSEMBLE_CASES)
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_output_and_steps_equal_the_reference_search(self, case, data):
+        gt, dets, overrides = data.draw(_ensemble_scene(case))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = [tmp / "gt.jsonl", *(tmp / f"det_{k}.jsonl" for k in range(len(dets)))]
+            for path, records in zip(paths, [gt, *dets]):
+                _write_jsonl(path, records)
+            (tmp / "config.json").write_text(json.dumps(overrides))
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert run(["ensemble", "--inputs", *map(str, paths[1:]), "--gt", str(paths[0]),
+                            "--class", "VEHICLE", "--config", str(tmp / "config.json"),
+                            "--output", str(tmp / "got.jsonl")]) == 0
+            config = default_config()
+            for name, section in overrides.items():
+                config[name].update(section)
+            merged, steps = reference_weight_search([read_boxes(path) for path in paths[1:]],
+                                                    read_boxes(paths[0]), Label.VEHICLE, config)
+            write_boxes(merged, tmp / "want.jsonl")
+            assert [line for line in stdout.getvalue().splitlines()
+                    if line.startswith("detector_")] == steps
+            assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
+        if case == "skip":
+            assert steps[1].startswith("detector_1 skipped")
+        if case == "three detectors":
+            assert steps[2].startswith("detector_2 weight=")
 
 class TestDefaultConfig:
     def test_prints_parseable_json(self, capsys):

@@ -13,6 +13,7 @@ from lidarpost.ensemble import (
     DEFAULT_SOFT_NMS_SIGMA,
     DEFAULT_VOTE_IOU,
     DetectionSet,
+    EnsembleConfig,
     PairPool,
     box_vote,
     ensemble_pair,
@@ -49,6 +50,29 @@ class TestDefaults:
         assert DEFAULT_VOTE_IOU == 0.55
         assert DEFAULT_SOFT_NMS_SIGMA == 0.5
         assert DEFAULT_SOFT_NMS_FLOOR == 0.001
+
+
+class TestEnsembleConfig:
+    CLASSES = "VEHICLE, PEDESTRIAN, CYCLIST"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"weight_grid": []}, "weight_grid must not be empty"),
+        ({"nms_iou": {}}, f"nms_iou must name {CLASSES} and no other, got []"),
+        ({"nms_iou": {"VEHICLE": 0.7, "PEDESTRIAN": 0.5}},
+         f"nms_iou must name {CLASSES} and no other, got ['VEHICLE', 'PEDESTRIAN']"),
+        ({"nms_iou": {**DEFAULT_NMS_IOU, "TRUCK": 0.5}},
+         f"nms_iou must name {CLASSES} and no other, "
+         "got ['VEHICLE', 'PEDESTRIAN', 'CYCLIST', 'TRUCK']"),
+    ])
+    def test_refuses_an_empty_grid_and_a_map_of_other_classes(self, changes, message):
+        with pytest.raises(ValueError) as refused:
+            EnsembleConfig(**changes)
+        assert str(refused.value) == message
+
+    def test_takes_the_classes_in_any_order(self):
+        section = EnsembleConfig(nms_iou={"CYCLIST": 0.4, "VEHICLE": 0.6, "PEDESTRIAN": 0.5},
+                                 weight_grid=[1.0])
+        assert section.nms_iou["VEHICLE"] == 0.6 and section.weight_grid == [1.0]
 
 
 class TestNms:

@@ -8,6 +8,7 @@ from lidarpost.metrics import (
     DEFAULT_IOU_THRESHOLDS,
     Difficulty,
     MatchLedger,
+    MetricsConfig,
     average_precision,
     effective_difficulty,
     match_frame,
@@ -41,6 +42,21 @@ class TestDefaults:
         assert DEFAULT_IOU_THRESHOLDS[Label.VEHICLE] == 0.7
         assert DEFAULT_IOU_THRESHOLDS[Label.PEDESTRIAN] == 0.5
         assert DEFAULT_IOU_THRESHOLDS[Label.CYCLIST] == 0.5
+
+
+class TestMetricsConfig:
+    @pytest.mark.parametrize("iou_thr", [{}, {"VEHICLE": 0.7},
+                                         {"VEHICLE": 0.7, "PEDESTRIAN": 0.5, "CYCLIST": 0.5,
+                                          "TRUCK": 0.5}])
+    def test_refuses_a_map_of_other_classes(self, iou_thr):
+        with pytest.raises(ValueError) as refused:
+            MetricsConfig(iou_thr=iou_thr)
+        assert str(refused.value) == (
+            f"iou_thr must name VEHICLE, PEDESTRIAN, CYCLIST and no other, got {list(iou_thr)!r}")
+
+    def test_takes_the_classes_in_any_order(self):
+        section = MetricsConfig(iou_thr={"CYCLIST": 0.4, "PEDESTRIAN": 0.5, "VEHICLE": 0.6})
+        assert section.iou_thr["VEHICLE"] == 0.6
 
 
 class TestMatchFrame:
