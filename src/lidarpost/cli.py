@@ -35,6 +35,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
+from itertools import chain
 from operator import add, attrgetter
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -48,7 +49,7 @@ from .ensemble import (
     nms,
     soft_nms,
 )
-from .geometry import Box3D, DetectionSet, Label, iou3d
+from .geometry import Box3D, DetectionSet, Label, iou3d, score_order
 from .io import read_boxes, read_points, write_boxes, write_points
 from .metrics import (
     Difficulty,
@@ -406,9 +407,11 @@ def cmd_ensemble(args: argparse.Namespace, config: Config) -> dict:
     metric_iou = config.metrics.iou_thr[label.value]
     level = Difficulty(config.metrics.difficulty)
     gt_frames = read_boxes(args.gt)
-    # Each box takes the index of its input file as its source id.
-    detectors = [{fid: replace(frame, boxes=[box._with(source_id=k) for box in frame.boxes])
-                  for fid, frame in read_boxes(path).items()} for k, path in enumerate(args.inputs)]
+    # Each box takes its input file's index as source id, set in place: nothing else holds it.
+    detectors = [read_boxes(path) for path in args.inputs]
+    for k, frames in enumerate(detectors):
+        for box in chain.from_iterable(frames.values()):
+            box.source_id = k
 
     # iou3d reads geometry alone, and a merged box keeps its detector box's:
     # each pair of geometries is computed once over all weights and rounds.
@@ -438,9 +441,8 @@ def cmd_ensemble(args: argparse.Namespace, config: Config) -> dict:
         return score
 
     current = detectors[0]
-    current_score = scorer(current)({fid: (
-        sorted(range(len(frame)), key=lambda i: (-frame.boxes[i].score, i)),
-        [box.score for box in frame.boxes]) for fid, frame in current.items()})
+    scores = {fid: [box.score for box in frame.boxes] for fid, frame in current.items()}
+    current_score = scorer(current)({fid: (score_order(s), s) for fid, s in scores.items()})
     steps = [f"detector_0 score={current_score!r}"]
     for index, candidate in enumerate(detectors[1:], start=1):
         # One pool and one matcher per frame serve every grid weight; only
@@ -519,11 +521,8 @@ def cmd_eval_det(args: argparse.Namespace, config: Config) -> dict:
         lines.append(f"{label.value}.APH={aph!r}")
         lines.append(f"{label.value}.gt_count={gt_count}")
         lines.append(f"{label.value}.det_count={det_count}")
-        for point in pr_points(ledgers, gt_count):
-            csv_lines.append(
-                f"{label.value},{point.recall!r},{point.precision!r},"
-                f"{point.heading_precision!r}"
-            )
+        csv_lines.extend(f"{label.value},{recall!r},{precision!r},{heading!r}"
+                         for recall, precision, heading in pr_points(ledgers, gt_count))
     if ap_values:
         # Added to 0.0 left to right: Python 3.12's sum compensates, which
         # can change the last bit.

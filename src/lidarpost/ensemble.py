@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import Box3D, DetectionSet, Label, bev_iou, candidate_columns
+from .geometry import Box3D, DetectionSet, Label, bev_iou, candidate_columns, score_order
 from .schema import POSITIVE, UNIT, UNIT_ABOVE_0, UNIT_BELOW_1, Range, Section, check, setting
 
 IouFn = Callable[[Box3D, Box3D], float]
@@ -104,7 +104,7 @@ def _greedy_keep(
 ) -> List[int]:
     """The suppression loop of :func:`nms` and :meth:`PairPool.keep`.
 
-    Visits boxes by descending score and keeps each one not yet suppressed.
+    Visits boxes in :func:`score_order` and keeps each one not yet suppressed.
     A kept box suppresses each unvisited neighbour (see :func:`_neighbours`)
     for which iou_at(neighbour, kept) reaches its class's threshold: so a
     box is asked against the kept boxes near it in keep order until one
@@ -117,8 +117,7 @@ def _greedy_keep(
     done = [False] * len(labels)
     kept_labels = set()
     kept: List[int] = []
-    # A stable sort of the negated scores orders ties by index, as the key (-score, index).
-    for i in np.argsort(-scores, kind="stable").tolist():
+    for i in score_order(scores):
         if done[i]:
             continue
         done[i] = True

@@ -258,6 +258,12 @@ class DetectionSet:
         return iter(self.boxes)
 
 
+def score_order(scores: Sequence[float]) -> List[int]:
+    """The indices of scores by descending score, ties to the lower index: the one
+    order in which suppression, matching and the precision-recall curve visit detections."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable").tolist()
+
+
 def polygon_area(vertices: Sequence[Tuple[float, float]]) -> float:
     """Shoelace area of a simple polygon, positive for counterclockwise order."""
     n = len(vertices)

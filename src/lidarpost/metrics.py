@@ -2,8 +2,9 @@
 
 Detection quality is scored with average precision over the all-point
 precision-recall envelope, plus a heading-aware variant that discounts each
-true positive by its heading accuracy; a frame's detections are matched to
-its ground truths greedily by score. Tracking quality follows the CLEAR-MOT
+true positive by its heading accuracy. Matching and the curve visit
+detections in :func:`lidarpost.geometry.score_order`, the one ranking by
+score. Tracking quality follows the CLEAR-MOT
 scheme: frame-by-frame matching with carried-over correspondences, the rest
 matched by :func:`lidarpost.matching.hungarian` on 1 - IoU, yielding MOTA
 (accuracy) and MOTP (mean matched-pair dissimilarity).
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .geometry import Box3D, Label, candidate_columns, heading_error, iou3d, iou_matrix
+import numpy as np
+
+from .geometry import Box3D, Label, candidate_columns, heading_error, iou3d, iou_matrix, score_order
 from .matching import hungarian
 from .schema import NON_NEGATIVE, UNIT_ABOVE_0, Section, check, setting
 
@@ -84,8 +87,8 @@ def match_frame(
     Raises:
         ValueError: unless iou_thr in (0, 1].
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    return FrameMatcher(dets, gts, iou_thr, iou_fn).match(order, [det.score for det in dets])
+    scores = [det.score for det in dets]
+    return FrameMatcher(dets, gts, iou_thr, iou_fn).match(score_order(scores), scores)
 
 
 class FrameMatcher:
@@ -139,6 +142,21 @@ class PrPoint(NamedTuple):
     heading_precision: float
 
 
+def _curve(ledgers: Iterable[MatchLedger], gt_count: int) -> Tuple[np.ndarray, ...]:
+    """The recall, precision and heading-precision columns of :func:`pr_points`:
+    one entry per detection of ledgers, ranked by :func:`score_order`."""
+    outcomes = [o for ledger in ledgers for o in ledger.outcomes]
+    ranked = [outcomes[i] for i in score_order([o.score for o in outcomes])]
+    ranks = np.arange(1, len(ranked) + 1)
+    # Integer counts: int64 / int64 rounds as Python's int / int does.
+    tp = np.cumsum([o.is_tp for o in ranked], dtype=np.int64)
+    precision = tp / ranks
+    recall = tp / gt_count if gt_count > 0 else np.zeros(len(ranked))
+    # A running sum that starts at a -0.0 keeps it; plus 0.0 it is a loop's from 0.0.
+    heading = (np.cumsum([o.heading_weight if o.is_tp else 0.0 for o in ranked]) + 0.0) / ranks
+    return recall, precision, np.minimum(heading, precision)
+
+
 def pr_points(ledgers: Iterable[MatchLedger], gt_count: int) -> List[PrPoint]:
     """Cumulative precision-recall points over all frames, by descending score.
 
@@ -146,19 +164,7 @@ def pr_points(ledgers: Iterable[MatchLedger], gt_count: int) -> List[PrPoint]:
     heading weights in the precision numerator, clipped to the unweighted
     precision.
     """
-    outcomes = [o for ledger in ledgers for o in ledger.outcomes]
-    outcomes.sort(key=lambda o: -o.score)
-    points: List[PrPoint] = []
-    tp = 0
-    weighted_tp = 0.0
-    for rank, outcome in enumerate(outcomes, start=1):
-        if outcome.is_tp:
-            tp += 1
-            weighted_tp += outcome.heading_weight
-        precision = tp / rank
-        recall = tp / gt_count if gt_count > 0 else 0.0
-        points.append(PrPoint(recall, precision, min(weighted_tp / rank, precision)))
-    return points
+    return list(map(PrPoint, *(column.tolist() for column in _curve(ledgers, gt_count))))
 
 
 def average_precision(
@@ -172,29 +178,17 @@ def average_precision(
     pair is (1, 1) when there are no detections and (0, 0) otherwise.
     """
     check("gt_count", gt_count, NON_NEGATIVE)
-    ledgers = list(ledgers)
-    points = pr_points(ledgers, gt_count)
-    if gt_count == 0:
-        return (1.0, 1.0) if not points else (0.0, 0.0)
-    if not points:
-        return 0.0, 0.0
-    envelope_p = 0.0
-    envelope_h = 0.0
-    env_rev: List[Tuple[float, float]] = []
-    for point in reversed(points):
-        envelope_p = max(envelope_p, point.precision)
-        envelope_h = max(envelope_h, point.heading_precision)
-        env_rev.append((envelope_p, envelope_h))
-    env = list(reversed(env_rev))
-    ap = 0.0
-    aph = 0.0
-    prev_recall = 0.0
-    for point, (p_env, h_env) in zip(points, env):
-        dr = point.recall - prev_recall
-        ap += dr * p_env
-        aph += dr * h_env
-        prev_recall = point.recall
-    return ap, aph
+    recall, precision, heading = _curve(ledgers, gt_count)
+    if not len(recall):
+        return (1.0, 1.0) if gt_count == 0 else (0.0, 0.0)
+    # The envelopes: each row's running maximum from the right, from 0.0.
+    rows = np.zeros((2, len(recall) + 1))
+    rows[:, 1:] = precision[::-1], heading[::-1]
+    envelopes = np.maximum.accumulate(rows, axis=1)[:, :0:-1]
+    # With no ground truth every recall step is 0, and so are both sums. Each
+    # sum adds its terms in rank order, as a loop does, where np.sum adds pairwise.
+    ap, aph = np.cumsum(np.diff(recall, prepend=0.0) * envelopes, axis=1)[:, -1] + 0.0
+    return float(ap), float(aph)
 
 
 def effective_difficulty(gt: Box3D) -> int:

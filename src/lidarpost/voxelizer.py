@@ -155,7 +155,9 @@ def _group(
     lead = np.zeros(len(order), dtype=bool)
     lead[first] = True
     voxel = np.cumsum(lead)[first] - 1
-    del first
+    num_voxels = min(len(starts), max_voxels)
+    coords = cells[np.flatnonzero(lead)[:num_voxels]]
+    del first, cells, lead
     voxel = voxel[run]
     # The sorted point's rank among its voxel's points is its offset in the run.
     stored = (np.arange(len(order)) - starts[run] < max_points_per_voxel) & (voxel < max_voxels)
@@ -163,7 +165,6 @@ def _group(
     voxel = voxel[stored]
     kept = inside[order[stored]]
     del order, stored
-    num_voxels = min(len(starts), max_voxels)
     stored_counts = np.bincount(voxel, minlength=num_voxels)
     # Within a run the points keep their arrival order, so bincount adds each
     # voxel's points in arrival order, as a running per-voxel sum would.
@@ -174,7 +175,7 @@ def _group(
     point_voxel = np.full(len(cloud), -1, dtype=np.int64)
     point_voxel[kept] = voxel
     return VoxelGrid(
-        coords=cells[np.flatnonzero(lead)[:num_voxels]],
+        coords=coords,
         counts=stored_counts,
         features=features,
         point_voxel=point_voxel,

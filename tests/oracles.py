@@ -31,7 +31,9 @@ library scans a cloud's rows only when one sum and one minimum over the
 whole cloud say that some row may be bad. The sweeping tie-break runs one
 reverse path sweep for every row that has a column within budget below its
 own, where the library skips the rows that provably cannot move and settles
-rows on dummy columns from its last sweep.
+rows on dummy columns from its last sweep. The precision-recall points and
+AP come from one loop over the ranks with running totals and a list of
+envelope tuples, where the library takes running sums over columns.
 """
 
 from __future__ import annotations
@@ -62,11 +64,12 @@ from lidarpost.metrics import (
     DetectionOutcome,
     Difficulty,
     MatchLedger,
-    average_precision,
+    PrPoint,
     match_frame,
     split_difficulty,
 )
 from lidarpost.pointcloud import PointCloud
+from lidarpost.schema import NON_NEGATIVE, check
 from lidarpost.tracker import (
     _INITIAL_VELOCITY_VAR,
     OBS_DIM,
@@ -248,8 +251,8 @@ def reference_weight_search(detectors, gt_frames, label: Label, config, iou_fn=i
     default_config(). Each detector's boxes get its index as source id; per
     newcomer, one PairPool per frame merges at each grid weight, and each
     merge is scored with match_frame per frame (the ground truth's frames,
-    then the others) and average_precision. Returns the merged frames and
-    the step lines.
+    then the others) and reference_average_precision. Returns the merged
+    frames and the step lines.
     """
     search, scoring = config["ensemble"], config["metrics"]
     level = Difficulty(scoring["difficulty"])
@@ -262,7 +265,7 @@ def reference_weight_search(detectors, gt_frames, label: Label, config, iou_fn=i
             dets = [box for box in frames[fid].boxes if box.label is label] if fid in frames else []
             ledgers.append(match_frame(dets, gts, scoring["iou_thr"][label.value], iou_fn))
             gt_count += len(gts)
-        return average_precision(ledgers, gt_count)[0]
+        return reference_average_precision(ledgers, gt_count)[0]
 
     current, *newcomers = [
         {fid: replace(frame, boxes=[replace(box, source_id=k) for box in frame.boxes])
@@ -592,6 +595,55 @@ def reference_ap(outcomes: Sequence[Tuple[float, bool]], gt_count: int) -> float
         ap += (recalls[i] - prev_recall) * max(precisions[i:])
         prev_recall = recalls[i]
     return ap
+
+
+def reference_pr_points(ledgers: Iterable[MatchLedger], gt_count: int) -> List[PrPoint]:
+    """The precision-recall points as one loop over the outcomes, sorted by
+    descending score, that adds each rank's counts to running totals."""
+    outcomes = [o for ledger in ledgers for o in ledger.outcomes]
+    outcomes.sort(key=lambda o: -o.score)
+    points: List[PrPoint] = []
+    tp = 0
+    weighted_tp = 0.0
+    for rank, outcome in enumerate(outcomes, start=1):
+        if outcome.is_tp:
+            tp += 1
+            weighted_tp += outcome.heading_weight
+        precision = tp / rank
+        recall = tp / gt_count if gt_count > 0 else 0.0
+        points.append(PrPoint(recall, precision, min(weighted_tp / rank, precision)))
+    return points
+
+
+def reference_average_precision(
+    ledgers: Iterable[MatchLedger], gt_count: int
+) -> Tuple[float, float]:
+    """AP and APH from :func:`reference_pr_points`: the envelopes as a list of
+    tuples built from the right, integrated point by point."""
+    check("gt_count", gt_count, NON_NEGATIVE)
+    ledgers = list(ledgers)
+    points = reference_pr_points(ledgers, gt_count)
+    if gt_count == 0:
+        return (1.0, 1.0) if not points else (0.0, 0.0)
+    if not points:
+        return 0.0, 0.0
+    envelope_p = 0.0
+    envelope_h = 0.0
+    env_rev: List[Tuple[float, float]] = []
+    for point in reversed(points):
+        envelope_p = max(envelope_p, point.precision)
+        envelope_h = max(envelope_h, point.heading_precision)
+        env_rev.append((envelope_p, envelope_h))
+    env = list(reversed(env_rev))
+    ap = 0.0
+    aph = 0.0
+    prev_recall = 0.0
+    for point, (p_env, h_env) in zip(points, env):
+        dr = point.recall - prev_recall
+        ap += dr * p_env
+        aph += dr * h_env
+        prev_recall = point.recall
+    return ap, aph
 
 
 def reference_point_error(points) -> Optional[str]:

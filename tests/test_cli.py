@@ -1103,7 +1103,8 @@ class TestEnsemble:
         # The benchmark's default detect inputs: 740 distinct pairs of a
         # scored box and a ground truth, where scoring each merge afresh
         # makes 7,570 iou3d calls, and 3,425 distinct ordered pairs that
-        # the pools' suppression asks.
+        # the pools' suppression asks. The 2,402 output boxes are the only
+        # copies: the input boxes are stamped with their source ids in place.
         spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
         gen = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
@@ -1121,13 +1122,21 @@ class TestEnsemble:
             suppression.append(None)
             return bev_iou(a, b)
 
+        plain_with, copies = Box3D._with, []
+
+        def counting_with(box, **changes):
+            copies.append(None)
+            return plain_with(box, **changes)
+
         monkeypatch.setattr(cli, "iou3d", counting)
         monkeypatch.setattr(cli, "PairPool", lambda a, b: PairPool(a, b, counting_bev))
+        monkeypatch.setattr(Box3D, "_with", counting_with)
         assert run(["ensemble", "--inputs", files["det_a"], files["det_b"], "--gt", files["gt"],
                     "--class", "VEHICLE", "--output", str(tmp_path / "ensemble.jsonl")]) == 0
         assert "detector_1 " in capsys.readouterr().out
         assert 0 < len(calls) <= 740
         assert 0 < len(suppression) <= 3425
+        assert 0 < len(copies) <= 2402
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(_related_boxes(), _related_boxes()), min_size=1, max_size=4))
@@ -1352,6 +1361,15 @@ class TestConfigValidation:
         code = run(argv + ["--config", str(cfg), "--output", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"ERROR 2: config {key_path}: out of float range\n"
+
+    def test_a_grid_that_is_not_a_list_is_exit_2(self, tmp_path, capsys):
+        argv = self._range_argv(tmp_path, "ensemble")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"weight_grid": 0.5}}))
+        code = run(argv + ["--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ERROR 2: config ensemble.weight_grid: expected a list, got 0.5\n")
 
     @pytest.mark.parametrize("config, flags, key_path", [
         ({"ensemble": {"nms_iou": {"VEHICLE": 5.0}}}, ["--iou", "0.5"],

@@ -16,6 +16,7 @@ from lidarpost.geometry import (
     iou3d,
     iou_matrix,
     polygon_area,
+    score_order,
     unchecked_box,
     wrap_angle,
     wrap_angles,
@@ -173,6 +174,11 @@ class TestBox3D:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             Box3D(**kwargs)
 
+    def test_label_must_be_a_label_member(self):
+        with pytest.raises(ValueError) as refused:
+            Box3D(cx=0, cy=0, cz=0, length=1, width=1, height=1, heading=0, label="VEHICLE")
+        assert str(refused.value) == "label must be a Label member, got 'VEHICLE'"
+
     def test_ints_within_float_range_are_kept_as_ints(self):
         largest = 2**1024 - 2**970 - 1  # the largest int that float() takes
         box = Box3D(cx=largest, cy=-largest, cz=0, length=largest, width=1, height=1,
@@ -252,6 +258,20 @@ class TestWithCopy:
             replace(box, **changes)
         with pytest.raises(ValueError):
             Box3D(**{**vars(box), **changes})
+
+
+class TestScoreOrder:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                    max_size=20))
+    @example([])
+    @example([0.5, 0.5, 0.0, 1.0, 0.0, 0.5])
+    @example([0.0, -0.0, 0.0])
+    def test_descending_with_ties_to_the_lower_index(self, scores):
+        expected = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        assert score_order(scores) == expected
+        assert score_order(np.array(scores, dtype=np.float64)) == expected
+        assert all(type(i) is int for i in score_order(scores))
 
 
 class TestPolygonHelpers:

@@ -439,6 +439,14 @@ class TestWritePoints:
         back = read_points(path, channels=4)
         assert back.points[0, 4] == 0.0
 
+    def test_write_refuses_three_channels(self, tmp_path):
+        cloud = PointCloud(points=np.array([[1, 2, 3, 0.5, 0.1]]))
+        path = tmp_path / "points.bin"
+        with pytest.raises(ValueError) as refused:
+            write_points(cloud, path, channels=3)
+        assert str(refused.value) == "channels must be 4 or 5, got 3"
+        assert not path.exists()
+
     def test_write_refuses_values_beyond_float32(self, tmp_path):
         cloud = PointCloud(points=np.array([[1, 2, 3, 0.5, 0.1], [1, 2, 3, 0.5, 1e39]]))
         path = tmp_path / "points.bin"

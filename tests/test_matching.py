@@ -58,6 +58,12 @@ def _tolerance(cost):
     return best, 1e-9 * max(1.0, abs(best))
 
 
+def test_a_cost_array_that_is_not_2d_is_refused():
+    with pytest.raises(ValueError) as refused:
+        hungarian(np.zeros((2, 2, 2)))
+    assert str(refused.value) == "cost must be a 2-D matrix, got shape (2, 2, 2)"
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("kind", sorted(SHAPES))
     def test_tie_heavy_integer_matrices(self, kind):

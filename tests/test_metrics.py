@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lidarpost.geometry import Box3D, Label, iou3d
 from lidarpost.metrics import (
     DEFAULT_IOU_THRESHOLDS,
+    DetectionOutcome,
     Difficulty,
     MatchLedger,
     MetricsConfig,
@@ -16,7 +19,7 @@ from lidarpost.metrics import (
     pr_points,
     split_difficulty,
 )
-from oracles import reference_ap
+from oracles import reference_ap, reference_average_precision, reference_pr_points
 
 
 def _box(cx, cy, score=1.0, heading=0.0, l=4.0, w=2.0, h=1.5, cz=0.0,
@@ -264,6 +267,60 @@ class TestPrPoints:
         assert recalls == sorted(recalls)
         for p in points:
             assert p.heading_precision <= p.precision + 1e-12
+
+
+# Few distinct scores, so that ties within and across frames are common.
+_outcomes = st.builds(
+    DetectionOutcome,
+    score=st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+    is_tp=st.booleans(),
+    gt_index=st.none() | st.integers(0, 4),
+    # A false positive's weight is not added, whatever it is.
+    heading_weight=st.sampled_from([-0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+)
+_ledgers = st.lists(
+    st.builds(MatchLedger, st.lists(_outcomes, max_size=6), st.lists(st.booleans(), max_size=4)),
+    max_size=4,
+)
+_NEGATIVE_ZERO_WEIGHT = [MatchLedger([DetectionOutcome(0.5, True, 0, -0.0)], [True])]
+_TIES_ACROSS_FRAMES = [
+    MatchLedger([DetectionOutcome(0.5, False, None, 0.75), DetectionOutcome(0.5, True, 0, 0.25)],
+                [True]),
+    MatchLedger([], []),
+    MatchLedger([DetectionOutcome(0.5, True, 0, 1.0), DetectionOutcome(0.0, True, 1, -0.0)],
+                [True, True]),
+]
+
+
+class TestCurveAgainstReference:
+    """pr_points and average_precision equal the per-rank loops of the
+    oracle bit for bit: float.hex tells -0.0 from 0.0."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_ledgers, st.none() | st.integers(0, 12))
+    @example([], 0)
+    @example([], 3)
+    @example([MatchLedger([], [False])], None)
+    @example(_NEGATIVE_ZERO_WEIGHT, None)
+    @example(_NEGATIVE_ZERO_WEIGHT, 0)
+    @example(_TIES_ACROSS_FRAMES, None)
+    @example(_TIES_ACROSS_FRAMES, 1)
+    def test_points_and_precisions_are_the_reference_bits(self, ledgers, gt_count):
+        # None: the ledgers' own ground-truth count; otherwise any count,
+        # 0 and counts below the true positives among them.
+        if gt_count is None:
+            gt_count = sum(ledger.gt_count for ledger in ledgers)
+        points = pr_points(ledgers, gt_count)
+        expected = reference_pr_points(ledgers, gt_count)
+        assert [[v.hex() for v in p] for p in points] == [[v.hex() for v in p] for p in expected]
+        assert all(type(v) is float for p in points for v in p)
+        pair = average_precision(iter(ledgers), gt_count)
+        assert [v.hex() for v in pair] == [v.hex() for v in reference_average_precision(
+            ledgers, gt_count)]
+        assert all(type(v) is float for v in pair)
+
+    def test_a_leading_negative_zero_weight_adds_to_positive_zero(self):
+        assert pr_points(_NEGATIVE_ZERO_WEIGHT, 1)[0].heading_precision.hex() == "0x0.0p+0"
 
 
 class TestDifficulty:

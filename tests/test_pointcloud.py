@@ -335,6 +335,12 @@ class TestFlip:
                 assert math.cos(before.heading) == pytest.approx(math.cos(after.heading), abs=1e-12)
                 assert math.sin(before.heading) == pytest.approx(math.sin(after.heading), abs=1e-12)
 
+    def test_an_axis_name_is_not_an_axis(self):
+        cloud = _random_cloud(np.random.default_rng(26), n=3)
+        with pytest.raises(ValueError) as refused:
+            flip(cloud, [], "X")
+        assert str(refused.value) == "axis must be Axis.X or Axis.Y, got 'X'"
+
     def test_pairwise_distances_preserved(self):
         rng = np.random.default_rng(24)
         cloud = _random_cloud(rng, n=20)
