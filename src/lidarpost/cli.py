@@ -513,7 +513,7 @@ def cmd_eval_det(args: argparse.Namespace, config: Config) -> dict:
                                config.metrics.iou_thr[label.value])
                    for det_set, gts in _class_frames(det_frames, gt_frames, label, level)]
         gt_count = sum(ledger.gt_count for ledger in ledgers)
-        det_count = sum(len(ledger.outcomes) for ledger in ledgers)
+        det_count = sum(len(ledger.scores) for ledger in ledgers)
         ap, aph = average_precision(ledgers, gt_count)
         ap_values.append(ap)
         aph_values.append(aph)

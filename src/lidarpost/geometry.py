@@ -230,9 +230,9 @@ class DetectionSet:
     """Ordered detections for one frame, tagged with the producing detector.
 
     Raises:
-        ValueError: if the timestamp is a bool, not an int or a float, an int
-            beyond float range, or not finite: what a box file's reader
-            refuses, so every set that is written reads back.
+        ValueError: if the frame id is not a string, or the timestamp is a bool,
+            not an int or a float, an int beyond float range, or not finite:
+            what a box file's reader refuses, so every set that is written reads back.
     """
 
     frame_id: str
@@ -241,6 +241,8 @@ class DetectionSet:
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.frame_id, str):
+            raise ValueError(f"frame_id must be a string, got {self.frame_id!r}")
         timestamp = self.timestamp
         if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
             raise ValueError(f"timestamp must be a number, got {timestamp!r}")

@@ -2,9 +2,10 @@
 
 Detection quality is scored with average precision over the all-point
 precision-recall envelope, plus a heading-aware variant that discounts each
-true positive by its heading accuracy. Matching and the curve visit
-detections in :func:`lidarpost.geometry.score_order`, the one ranking by
-score. Tracking quality follows the CLEAR-MOT
+true positive by its heading accuracy. Matching writes a frame as a
+:class:`MatchLedger`, columns with one row per detection, visiting detections
+in :func:`lidarpost.geometry.score_order`, the one ranking by score, as the
+curve does when it ranks the rows. Tracking quality follows the CLEAR-MOT
 scheme: frame-by-frame matching with carried-over correspondences, the rest
 matched by :func:`lidarpost.matching.hungarian` on 1 - IoU, yielding MOTA
 (accuracy) and MOTP (mean matched-pair dissimilarity).
@@ -46,21 +47,14 @@ class MetricsConfig(Section):
                               default=Difficulty.L2.value)
 
 
-@dataclass(frozen=True)
-class DetectionOutcome:
-    """Disposition of one detection: matched (TP) or spurious (FP)."""
-
-    score: float
-    is_tp: bool
-    gt_index: Optional[int]
-    heading_weight: float
-
-
 @dataclass
 class MatchLedger:
-    """One frame's matching result: detection outcomes plus per-gt coverage."""
+    """One frame's matching result as columns, a row per scored detection in match order
+    (score, matched gt index or None for a false positive, heading weight); per-gt coverage."""
 
-    outcomes: List[DetectionOutcome]
+    scores: List[float]
+    gt_index: List[Optional[int]]
+    heading_weight: List[float]
     gt_matched: List[bool]
 
     @property
@@ -109,15 +103,14 @@ class FrameMatcher:
 
     def match(self, order: Iterable[int], scores: Sequence[float]) -> MatchLedger:
         """Match dets[i], scored scores[i], for each i of order in turn; the
-        outcomes come in that order."""
+        ledger's rows come in that order."""
         gts = self._gts
-        gt_matched = [False] * len(gts)
-        outcomes: List[DetectionOutcome] = []
+        ledger = MatchLedger([], [], [], [False] * len(gts))
         for i in order:
-            best_j = -1
+            best_j = None
             best_iou = 0.0
             for j in self._candidates[i]:
-                if gt_matched[j]:
+                if ledger.gt_matched[j]:
                     continue
                 value = self._iou.get((i, j))
                 if value is None:
@@ -125,15 +118,15 @@ class FrameMatcher:
                 if value >= self._iou_thr and value > best_iou:
                     best_iou = value
                     best_j = j
-            if best_j >= 0:
-                gt_matched[best_j] = True
-                weight = max(
-                    0.0, 1.0 - heading_error(self._dets[i].heading, gts[best_j].heading) / math.pi
-                )
-                outcomes.append(DetectionOutcome(scores[i], True, best_j, weight))
-            else:
-                outcomes.append(DetectionOutcome(scores[i], False, None, 0.0))
-        return MatchLedger(outcomes, gt_matched)
+            ledger.scores.append(scores[i])
+            ledger.gt_index.append(best_j)
+            if best_j is None:
+                ledger.heading_weight.append(0.0)
+                continue
+            ledger.gt_matched[best_j] = True
+            error = heading_error(self._dets[i].heading, gts[best_j].heading)
+            ledger.heading_weight.append(max(0.0, 1.0 - error / math.pi))
+        return ledger
 
 
 class PrPoint(NamedTuple):
@@ -144,16 +137,20 @@ class PrPoint(NamedTuple):
 
 def _curve(ledgers: Iterable[MatchLedger], gt_count: int) -> Tuple[np.ndarray, ...]:
     """The recall, precision and heading-precision columns of :func:`pr_points`:
-    one entry per detection of ledgers, ranked by :func:`score_order`."""
-    outcomes = [o for ledger in ledgers for o in ledger.outcomes]
-    ranked = [outcomes[i] for i in score_order([o.score for o in outcomes])]
-    ranks = np.arange(1, len(ranked) + 1)
+    one entry per row of ledgers, ranked by :func:`score_order`."""
+    check("gt_count", gt_count, NON_NEGATIVE)
+    ledgers = list(ledgers)
+    order = score_order([score for ledger in ledgers for score in ledger.scores])
+    matched = np.array([j is not None for ledger in ledgers for j in ledger.gt_index], dtype=bool)
+    weights = np.array([w for ledger in ledgers for w in ledger.heading_weight], dtype=np.float64)
+    ranks = np.arange(1, len(order) + 1)
     # Integer counts: int64 / int64 rounds as Python's int / int does.
-    tp = np.cumsum([o.is_tp for o in ranked], dtype=np.int64)
+    tp = np.cumsum(matched[order], dtype=np.int64)
     precision = tp / ranks
-    recall = tp / gt_count if gt_count > 0 else np.zeros(len(ranked))
-    # A running sum that starts at a -0.0 keeps it; plus 0.0 it is a loop's from 0.0.
-    heading = (np.cumsum([o.heading_weight if o.is_tp else 0.0 for o in ranked]) + 0.0) / ranks
+    recall = tp / gt_count if gt_count > 0 else np.zeros(len(order))
+    # A false positive adds 0.0, whatever its weight. A running sum that
+    # starts at a -0.0 keeps it; plus 0.0 it is a loop's from 0.0.
+    heading = (np.cumsum(np.where(matched, weights, 0.0)[order]) + 0.0) / ranks
     return recall, precision, np.minimum(heading, precision)
 
 
@@ -162,7 +159,7 @@ def pr_points(ledgers: Iterable[MatchLedger], gt_count: int) -> List[PrPoint]:
 
     heading_precision replaces the true-positive count with the sum of
     heading weights in the precision numerator, clipped to the unweighted
-    precision.
+    precision. A negative gt_count raises ValueError.
     """
     return list(map(PrPoint, *(column.tolist() for column in _curve(ledgers, gt_count))))
 
@@ -175,9 +172,9 @@ def average_precision(
     Precision is replaced by its running maximum from the right, then
     integrated over recall. APH integrates the heading-weighted precision
     over the same recall grid, so APH <= AP always. With no ground truth the
-    pair is (1, 1) when there are no detections and (0, 0) otherwise.
+    pair is (1, 1) when there are no detections and (0, 0) otherwise. A
+    negative gt_count raises ValueError.
     """
-    check("gt_count", gt_count, NON_NEGATIVE)
     recall, precision, heading = _curve(ledgers, gt_count)
     if not len(recall):
         return (1.0, 1.0) if gt_count == 0 else (0.0, 0.0)

@@ -33,7 +33,10 @@ reverse path sweep for every row that has a column within budget below its
 own, where the library skips the rows that provably cannot move and settles
 rows on dummy columns from its last sweep. The precision-recall points and
 AP come from one loop over the ranks with running totals and a list of
-envelope tuples, where the library takes running sums over columns.
+envelope tuples, where the library takes running sums over columns. The
+reference matcher computes each overlap afresh for every order it matches
+and fills its ledger's columns by detection index, where FrameMatcher
+computes each overlap once over all its calls and appends in match order.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from lidarpost.geometry import (
 from lidarpost.io import FormatError, ValidationError, _parse_record
 from lidarpost.matching import _reduced_costs
 from lidarpost.metrics import (
-    DetectionOutcome,
     Difficulty,
     MatchLedger,
     PrPoint,
@@ -403,9 +405,21 @@ def reference_match_frame(
     dets: Sequence[Box3D], gts: Sequence[Box3D], iou_thr: float, iou_fn
 ) -> MatchLedger:
     """Greedy score-ordered matching that scores each detection against every gt."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    scores = [det.score for det in dets]
+    order = sorted(range(len(dets)), key=lambda i: (-scores[i], i))
+    return reference_match(dets, gts, iou_thr, iou_fn, order, scores)
+
+
+def reference_match(
+    dets: Sequence[Box3D], gts: Sequence[Box3D], iou_thr: float, iou_fn,
+    order: Sequence[int], scores: Sequence[float],
+) -> MatchLedger:
+    """dets[i] at scores[i] for each i of order, matched greedily in that order
+    against every gt, each overlap computed afresh; the ledger's columns are
+    filled by position once every detection is matched."""
     gt_matched = [False] * len(gts)
-    outcome_by_det: List[Optional[DetectionOutcome]] = [None] * len(dets)
+    gt_index: Dict[int, Optional[int]] = {}
+    weight: Dict[int, float] = {}
     for i in order:
         det = dets[i]
         best_j = -1
@@ -419,11 +433,13 @@ def reference_match_frame(
                 best_j = j
         if best_j >= 0:
             gt_matched[best_j] = True
-            weight = max(0.0, 1.0 - heading_error(det.heading, gts[best_j].heading) / math.pi)
-            outcome_by_det[i] = DetectionOutcome(det.score, True, best_j, weight)
+            gt_index[i] = best_j
+            weight[i] = max(0.0, 1.0 - heading_error(det.heading, gts[best_j].heading) / math.pi)
         else:
-            outcome_by_det[i] = DetectionOutcome(det.score, False, None, 0.0)
-    return MatchLedger([outcome_by_det[i] for i in order], gt_matched)
+            gt_index[i] = None
+            weight[i] = 0.0
+    return MatchLedger([scores[i] for i in order], [gt_index[i] for i in order],
+                       [weight[i] for i in order], gt_matched)
 
 
 def assignment_vectors(
@@ -598,17 +614,19 @@ def reference_ap(outcomes: Sequence[Tuple[float, bool]], gt_count: int) -> float
 
 
 def reference_pr_points(ledgers: Iterable[MatchLedger], gt_count: int) -> List[PrPoint]:
-    """The precision-recall points as one loop over the outcomes, sorted by
-    descending score, that adds each rank's counts to running totals."""
-    outcomes = [o for ledger in ledgers for o in ledger.outcomes]
-    outcomes.sort(key=lambda o: -o.score)
+    """The precision-recall points as one loop over the ledgers' rows, zipped
+    from their columns and sorted by descending score, that adds each rank's
+    counts to running totals."""
+    rows = [row for ledger in ledgers
+            for row in zip(ledger.scores, ledger.gt_index, ledger.heading_weight)]
+    rows.sort(key=lambda row: -row[0])
     points: List[PrPoint] = []
     tp = 0
     weighted_tp = 0.0
-    for rank, outcome in enumerate(outcomes, start=1):
-        if outcome.is_tp:
+    for rank, (_, gt_index, heading_weight) in enumerate(rows, start=1):
+        if gt_index is not None:
             tp += 1
-            weighted_tp += outcome.heading_weight
+            weighted_tp += heading_weight
         precision = tp / rank
         recall = tp / gt_count if gt_count > 0 else 0.0
         points.append(PrPoint(recall, precision, min(weighted_tp / rank, precision)))

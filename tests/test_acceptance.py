@@ -342,7 +342,8 @@ class TestAcceptance:
                     ))
                 ledger = match_frame(dets, gts, 0.5)
                 ap, aph = average_precision([ledger], num_gt)
-                flat = [(o.score, o.is_tp) for o in ledger.outcomes]
+                flat = [(score, j is not None)
+                        for score, j in zip(ledger.scores, ledger.gt_index)]
                 assert ap == pytest.approx(reference_ap(flat, num_gt),
                                            abs=1e-9)
                 assert aph <= ap + 1e-12

@@ -331,6 +331,19 @@ class TestDetectionSetTimestamp:
             read_boxes(path)
 
 
+class TestDetectionSetFrameId:
+    @pytest.mark.parametrize("bad", [1, None, 1.5, True, ["f"]])
+    def test_a_frame_id_the_reader_refuses_is_refused(self, tmp_path, bad):
+        box = Box3D(cx=1.0, cy=2.0, cz=0.0, length=4.0, width=2.0, height=1.5, heading=0.1)
+        with pytest.raises(ValueError) as refused:
+            DetectionSet(bad, [box])
+        assert str(refused.value) == f"frame_id must be a string, got {bad!r}"
+        path = tmp_path / "bad.jsonl"
+        _write_jsonl(path, [_record(frame_id=bad)])
+        with pytest.raises(ValidationError, match="^line 1: key 'frame_id' must be a string"):
+            read_boxes(path)
+
+
 class TestWriteBoxesAgainstReference:
     """write_boxes against one dict and one json.dumps per box."""
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from lidarpost.geometry import Box3D, Label, iou3d
 from lidarpost.metrics import (
     DEFAULT_IOU_THRESHOLDS,
-    DetectionOutcome,
     Difficulty,
+    FrameMatcher,
     MatchLedger,
     MetricsConfig,
     average_precision,
@@ -19,7 +20,7 @@ from lidarpost.metrics import (
     pr_points,
     split_difficulty,
 )
-from oracles import reference_ap, reference_average_precision, reference_pr_points
+from oracles import reference_ap, reference_average_precision, reference_match, reference_pr_points
 
 
 def _box(cx, cy, score=1.0, heading=0.0, l=4.0, w=2.0, h=1.5, cz=0.0,
@@ -65,9 +66,8 @@ class TestMetricsConfig:
 class TestMatchFrame:
     def test_single_true_positive(self):
         ledger = match_frame([_box(0.1, 0.0, 0.9)], [_box(0.0, 0.0)], iou_thr=0.5)
-        assert len(ledger.outcomes) == 1
-        assert ledger.outcomes[0].is_tp
-        assert ledger.outcomes[0].gt_index == 0
+        assert ledger.scores == [0.9]
+        assert ledger.gt_index == [0]
         assert ledger.gt_matched == [True]
 
     def test_each_gt_matched_at_most_once(self):
@@ -75,43 +75,43 @@ class TestMatchFrame:
         high = _box(0.1, 0.0, 0.9)
         low = _box(-0.1, 0.0, 0.8)
         ledger = match_frame([low, high], [gt], iou_thr=0.5)
-        # outcomes are in descending-score processing order
-        assert [o.score for o in ledger.outcomes] == [0.9, 0.8]
-        assert ledger.outcomes[0].is_tp
-        assert not ledger.outcomes[1].is_tp
+        # rows are in descending-score processing order
+        assert ledger.scores == [0.9, 0.8]
+        assert ledger.gt_index == [0, None]
 
     def test_low_iou_is_false_positive(self):
         ledger = match_frame([_box(10.0, 0.0, 0.9)], [_box(0.0, 0.0)], iou_thr=0.5)
-        assert not ledger.outcomes[0].is_tp
+        assert ledger.gt_index == [None]
+        assert ledger.heading_weight == [0.0]
         assert ledger.gt_matched == [False]
 
     def test_heading_weight_half_at_quarter_turn(self):
         det = _square(0.0, 0.0, score=0.9, heading=math.pi / 2.0)
         gt = _square(0.0, 0.0)
         ledger = match_frame([det], [gt], iou_thr=0.5)
-        assert ledger.outcomes[0].is_tp
-        assert ledger.outcomes[0].heading_weight == pytest.approx(0.5, abs=1e-12)
+        assert ledger.gt_index == [0]
+        assert ledger.heading_weight[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_takes_highest_iou_gt(self):
         near = _box(0.0, 0.0)
         far = _box(2.0, 0.0)
         det = _box(0.2, 0.0, 0.9)
         ledger = match_frame([det], [far, near], iou_thr=0.05)
-        assert ledger.outcomes[0].gt_index == 1
+        assert ledger.gt_index == [1]
 
     def test_iou_ties_go_to_lowest_gt_index(self):
         twin_a = _box(0.0, 0.0)
         twin_b = _box(0.0, 0.0)
         ledger = match_frame([_box(0.1, 0.0, 0.9)], [twin_a, twin_b], iou_thr=0.5)
-        assert ledger.outcomes[0].gt_index == 0
+        assert ledger.gt_index == [0]
 
     def test_score_ties_processed_by_index(self):
         gt = _box(0.0, 0.0)
         first = _box(0.1, 0.0, 0.8)
         second = _box(-0.1, 0.0, 0.8)
         ledger = match_frame([first, second], [gt], iou_thr=0.5)
-        assert ledger.outcomes[0].is_tp  # index 0 processed first on tie
-        assert ledger.outcomes[0].score == 0.8
+        assert ledger.gt_index == [0, None]  # index 0 processed first on tie
+        assert ledger.scores == [0.8, 0.8]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -124,9 +124,53 @@ class TestMatchFrame:
         det = _box(_shift_for_iou(0.7), 0.0, 0.9)
         value = iou3d(det, gt)
         at = match_frame([det], [gt], iou_thr=value)  # >= keeps
-        assert at.outcomes[0].is_tp
+        assert at.gt_index == [0]
         above = match_frame([det], [gt], iou_thr=min(1.0, value + 1e-9))
-        assert not above.outcomes[0].is_tp
+        assert above.gt_index == [None]
+
+
+@st.composite
+def _match_calls(draw):
+    """A frame's detections and ground truths on a small grid, so that many
+    pairs overlap, and several (order, scores) calls: each order a subset of
+    the detections in any permutation, each scores list drawn anew, with ties."""
+    def boxes(count):
+        return [_box(draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, 9.0])),
+                     draw(st.sampled_from([0.0, 0.4, 1.5])),
+                     heading=draw(st.sampled_from([0.0, 0.4, math.pi / 2.0, math.pi])))
+                for _ in range(count)]
+
+    dets = boxes(draw(st.integers(0, 6)))
+    gts = boxes(draw(st.integers(0, 4)))
+    calls = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(len(dets))))
+        scores = draw(st.lists(st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0.0, 1.0),
+                               min_size=len(dets), max_size=len(dets)))
+        calls.append((order[:draw(st.integers(0, len(dets)))], scores))
+    return dets, gts, calls
+
+
+class TestFrameMatcher:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_match_calls(), st.sampled_from([0.1, 0.5, 0.7]))
+    def test_each_match_is_a_fresh_greedy_loop_in_its_order(self, case, iou_thr):
+        dets, gts, calls = case
+        asked = Counter()
+
+        def counting_iou3d(det, gt):
+            asked[id(det), id(gt)] += 1
+            return iou3d(det, gt)
+
+        matcher = FrameMatcher(dets, gts, iou_thr, counting_iou3d)
+        for order, scores in calls:
+            got = matcher.match(order, scores)
+            want = reference_match(dets, gts, iou_thr, iou3d, order, scores)
+            assert got.scores == want.scores
+            assert got.gt_index == want.gt_index
+            assert [w.hex() for w in got.heading_weight] == [w.hex() for w in want.heading_weight]
+            assert got.gt_matched == want.gt_matched
+        assert max(asked.values(), default=0) <= 1
 
 
 class TestAveragePrecision:
@@ -203,7 +247,8 @@ class TestAveragePrecision:
                     )
                 ledgers.append(match_frame(dets, gts, iou_thr=0.5))
             ap, aph = average_precision(ledgers, gt_count=gt_total)
-            flat = [(o.score, o.is_tp) for ledger in ledgers for o in ledger.outcomes]
+            flat = [(score, j is not None) for ledger in ledgers
+                    for score, j in zip(ledger.scores, ledger.gt_index)]
             assert ap == pytest.approx(reference_ap(flat, gt_total), abs=1e-12)
             assert aph <= ap + 1e-12
             assert 0.0 <= aph <= 1.0
@@ -268,27 +313,36 @@ class TestPrPoints:
         for p in points:
             assert p.heading_precision <= p.precision + 1e-12
 
+    @pytest.mark.parametrize("curve", [pr_points, average_precision])
+    def test_a_negative_gt_count_is_refused(self, curve):
+        ledger = match_frame([_box(0.0, 0.0, 0.9)], [_box(0.0, 0.0)], iou_thr=0.5)
+        with pytest.raises(ValueError) as refused:
+            curve([ledger], -1)
+        assert str(refused.value) == "gt_count must lie in [0, inf), got -1"
+
+
+def _ledger(rows, gt_matched):
+    """A ledger of (score, gt index or None, heading weight) rows."""
+    return MatchLedger([row[0] for row in rows], [row[1] for row in rows],
+                       [row[2] for row in rows], gt_matched)
+
 
 # Few distinct scores, so that ties within and across frames are common.
-_outcomes = st.builds(
-    DetectionOutcome,
-    score=st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
-    is_tp=st.booleans(),
-    gt_index=st.none() | st.integers(0, 4),
+_rows = st.tuples(
+    st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+    st.none() | st.integers(0, 4),
     # A false positive's weight is not added, whatever it is.
-    heading_weight=st.sampled_from([-0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    st.sampled_from([-0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
 )
 _ledgers = st.lists(
-    st.builds(MatchLedger, st.lists(_outcomes, max_size=6), st.lists(st.booleans(), max_size=4)),
+    st.builds(_ledger, st.lists(_rows, max_size=6), st.lists(st.booleans(), max_size=4)),
     max_size=4,
 )
-_NEGATIVE_ZERO_WEIGHT = [MatchLedger([DetectionOutcome(0.5, True, 0, -0.0)], [True])]
+_NEGATIVE_ZERO_WEIGHT = [_ledger([(0.5, 0, -0.0)], [True])]
 _TIES_ACROSS_FRAMES = [
-    MatchLedger([DetectionOutcome(0.5, False, None, 0.75), DetectionOutcome(0.5, True, 0, 0.25)],
-                [True]),
-    MatchLedger([], []),
-    MatchLedger([DetectionOutcome(0.5, True, 0, 1.0), DetectionOutcome(0.0, True, 1, -0.0)],
-                [True, True]),
+    _ledger([(0.5, None, 0.75), (0.5, 0, 0.25)], [True]),
+    _ledger([], []),
+    _ledger([(0.5, 0, 1.0), (0.0, 1, -0.0)], [True, True]),
 ]
 
 
@@ -300,7 +354,7 @@ class TestCurveAgainstReference:
     @given(_ledgers, st.none() | st.integers(0, 12))
     @example([], 0)
     @example([], 3)
-    @example([MatchLedger([], [False])], None)
+    @example([_ledger([], [False])], None)
     @example(_NEGATIVE_ZERO_WEIGHT, None)
     @example(_NEGATIVE_ZERO_WEIGHT, 0)
     @example(_TIES_ACROSS_FRAMES, None)
@@ -310,7 +364,7 @@ class TestCurveAgainstReference:
         # 0 and counts below the true positives among them.
         if gt_count is None:
             gt_count = sum(ledger.gt_count for ledger in ledgers)
-        points = pr_points(ledgers, gt_count)
+        points = pr_points(iter(ledgers), gt_count)
         expected = reference_pr_points(ledgers, gt_count)
         assert [[v.hex() for v in p] for p in points] == [[v.hex() for v in p] for p in expected]
         assert all(type(v) is float for p in points for v in p)
