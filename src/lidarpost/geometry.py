@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +89,49 @@ _NUMBER_FIELDS = ("cx", "cy", "cz", "length", "width", "height", "heading", "sco
 _ID_FIELDS = ("track_id", "difficulty", "num_points", "source_id")
 
 
+def _check_number(name: str, value) -> None:
+    """Raise ValueError unless value is a number as a box file carries one,
+    and reads back: an int or a float, not a bool, that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int):  # tested, not converted: a box file writes 1 and 1.0 apart
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be within float range") from None
+
+
+class Domain(NamedTuple):
+    """The values a field may hold: the words of its error, and a test. A
+    number's or an id's test is built from comparisons only, so that it takes
+    one value or a column alike and fails NaN; an id's passes None."""
+
+    words: str
+    test: Callable
+
+    def check(self, name: str, value) -> None:
+        """Raise ValueError unless value lies in the domain."""
+        if not self.test(value):
+            raise ValueError(f"{name} {self.words}, got {value!r}")
+
+
+FINITE = Domain("must be finite", lambda v: (v > -math.inf) & (v < math.inf))
+_POSITIVE = Domain("must be positive and finite", lambda v: (v > 0.0) & (v < math.inf))
+_NON_NEGATIVE = Domain("must be non-negative", lambda v: v is None or v >= 0)
+
+# The domain of each checked Box3D field, in the order Box3D checks them. The
+# heading has none: wrapping refuses a non-finite one.
+BOX_DOMAINS = {
+    "cx": FINITE, "cy": FINITE, "cz": FINITE,
+    "length": _POSITIVE, "width": _POSITIVE, "height": _POSITIVE,
+    "score": Domain("must lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    "label": Domain("must be a Label member", lambda v: isinstance(v, Label)),
+    "track_id": _NON_NEGATIVE,
+    "difficulty": Domain("must be 1 or 2", lambda v: v is None or (v >= 1) & (v <= 2)),
+    "num_points": _NON_NEGATIVE,
+}
+
+
 @dataclass
 class Box3D:
     """Oriented 3D bounding box with detection metadata.
@@ -113,37 +156,14 @@ class Box3D:
     source_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # A box file carries numbers and integer ids, and reads a bool as neither.
         for name in _NUMBER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if isinstance(value, int):  # tested, not converted: a box file writes 1 and 1.0 apart
-                try:
-                    float(value)
-                except OverflowError:
-                    raise ValueError(f"{name} must be within float range") from None
+            _check_number(name, getattr(self, name))
         for name in _ID_FIELDS:
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ValueError(f"{name} must be an integer or None, got {value!r}")
-        for name in ("cx", "cy", "cz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("length", "width", "height"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must lie in [0, 1], got {self.score!r}")
-        if not isinstance(self.label, Label):
-            raise ValueError(f"label must be a Label member, got {self.label!r}")
-        if self.track_id is not None and self.track_id < 0:
-            raise ValueError(f"track_id must be non-negative, got {self.track_id!r}")
-        if self.difficulty is not None and self.difficulty not in (1, 2):
-            raise ValueError(f"difficulty must be 1 or 2, got {self.difficulty!r}")
-        if self.num_points is not None and self.num_points < 0:
-            raise ValueError(f"num_points must be non-negative, got {self.num_points!r}")
+        for name, domain in BOX_DOMAINS.items():
+            domain.check(name, getattr(self, name))
         self.heading = wrap_angle(self.heading)
 
     def _with(self, **changes) -> "Box3D":
@@ -230,9 +250,9 @@ class DetectionSet:
     """Ordered detections for one frame, tagged with the producing detector.
 
     Raises:
-        ValueError: if the frame id is not a string, or the timestamp is a bool,
-            not an int or a float, an int beyond float range, or not finite:
-            what a box file's reader refuses, so every set that is written reads back.
+        ValueError: if the frame id is not a string, or the timestamp is not a
+            finite number by the rule of Box3D's numbers: what a box file's
+            reader refuses, so every set that is written reads back.
     """
 
     frame_id: str
@@ -243,15 +263,8 @@ class DetectionSet:
     def __post_init__(self) -> None:
         if not isinstance(self.frame_id, str):
             raise ValueError(f"frame_id must be a string, got {self.frame_id!r}")
-        timestamp = self.timestamp
-        if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
-            raise ValueError(f"timestamp must be a number, got {timestamp!r}")
-        try:
-            finite = math.isfinite(timestamp)
-        except OverflowError:
-            raise ValueError("timestamp must be within float range") from None
-        if not finite:
-            raise ValueError(f"timestamp must be finite, got {timestamp!r}")
+        _check_number("timestamp", self.timestamp)
+        FINITE.check("timestamp", self.timestamp)
 
     def __len__(self) -> int:
         return len(self.boxes)

@@ -7,10 +7,10 @@ by frame on read. The reader parses a chunk of lines with one
 each line is one object with no other brace; a JSON string holds no raw
 line break, so the array's items are then the lines' own objects. Any other
 chunk is parsed one line at a time. The records are checked as columns:
-the value types per key, then one array test of finiteness, sizes and
-scores, with no per-record checks or constructor. A chunk that fails any
-check is read again one record at a time by the path that words every
-error, so a bad file raises what a record-by-record reader would.
+the value types per key, then each field's column against its domain in
+``geometry.BOX_DOMAINS``, with no per-record checks or constructor. A
+chunk that fails any check is read again one record at a time by the path
+that words every error, so a bad file raises what a one-record reader would.
 
 Point files are raw little-endian float32 records with 4 channels (x, y, z,
 intensity) for single frames or 5 (plus the time offset) for concatenated
@@ -28,7 +28,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .geometry import Box3D, DetectionSet, Label, unchecked_box, wrap_angles
+from .geometry import (BOX_DOMAINS, FINITE, _ID_FIELDS, _NUMBER_FIELDS, Box3D, DetectionSet,
+                       Label, unchecked_box, wrap_angles)
 from .pointcloud import PointCloud
 
 PathLike = Union[str, Path]
@@ -46,9 +47,10 @@ class ValidationError(InputError):
     """Input parsed but violates a documented invariant."""
 
 
+# The frame id and timestamp, then the keys of Box3D's fields in field order;
+# the optional keys are its id fields' names.
 _REQUIRED_KEYS = ("frame_id", "timestamp", "cx", "cy", "cz", "l", "w", "h",
                   "heading", "score", "label")
-_OPTIONAL_INT_KEYS = ("track_id", "difficulty", "num_points", "source_id")
 
 
 def _number(record: dict, key: str, lineno: int) -> float:
@@ -78,32 +80,18 @@ def _parse_record(record: dict, lineno: int) -> Tuple[str, float, Box3D]:
     if not isinstance(frame_id, str):
         raise ValidationError(f"line {lineno}: key 'frame_id' must be a string")
     timestamp = _number(record, "timestamp", lineno)
-    if not math.isfinite(timestamp):
-        raise ValidationError(f"line {lineno}: key 'timestamp' must be finite, got {timestamp!r}")
+    if not FINITE.test(timestamp):
+        raise ValidationError(f"line {lineno}: key 'timestamp' {FINITE.words}, got {timestamp!r}")
     label_name = record["label"]
     try:
         label = Label(label_name)
     except ValueError:
         raise ValidationError(f"line {lineno}: unknown label {label_name!r}") from None
+    numbers = [_number(record, key, lineno) for key in _REQUIRED_KEYS[2:-1]]
+    ids = [_optional_int(record, key, lineno) for key in _ID_FIELDS]
     try:
-        box = Box3D(
-            cx=_number(record, "cx", lineno),
-            cy=_number(record, "cy", lineno),
-            cz=_number(record, "cz", lineno),
-            length=_number(record, "l", lineno),
-            width=_number(record, "w", lineno),
-            height=_number(record, "h", lineno),
-            heading=_number(record, "heading", lineno),
-            score=_number(record, "score", lineno),
-            label=label,
-            track_id=_optional_int(record, "track_id", lineno),
-            difficulty=_optional_int(record, "difficulty", lineno),
-            num_points=_optional_int(record, "num_points", lineno),
-            source_id=_optional_int(record, "source_id", lineno),
-        )
+        box = Box3D(*numbers, label, *ids)
     except ValueError as exc:
-        if isinstance(exc, InputError):
-            raise
         raise ValidationError(f"line {lineno}: {exc}") from exc
     return frame_id, timestamp, box
 
@@ -155,7 +143,7 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[list, np.ndarray, List[Bo
     together as columns, or None if any record fails a check.
 
     The checks accept exactly the records that :func:`_parse_record`
-    accepts, and the boxes hold the same values.
+    accepts, testing the same domains, and the boxes hold the same values.
     """
     text = list(filterfalse(str.isspace, lines))
     if not text:
@@ -166,8 +154,7 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[list, np.ndarray, List[Bo
         frame_ids = list(map(_FRAME_ID, records))
         numbers = [list(map(getter, records)) for getter in _NUMBERS]
         labels = list(map(_LABELS.__getitem__, map(_LABEL, records)))
-        track_ids, difficulties, num_points, source_ids = (
-            list(map(dict.get, records, repeat(key))) for key in _OPTIONAL_INT_KEYS)
+        ids = [list(map(dict.get, records, repeat(key))) for key in _ID_FIELDS]
     except (ValueError, AttributeError, KeyError, TypeError, RecursionError):
         # Undecodable bytes, bad or too deeply nested JSON, a non-object
         # record, a missing key, an unknown or unhashable label.
@@ -177,26 +164,25 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[list, np.ndarray, List[Bo
     # True, so a set of the values would hide a float or bool id.
     if (set(map(type, frame_ids)) != {str}
             or not set(map(type, chain.from_iterable(numbers))) <= {int, float}
-            or not set(map(type, chain(track_ids, difficulties, num_points, source_ids)))
-            <= {int, type(None)}):
+            or not set(map(type, chain.from_iterable(ids))) <= {int, type(None)}):
         return None
-    present = [set(column) - {None} for column in (track_ids, difficulties, num_points)]
     try:
         values = np.array(numbers, dtype=np.float64)
     except OverflowError:  # an integer too large for a float
         return None
     del numbers
-    score = values[8]
-    if not (np.isfinite(values).all() and (values[4:7] > 0.0).all()
-            and (score >= 0.0).all() and (score <= 1.0).all()
-            and min(present[0], default=0) >= 0
-            and present[1] <= {1, 2}
-            and min(present[2], default=0) >= 0):
+    # Every number is finite, as a timestamp and a heading must be, and each
+    # declared column (of distinct ids for an id) lies in its field's domain.
+    by_field = dict(zip(_NUMBER_FIELDS, values[1:]))
+    by_field.update((name, np.array([*{*column} - {None}], dtype=object))
+                    for name, column in zip(_ID_FIELDS, ids) if name in BOX_DOMAINS)
+    if not (FINITE.test(values).all()
+            and all(BOX_DOMAINS[name].test(column).all()
+                    for name, column in by_field.items() if name in BOX_DOMAINS)):
         return None
     columns = values.tolist()
     columns[7] = wrap_angles(values[7]).tolist()
-    boxes = list(map(unchecked_box, *columns[1:], labels,
-                     track_ids, difficulties, num_points, source_ids))
+    boxes = list(map(unchecked_box, *columns[1:], labels, *ids))
     return frame_ids, values[0], boxes
 
 
@@ -323,8 +309,8 @@ def write_boxes(
             fh.writelines(_frame_lines(ds))
 
 
-_numbers = attrgetter("cx", "cy", "cz", "length", "width", "height", "heading", "score")
-_ids = attrgetter(*_OPTIONAL_INT_KEYS)
+_numbers = attrgetter(*_NUMBER_FIELDS)
+_ids = attrgetter(*_ID_FIELDS)
 _LABEL_TEXT = {label: json.dumps(label.value) for label in Label}
 
 
@@ -358,7 +344,7 @@ def _frame_lines(ds: DetectionSet) -> List[str]:
         f'"w": {enc(w)}, "h": {enc(h)}, "heading": {enc(heading)}, "score": {enc(score)}, '
         f'"label": {label_text(label)}'
         + "".join([f', "{key}": {enc(value)}'
-                   for key, value in zip(_OPTIONAL_INT_KEYS, box_ids) if value is not None])
+                   for key, value in zip(_ID_FIELDS, box_ids) if value is not None])
         + "}\n"
         for (cx, cy, cz, l, w, h, heading, score), label, box_ids in zip(numbers, labels, ids)
     ]

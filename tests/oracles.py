@@ -61,7 +61,7 @@ from lidarpost.geometry import (
     iou3d,
     wrap_angle,
 )
-from lidarpost.io import FormatError, ValidationError, _parse_record
+from lidarpost.io import FormatError, InputError, ValidationError
 from lidarpost.matching import _reduced_costs
 from lidarpost.metrics import (
     Difficulty,
@@ -101,6 +101,70 @@ def random_box(
         score=float(rng.uniform(0.0, 1.0)) if score is None else score,
         label=label,
     )
+
+
+# The one-record parser, with each Box3D keyword named and the timestamp
+# tested by math.isfinite, where the library's reader builds a box from the
+# order of its keys and tests the timestamp against geometry's declaration.
+_REQUIRED_KEYS = ("frame_id", "timestamp", "cx", "cy", "cz", "l", "w", "h",
+                  "heading", "score", "label")
+
+
+def _number(record: dict, key: str, lineno: int) -> float:
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"line {lineno}: key {key!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ValidationError(f"line {lineno}: key {key!r} is out of float range") from None
+
+
+def _optional_int(record: dict, key: str, lineno: int):
+    if key not in record or record[key] is None:
+        return None
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"line {lineno}: key {key!r} must be an integer")
+    return value
+
+
+def _parse_record(record: dict, lineno: int) -> Tuple[str, float, Box3D]:
+    for key in _REQUIRED_KEYS:
+        if key not in record:
+            raise ValidationError(f"line {lineno}: missing key {key!r}")
+    frame_id = record["frame_id"]
+    if not isinstance(frame_id, str):
+        raise ValidationError(f"line {lineno}: key 'frame_id' must be a string")
+    timestamp = _number(record, "timestamp", lineno)
+    if not math.isfinite(timestamp):
+        raise ValidationError(f"line {lineno}: key 'timestamp' must be finite, got {timestamp!r}")
+    label_name = record["label"]
+    try:
+        label = Label(label_name)
+    except ValueError:
+        raise ValidationError(f"line {lineno}: unknown label {label_name!r}") from None
+    try:
+        box = Box3D(
+            cx=_number(record, "cx", lineno),
+            cy=_number(record, "cy", lineno),
+            cz=_number(record, "cz", lineno),
+            length=_number(record, "l", lineno),
+            width=_number(record, "w", lineno),
+            height=_number(record, "h", lineno),
+            heading=_number(record, "heading", lineno),
+            score=_number(record, "score", lineno),
+            label=label,
+            track_id=_optional_int(record, "track_id", lineno),
+            difficulty=_optional_int(record, "difficulty", lineno),
+            num_points=_optional_int(record, "num_points", lineno),
+            source_id=_optional_int(record, "source_id", lineno),
+        )
+    except ValueError as exc:
+        if isinstance(exc, InputError):
+            raise
+        raise ValidationError(f"line {lineno}: {exc}") from exc
+    return frame_id, timestamp, box
 
 
 def reference_read_boxes(path) -> Dict[str, DetectionSet]:

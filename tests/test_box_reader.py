@@ -18,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidarpost import io
+from lidarpost import geometry, io
 from lidarpost.geometry import Box3D, DetectionSet, Label
 from lidarpost.io import read_boxes, write_boxes
 from oracles import reference_read_boxes
@@ -79,14 +79,17 @@ def _split_pair(record) -> str:
 BIG_INTS = st.sampled_from([2**53 + 1, -(2**53 + 1), 2**63 + 1, 2**64 + 3, -(2**63) - 1])
 COORD = (st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6) | BIG_INTS
          | st.sampled_from([1.7e308, -1.7e308, -0.0]))
-SIZE = st.floats(1e-3, 1e3) | st.integers(1, 100) | st.sampled_from([2**53 + 1, 1.7e308])
+# Every taken edge of each declared domain: the smallest and largest sizes, a
+# score at either end, and ids at 0 and beyond int64.
+SIZE = (st.floats(1e-3, 1e3) | st.integers(1, 100)
+        | st.sampled_from([2**53 + 1, 1.7e308, 5e-324, 1, 2**1024 - 2**970 - 1]))
 HEADING = (st.floats(-1e4, 1e4) | st.integers(-10, 10)
            | st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
                               math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 4.0),
                               math.nextafter(-math.pi, -4.0), 3 * math.pi, -3 * math.pi,
                               1.7e308, -1.7e308, -0.0]))
-SCORE = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
-ID = st.none() | st.sampled_from([0, 1, 2**63 + 1, 10**400]) | st.integers(0, 2**70)
+SCORE = st.floats(0.0, 1.0) | st.sampled_from([0, 1, -0.0, 0.0, 1.0, 5e-324])
+ID = st.none() | st.sampled_from([0, 1, 2**63, 2**63 + 1, 10**400]) | st.integers(0, 2**70)
 # Braces in a frame id fail the one-parse guard, so such a chunk is parsed
 # one line at a time; U+2028 inside a string ends no line.
 FRAME_IDS = st.sampled_from(["a", "b", "c", " ", "\u00e9", "\u2028", 'q"\\', "{", "}", "x}{y"])
@@ -143,18 +146,21 @@ def box_lines(draw):
 
 
 BAD_VALUES = st.sampled_from([
-    True, False, None, "1.5", "", [1.0], {}, 10**400, -(10**400), float("nan"),
-    float("inf"), -1.0, 0, 1.5, -0.0, 2**63 + 1,
+    True, False, None, "1.5", "", [1.0], {}, 10**400, -(10**400), 2**1024 - 2**970,
+    float("nan"), float("inf"), -1.0, 0, 1.5, -0.0, 2**63 + 1,
 ])
-# Values that break one key only.
+# Values that break one key only, among them the refused edge of each
+# declared domain.
+_SIZE_EDGES = [0, 0.0, -0.0, -5e-324, float("-inf")]
 BAD_FOR = {
     "frame_id": [1, None, ["a"]],
-    "l": [0, 0.0, -1.0, 1e-320 * -1], "w": [0, -2.5], "h": [-0.0, -1],
-    "score": [-0.1, 1.5, 1.0000000000000002, -5e-324, 2],
+    "cx": [float("-inf"), -(2**1024 - 2**970)], "cz": [float("nan"), 2**1024],
+    "l": [*_SIZE_EDGES, -1.0, 1e-320 * -1], "w": [*_SIZE_EDGES, -2.5], "h": [*_SIZE_EDGES, -1],
+    "score": [-0.1, 1.5, 1.0000000000000002, -5e-324, 2, float("nan")],
     "label": ["TRUCK", "vehicle", "", 1, ["VEHICLE"]],
     "heading": [float("inf"), float("-inf"), "0.1"],
     "track_id": [-1, 1.5, 1.0, False, "1"], "num_points": [-1, 0.0, 1.0, False],
-    "difficulty": [0, 3, 1.0, True, -1], "source_id": [1.5, 0.0, True, "0", [0]],
+    "difficulty": [0, 3, 1.0, True, -1, 2**63], "source_id": [1.5, 0.0, True, "0", [0]],
 }
 KEYS = ["frame_id", "timestamp", "cx", "cy", "cz", "l", "w", "h", "heading", "score",
         "label", "track_id", "difficulty", "num_points", "source_id"]
@@ -251,6 +257,23 @@ def test_a_bad_record_at_the_chunk_boundary(tmp_path, lineno, bad):
     got = _assert_same(path)
     assert got[0] is io.ValidationError or got[0] is io.FormatError
     assert got[1].startswith(f"line {lineno}: ")
+
+
+def test_both_reader_paths_check_the_declaration_of_geometry(tmp_path):
+    """The reader declares no domain of its own: a field's domain narrowed in
+    geometry is what the column check and the record path both hold to."""
+    assert io.BOX_DOMAINS is geometry.BOX_DOMAINS and io.FINITE is geometry.FINITE
+    assert [value for value in vars(io).values()
+            if isinstance(value, geometry.Domain) or value == geometry.BOX_DOMAINS] == [
+        geometry.BOX_DOMAINS, geometry.FINITE]
+    path = tmp_path / "boxes.jsonl"
+    _write(path, [_line(_record(cx=4.0)), _line(_record(cx=7.0))])
+    below_5 = geometry.Domain("must be below 5", lambda v: v < 5)
+    with mock.patch.dict(geometry.BOX_DOMAINS, cx=below_5):
+        assert io._checked_chunk([_line(_record(cx=4.0))]) is not None
+        assert io._checked_chunk([_line(_record(cx=7.0))]) is None
+        assert _assert_same(path) == (io.ValidationError, "line 2: cx must be below 5, got 7.0")
+    assert len(_assert_same(path)[0][4]) == 2
 
 
 def test_a_frame_across_the_boundary_and_one_that_reappears_after_it(tmp_path):

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lidarpost.geometry import (
+    BOX_DOMAINS,
     Box3D,
+    DetectionSet,
     Label,
     bev_iou,
     clip_convex,
@@ -203,6 +207,158 @@ class TestBox3D:
         assert box.contains_bev(2.0, 1.0)
         assert box.contains_bev(2.0, 0.0)
         assert not box.contains_bev(2.0 + 1e-9, 0.0)
+
+
+_NUMBERS = ("cx", "cy", "cz", "length", "width", "height", "heading", "score")
+_IDS = ("track_id", "difficulty", "num_points", "source_id")
+_ABOVE_1 = math.nextafter(1.0, 2.0)
+_BEYOND = 2**1024 - 2**970  # the smallest int that float() refuses
+_BIG = 10**400
+
+
+def _finite_rows(name):
+    return [(name, value, f"{name} must be finite, got {value!r}")
+            for value in (math.nan, math.inf, -math.inf)]
+
+
+def _size_rows(name):
+    return [(name, value, f"{name} must be positive and finite, got {value!r}")
+            for value in (math.nan, math.inf, -math.inf, 0.0, -0.0, -5e-324)]
+
+
+def _not_a_number_rows(name):
+    """A bool, and an int beyond float range at either end."""
+    return [(name, True, f"{name} must be a number, got True"),
+            (name, False, f"{name} must be a number, got False"),
+            (name, _BEYOND, f"{name} must be within float range"),
+            (name, -_BIG, f"{name} must be within float range")]
+
+
+def _not_an_id_rows(name):
+    return [(name, value, f"{name} must be an integer or None, got {value!r}")
+            for value in (True, False, "1", math.nan, math.inf, -math.inf, 1.0)]
+
+
+# Each refused value of each field with the exact words Box3D and
+# DetectionSet raise for it. Values in a number field that are neither an int
+# nor a float, a str among them, are in TestBoxNumberRule.
+BOX_MESSAGES = [
+    *(row for name in ("cx", "cy", "cz") for row in _finite_rows(name) + _not_a_number_rows(name)),
+    *(row for name in ("length", "width", "height")
+      for row in _size_rows(name) + _not_a_number_rows(name)),
+    *(("heading", value, f"angle must be finite, got {value!r}")
+      for value in (math.nan, math.inf, -math.inf)),
+    *_not_a_number_rows("heading"),
+    *(("score", value, f"score must lie in [0, 1], got {value!r}")
+      for value in (math.nan, math.inf, -math.inf, -5e-324, _ABOVE_1, 2)),
+    *_not_a_number_rows("score"),
+    *(("label", value, f"label must be a Label member, got {value!r}")
+      for value in (math.nan, math.inf, True, "VEHICLE", None, _BIG)),
+    ("track_id", -1, "track_id must be non-negative, got -1"),
+    ("num_points", -1, "num_points must be non-negative, got -1"),
+    ("difficulty", 0, "difficulty must be 1 or 2, got 0"),
+    ("difficulty", 3, "difficulty must be 1 or 2, got 3"),
+    ("difficulty", -1, "difficulty must be 1 or 2, got -1"),
+    ("difficulty", _BIG, f"difficulty must be 1 or 2, got {_BIG}"),
+    *(row for name in _IDS for row in _not_an_id_rows(name)),
+]
+SET_MESSAGES = [
+    *(("timestamp", value, f"timestamp must be finite, got {value!r}")
+      for value in (math.nan, math.inf, -math.inf)),
+    *(("timestamp", value, f"timestamp must be a number, got {value!r}")
+      for value in (True, False, "0.5", None)),
+    ("timestamp", _BEYOND, "timestamp must be within float range"),
+    ("timestamp", -_BIG, "timestamp must be within float range"),
+    *(("frame_id", value, f"frame_id must be a string, got {value!r}")
+      for value in (1, None, 1.5, True, math.nan, ["f"])),
+]
+# Values at each end of a domain that are taken.
+BOX_EDGES = [
+    *((name, value) for name in ("length", "width", "height")
+      for value in (5e-324, 1.7e308, _BEYOND - 1)),
+    *(("score", value) for value in (-0.0, 0.0, 0, 1.0, 1)),
+    *(("cx", value) for value in (-1.7e308, -(_BEYOND - 1), -0.0)),
+    *((name, value) for name in ("track_id", "num_points") for value in (0, 2**63, _BIG)),
+    ("difficulty", 1), ("difficulty", 2), ("source_id", -1), ("source_id", _BIG),
+]
+
+
+def _valid_box_args():
+    return dict(cx=0.5, cy=-0.5, cz=0.0, length=4.0, width=2.0, height=1.5, heading=0.1,
+                score=0.5, label=Label.CYCLIST, track_id=1, difficulty=1, num_points=3,
+                source_id=0)
+
+
+class TestBoxDomain:
+    """What Box3D and DetectionSet refuse, word for word, and in what order."""
+
+    @pytest.mark.parametrize("name, value, message", BOX_MESSAGES)
+    def test_a_refused_box_field_names_its_rule(self, name, value, message):
+        with pytest.raises(ValueError) as refused:
+            Box3D(**{**_valid_box_args(), name: value})
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("name, value, message", SET_MESSAGES)
+    def test_a_refused_set_field_names_its_rule(self, name, value, message):
+        args = dict(frame_id="f", boxes=[], source_id=0, timestamp=0.5)
+        with pytest.raises(ValueError) as refused:
+            DetectionSet(**{**args, name: value})
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("name, value", BOX_EDGES)
+    def test_a_value_at_the_end_of_a_domain_is_taken(self, name, value):
+        box = Box3D(**{**_valid_box_args(), name: value})
+        assert getattr(box, name) == value and type(getattr(box, name)) is type(value)
+
+    def test_the_declaration_names_the_checked_fields_in_check_order(self):
+        checked = [f.name for f in fields(Box3D) if f.name not in ("heading", "source_id")]
+        assert list(BOX_DOMAINS) == checked
+        # Every checked field out of its domain at once: Box3D names the
+        # first in the declaration, and the next once the first is mended.
+        bad = dict(cx=math.nan, cy=math.inf, cz=-math.inf, length=0.0, width=-1.0,
+                   height=math.nan, score=2.0, label="VEHICLE", track_id=-1, difficulty=3,
+                   num_points=-2)
+        args = _valid_box_args()
+        for name in checked:
+            with pytest.raises(ValueError) as refused:
+                Box3D(**{**args, **bad})
+            assert str(refused.value).startswith(f"{name} must ")
+            del bad[name]
+        Box3D(**args)
+
+    @pytest.mark.parametrize("changes, message", [
+        # The number rule for every number, then the id rule, then the domains.
+        (dict(cx=math.nan, score=True), "score must be a number, got True"),
+        (dict(cx=math.nan, heading=_BEYOND), "heading must be within float range"),
+        (dict(length=0.0, track_id=1.5), "track_id must be an integer or None, got 1.5"),
+        (dict(score=True, source_id=True), "score must be a number, got True"),
+        (dict(length=0.0, cx=math.inf), "cx must be finite, got inf"),
+        (dict(heading=math.nan, num_points=-1), "num_points must be non-negative, got -1"),
+        (dict(heading=math.nan, label=None), "label must be a Label member, got None"),
+    ])
+    def test_the_first_rule_broken_is_the_one_named(self, changes, message):
+        with pytest.raises(ValueError) as refused:
+            Box3D(**{**_valid_box_args(), **changes})
+        assert str(refused.value) == message
+
+
+class TestBoxNumberRule:
+    """A number field takes an int or a float, not a bool, that a float can
+    hold: what a box file carries and reads back, and nothing else."""
+
+    @pytest.mark.parametrize("name", _NUMBERS)
+    @pytest.mark.parametrize("value", [
+        "a", None, np.int64(1), np.float32(0.5), Fraction(1, 2), Decimal("0.5"),
+        np.bool_(True), [1.0], 1j,
+    ], ids=repr)
+    def test_other_numbers_are_refused(self, name, value):
+        with pytest.raises(ValueError) as refused:
+            Box3D(**{**_valid_box_args(), name: value})
+        assert str(refused.value) == f"{name} must be a number, got {value!r}"
+
+    def test_a_float_subclass_is_taken(self):
+        box = Box3D(**{**_valid_box_args(), "cx": np.float64(2.5), "score": np.float64(0.25)})
+        assert (box.cx, box.score) == (2.5, 0.25)
 
 
 class TestWithCopy:

@@ -1,6 +1,9 @@
 import json
 import math
 import struct
+from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -300,6 +303,54 @@ class TestRoundTrip:
         for s in sets:
             assert frames[s.frame_id].timestamp == s.timestamp
             assert frames[s.frame_id].boxes == s.boxes
+
+
+# Values drawn into each field of a box, taken or refused: numpy scalars,
+# exact and decimal fractions, bools, ints around the float range's end and
+# the signed and subnormal edges.
+_ANY_VALUE = st.one_of(
+    _FLOAT, st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**6, 10**6),
+    st.sampled_from([
+        np.int64(1), np.int32(-2), np.uint8(3), np.float64(0.5), np.float32(0.25),
+        np.float16(2.0), np.bool_(True), Fraction(1, 2), Fraction(3), Decimal("0.5"),
+        Decimal(2), True, False, None, "1.0", -0.0, 5e-324, -5e-324, 0, 1, 2, 3, -1,
+        1.0, math.nextafter(1.0, 2.0), 2**63, 2**1023, _LARGEST_INT, -_LARGEST_INT,
+        _LARGEST_INT + 1, -_LARGEST_INT - 1, 2**1024,
+    ]),
+)
+_BOX_FIELDS = [f.name for f in fields(Box3D)]
+_NUMBERS = _BOX_FIELDS[:8]
+
+
+@st.composite
+def _box_values(draw):
+    """A valid box's field values, one to three of them redrawn from _ANY_VALUE."""
+    values = dict(cx=1.5, cy=-2, cz=0.25, length=4.0, width=2, height=1.5, heading=0.1,
+                  score=0.5, label=Label.VEHICLE, track_id=3, difficulty=1, num_points=0,
+                  source_id=None)
+    for name in draw(st.lists(st.sampled_from(_BOX_FIELDS), min_size=1, max_size=3)):
+        values[name] = draw(_ANY_VALUE)
+    return values
+
+
+class TestEveryBoxReadsBack:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_box_values())
+    def test_a_box_is_refused_or_reads_back_equal(self, tmp_path_factory, values):
+        """Box3D takes only what a box file carries: each box it builds is
+        written and read back as the box of its values as floats."""
+        try:
+            box = Box3D(**values)
+        except ValueError:
+            return
+        path = tmp_path_factory.getbasetemp() / "any_box.jsonl"
+        write_boxes([DetectionSet("f", [box])], path)
+        (got,) = read_boxes(path)["f"].boxes
+        expected = {name: float(value) if name in _NUMBERS else value
+                    for name, value in vars(box).items()}
+        # By type and repr, so -0.0 is not 0.0.
+        assert {name: (type(value), repr(value)) for name, value in vars(got).items()} == {
+            name: (type(value), repr(value)) for name, value in expected.items()}
 
 
 class TestDetectionSetTimestamp:
