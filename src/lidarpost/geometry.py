@@ -101,6 +101,11 @@ def _check_number(name: str, value) -> None:
             raise ValueError(f"{name} must be within float range") from None
 
 
+def _is_id(value) -> bool:
+    """Whether value is an id as a box file carries one: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Domain(NamedTuple):
     """The values a field may hold: the words of its error, and a test. A
     number's or an id's test is built from comparisons only, so that it takes
@@ -160,7 +165,7 @@ class Box3D:
             _check_number(name, getattr(self, name))
         for name in _ID_FIELDS:
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if value is not None and not _is_id(value):
                 raise ValueError(f"{name} must be an integer or None, got {value!r}")
         for name, domain in BOX_DOMAINS.items():
             domain.check(name, getattr(self, name))
@@ -250,9 +255,11 @@ class DetectionSet:
     """Ordered detections for one frame, tagged with the producing detector.
 
     Raises:
-        ValueError: if the frame id is not a string, or the timestamp is not a
-            finite number by the rule of Box3D's numbers: what a box file's
-            reader refuses, so every set that is written reads back.
+        ValueError: if the frame id is not a string, the source id is not a
+            non-negative integer by the rule of Box3D's ids, or the timestamp
+            is not a finite number by the rule of Box3D's numbers: what a box
+            file's reader refuses, so every set that is written reads back,
+            and every box that merge_sources stamps with the source id too.
     """
 
     frame_id: str
@@ -263,6 +270,9 @@ class DetectionSet:
     def __post_init__(self) -> None:
         if not isinstance(self.frame_id, str):
             raise ValueError(f"frame_id must be a string, got {self.frame_id!r}")
+        if not _is_id(self.source_id):
+            raise ValueError(f"source_id must be an integer, got {self.source_id!r}")
+        _NON_NEGATIVE.check("source_id", self.source_id)
         _check_number("timestamp", self.timestamp)
         FINITE.check("timestamp", self.timestamp)
 

@@ -1,19 +1,37 @@
 """Minimum-cost bipartite matching with a fixed tie-break, shared by the
 tracker's association and the CLEAR-MOT metric (both on 1 - IoU costs).
 
-:func:`hungarian` solves once with ``linear_sum_assignment`` and then breaks
-ties without solving again:
+:func:`hungarian` solves once, per overlap component, and then breaks ties
+without solving again:
 
 1. The matrix is padded to a square with zero-cost dummy columns (or rows),
    so every matching is a perfect one. A dummy column's index is larger than
    any real column's, so a row left unassigned sorts after every column.
-2. Column potentials make every reduced cost ``c[i, k] - u[i] - p[k]``
-   non-negative and those of the solution zero. They are shortest-path
-   distances in the column-exchange graph, whose edge ``j -> k`` costs
-   ``c[m(j), k] - c[m(j), j]`` for the row ``m(j)`` on column ``j``
-   (Bellman-Ford on dense arrays). A matching then costs more than the
-   best by exactly the sum of its reduced costs.
-3. Rows are fixed in order. For row ``r`` on column ``t``, one reverse
+2. With ``M`` the largest entry, every perfect matching of the square costs
+   ``min(rows, cols) * M`` less the sum of ``M - c`` over its real pairs, as
+   a dummy pair costs 0. So a matching is optimal exactly when its pairs
+   below ``M`` form a maximum-weight matching of the edges ``c < M``,
+   weighted ``M - c``, and such a matching is one per connected component.
+   A row whose columns overlap no other row (a star) takes its best column,
+   as does a column whose rows overlap no other column, all in one array
+   step; nearly every component of a tracker's matrix is a single pair.
+   Every other component is solved exactly in plain Python, by a
+   primal-dual search for augmenting paths. Rows and columns left over take
+   the unused columns and rows in index order. A matrix with a component of
+   more than ``_SMALL`` rows and columns is solved whole by SciPy's
+   ``linear_sum_assignment`` instead, and only then is SciPy loaded.
+3. Reduced costs ``c[i, k] - u[i] - p[k]`` are non-negative and those of the
+   solution zero, so a matching costs more than the best by exactly the sum
+   of its reduced costs. A real row's potential is ``M - y`` and a real
+   column's ``-z``, for component duals ``y + z >= M - c``, equal on each
+   matched pair and zero where unmatched; a dummy row's is 0 and a dummy
+   column's ``-M``. The least ``y`` and the least ``z`` are longest-path
+   fixpoints over the edges, and each pair takes the duals halfway between,
+   so that few reduced costs are zero that need not be. After SciPy's solve
+   the potentials are shortest-path distances in the column-exchange graph,
+   whose edge ``j -> k`` costs ``c[m(j), k] - c[m(j), j]`` for the row
+   ``m(j)`` on column ``j`` (Bellman-Ford on dense arrays).
+4. Rows are fixed in order. For row ``r`` on column ``t``, one reverse
    shortest-path sweep over the rows not yet fixed gives, for each column
    ``j``, the least reduced cost ``D[j]`` of moving rows along an
    alternating path so that column ``j`` is freed and ``t`` is taken. Row
@@ -99,19 +117,17 @@ def hungarian(cost) -> List[Tuple[int, int]]:
         raise ValueError(f"cost must be a 2-D matrix, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
-    from scipy.optimize import linear_sum_assignment  # slow to load: only when solving
     n_rows, n_cols = cost.shape
     n = max(n_rows, n_cols)
     square = np.zeros((n, n))
     square[:n_rows, :n_cols] = cost
-    _, col_of_row = linear_sum_assignment(square)
+    col_of_row, rc = _solve(cost, square)
     best_total = float(square[np.arange(n), col_of_row].sum())
     budget = 1e-9 * max(1.0, abs(best_total))
 
     row_of_col = np.empty(n, dtype=np.intp)
     row_of_col[col_of_row] = np.arange(n)
-    fixer = _RowFixer(_reduced_costs(square, col_of_row, row_of_col), col_of_row, row_of_col,
-                      n_rows, n_cols, budget)
+    fixer = _RowFixer(rc, col_of_row, row_of_col, n_rows, n_cols, budget)
     # A row's real costs -> the column the last row with those costs took
     # (n_cols if none); rows with equal costs take increasing columns.
     floor: Dict[bytes, int] = {}
@@ -127,6 +143,213 @@ def hungarian(cost) -> List[Tuple[int, int]]:
         floor[key] = min(int(col_of_row[r]), n_cols)
     assigned = np.flatnonzero(col_of_row[:n_rows] < n_cols)
     return list(zip(assigned.tolist(), col_of_row[assigned].tolist()))
+
+
+# A matrix with a component of more rows and columns than this goes to SciPy.
+_SMALL = 32
+
+
+def _solve(cost: np.ndarray, square: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """An optimal permutation of the padded square and its non-negative
+    reduced costs, zero on the permutation."""
+    n_rows, n_cols = cost.shape
+    n = len(square)
+    top = cost.max()
+    weight = top - cost
+    r_e, c_e = np.divmod(np.flatnonzero(weight > 0.0), n_cols)
+    # A row whose columns overlap no other row is a star and takes its best
+    # column; so does a column whose rows overlap no other column. Each other
+    # component is solved alone.
+    row_deg = np.bincount(r_e, minlength=n_rows)
+    col_deg = np.bincount(c_e, minlength=n_cols)
+    row_star = np.bincount(r_e, col_deg[c_e] > 1, n_rows)[r_e] == 0
+    col_star = ~row_star & (np.bincount(c_e, row_deg[r_e] > 1, n_cols)[c_e] == 0)
+    rest = np.flatnonzero(~(row_star | col_star))
+    a, b = r_e[rest], c_e[rest] + n_rows
+    matched = _match_components(a, b, weight)
+    if matched is None:
+        return _solve_whole(square)
+    rows, cols = matched
+    col_of_row = np.full(n, -1, dtype=np.intp)
+    col_of_row[rows] = cols
+    w_e = weight[r_e, c_e]
+    # Duals y of the rows and z of the columns: y[i] + z[k] >= weight[i, k],
+    # equal on each matched pair, zero where unmatched. Each pair takes the
+    # duals halfway between the least y and the least z, so that both are
+    # positive wherever some optimal duals make them so. A star's centre has
+    # its next best weight as least dual, and its leaf zero.
+    y, z = np.zeros(n_rows), np.zeros(n_cols)
+    for star, centre, leaf, centre_dual, leaf_dual in ((row_star, r_e, c_e, y, z),
+                                                       (col_star, c_e, r_e, z, y)):
+        e = np.flatnonzero(star)
+        best, runner_up = _best_per(centre[e], w_e[e], n)
+        e = e[best]
+        col_of_row[r_e[e]] = c_e[e]
+        centre_dual[centre[e]] = 0.5 * (w_e[e] + runner_up[centre[e]])
+        leaf_dual[leaf[e]] = 0.5 * (w_e[e] - runner_up[centre[e]])
+    if rest.size:
+        held_w = weight[rows, cols]
+        low = _least_duals(a, b, w_e[rest], rows, cols + n_rows, held_w)
+        y[rows] = 0.5 * (low[rows] + held_w - low[cols + n_rows])
+        z[cols] = held_w - y[rows]
+    # Rows left unmatched, dummy rows included, take the unused columns.
+    used = np.zeros(n, dtype=bool)
+    used[col_of_row[col_of_row >= 0]] = True
+    col_of_row[col_of_row < 0] = np.flatnonzero(~used)
+    # In the padded square a row's dual is top - y, a column's -z, a dummy
+    # row's 0 and a dummy column's -top.
+    row_dual = np.zeros(n)
+    row_dual[:n_rows] = top - y
+    col_dual = np.full(n, -top)
+    col_dual[:n_cols] = -z
+    rc = square - row_dual[:, None]
+    rc -= col_dual
+    rc[np.arange(n), col_of_row] = 0.0
+    return col_of_row, np.maximum(rc, 0.0, out=rc)
+
+
+def _solve_whole(square: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """_solve for a matrix with a large component, by one dense solve."""
+    from scipy.optimize import linear_sum_assignment  # slow to load: only here
+    n = len(square)
+    _, col_of_row = linear_sum_assignment(square)
+    row_of_col = np.empty(n, dtype=np.intp)
+    row_of_col[col_of_row] = np.arange(n)
+    return col_of_row, _reduced_costs(square, col_of_row, row_of_col)
+
+
+def _least_duals(a: np.ndarray, b: np.ndarray, w: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray, held_w: np.ndarray) -> np.ndarray:
+    """The least dual of each node, columns numbered after the rows, for the
+    edges a[e] - b[e] of weight w[e] and their maximum-weight matching
+    rows[k] - cols[k]: a node's least dual when each node across the
+    matching takes the rest of its pair's weight. Both sides are one
+    longest-path fixpoint over the edges, reached from zero."""
+    src, dst, w = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w))
+    held, mate = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    held_w = np.concatenate((held_w, held_w))
+    n = int(b.max()) + 1
+    low, far = np.zeros(n), np.zeros(n)
+    # An optimal matching leaves no positive cycle, so n rounds suffice; the
+    # cap only guards against one made of rounding error.
+    for _ in range(n):
+        far[held] = held_w - low[mate]
+        best = np.zeros(n)
+        np.maximum.at(best, src, w - far[dst])
+        if (best == low).all():
+            break
+        low = best
+    return low
+
+
+def _starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal sorted keys starts."""
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = keys[1:] != keys[:-1]
+    return start
+
+
+def _best_per(group: np.ndarray, w: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index of the largest w of each group, the first of equals, and the
+    largest of the rest of each group (zero if none), indexed by group."""
+    order = np.lexsort((-w, group))
+    group = group[order]
+    first = _starts(group)
+    runner_up = np.zeros(size)
+    np.maximum.at(runner_up, group[~first], w[order[~first]])
+    return order[first], runner_up
+
+
+def _match_components(a: np.ndarray, b: np.ndarray,
+                      weight: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The rows and columns of a maximum-weight matching of the edges
+    a[e] - b[e], columns numbered after the rows, solved per connected
+    component; None if a component has more than _SMALL rows and columns."""
+    n_rows, n_cols = weight.shape
+    n = n_rows + n_cols
+    if not a.size:
+        return a, a
+    label = np.arange(n)
+    while True:
+        # Hook the larger label of each edge under the smaller, then flatten.
+        la, lb = label[a], label[b]
+        if (la == lb).all():
+            break
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            flat = label[label]
+            if (flat == label).all():
+                break
+            label = flat
+    nodes = np.zeros(n, dtype=bool)
+    nodes[a] = nodes[b] = True
+    if np.bincount(label[nodes]).max() > _SMALL:
+        return None
+    order = np.argsort(la, kind="stable")
+    starts = np.flatnonzero(_starts(la[order])).tolist()
+    rows, cols = a[order].tolist(), (b[order] - n_rows).tolist()
+    out_rows: List[int] = []
+    out_cols: List[int] = []
+    for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+        comp_rows, comp_cols = sorted(set(rows[lo:hi])), sorted(set(cols[lo:hi]))
+        sub = [[weight.item(r, c) for c in comp_cols] for r in comp_rows]
+        for i, j in _max_weight_matching(sub):
+            out_rows.append(comp_rows[i])
+            out_cols.append(comp_cols[j])
+    return np.array(out_rows, dtype=np.intp), np.array(out_cols, dtype=np.intp)
+
+
+def _max_weight_matching(w: List[List[float]]) -> List[Tuple[int, int]]:
+    """The pairs of a maximum-weight matching of a small non-negative weight
+    matrix, each of positive weight.
+
+    Each row in turn grows a tree of edges tight under duals y[i] + z[j] >=
+    w[i][j], until it reaches a free column or a row of the tree runs out of
+    dual, which then gives up its column.
+    """
+    n_rows, n_cols = len(w), len(w[0])
+    y = [max(row) for row in w]
+    z = [0.0] * n_cols
+    col_of = [-1] * n_rows
+    row_of = [-1] * n_cols
+    for root in range(n_rows):
+        slack = [y[root] + z[j] - w[root][j] for j in range(n_cols)]
+        via = [root] * n_cols
+        tree_rows, tree_cols, open_cols = [root], [], list(range(n_cols))
+        while True:
+            i = min(tree_rows, key=y.__getitem__)
+            j = min(open_cols, key=slack.__getitem__, default=-1)
+            release = j < 0 or y[i] <= slack[j]
+            delta = y[i] if release else slack[j]
+            for k in tree_rows:
+                y[k] -= delta
+            for k in tree_cols:
+                z[k] += delta
+            for k in open_cols:
+                slack[k] -= delta
+            if release:
+                if i == root:
+                    break
+                j, col_of[i] = col_of[i], -1
+            elif row_of[j] >= 0:
+                open_cols.remove(j)
+                tree_cols.append(j)
+                i = row_of[j]
+                tree_rows.append(i)
+                for k in open_cols:
+                    s = y[i] + z[k] - w[i][k]
+                    if s < slack[k]:
+                        slack[k], via[k] = s, i
+                continue
+            # Column j is free: flip the tree path from it back to the root.
+            while True:
+                i = via[j]
+                row_of[j] = i
+                col_of[i], j = j, col_of[i]
+                if i == root:
+                    break
+            break
+    return [(i, j) for i, j in enumerate(col_of) if j >= 0]
 
 
 class _Reach(NamedTuple):

@@ -22,6 +22,7 @@ from lidarpost.ensemble import (
     soft_nms,
 )
 from lidarpost.geometry import Box3D, Label, bev_iou
+from lidarpost.io import read_boxes, write_boxes
 from oracles import (
     compensated_sum,
     random_box,
@@ -410,6 +411,27 @@ class TestMergeSources:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             merge_sources([])
+
+    @pytest.mark.parametrize("source_id", [1.5, True, -1, None])
+    def test_a_set_source_id_that_no_box_file_holds_is_refused(self, source_id):
+        """Refused where the set is made, so merge_sources never stamps a
+        box with a source id that read_boxes would refuse."""
+        with pytest.raises(ValueError, match="^source_id must be "):
+            DetectionSet(frame_id="f", boxes=[_box(0, 0, 0.9)], source_id=source_id)
+
+    @settings(max_examples=50, deadline=None)
+    @given(tags=st.lists(st.integers(0, 2**63), min_size=1, max_size=3),
+           own=st.lists(st.none() | st.integers(-2**63, 2**63), min_size=1, max_size=3))
+    def test_merged_source_ids_read_back(self, tmp_path_factory, tags, own):
+        sets = [DetectionSet(frame_id="f", boxes=[_box(10.0 * k, 10.0 * j, 0.5, source_id=b)
+                                                  for j, b in enumerate(own)], source_id=tag)
+                for k, tag in enumerate(tags)]
+        merged = merge_sources(sets)
+        path = tmp_path_factory.mktemp("merged") / "boxes.jsonl"
+        write_boxes([merged], path)
+        assert [b.source_id for b in read_boxes(path)["f"].boxes] == \
+            [b.source_id for b in merged.boxes] == \
+            [tag if b is None else b for tag in tags for b in own]
 
     def test_single_source_is_identity_modulo_tags(self):
         s0 = DetectionSet(frame_id="f", boxes=[_box(0, 0, 0.9)], source_id=7)

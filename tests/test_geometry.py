@@ -271,6 +271,11 @@ SET_MESSAGES = [
     ("timestamp", -_BIG, "timestamp must be within float range"),
     *(("frame_id", value, f"frame_id must be a string, got {value!r}")
       for value in (1, None, 1.5, True, math.nan, ["f"])),
+    # A set's source id stamps its boxes in merge_sources: Box3D's id rule,
+    # and never None, for there is no box id for it to leave as it is.
+    *(("source_id", value, f"source_id must be an integer, got {value!r}")
+      for value in (1.5, True, False, None, "0", math.nan, 1.0)),
+    ("source_id", -1, "source_id must be non-negative, got -1"),
 ]
 # Values at each end of a domain that are taken.
 BOX_EDGES = [

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lidarpost
@@ -82,11 +83,64 @@ def _fresh_import(statement: str, expression: str) -> str:
 
 @pytest.mark.parametrize("package", ["scipy.sparse.csgraph", "scipy.optimize"])
 def test_cli_import_leaves_scipy_csgraph_unloaded(package):
-    """Only track and eval-mot solve an assignment, so only they load
-    scipy.optimize, when they first call hungarian."""
+    """Only hungarian uses scipy.optimize, and only for a matrix with a
+    large overlap component."""
     loaded = _fresh_import("import lidarpost.cli",
                            f"any(m.startswith({package!r}) for m in sys.modules)")
     assert loaded == "False"
+
+
+def _tracking_fixture(folder: Path):
+    """Detections and ground truth of 12 objects over 6 frames, one dropped
+    and one false positive a frame. Objects 0 and 1, and 2 and 3, walk side
+    by side, so that each of their detections overlaps both their tracks."""
+    rng = np.random.default_rng(3)
+    starts = [(0.0, 0.0), (0.0, 0.5), (10.0, 5.0), (10.0, 5.4)]
+    starts += [(20.0 * k, -15.0 + 3.0 * k) for k in range(8)]
+    dets, gts = [], []
+    for t in range(6):
+        frame = {"frame_id": f"t{t}", "timestamp": 0.1 * t, "cz": 0.9, "h": 1.7,
+                 "heading": 0.0, "label": "PEDESTRIAN"}
+        for i, (x, y) in enumerate(starts):
+            x += 0.15 * t
+            gts.append({**frame, "cx": x, "cy": y, "l": 0.8, "w": 0.8, "score": 1.0,
+                        "track_id": i})
+            if i != (5 * t) % len(starts):
+                dx, dy = rng.normal(0.0, 0.05, 2)
+                dets.append({**frame, "cx": x + dx, "cy": y + dy, "l": 0.8, "w": 0.8,
+                             "score": round(float(rng.uniform(0.5, 1.0)), 3)})
+        dets.append({**frame, "cx": 60.0 + t, "cy": 30.0, "l": 0.8, "w": 0.8, "score": 0.4})
+    paths = {name: folder / f"{name}.jsonl" for name in ("dets", "gt")}
+    for name, records in (("dets", dets), ("gt", gts)):
+        paths[name].write_text("".join(json.dumps(r) + "\n" for r in records))
+    return paths
+
+
+def test_track_and_eval_mot_leave_scipy_optimize_unloaded(tmp_path):
+    """Tracker-shaped matrices split into small overlap components, which
+    hungarian matches in NumPy and plain Python: SciPy's import would double
+    the peak memory of a tracking run."""
+    paths = _tracking_fixture(tmp_path)
+    tracks, report = tmp_path / "tracks.jsonl", tmp_path / "mot.txt"
+    loaded = _fresh_import(
+        "from lidarpost import cli, matching; solve = matching._max_weight_matching; "
+        "solved = []; matching._max_weight_matching = lambda w: solved.append(w) or solve(w); "
+        f"codes = [cli.run(['track', '--input', {str(paths['dets'])!r}, "
+        f"'--output', {str(tracks)!r}]), cli.run(['eval-mot', '--tracked', {str(tracks)!r}, "
+        f"'--gt', {str(paths['gt'])!r}, '--output', {str(report)!r}])]",
+        "codes, len(solved) > 0, any(m.startswith('scipy.optimize') for m in sys.modules)")
+    assert loaded.splitlines()[-1] == "[0, 0] True False"
+    assert "MOTA" in report.read_text()
+
+
+def test_a_dense_matrix_still_loads_scipy_optimize():
+    """One component of 300 rows and columns is past the plain Python
+    solver: the whole matrix goes to linear_sum_assignment."""
+    loaded = _fresh_import(
+        "import numpy as np; from lidarpost.matching import hungarian; "
+        "pairs = hungarian(np.random.default_rng(0).uniform(size=(150, 150)))",
+        "len(pairs), any(m.startswith('scipy.optimize') for m in sys.modules)")
+    assert loaded == "150 True"
 
 
 @pytest.mark.parametrize("module, allowed", [

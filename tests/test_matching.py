@@ -1,17 +1,19 @@
 """The single-solve tie-break of lidarpost.matching.hungarian against the
 re-solving reference, the tie-break that sweeps for every row, and
-exhaustive enumeration."""
+exhaustive enumeration; and its solve per overlap component against
+linear_sum_assignment."""
 
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from lidarpost.matching import hungarian
+from lidarpost import matching
+from lidarpost.matching import _SMALL, _max_weight_matching, _solve, hungarian
 from oracles import brute_force_assignment, reference_hungarian, reference_sweep_hungarian
 
 SHAPES = {"tall": (8, 5), "wide": (5, 8), "square": (8, 8)}
@@ -229,3 +231,100 @@ def test_property_complete_optimal_and_equal_to_the_reference(cost):
 @given(_fill_heavy_matrices())
 def test_property_fill_heavy_matrices_equal_the_references(cost):
     assert hungarian(cost) == reference_hungarian(cost) == reference_sweep_hungarian(cost)
+
+
+# IoU values of a block's entries: 0.0 leaves an entry at the 1.0 fill.
+IOUS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 0.9])
+
+
+@st.composite
+def _blocks(draw, max_side, dense_nodes=None):
+    """A shuffled block-diagonal 1 - IoU matrix: blocks of overlaps with
+    equal IoUs, 1 x n and n x 1 blocks among them, 1.0 between blocks, all-1.0
+    rows and columns, and near-ties of 3e-10 steps on the overlaps, or now
+    and then on every entry. With dense_nodes, one block of that many rows
+    and columns overlaps everywhere, so it is one component."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4))
+    if dense_nodes is not None:
+        rows = draw(st.integers(1, dense_nodes - 1))
+        shapes.append((rows, dense_nodes - rows))
+    blocks = []
+    for k, (rows, cols) in enumerate(shapes):
+        iou = draw(arrays(np.float64, (rows, cols), elements=IOUS))
+        if dense_nodes is not None and k == len(shapes) - 1:
+            iou = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([0.5, 0.75])))
+        blocks.append(1.0 - iou)
+    extra_rows, extra_cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    n_rows = sum(b.shape[0] for b in blocks) + extra_rows
+    n_cols = sum(b.shape[1] for b in blocks) + extra_cols
+    assume(0 < min(n_rows, n_cols) and max(n_rows, n_cols) <= max_side)
+    cost = np.ones((n_rows, n_cols))
+    r = c = 0
+    for b in blocks:
+        cost[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    steps = draw(arrays(np.int64, cost.shape, elements=st.integers(0, 2))) * 3e-10
+    if draw(st.integers(0, 3)):
+        cost -= steps * (cost < 1.0)
+    else:  # the fill too: every entry is then below the largest
+        cost += steps
+    return cost[draw(st.permutations(range(n_rows)))][:, draw(st.permutations(range(n_cols)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks(max_side=9))
+def test_property_block_diagonal_matrices_equal_the_reference(cost):
+    assert hungarian(cost) == reference_hungarian(cost)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blocks(max_side=_SMALL + 12, dense_nodes=_SMALL + 1) | _blocks(
+    max_side=_SMALL + 12, dense_nodes=_SMALL))
+def test_property_block_diagonal_matrices_at_the_component_limit(cost):
+    """One component at the limit is solved in plain Python, one above it
+    by linear_sum_assignment; both equal the sweeping reference."""
+    assert hungarian(cost) == reference_sweep_hungarian(cost)
+
+
+@pytest.mark.parametrize("nodes, whole", [(_SMALL, False), (_SMALL + 1, True)])
+def test_only_a_component_above_the_limit_goes_to_scipy(monkeypatch, nodes, whole):
+    solved = []
+    monkeypatch.setattr(matching, "_solve_whole",
+                        lambda square, _f=matching._solve_whole: solved.append(1) or _f(square))
+    rows = nodes // 2
+    cost = np.full((rows + 3, nodes - rows + 2), 1.0)
+    cost[:rows, :nodes - rows] = np.random.default_rng(nodes).uniform(0.1, 0.9, (rows, nodes - rows))
+    cost[rows + 1, -1] = 0.5
+    assert hungarian(cost) == reference_sweep_hungarian(cost)
+    assert bool(solved) is whole
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+              elements=st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.5])))
+def test_property_small_solver_matches_exhaustive_enumeration(weight):
+    pairs = _max_weight_matching(weight.tolist())
+    assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+    assert all(weight[r, c] > 0.0 for r, c in pairs)
+    _, least_cost = brute_force_assignment(-weight)
+    assert sum(weight[r, c] for r, c in pairs) == pytest.approx(-least_cost, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices() | _fill_heavy_matrices() | _blocks(max_side=9), st.randoms())
+def test_property_solve_gives_an_optimum_and_its_reduced_costs(cost, rnd):
+    """The permutation is optimal, and its reduced costs are non-negative,
+    zero on it, and price any other permutation at its extra cost."""
+    n_rows, n_cols = cost.shape
+    n = max(n_rows, n_cols)
+    square = np.zeros((n, n))
+    square[:n_rows, :n_cols] = cost
+    col_of_row, rc = _solve(cost, square)
+    assert sorted(col_of_row.tolist()) == list(range(n))
+    best, tol = _tolerance(square)
+    assert abs(square[np.arange(n), col_of_row].sum() - best) <= tol
+    assert (rc >= 0.0).all() and (rc[np.arange(n), col_of_row] == 0.0).all()
+    other = list(range(n))
+    rnd.shuffle(other)
+    extra = square[np.arange(n), other].sum() - square[np.arange(n), col_of_row].sum()
+    assert rc[np.arange(n), other].sum() == pytest.approx(extra, abs=1e-9)
