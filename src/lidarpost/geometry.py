@@ -255,11 +255,12 @@ class DetectionSet:
     """Ordered detections for one frame, tagged with the producing detector.
 
     Raises:
-        ValueError: if the frame id is not a string, the source id is not a
-            non-negative integer by the rule of Box3D's ids, or the timestamp
-            is not a finite number by the rule of Box3D's numbers: what a box
-            file's reader refuses, so every set that is written reads back,
-            and every box that merge_sources stamps with the source id too.
+        ValueError: if the frame id is not a string, the timestamp is not a
+            finite number by the rule of Box3D's numbers (what a box file's
+            reader refuses, so every set that is written reads back), or the
+            source id is not an int by the rule of Box3D's ids or is
+            negative (so merge_sources stamps boxes only with ids that read
+            back).
     """
 
     frame_id: str

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
@@ -273,6 +273,7 @@ def _blocks(draw, max_side, dense_nodes=None):
 
 @settings(max_examples=300, deadline=None)
 @given(_blocks(max_side=9))
+@example(np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 0.5], [1.0, 1.0, 1.0, 1.0, 1.0, 0.5]]))
 def test_property_block_diagonal_matrices_equal_the_reference(cost):
     assert hungarian(cost) == reference_hungarian(cost)
 
