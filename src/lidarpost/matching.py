@@ -17,9 +17,10 @@ without solving again:
    step; nearly every component of a tracker's matrix is a single pair.
    Every other component is solved exactly in plain Python, by a
    primal-dual search for augmenting paths. Rows and columns left over take
-   the unused columns and rows in index order. A matrix with a component of
-   more than ``_SMALL`` rows and columns is solved whole by SciPy's
-   ``linear_sum_assignment`` instead, and only then is SciPy loaded.
+   the unused columns and rows in index order. A matrix with a component,
+   other than a star, of more than ``_SMALL`` rows and columns is solved
+   whole by SciPy's ``linear_sum_assignment`` instead, and only then is
+   SciPy loaded.
 3. Reduced costs ``c[i, k] - u[i] - p[k]`` are non-negative and those of the
    solution zero, so a matching costs more than the best by exactly the sum
    of its reduced costs. A real row's potential is ``M - y`` and a real
@@ -82,19 +83,22 @@ def _reduced_costs(
     permutation, zero on the permutation's own edges."""
     n = len(col_of_row)
     held = cost[row_of_col, np.arange(n)]
-    exchange = cost[row_of_col] - held[:, None]
+    exchange = cost[row_of_col]
+    exchange -= held[:, None]
+    # From zero potentials the first round is the least exchange into each
+    # column. An optimal permutation leaves no negative cycle, so n rounds
+    # suffice; the cap only guards against one made of rounding error.
+    via = exchange.min(axis=0)
     potential = np.zeros(n)
-    changed = np.arange(n)
-    # An optimal permutation leaves no negative cycle, so n rounds suffice;
-    # the cap only guards against one made of rounding error.
     for _ in range(n):
-        via = (potential[changed, None] + exchange[changed]).min(axis=0)
         better = via < potential
         if not better.any():
             break
         potential = np.minimum(potential, via)
         changed = np.flatnonzero(better)
-    rc = cost - (cost[np.arange(n), col_of_row] - potential[col_of_row])[:, None] - potential
+        via = (potential[changed, None] + exchange[changed]).min(axis=0)
+    rc = cost - (cost[np.arange(n), col_of_row] - potential[col_of_row])[:, None]
+    rc -= potential
     rc[np.arange(n), col_of_row] = 0.0
     return np.maximum(rc, 0.0, out=rc)
 
@@ -145,7 +149,8 @@ def hungarian(cost) -> List[Tuple[int, int]]:
     return list(zip(assigned.tolist(), col_of_row[assigned].tolist()))
 
 
-# A matrix with a component of more rows and columns than this goes to SciPy.
+# A matrix with a component, other than a star, of more rows and columns than
+# this goes to SciPy.
 _SMALL = 32
 
 
@@ -269,9 +274,13 @@ def _match_components(a: np.ndarray, b: np.ndarray,
     n = n_rows + n_cols
     if not a.size:
         return a, a
+    nodes = np.zeros(n, dtype=bool)
+    nodes[a] = nodes[b] = True
     label = np.arange(n)
     while True:
         # Hook the larger label of each edge under the smaller, then flatten.
+        # Each label's nodes lie in one component, so a label with too many
+        # of them settles the answer at once.
         la, lb = label[a], label[b]
         if (la == lb).all():
             break
@@ -281,10 +290,8 @@ def _match_components(a: np.ndarray, b: np.ndarray,
             if (flat == label).all():
                 break
             label = flat
-    nodes = np.zeros(n, dtype=bool)
-    nodes[a] = nodes[b] = True
-    if np.bincount(label[nodes]).max() > _SMALL:
-        return None
+        if np.bincount(label[nodes]).max() > _SMALL:
+            return None
     order = np.argsort(la, kind="stable")
     starts = np.flatnonzero(_starts(la[order])).tolist()
     rows, cols = a[order].tolist(), (b[order] - n_rows).tolist()

@@ -300,6 +300,20 @@ def test_only_a_component_above_the_limit_goes_to_scipy(monkeypatch, nodes, whol
     assert bool(solved) is whole
 
 
+def test_a_star_of_any_size_stays_out_of_scipy(monkeypatch):
+    """A row overlapping 50 columns that nothing else overlaps, and a column
+    overlapped by 40 rows that overlap nothing else, take their best pair
+    without a solve."""
+    solved = []
+    monkeypatch.setattr(matching, "_solve_whole", lambda square: solved.append(square))
+    rng = np.random.default_rng(5)
+    cost = np.ones((45, 60))
+    cost[0, :50] = rng.choice([0.2, 0.4, 0.6], 50)
+    cost[5:, 55] = rng.choice([0.3, 0.5, 0.7], 40)
+    assert hungarian(cost) == reference_sweep_hungarian(cost)
+    assert not solved
+
+
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
               elements=st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.5])))
