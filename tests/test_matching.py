@@ -243,17 +243,17 @@ def _blocks(draw, max_side, dense_nodes=None):
     equal IoUs, 1 x n and n x 1 blocks among them, 1.0 between blocks, all-1.0
     rows and columns, and near-ties of 3e-10 steps on the overlaps, or now
     and then on every entry. With dense_nodes, one block of that many rows
-    and columns overlaps everywhere, so it is one component."""
+    and columns, at least two of each, overlaps everywhere, so it is one
+    component and not a star."""
     shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4))
     if dense_nodes is not None:
-        rows = draw(st.integers(1, dense_nodes - 1))
+        rows = draw(st.integers(2, dense_nodes - 2))
         shapes.append((rows, dense_nodes - rows))
     blocks = []
     for k, (rows, cols) in enumerate(shapes):
-        iou = draw(arrays(np.float64, (rows, cols), elements=IOUS))
-        if dense_nodes is not None and k == len(shapes) - 1:
-            iou = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([0.5, 0.75])))
-        blocks.append(1.0 - iou)
+        dense = dense_nodes is not None and k == len(shapes) - 1
+        ious = st.sampled_from([0.5, 0.75]) if dense else IOUS
+        blocks.append(1.0 - draw(arrays(np.float64, (rows, cols), elements=ious)))
     extra_rows, extra_cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     n_rows = sum(b.shape[0] for b in blocks) + extra_rows
     n_cols = sum(b.shape[1] for b in blocks) + extra_cols
