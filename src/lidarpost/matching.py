@@ -12,26 +12,25 @@ without solving again:
    a dummy pair costs 0. So a matching is optimal exactly when its pairs
    below ``M`` form a maximum-weight matching of the edges ``c < M``,
    weighted ``M - c``, and such a matching is one per connected component.
-   A row whose columns overlap no other row (a star) takes its best column,
-   as does a column whose rows overlap no other column, all in one array
-   step; nearly every component of a tracker's matrix is a single pair.
-   Every other component is solved exactly in plain Python, by a
-   primal-dual search for augmenting paths. Rows and columns left over take
-   the unused columns and rows in index order. A matrix with a component,
-   other than a star, of more than ``_SMALL`` rows and columns is solved
-   whole by SciPy's ``linear_sum_assignment`` instead, and only then is
-   SciPy loaded.
+   An edge alone in its component is matched, all in one array step; nearly
+   every component of a tracker's matrix is such a pair. Every other
+   component is solved exactly in plain Python, by a primal-dual search for
+   augmenting paths. Rows and columns left over take the unused columns and
+   rows in index order. A matrix with a component of more than ``_SMALL``
+   rows and columns is solved whole by SciPy's ``linear_sum_assignment``
+   instead, and only then is SciPy loaded. The limit is where SciPy's
+   solve, once loaded, becomes the faster of the two on a tracker-sized
+   matrix; a tracker's components stay below it outside dense crowds.
 3. Reduced costs ``c[i, k] - u[i] - p[k]`` are non-negative and those of the
    solution zero, so a matching costs more than the best by exactly the sum
    of its reduced costs. A real row's potential is ``M - y`` and a real
-   column's ``-z``, for component duals ``y + z >= M - c``, equal on each
-   matched pair and zero where unmatched; a dummy row's is 0 and a dummy
-   column's ``-M``. The least ``y`` and the least ``z`` are longest-path
-   fixpoints over the edges, and each pair takes the duals halfway between,
-   so that few reduced costs are zero that need not be. After SciPy's solve
-   the potentials are shortest-path distances in the column-exchange graph,
-   whose edge ``j -> k`` costs ``c[m(j), k] - c[m(j), j]`` for the row
-   ``m(j)`` on column ``j`` (Bellman-Ford on dense arrays).
+   column's ``-z``, for the component solver's duals ``y + z >= M - c``,
+   equal on each matched pair and zero where unmatched (``y = z`` on an
+   edge alone); a dummy row's is 0 and a dummy column's ``-M``. After
+   SciPy's solve the potentials are shortest-path distances in the
+   column-exchange graph, whose edge ``j -> k`` costs ``c[m(j), k] -
+   c[m(j), j]`` for the row ``m(j)`` on column ``j`` (Bellman-Ford on dense
+   arrays).
 4. Rows are fixed in order. For row ``r`` on column ``t``, one reverse
    shortest-path sweep over the rows not yet fixed gives, for each column
    ``j``, the least reduced cost ``D[j]`` of moving rows along an
@@ -149,9 +148,10 @@ def hungarian(cost) -> List[Tuple[int, int]]:
     return list(zip(assigned.tolist(), col_of_row[assigned].tolist()))
 
 
-# A matrix with a component, other than a star, of more rows and columns than
-# this goes to SciPy.
-_SMALL = 32
+# A matrix with a component of more rows and columns than this goes whole to
+# SciPy. With SciPy loaded, a 108 x 90 tracker matrix with one component of
+# about ten nodes is solved as fast either way, and past that SciPy is faster.
+_SMALL = 10
 
 
 def _solve(cost: np.ndarray, square: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -160,43 +160,30 @@ def _solve(cost: np.ndarray, square: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     n_rows, n_cols = cost.shape
     n = len(square)
     top = cost.max()
-    weight = top - cost
-    r_e, c_e = np.divmod(np.flatnonzero(weight > 0.0), n_cols)
-    # A row whose columns overlap no other row is a star and takes its best
-    # column; so does a column whose rows overlap no other column. Each other
-    # component is solved alone.
-    row_deg = np.bincount(r_e, minlength=n_rows)
-    col_deg = np.bincount(c_e, minlength=n_cols)
-    row_star = np.bincount(r_e, col_deg[c_e] > 1, n_rows)[r_e] == 0
-    col_star = ~row_star & (np.bincount(c_e, row_deg[r_e] > 1, n_cols)[c_e] == 0)
-    rest = np.flatnonzero(~(row_star | col_star))
-    a, b = r_e[rest], c_e[rest] + n_rows
-    matched = _match_components(a, b, weight)
-    if matched is None:
+    edges = np.flatnonzero(cost < top)
+    # A small component of a rows and b columns has fewer than
+    # _SMALL * min(a, b) edges, so a matrix with _SMALL * min(n_rows, n_cols)
+    # edges has a large one. So has a matrix with an edge whose row's columns
+    # and column's rows, all in its component, number more than _SMALL.
+    if edges.size >= _SMALL * min(n_rows, n_cols):
         return _solve_whole(square)
-    rows, cols = matched
-    col_of_row = np.full(n, -1, dtype=np.intp)
-    col_of_row[rows] = cols
-    w_e = weight[r_e, c_e]
-    # Duals y of the rows and z of the columns: y[i] + z[k] >= weight[i, k],
-    # equal on each matched pair, zero where unmatched. Each pair takes the
-    # duals halfway between the least y and the least z, so that both are
-    # positive wherever some optimal duals make them so. A star's centre has
-    # its next best weight as least dual, and its leaf zero.
+    r_e, c_e = np.divmod(edges, n_cols)
+    row_deg = np.bincount(r_e, minlength=n_rows)[r_e]
+    col_deg = np.bincount(c_e, minlength=n_cols)[c_e]
+    if edges.size and (row_deg + col_deg).max() > _SMALL:
+        return _solve_whole(square)
+    # Duals y of the rows and z of the columns for the weights top - cost:
+    # y[i] + z[k] >= top - cost[i, k], equal on each matched pair, zero where
+    # unmatched. An edge alone in its component is matched, and half its
+    # weight is each end's dual.
     y, z = np.zeros(n_rows), np.zeros(n_cols)
-    for star, centre, leaf, centre_dual, leaf_dual in ((row_star, r_e, c_e, y, z),
-                                                       (col_star, c_e, r_e, z, y)):
-        e = np.flatnonzero(star)
-        best, runner_up = _best_per(centre[e], w_e[e], n)
-        e = e[best]
-        col_of_row[r_e[e]] = c_e[e]
-        centre_dual[centre[e]] = 0.5 * (w_e[e] + runner_up[centre[e]])
-        leaf_dual[leaf[e]] = 0.5 * (w_e[e] - runner_up[centre[e]])
-    if rest.size:
-        held_w = weight[rows, cols]
-        low = _least_duals(a, b, w_e[rest], rows, cols + n_rows, held_w)
-        y[rows] = 0.5 * (low[rows] + held_w - low[cols + n_rows])
-        z[cols] = held_w - y[rows]
+    col_of_row = np.full(n, -1, dtype=np.intp)
+    alone = (row_deg == 1) & (col_deg == 1)
+    rows, cols = r_e[alone], c_e[alone]
+    col_of_row[rows] = cols
+    y[rows] = z[cols] = 0.5 * (top - cost[rows, cols])
+    if not _match_components(r_e[~alone], c_e[~alone], cost, top, col_of_row, y, z):
+        return _solve_whole(square)
     # Rows left unmatched, dummy rows included, take the unused columns.
     used = np.zeros(n, dtype=bool)
     used[col_of_row[col_of_row >= 0]] = True
@@ -223,60 +210,19 @@ def _solve_whole(square: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return col_of_row, _reduced_costs(square, col_of_row, row_of_col)
 
 
-def _least_duals(a: np.ndarray, b: np.ndarray, w: np.ndarray, rows: np.ndarray,
-                 cols: np.ndarray, held_w: np.ndarray) -> np.ndarray:
-    """The least dual of each node, columns numbered after the rows, for the
-    edges a[e] - b[e] of weight w[e] and their maximum-weight matching
-    rows[k] - cols[k]: a node's least dual when each node across the
-    matching takes the rest of its pair's weight. Both sides are one
-    longest-path fixpoint over the edges, reached from zero."""
-    src, dst, w = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w))
-    held, mate = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-    held_w = np.concatenate((held_w, held_w))
-    n = int(b.max()) + 1
-    low, far = np.zeros(n), np.zeros(n)
-    # An optimal matching leaves no positive cycle, so n rounds suffice; the
-    # cap only guards against one made of rounding error.
-    for _ in range(n):
-        far[held] = held_w - low[mate]
-        best = np.zeros(n)
-        np.maximum.at(best, src, w - far[dst])
-        if (best == low).all():
-            break
-        low = best
-    return low
-
-
-def _starts(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal sorted keys starts."""
-    start = np.ones(len(keys), dtype=bool)
-    start[1:] = keys[1:] != keys[:-1]
-    return start
-
-
-def _best_per(group: np.ndarray, w: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Index of the largest w of each group, the first of equals, and the
-    largest of the rest of each group (zero if none), indexed by group."""
-    order = np.lexsort((-w, group))
-    group = group[order]
-    first = _starts(group)
-    runner_up = np.zeros(size)
-    np.maximum.at(runner_up, group[~first], w[order[~first]])
-    return order[first], runner_up
-
-
-def _match_components(a: np.ndarray, b: np.ndarray,
-                      weight: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The rows and columns of a maximum-weight matching of the edges
-    a[e] - b[e], columns numbered after the rows, solved per connected
-    component; None if a component has more than _SMALL rows and columns."""
-    n_rows, n_cols = weight.shape
-    n = n_rows + n_cols
-    if not a.size:
-        return a, a
-    nodes = np.zeros(n, dtype=bool)
+def _match_components(r_e: np.ndarray, c_e: np.ndarray, cost: np.ndarray, top: float,
+                      col_of_row: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
+    """Match the edges r_e[e] - c_e[e], weighted top - cost, one connected
+    component at a time, into col_of_row and the duals y and z; False, with
+    nothing written, if a component has more than _SMALL rows and columns."""
+    if not r_e.size:
+        return True
+    n_rows, n_cols = cost.shape
+    # Columns are numbered after the rows.
+    a, b = r_e, c_e + n_rows
+    nodes = np.zeros(n_rows + n_cols, dtype=bool)
     nodes[a] = nodes[b] = True
-    label = np.arange(n)
+    label = np.arange(n_rows + n_cols)
     while True:
         # Hook the larger label of each edge under the smaller, then flatten.
         # Each label's nodes lie in one component, so a label with too many
@@ -291,28 +237,41 @@ def _match_components(a: np.ndarray, b: np.ndarray,
                 break
             label = flat
         if np.bincount(label[nodes]).max() > _SMALL:
-            return None
+            return False
     order = np.argsort(la, kind="stable")
-    starts = np.flatnonzero(_starts(la[order])).tolist()
-    rows, cols = a[order].tolist(), (b[order] - n_rows).tolist()
-    out_rows: List[int] = []
-    out_cols: List[int] = []
-    for lo, hi in zip(starts, starts[1:] + [len(rows)]):
-        comp_rows, comp_cols = sorted(set(rows[lo:hi])), sorted(set(cols[lo:hi]))
-        sub = [[weight.item(r, c) for c in comp_cols] for r in comp_rows]
-        for i, j in _max_weight_matching(sub):
-            out_rows.append(comp_rows[i])
-            out_cols.append(comp_cols[j])
-    return np.array(out_rows, dtype=np.intp), np.array(out_cols, dtype=np.intp)
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = la[order[1:]] != la[order[:-1]]
+    starts = np.flatnonzero(start).tolist()
+    edge_rows, edge_cols = r_e[order].tolist(), c_e[order].tolist()
+    rows: List[int] = []
+    cols: List[int] = []
+    held: List[int] = []
+    row_duals: List[float] = []
+    col_duals: List[float] = []
+    for lo, hi in zip(starts, starts[1:] + [len(order)]):
+        comp_rows, comp_cols = sorted(set(edge_rows[lo:hi])), sorted(set(edge_cols[lo:hi]))
+        sub = [[top - cost.item(r, c) for c in comp_cols] for r in comp_rows]
+        col_of, comp_y, comp_z = _max_weight_matching(sub)
+        rows += comp_rows
+        cols += comp_cols
+        held += [comp_cols[j] if j >= 0 else -1 for j in col_of]
+        row_duals += comp_y
+        col_duals += comp_z
+    col_of_row[rows] = held
+    y[rows] = row_duals
+    z[cols] = col_duals
+    return True
 
 
-def _max_weight_matching(w: List[List[float]]) -> List[Tuple[int, int]]:
-    """The pairs of a maximum-weight matching of a small non-negative weight
-    matrix, each of positive weight.
+def _max_weight_matching(w: List[List[float]]) -> Tuple[List[int], List[float], List[float]]:
+    """A maximum-weight matching of a small non-negative weight matrix, as
+    the column of each row (-1 if none, and no pair of zero weight), with
+    duals y, z: y[i] + z[j] >= w[i][j], equal on each matched pair, zero at
+    an unmatched row or column.
 
-    Each row in turn grows a tree of edges tight under duals y[i] + z[j] >=
-    w[i][j], until it reaches a free column or a row of the tree runs out of
-    dual, which then gives up its column.
+    Each row in turn grows a tree of edges tight under the duals, until it
+    reaches a free column or a row of the tree runs out of dual, which then
+    gives up its column.
     """
     n_rows, n_cols = len(w), len(w[0])
     y = [max(row) for row in w]
@@ -356,7 +315,7 @@ def _max_weight_matching(w: List[List[float]]) -> List[Tuple[int, int]]:
                 if i == root:
                     break
             break
-    return [(i, j) for i, j in enumerate(col_of) if j >= 0]
+    return col_of, y, z
 
 
 class _Reach(NamedTuple):

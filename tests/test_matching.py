@@ -237,23 +237,36 @@ def test_property_fill_heavy_matrices_equal_the_references(cost):
 IOUS = st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 0.9])
 
 
+def _path_block(rows, cols):
+    """Overlaps (i, i) and (i + 1, i): one component of rows + cols nodes in
+    a path, no node with more than two overlaps (cols is rows or rows - 1)."""
+    overlap = np.zeros((rows, cols), dtype=bool)
+    overlap[np.arange(cols), np.arange(cols)] = True
+    overlap[np.arange(1, min(rows, cols + 1)), np.arange(min(rows - 1, cols))] = True
+    return overlap
+
+
 @st.composite
-def _blocks(draw, max_side, dense_nodes=None):
+def _blocks(draw, max_side, big_nodes=None):
     """A shuffled block-diagonal 1 - IoU matrix: blocks of overlaps with
     equal IoUs, 1 x n and n x 1 blocks among them, 1.0 between blocks, all-1.0
     rows and columns, and near-ties of 3e-10 steps on the overlaps, or now
-    and then on every entry. With dense_nodes, one block of that many rows
-    and columns, at least two of each, overlaps everywhere, so it is one
-    component and not a star."""
+    and then on every entry. With big_nodes, one more block is a single
+    component of that many rows and columns: either every entry overlaps, or
+    the overlaps form a path, whose nodes have too few overlaps to show its
+    size before it is labelled."""
     shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=4))
-    if dense_nodes is not None:
-        rows = draw(st.integers(2, dense_nodes - 2))
-        shapes.append((rows, dense_nodes - rows))
     blocks = []
-    for k, (rows, cols) in enumerate(shapes):
-        dense = dense_nodes is not None and k == len(shapes) - 1
-        ious = st.sampled_from([0.5, 0.75]) if dense else IOUS
-        blocks.append(1.0 - draw(arrays(np.float64, (rows, cols), elements=ious)))
+    for rows, cols in shapes:
+        blocks.append(1.0 - draw(arrays(np.float64, (rows, cols), elements=IOUS)))
+    if big_nodes is not None:
+        if draw(st.booleans()):
+            rows = draw(st.integers(2, big_nodes - 2))
+            overlap = np.ones((rows, big_nodes - rows), dtype=bool)
+        else:
+            overlap = _path_block((big_nodes + 1) // 2, big_nodes // 2)
+        ious = draw(arrays(np.float64, overlap.shape, elements=st.sampled_from([0.25, 0.5, 0.75])))
+        blocks.append(1.0 - ious * overlap)
     extra_rows, extra_cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     n_rows = sum(b.shape[0] for b in blocks) + extra_rows
     n_cols = sum(b.shape[1] for b in blocks) + extra_cols
@@ -278,51 +291,54 @@ def test_property_block_diagonal_matrices_equal_the_reference(cost):
     assert hungarian(cost) == reference_hungarian(cost)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_blocks(max_side=_SMALL + 12, dense_nodes=_SMALL + 1) | _blocks(
-    max_side=_SMALL + 12, dense_nodes=_SMALL))
+@settings(max_examples=100, deadline=None)
+@given(_blocks(max_side=_SMALL + 12, big_nodes=_SMALL + 1) | _blocks(
+    max_side=_SMALL + 12, big_nodes=_SMALL))
 def test_property_block_diagonal_matrices_at_the_component_limit(cost):
     """One component at the limit is solved in plain Python, one above it
-    by linear_sum_assignment; both equal the sweeping reference."""
-    assert hungarian(cost) == reference_sweep_hungarian(cost)
+    by linear_sum_assignment; both equal the re-solving reference."""
+    assert hungarian(cost) == reference_hungarian(cost)
 
 
+@pytest.mark.parametrize("shape", ["dense", "path"])
 @pytest.mark.parametrize("nodes, whole", [(_SMALL, False), (_SMALL + 1, True)])
-def test_only_a_component_above_the_limit_goes_to_scipy(monkeypatch, nodes, whole):
+def test_only_a_component_above_the_limit_goes_to_scipy(monkeypatch, shape, nodes, whole):
+    """A dense component shows its size by its overlap counts, a path only
+    once it is labelled."""
     solved = []
     monkeypatch.setattr(matching, "_solve_whole",
                         lambda square, _f=matching._solve_whole: solved.append(1) or _f(square))
-    rows = nodes // 2
+    rows = (nodes + 1) // 2
+    overlap = np.ones((rows, nodes - rows), dtype=bool) if shape == "dense" else _path_block(
+        rows, nodes - rows)
     cost = np.full((rows + 3, nodes - rows + 2), 1.0)
-    cost[:rows, :nodes - rows] = np.random.default_rng(nodes).uniform(0.1, 0.9, (rows, nodes - rows))
+    cost[:rows, :nodes - rows] = np.where(
+        overlap, np.random.default_rng(nodes).uniform(0.1, 0.9, overlap.shape), 1.0)
     cost[rows + 1, -1] = 0.5
     assert hungarian(cost) == reference_sweep_hungarian(cost)
     assert bool(solved) is whole
-
-
-def test_a_star_of_any_size_stays_out_of_scipy(monkeypatch):
-    """A row overlapping 50 columns that nothing else overlaps, and a column
-    overlapped by 40 rows that overlap nothing else, take their best pair
-    without a solve."""
-    solved = []
-    monkeypatch.setattr(matching, "_solve_whole", lambda square: solved.append(square))
-    rng = np.random.default_rng(5)
-    cost = np.ones((45, 60))
-    cost[0, :50] = rng.choice([0.2, 0.4, 0.6], 50)
-    cost[5:, 55] = rng.choice([0.3, 0.5, 0.7], 40)
-    assert hungarian(cost) == reference_sweep_hungarian(cost)
-    assert not solved
 
 
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
               elements=st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 2.5])))
 def test_property_small_solver_matches_exhaustive_enumeration(weight):
-    pairs = _max_weight_matching(weight.tolist())
-    assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+    """The matching has the largest weight, and its duals cover every
+    weight, are tight on each pair and zero where a row or column is free."""
+    col_of, y, z = _max_weight_matching(weight.tolist())
+    pairs = [(r, c) for r, c in enumerate(col_of) if c >= 0]
+    assert len({c for _, c in pairs}) == len(pairs)
     assert all(weight[r, c] > 0.0 for r, c in pairs)
     _, least_cost = brute_force_assignment(-weight)
     assert sum(weight[r, c] for r, c in pairs) == pytest.approx(-least_cost, abs=1e-12)
+    y, z = np.array(y), np.array(z)
+    assert (y >= 0.0).all() and (z >= 0.0).all()
+    assert (y[:, None] + z >= weight - 1e-12).all()
+    for r, c in pairs:
+        assert y[r] + z[c] == pytest.approx(weight[r, c], abs=1e-12)
+    matched_cols = {c for _, c in pairs}
+    assert all(y[r] == 0.0 for r, c in enumerate(col_of) if c < 0)
+    assert all(z[c] == 0.0 for c in range(len(z)) if c not in matched_cols)
 
 
 @settings(max_examples=300, deadline=None)
