@@ -13,14 +13,15 @@ without solving again:
    below ``M`` form a maximum-weight matching of the edges ``c < M``,
    weighted ``M - c``, and such a matching is one per connected component.
    An edge alone in its component is matched, all in one array step; nearly
-   every component of a tracker's matrix is such a pair. Every other
-   component is solved exactly in plain Python, by a primal-dual search for
-   augmenting paths. Rows and columns left over take the unused columns and
-   rows in index order. A matrix with a component of more than ``_SMALL``
-   rows and columns is solved whole by SciPy's ``linear_sum_assignment``
-   instead, and only then is SciPy loaded. The limit is where SciPy's
-   solve, once loaded, becomes the faster of the two on a tracker-sized
-   matrix; a tracker's components stay below it outside dense crowds.
+   every component of a tracker's matrix is such a pair. The other
+   components are found by a breadth-first traversal and each is solved
+   exactly in plain Python, by a primal-dual search for augmenting paths.
+   Rows and columns left over take the unused columns and rows in index
+   order. A matrix with a component of more than ``_SMALL`` rows and
+   columns is solved whole by SciPy's ``linear_sum_assignment`` instead,
+   and only then is SciPy loaded. The limit is where SciPy's solve, once
+   loaded, becomes the faster of the two on a tracker-sized matrix; a
+   tracker's components stay below it outside dense crowds.
 3. Reduced costs ``c[i, k] - u[i] - p[k]`` are non-negative and those of the
    solution zero, so a matching costs more than the best by exactly the sum
    of its reduced costs. A real row's potential is ``M - y`` and a real
@@ -59,18 +60,14 @@ Most rows need no sweep, and each skip below leaves the result as it is:
   once one of them is left unassigned so is every later one: swapping two
   of them changes no total. A row searches only above the column that the
   last row with its costs took.
-- A row on a dummy column starts from the last sweep toward a dummy column.
-  Dummy columns are alike, and fixing rows only takes paths away, so that
-  sweep's ``D`` is a lower bound checked against the budget it was made
-  with: a column that fails it cannot be taken. If the smallest column that
-  passes has a zero-cost path there whose rows still hold the same columns,
-  no path is shorter, so the row rotates along it without a sweep. A shift
-  of the potentials discards the kept sweep.
+
+A row that passes them sweeps only if a later row holds a column in its
+range that the row itself reaches within budget.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -111,17 +108,26 @@ def hungarian(cost) -> List[Tuple[int, int]]:
     1e-9 * max(1, |best total|) of the best. Result pairs are sorted by row.
 
     Raises:
-        ValueError: if the matrix is not 2-D or contains non-finite entries.
+        ValueError: if the matrix is not 2-D, contains non-finite entries, or
+            spans too wide a range: ``n * (max(hi, 0) - min(lo, 0))`` is not
+            finite, for n its larger side and hi, lo its largest and smallest
+            entries.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
         return []
     if cost.ndim != 2:
         raise ValueError(f"cost must be a 2-D matrix, got shape {cost.shape}")
-    if not np.isfinite(cost).all():
+    hi, lo = float(cost.max()), float(cost.min())
+    if not -np.inf < lo <= hi < np.inf:  # a NaN fails every comparison
         raise ValueError("cost matrix entries must be finite")
     n_rows, n_cols = cost.shape
     n = max(n_rows, n_cols)
+    # Every total, potential, reduced cost and path length of the solve is a
+    # sum of at most n differences of entries, a total's taken from zero, so
+    # none overflows while n times the span of the entries and zero is finite.
+    if not n * (max(hi, 0.0) - min(lo, 0.0)) < np.inf:
+        raise ValueError("cost matrix entries span too wide a range to solve")
     square = np.zeros((n, n))
     square[:n_rows, :n_cols] = cost
     col_of_row, rc = _solve(cost, square)
@@ -215,51 +221,33 @@ def _match_components(r_e: np.ndarray, c_e: np.ndarray, cost: np.ndarray, top: f
     """Match the edges r_e[e] - c_e[e], weighted top - cost, one connected
     component at a time, into col_of_row and the duals y and z; False, with
     nothing written, if a component has more than _SMALL rows and columns."""
-    if not r_e.size:
-        return True
-    n_rows, n_cols = cost.shape
+    n_rows = cost.shape[0]
     # Columns are numbered after the rows.
-    a, b = r_e, c_e + n_rows
-    nodes = np.zeros(n_rows + n_cols, dtype=bool)
-    nodes[a] = nodes[b] = True
-    label = np.arange(n_rows + n_cols)
-    while True:
-        # Hook the larger label of each edge under the smaller, then flatten.
-        # Each label's nodes lie in one component, so a label with too many
-        # of them settles the answer at once.
-        la, lb = label[a], label[b]
-        if (la == lb).all():
-            break
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            flat = label[label]
-            if (flat == label).all():
-                break
-            label = flat
-        if np.bincount(label[nodes]).max() > _SMALL:
-            return False
-    order = np.argsort(la, kind="stable")
-    start = np.ones(len(order), dtype=bool)
-    start[1:] = la[order[1:]] != la[order[:-1]]
-    starts = np.flatnonzero(start).tolist()
-    edge_rows, edge_cols = r_e[order].tolist(), c_e[order].tolist()
-    rows: List[int] = []
-    cols: List[int] = []
-    held: List[int] = []
-    row_duals: List[float] = []
-    col_duals: List[float] = []
-    for lo, hi in zip(starts, starts[1:] + [len(order)]):
-        comp_rows, comp_cols = sorted(set(edge_rows[lo:hi])), sorted(set(edge_cols[lo:hi]))
-        sub = [[top - cost.item(r, c) for c in comp_cols] for r in comp_rows]
-        col_of, comp_y, comp_z = _max_weight_matching(sub)
-        rows += comp_rows
-        cols += comp_cols
-        held += [comp_cols[j] if j >= 0 else -1 for j in col_of]
-        row_duals += comp_y
-        col_duals += comp_z
-    col_of_row[rows] = held
-    y[rows] = row_duals
-    z[cols] = col_duals
+    adjacent: Dict[int, List[int]] = {}
+    for a, b in zip(r_e.tolist(), (c_e + n_rows).tolist()):
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    components: List[List[int]] = []
+    seen = set()
+    for root in adjacent:
+        if root in seen:
+            continue
+        seen.add(root)
+        component = [root]
+        for node in component:  # grows while it is read: breadth first
+            for other in adjacent[node]:
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
+            if len(component) > _SMALL:
+                return False
+        components.append(sorted(component))
+    for component in components:
+        rows = [v for v in component if v < n_rows]
+        cols = [v - n_rows for v in component if v >= n_rows]
+        col_of, y[rows], z[cols] = _max_weight_matching(
+            [[top - cost.item(r, c) for c in cols] for r in rows])
+        col_of_row[rows] = [cols[j] if j >= 0 else -1 for j in col_of]
     return True
 
 
@@ -318,19 +306,9 @@ def _max_weight_matching(w: List[List[float]]) -> Tuple[List[int], List[float], 
     return col_of, y, z
 
 
-class _Reach(NamedTuple):
-    """One sweep toward a dummy column: its distances, its paths, who held
-    each column then, and the budget it was made with."""
-
-    dist: np.ndarray
-    toward: np.ndarray
-    holders: np.ndarray
-    budget: float
-
-
 class _RowFixer:
     """The tie-break's state while rows are fixed in order: reduced costs,
-    the matching, the budget left and the last sweep toward a dummy column."""
+    the matching and the budget left."""
 
     def __init__(self, rc, col_of_row, row_of_col, n_rows, n_cols, budget):
         self.rc = rc
@@ -339,7 +317,6 @@ class _RowFixer:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.budget = budget
-        self.reach: Optional[_Reach] = None
         self._find_first_tight()
 
     def _find_first_tight(self) -> None:
@@ -352,24 +329,9 @@ class _RowFixer:
         """Move row r, on column t, to the smallest column in [lo, lim) it
         can take within the budget, if there is one."""
         rc, row_of_col = self.rc, self.row_of_col
-        reach = self.reach if t >= self.n_cols else None
-        if reach is None:
-            bound = rc[r, lo:lim] <= self.budget
-        else:
-            bound = rc[r, lo:lim] + reach.dist[lo:lim] <= reach.budget
-        candidates = (row_of_col[lo:lim] > r) & bound
-        c = lo + int(candidates.argmax())
-        if not candidates[c - lo]:
+        if not ((row_of_col[lo:lim] > r) & (rc[r, lo:lim] <= self.budget)).any():
             return
-        if reach is not None and reach.dist[c] == 0.0 and rc[r, c] <= self.budget:
-            path = self._intact_path(reach, c, r)
-            if path is not None:
-                self.budget -= float(rc[r, c])
-                self._rotate(r, path + [t])
-                return
         dist, toward = _paths_to(rc, row_of_col, r, t, self.budget)
-        if t >= self.n_cols:
-            self.reach = _Reach(dist, toward, row_of_col.copy(), self.budget)
         fits = rc[r, lo:lim] + dist[lo:lim] <= self.budget
         c = lo + int(fits.argmax())
         if not fits[c - lo]:
@@ -390,20 +352,7 @@ class _RowFixer:
         self._rotate(r, path)
         if shifted:
             rc[np.arange(r + 1, len(rc)), self.col_of_row[r + 1:]] = 0.0
-            self.reach = None
             self._find_first_tight()
-
-    def _intact_path(self, reach: _Reach, c: int, r: int) -> Optional[List[int]]:
-        """The real columns of reach's zero path from c, if rows after r
-        still hold each of them as they did then; None otherwise."""
-        path = []
-        while c < self.n_cols:
-            holder = reach.holders[c]
-            if holder <= r or self.row_of_col[c] != holder:
-                return None
-            path.append(c)
-            c = int(reach.toward[c])
-        return path
 
     def _rotate(self, r: int, path: List[int]) -> None:
         # r takes path[0], and the row on each column takes the next one.

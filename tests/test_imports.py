@@ -17,6 +17,7 @@ from lidarpost import cli, matching, metrics, tracker
 
 PACKAGE_DIR = Path(lidarpost.__file__).parent
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 LAYERS = {"assigner", "ensemble", "io", "metrics", "tracker"}
 NEUTRAL = {"geometry", "matching", "pointcloud", "schema"}
 
@@ -131,6 +132,39 @@ def test_track_and_eval_mot_leave_scipy_optimize_unloaded(tmp_path):
         "codes, len(solved) > 0, any(m.startswith('scipy.optimize') for m in sys.modules)")
     assert loaded.splitlines()[-1] == "[0, 0] True False"
     assert "MOTA" in report.read_text()
+
+
+# Runs the benchmark's track workload: its inputs, from perfbench/gen.py (the
+# first argument) into a folder (the second), then the three segments' track
+# and eval-mot commands.
+BENCHMARK_TRACK = """
+import importlib.util, sys
+from lidarpost import cli
+spec = importlib.util.spec_from_file_location("perfbench_gen", sys.argv[1])
+gen = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = gen  # its dataclasses look it up
+spec.loader.exec_module(gen)
+out = sys.argv[2]
+files = gen.generate("track", 0, out)["files"]
+codes = []
+for k in range(3):
+    tracks = f"{out}/tracks_{k}.jsonl"
+    codes.append(cli.run(["track", "--input", files[f"dets{k}"], "--output", tracks]))
+    codes.append(cli.run(["eval-mot", "--tracked", tracks, "--gt", files[f"gt{k}"],
+                          "--output", f"{out}/mot_{k}.txt"]))
+print(codes, any(m.startswith("scipy.optimize") for m in sys.modules))
+"""
+
+
+def test_the_benchmark_track_workload_leaves_scipy_optimize_unloaded(tmp_path):
+    """The seed-0 track workload that the benchmark runs, 150 objects over
+    three segments, splits into overlap components small enough for the
+    plain Python solver at every frame of track and eval-mot."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", BENCHMARK_TRACK, str(GEN_PATH), str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
+    assert all("MOTA" in (tmp_path / f"mot_{k}.txt").read_text() for k in range(3))
 
 
 def test_a_dense_matrix_still_loads_scipy_optimize():

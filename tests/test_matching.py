@@ -3,7 +3,12 @@ re-solving reference, the tie-break that sweeps for every row, and
 exhaustive enumeration; and its solve per overlap component against
 linear_sum_assignment."""
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from lidarpost import matching
-from lidarpost.matching import _SMALL, _max_weight_matching, _solve, hungarian
+from lidarpost.matching import _SMALL, _match_components, _max_weight_matching, _solve, hungarian
 from oracles import brute_force_assignment, reference_hungarian, reference_sweep_hungarian
 
 SHAPES = {"tall": (8, 5), "wide": (5, 8), "square": (8, 8)}
@@ -64,6 +69,62 @@ def test_a_cost_array_that_is_not_2d_is_refused():
     with pytest.raises(ValueError) as refused:
         hungarian(np.zeros((2, 2, 2)))
     assert str(refused.value) == "cost must be a 2-D matrix, got shape (2, 2, 2)"
+
+
+def _hungarian_in_fresh_interpreter(matrices):
+    """hungarian's pairs, or its ValueError's message, for each matrix, in a
+    new interpreter that is stopped after 30 s: a solve that overflows can
+    loop without end."""
+    script = ("import json, sys\n"
+              "from lidarpost.matching import hungarian\n"
+              "for cost in json.loads(sys.argv[1]):\n"
+              "    try:\n"
+              "        print(json.dumps(hungarian(cost)))\n"
+              "    except ValueError as error:\n"
+              "        print(json.dumps(str(error)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(matching.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(matrices)], capture_output=True,
+                         text=True, check=True, env=env, timeout=30)
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+SPAN_REFUSED = "cost matrix entries span too wide a range to solve"
+
+
+def test_a_matrix_whose_solve_would_overflow_is_refused():
+    """Finite entries whose differences, or whose sums of n differences,
+    overflow: left to the solve, the first two never return, the third
+    returns a pair without a column and the fourth a matching costing 3e308
+    where one costs 2.8e308."""
+    big = 8e307
+    matrices = [[[1e308, -1e308], [-1e308, 1e308]],
+                [[-big, -big, -big], [-big, 0.0, -big], [-big, -big, -big]],
+                [[0.0, 0.0, big, 0.0], [-big, -big, -big, big], [0.0, big, big, -big],
+                 [-big, -big, big, big]],
+                [[1.5e308, 1.4e308], [1.4e308, 1.5e308]]]
+    assert _hungarian_in_fresh_interpreter(matrices) == [SPAN_REFUSED] * 4
+
+
+def test_matrices_just_inside_the_span_bound_are_solved_as_unscaled():
+    """Scaling by a power of two is exact, so a tie-heavy integer matrix
+    scaled until n * span is within a factor of two of the largest float
+    has the pairs of the unscaled matrix; just past that it is refused."""
+    rng = np.random.default_rng(25)
+    inside, outside, expected = [], [], []
+    for _ in range(60):
+        rows, cols = (int(v) for v in rng.integers(1, 7, size=2))
+        cost = rng.integers(-3, 4, size=(rows, cols)).astype(float)
+        n = max(rows, cols)
+        span = max(cost.max(), 0.0) - min(cost.min(), 0.0)
+        if span == 0.0 or n == 1:  # a 1 x 1 matrix past the bound has an infinite entry
+            continue
+        scale = 2.0 ** (np.frexp(np.finfo(float).max / (n * span))[1] - 1)
+        inside.append((cost * scale).tolist())
+        outside.append((cost * 2.0 * scale).tolist())
+        expected.append([list(pair) for pair in hungarian(cost)])
+    assert len(inside) > 40 and np.isfinite(np.concatenate(outside, axis=None)).all()
+    assert _hungarian_in_fresh_interpreter(inside) == expected
+    assert _hungarian_in_fresh_interpreter(outside) == [SPAN_REFUSED] * len(outside)
 
 
 class TestAgainstReference:
@@ -317,6 +378,29 @@ def test_only_a_component_above_the_limit_goes_to_scipy(monkeypatch, shape, node
     cost[rows + 1, -1] = 0.5
     assert hungarian(cost) == reference_sweep_hungarian(cost)
     assert bool(solved) is whole
+
+
+def test_a_component_above_the_limit_leaves_the_solution_unwritten():
+    """_solve falls back to linear_sum_assignment on the whole matrix after
+    _match_components refuses, so the refusal must write nothing, not even
+    the component solved before the large one is found. The large one is a
+    path, whose edge count and overlap counts pass _solve's own checks."""
+    rows = (_SMALL + 2) // 2
+    cost = np.ones((rows + 2, _SMALL + 1 - rows + 2))
+    cost[:2, :2] = [[0.25, 0.5], [0.75, 0.5]]
+    cost[2:, 2:] = np.where(_path_block(rows, _SMALL + 1 - rows), 0.5, 1.0)
+    r_e, c_e = np.divmod(np.flatnonzero(cost < 1.0), cost.shape[1])
+    assert r_e.size < _SMALL * min(cost.shape)
+    assert (np.bincount(r_e)[r_e] + np.bincount(c_e)[c_e]).max() <= _SMALL
+    col_of_row = np.full(max(cost.shape), -7, dtype=np.intp)
+    y, z = np.full(cost.shape[0], 0.125), np.full(cost.shape[1], -0.375)
+    given = col_of_row.tobytes(), y.tobytes(), z.tobytes()
+    assert not _match_components(r_e, c_e, cost, 1.0, col_of_row, y, z)
+    assert (col_of_row.tobytes(), y.tobytes(), z.tobytes()) == given
+    # Without the path, the same call solves the first component.
+    first = r_e < 2
+    assert _match_components(r_e[first], c_e[first], cost, 1.0, col_of_row, y, z)
+    assert col_of_row[:2].tolist() == [0, 1]
 
 
 @settings(max_examples=300, deadline=None)
