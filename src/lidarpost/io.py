@@ -390,9 +390,9 @@ def write_points(cloud: PointCloud, path: PathLike, channels: int = 5) -> None:
     # A float64 sum of float32 values cannot overflow, so it is finite exactly
     # when every record is; only a failing cloud is scanned for its record.
     with np.errstate(over="ignore", invalid="ignore"):
-        records = cloud.points[:, :channels].astype("<f4")
+        records = cloud.points[:, :channels].astype("<f4", order="C")
         total = records.sum(dtype=np.float64)
     if not math.isfinite(total):
         finite = np.isfinite(records).all(axis=1)
         raise ValueError(f"record {int(np.argmin(finite))}: non-finite value as float32")
-    Path(path).write_bytes(records.tobytes())
+    Path(path).write_bytes(records)

@@ -1,10 +1,10 @@
 """Point-cloud data model, frame concatenation, cropping, and augmentations.
 
-A cloud is one read-only (N, 5) array of (x, y, z, intensity, t) rows, and
-every transform is an array expression over it. All transforms are pure:
-they return new clouds and new boxes, never mutate their inputs, and
-preserve point order. Multi-frame concatenation sets the t column so
-downstream consumers can tell the frames apart.
+A cloud is one read-only (N, 5) array of (x, y, z, intensity, t) rows,
+stored column by column, and every transform is an array expression over
+it. All transforms are pure: they return new clouds and new boxes, never
+mutate their inputs, and preserve point order. Multi-frame concatenation
+sets the t column so downstream consumers can tell the frames apart.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ class PointCloud:
     """Ordered points of one frame (or one concatenated pair).
 
     ``points`` is a read-only (N, 5) float64 array of (x, y, z, intensity, t);
-    t is the time offset, 0 for the current frame. The constructor accepts
-    any (N, 4) or (N, 5) array-like (4 columns imply t = 0) and always
-    copies it, so a cloud never shares memory with a caller's array.
+    t is the time offset, 0 for the current frame. It is stored column-major,
+    so each channel ``points[:, j]`` is one contiguous array. The constructor
+    accepts any (N, 4) or (N, 5) array-like, of any layout (4 columns imply
+    t = 0), and always copies it, so a cloud never shares memory with a
+    caller's array.
 
     Raises:
         ValueError: on another shape, or on the first row (``record <i>``)
@@ -46,7 +48,7 @@ class PointCloud:
         given = np.asarray(self.points)
         if given.ndim != 2 or given.shape[1] not in (4, 5):
             raise ValueError(f"expected an (N, 4) or (N, 5) array, got shape {given.shape}")
-        points = np.zeros((len(given), 5))
+        points = np.zeros((5, len(given))).T
         points[:, : given.shape[1]] = given  # the one copy, cast to float64 as it is stored
         # The sum is finite exactly when no value is NaN or inf and the sum
         # does not overflow, which a float64 sum of float32 values cannot.

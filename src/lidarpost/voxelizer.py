@@ -3,7 +3,8 @@
 Both modes run one grouping step: each in-range point gets its grid cell,
 one sort of the cell keys lines each voxel's points up in arrival order,
 voxels are numbered by the arrival of their first point without a second
-sort, and each voxel's feature is the mean of its stored points. The sort
+sort, and each voxel's feature is the mean of its stored points, summed one
+contiguous column at a time over the stored points in arrival order. The sort
 is an in-place sort of the keys tagged with their arrival, key * n + i for
 the i-th of n in-range points. A grid of more than (2**63 - 1) / n cells,
 whose tagged keys could pass the int64 range, takes a stable argsort of the
@@ -93,18 +94,23 @@ class VoxelGrid:
 
 
 def voxel_coords(points: np.ndarray, cfg: VoxelConfig) -> np.ndarray:
-    """Grid cells (ix, iy, iz) of the rows of an (N, >= 3) array of in-range
-    points, as an (N, 3) int64 array.
+    """Grid cells (ix, iy, iz) of the rows of an (N, >= 3) array of finite
+    points, as an (N, 3) int64 array whose columns are contiguous.
 
+    Each axis is computed from its own column as floor((p - lo) / edge).
     In-range tests use the same closed intervals as range cropping
     (``RangeSpec.contains``); points sitting exactly on an upper bound clamp
-    into the last voxel.
+    into the last voxel, and points outside the range clamp into the grid.
     """
     r = cfg.range
-    cells = points[:, :3] - np.array([r.x_min, r.y_min, r.z_min])
-    cells /= np.array([cfg.vx, cfg.vy, cfg.vz])
-    cells = np.floor(cells, out=cells).astype(np.int64)
-    return np.minimum(cells, np.array(cfg.grid_shape) - 1, out=cells)
+    cells = np.empty((3, len(points)), dtype=np.int64)
+    for axis, lo, edge, size in zip(range(3), (r.x_min, r.y_min, r.z_min),
+                                    (cfg.vx, cfg.vy, cfg.vz), cfg.grid_shape):
+        cell = points[:, axis] - lo
+        cell /= edge
+        np.floor(cell, out=cell)
+        np.clip(cell, 0, size - 1, out=cells[axis], casting="unsafe")
+    return cells.T
 
 
 def _group(
@@ -117,13 +123,15 @@ def _group(
     """Group the in-range points into voxels numbered by first arrival,
     storing the first max_points_per_voxel points of each voxel and only
     the first max_voxels voxels, with the drop accounting of voxelize_hard."""
-    inside = np.flatnonzero(cfg.range.contains(cloud.points))
+    points = cloud.points
+    inside = np.flatnonzero(cfg.range.contains(points))
     nx, ny, nz = cfg.grid_shape
-    cells = voxel_coords(cloud.points[inside, :3], cfg)
-    keys = cells[:, 0] * ny
-    keys += cells[:, 1]
+    cells = voxel_coords(points, cfg).T  # (3, N), one row per axis
+    keys = cells[0] * ny
+    keys += cells[1]
     keys *= nz
-    keys += cells[:, 2]
+    keys += cells[2]
+    keys = keys[inside]
     # The one sort makes each voxel's points one run of equal keys, in arrival
     # order. Tagged with its arrival i as key * n + i, every key is distinct,
     # so NumPy's in-place SIMD sort gives the stable order: the quotient by n
@@ -146,42 +154,45 @@ def _group(
     np.not_equal(keys[1:], keys[:-1], out=opens[1:])
     del keys
     starts = np.flatnonzero(opens)
-    run = np.cumsum(opens)
-    run -= 1
-    del opens
+    num_voxels = min(len(starts), max_voxels)
+    dropped_voxels = len(starts) - num_voxels
     # A voxel's number counts the voxels whose first point arrives before
     # its own, so marking the first points in arrival order numbers them.
     first = order[starts]
     lead = np.zeros(len(order), dtype=bool)
     lead[first] = True
+    coords = cells.take(inside[np.flatnonzero(lead)[:num_voxels]], axis=1).T
+    del cells
     voxel = np.cumsum(lead)[first] - 1
-    num_voxels = min(len(starts), max_voxels)
-    coords = cells[np.flatnonzero(lead)[:num_voxels]]
-    del first, cells, lead
+    del first, lead
+    run = np.cumsum(opens)
+    run -= 1
+    del opens
     voxel = voxel[run]
     # The sorted point's rank among its voxel's points is its offset in the run.
     stored = (np.arange(len(order)) - starts[run] < max_points_per_voxel) & (voxel < max_voxels)
-    del run
+    del run, starts
     voxel = voxel[stored]
-    kept = inside[order[stored]]
-    del order, stored
+    point_voxel = np.full(len(cloud), -1, dtype=np.int64)
+    point_voxel[inside[order[stored]]] = voxel
+    del inside, order, stored, voxel
+    # Read in arrival order, each voxel's points are added in arrival order,
+    # as a running per-voxel sum would, and each column is read forward.
+    kept = np.flatnonzero(point_voxel >= 0)
+    voxel = point_voxel[kept]
     stored_counts = np.bincount(voxel, minlength=num_voxels)
-    # Within a run the points keep their arrival order, so bincount adds each
-    # voxel's points in arrival order, as a running per-voxel sum would.
     features = np.empty((num_voxels, 5))
     for column in range(5):
-        np.divide(np.bincount(voxel, weights=cloud.points[kept, column], minlength=num_voxels),
+        np.divide(np.bincount(voxel, weights=points[:, column][kept], minlength=num_voxels),
                   stored_counts, out=features[:, column])
-    point_voxel = np.full(len(cloud), -1, dtype=np.int64)
-    point_voxel[kept] = voxel
     return VoxelGrid(
         coords=coords,
         counts=stored_counts,
         features=features,
         point_voxel=point_voxel,
         mode=mode,
-        dropped_points=len(inside) - len(voxel),
-        dropped_voxels=len(starts) - num_voxels,
+        dropped_points=n - len(voxel),
+        dropped_voxels=dropped_voxels,
     )
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,14 @@ class TestVoxelIndex:
 
     def test_upper_boundary_clamps_into_last_voxel(self):
         assert voxel_coords(_coords((4.0, 4.0, 2.0)), SMALL_CONFIG).tolist() == [[3, 3, 1]]
+
+    def test_points_beyond_the_range_clamp_into_the_grid(self):
+        points = np.array([(-1e300, 2.5, 9.0), (1e300, -0.5, -3.0), (4.5, 1.5, 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = voxel_coords(points, SMALL_CONFIG)
+        assert cells.tolist() == [[0, 2, 1], [3, 0, 0], [3, 1, 0]]
+        assert all(cells[:, axis].flags.c_contiguous for axis in range(3))
 
     def test_default_config_boundary(self):
         cells = voxel_coords(_coords((75.2, 75.2, 4.0)), VoxelConfig())
