@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Box3D, bev_iou, iou_matrix
+from .geometry import Box3D, bev_iou, iou_blocks, iou_matrix
 from .schema import COUNT, UNIT, Section, check, setting
 
 DEFAULT_K = 9
@@ -143,16 +143,17 @@ def adaptive_assign(
 
     xs = np.fromiter(map(attrgetter("cx"), anchors), np.float64, n)
     ys = np.fromiter(map(attrgetter("cy"), anchors), np.float64, n)
+    nearest = [_nearest(np.hypot(xs - gt.cx, ys - gt.cy), k).tolist() for gt in gts]
+    # One kernel pass scores every ground truth's candidates.
+    columns = iou_blocks([([anchors[i] for i in candidates], [gt])
+                          for candidates, gt in zip(nearest, gts)], bev_iou)
     thresholds: List[float] = []
     best_iou = [-1.0] * n
-    for j, gt in enumerate(gts):
-        dist = np.hypot(xs - gt.cx, ys - gt.cy)
-        candidates = _nearest(dist, k)
-        ious = iou_matrix([anchors[int(i)] for i in candidates], [gt], bev_iou)[:, 0]
+    for j, (gt, candidates, column) in enumerate(zip(gts, nearest, columns)):
+        ious = column[:, 0]
         threshold = float(ious.mean() + ious.std())
         thresholds.append(threshold)
         for i, value in zip(candidates, ious):
-            i = int(i)
             if value >= threshold and gt.contains_bev(anchors[i].cx, anchors[i].cy):
                 if value > best_iou[i]:  # ties keep the earlier (lower) gt index
                     best_iou[i] = float(value)

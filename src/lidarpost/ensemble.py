@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import Box3D, DetectionSet, Label, bev_iou, candidate_columns, score_order
+from .geometry import (BOX_DOMAINS, Box3D, DetectionSet, Label, bev_iou, candidate_columns,
+                       iou_blocks, overlap_kind, score_order)
 from .schema import POSITIVE, UNIT, UNIT_ABOVE_0, UNIT_BELOW_1, Range, Section, check, setting
 
 IouFn = Callable[[Box3D, Box3D], float]
@@ -192,39 +193,65 @@ def box_vote(
     For each surviving box, the same-label originals with IoU strictly above
     iou_thr vote: center and dimensions become their unweighted means, while
     heading and score stay those of the surviving box. Boxes with no voters
-    pass through unchanged. iou_fn(original, box) is called only on
-    candidate pairs, originals in index order; it must return 0 for boxes
-    whose circumscribed circles are disjoint.
+    pass through unchanged. For bev_iou and iou3d each label's overlaps,
+    the originals as the first argument, come from one
+    :func:`lidarpost.geometry.iou_blocks` call. Any other iou_fn(original,
+    box) is called only on candidate pairs, box by box, originals in index
+    order; it must return 0 for boxes whose circumscribed circles are
+    disjoint.
 
     Raises:
-        ValueError: unless iou_thr in (0, 1].
+        ValueError: unless iou_thr in (0, 1]; if a mean leaves its field's
+            domain, as a box checks it.
     """
     check("iou_thr", iou_thr, UNIT_ABOVE_0)
+    if overlap_kind(iou_fn) is None:
+        voters_of = (
+            [o for o in (original_boxes[j] for j in js)
+             if o.label is box.label and iou_fn(o, box) > iou_thr]
+            for box, js in zip(nms_boxes, candidate_columns(nms_boxes, original_boxes)))
+    else:
+        voters_of = _voters(nms_boxes, original_boxes, iou_thr, iou_fn)
     out: List[Box3D] = []
-    for box, js in zip(nms_boxes, candidate_columns(nms_boxes, original_boxes)):
-        voters = [
-            o
-            for o in (original_boxes[j] for j in js)
-            if o.label is box.label and iou_fn(o, box) > iou_thr
-        ]
+    for box, voters in zip(nms_boxes, voters_of):
         if not voters:
             out.append(box)
             continue
         n = len(voters)
         # Added to 0.0 left to right: Python 3.12's sum compensates, which
         # can change the last bit.
-        out.append(
-            replace(
-                box,
-                cx=reduce(add, (o.cx for o in voters), 0.0) / n,
-                cy=reduce(add, (o.cy for o in voters), 0.0) / n,
-                cz=reduce(add, (o.cz for o in voters), 0.0) / n,
-                length=reduce(add, (o.length for o in voters), 0.0) / n,
-                width=reduce(add, (o.width for o in voters), 0.0) / n,
-                height=reduce(add, (o.height for o in voters), 0.0) / n,
-            )
-        )
+        means = {name: reduce(add, map(attrgetter(name), voters), 0.0) / n
+                 for name in _VOTED}
+        # A mean of valid numbers leaves its domain only by overflowing to inf.
+        for name, value in means.items():
+            BOX_DOMAINS[name].check(name, value)
+        out.append(box._with(**means))
     return out
+
+
+# The fields box_vote averages, in the order a box checks them.
+_VOTED = ("cx", "cy", "cz", "length", "width", "height")
+
+
+def _voters(nms_boxes: Sequence[Box3D], original_boxes: Sequence[Box3D], iou_thr: float,
+            iou_fn: IouFn) -> List[List[Box3D]]:
+    """box_vote's voters of each surviving box, every label's overlaps
+    from one iou_blocks call."""
+    # Each label's survivors and originals, by index.
+    groups: Dict[Label, Tuple[List[int], List[int]]] = {}
+    for i, box in enumerate(nms_boxes):
+        groups.setdefault(box.label, ([], []))[0].append(i)
+    for j, box in enumerate(original_boxes):
+        if box.label in groups:
+            groups[box.label][1].append(j)
+    blocks = [([original_boxes[j] for j in originals], [nms_boxes[i] for i in survivors])
+              for survivors, originals in groups.values()]
+    voters: List[List[Box3D]] = [[] for _ in nms_boxes]
+    for (survivors, originals), iou in zip(groups.values(), iou_blocks(blocks, iou_fn)):
+        # Row by row of the transpose: each survivor's voters in index order.
+        for p, q in zip(*(k.tolist() for k in np.nonzero(iou.T > iou_thr))):
+            voters[survivors[p]].append(original_boxes[originals[q]])
+    return voters
 
 
 def merge_sources(sets: Sequence[DetectionSet]) -> DetectionSet:

@@ -3,16 +3,27 @@
 Boxes live in a right-handed frame: x forward, y left, z up. A box heading is
 the yaw of its length axis about +z, zero along +x, and is always stored
 wrapped to (-pi, pi]. The box center sits at mid-height, so the vertical
-extent is [cz - h/2, cz + h/2]. :func:`bev_iou` and :func:`iou3d` score one
-pair of boxes; :func:`iou_matrix` scores two box lists against each other.
+extent is [cz - h/2, cz + h/2]. A box stores its eight numbers as floats.
+:func:`bev_iou` and :func:`iou3d` score one pair of boxes; :func:`iou_matrix`
+scores two box lists against each other.
 
 Overlaps are computed only for candidate pairs. Two boxes whose circumscribed
 circles (center, radius half the footprint diagonal) are disjoint cannot
 overlap, so :func:`candidate_columns` finds, with one NumPy test over both
-lists, the pairs whose circles can touch, and the scalar IoU runs on those
-alone. Every function that takes an ``iou_fn`` relies on this: ``iou_fn``
-must return 0 for boxes whose circumscribed circles are disjoint, which
-:func:`bev_iou` and :func:`iou3d` do.
+lists, the pairs whose circles can touch, and the overlap runs on those
+alone. The callers that score every candidate pair (``iou_matrix`` and the
+assigners, ``associate``, ``mota_motp`` and ``box_vote``) score them, for
+:func:`bev_iou` and :func:`iou3d`, with one batched NumPy kernel per frame
+or per sequence (:func:`overlaps`, :func:`iou_blocks`). The kernel is bit
+for bit the scalar code: it builds each box's corners with ``math.cos`` and
+``math.sin`` and replays the circle reject, the z test, the
+Sutherland-Hodgman clip and the shoelace sum with the same IEEE operations
+in the same order. The lazy callers (``nms``, ``soft_nms``, the ensemble's
+pool and ``FrameMatcher``) call the scalar overlap on the pairs they reach,
+and any other ``iou_fn`` is called per pair everywhere. Every function that
+takes an ``iou_fn`` relies on the candidate test: ``iou_fn`` must return 0
+for boxes whose circumscribed circles are disjoint, which :func:`bev_iou`
+and :func:`iou3d` do.
 """
 
 from __future__ import annotations
@@ -32,6 +43,9 @@ _AREA_EPS = 1e-12
 
 # Upper bound on the cells of one block of the candidate test's temporaries.
 _BLOCK_CELLS = 1 << 20
+
+# Pairs clipped at once by the overlap kernel: its temporaries stay near 1 MB.
+_PAIR_CHUNK = 1 << 12
 
 
 class Label(Enum):
@@ -94,7 +108,7 @@ def _check_number(name: str, value) -> None:
     and reads back: an int or a float, not a bool, that a float can hold."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if isinstance(value, int):  # tested, not converted: a box file writes 1 and 1.0 apart
+    if isinstance(value, int):  # tested, not converted: Box3D converts once all checks pass
         try:
             float(value)
         except OverflowError:
@@ -169,14 +183,18 @@ class Box3D:
                 raise ValueError(f"{name} must be an integer or None, got {value!r}")
         for name, domain in BOX_DOMAINS.items():
             domain.check(name, getattr(self, name))
+        # Stored as floats, as a box file reads back: an int 1 is kept as 1.0.
+        for name in _NUMBER_FIELDS:
+            setattr(self, name, float(getattr(self, name)))
         self.heading = wrap_angle(self.heading)
 
     def _with(self, **changes) -> "Box3D":
         """A copy with changes, without the checks above, for changes that
         keep a valid box valid only: a source id, a non-negative track id,
-        or a score in [0, 1] such as a valid score times a weight in (0, 1].
-        The heading is already wrapped, and wrapping it again would return
-        it bit for bit. Use dataclasses.replace for anything else."""
+        a score in [0, 1] such as a valid score times a weight in (0, 1], or
+        float numbers that pass their BOX_DOMAINS checks. The heading is
+        already wrapped, and wrapping it again would return it bit for bit.
+        Use dataclasses.replace for anything else."""
         box = unchecked_box(*_field_values(self))
         for name, value in changes.items():
             setattr(box, name, value)
@@ -395,6 +413,25 @@ def _circles(boxes: Sequence[Box3D]) -> np.ndarray:
                     dtype=np.float64)
 
 
+def _hit_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """The candidate test of the circles a against the circles b: (first
+    row, (rows, len(b)) boolean hits) blocks of about _BLOCK_CELLS cells, in
+    row order, so memory stays bounded for any list sizes."""
+    step = max(1, _BLOCK_CELLS // max(len(b), 1))
+    for start in range(0, len(a), step):
+        block = a[start:start + step]
+        # Huge coordinates or sizes overflow to inf, as in the scalar test.
+        with np.errstate(over="ignore"):
+            d2 = block[:, 0:1] - b[:, 0]
+            dy = block[:, 1:2] - b[:, 1]
+            d2 *= d2
+            dy *= dy
+            d2 += dy
+            reach = np.add(block[:, 2:3], b[:, 2], out=dy)  # dy is spent: reuse it
+            reach *= reach
+        yield start, d2 <= reach
+
+
 def candidate_columns(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> List[List[int]]:
     """For each row box, the ascending indices of the column boxes that can overlap it.
 
@@ -409,21 +446,8 @@ def candidate_columns(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> List[List
     if not rows or not cols:
         return [[] for _ in rows]
     a = _circles(rows)
-    b = a if cols is rows else _circles(cols)
-    step = max(1, _BLOCK_CELLS // len(b))
     out: List[List[int]] = []
-    for start in range(0, len(a), step):
-        block = a[start:start + step]
-        # Huge coordinates or sizes overflow to inf, as in the scalar test.
-        with np.errstate(over="ignore"):
-            d2 = block[:, 0:1] - b[:, 0]
-            dy = block[:, 1:2] - b[:, 1]
-            d2 *= d2
-            dy *= dy
-            d2 += dy
-            reach = np.add(block[:, 2:3], b[:, 2], out=dy)  # dy is spent: reuse it
-            reach *= reach
-        hits = d2 <= reach
+    for _, hits in _hit_blocks(a, a if cols is rows else _circles(cols)):
         flat = np.nonzero(hits)[1].tolist()
         ends = np.cumsum(hits.sum(axis=1)).tolist()
         begin = 0
@@ -433,18 +457,223 @@ def candidate_columns(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> List[List
     return out
 
 
+class _Table(NamedTuple):
+    """The overlap kernel's columns of N boxes, each the value the scalar
+    code computes for its box: footprint corners (N, 4) in
+    :meth:`Box3D.corners_bev` order, the circles of :func:`_circles`, the
+    z-range, the area and the volume."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    circles: np.ndarray
+    z_lo: np.ndarray
+    z_hi: np.ndarray
+    area: np.ndarray
+    volume: np.ndarray
+
+
+def _table(boxes: Sequence[Box3D]) -> _Table:
+    n = len(boxes)
+    cx, cy, cz, length, width, height = np.array(
+        [(b.cx, b.cy, b.cz, b.length, b.width, b.height) for b in boxes],
+        dtype=np.float64).reshape(n, 6).T
+    headings = [b.heading for b in boxes]
+    # math, not np.cos and np.sin, whose SIMD paths may differ in the last bit.
+    c = np.fromiter(map(math.cos, headings), np.float64, n)
+    s = np.fromiter(map(math.sin, headings), np.float64, n)
+    radius = 0.5 * np.fromiter(map(math.hypot, length.tolist(), width.tolist()), np.float64, n)
+    with np.errstate(over="ignore"):  # huge boxes overflow to inf, as in the scalar code
+        hl = 0.5 * length
+        hw = 0.5 * width
+        xs = np.array([cx + c * hl - s * hw, cx - c * hl - s * hw,
+                       cx - c * hl + s * hw, cx + c * hl + s * hw]).T
+        ys = np.array([cy + s * hl + c * hw, cy - s * hl + c * hw,
+                       cy - s * hl - c * hw, cy + s * hl - c * hw]).T
+        area = length * width
+        return _Table(xs, ys, np.array([cx, cy, radius]).T, cz - 0.5 * height,
+                      cz + 0.5 * height, area, area * height)
+
+
+def _clipped_areas(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+    """``polygon_area(clip_convex(p, q))`` of each row's quadrilaterals p
+    and q, (P, 4) corners each, with the scalar code's IEEE operations in
+    its order.
+
+    A row holds a polygon as a vertex count and slots 1 to count, with slot
+    0 a copy of the last vertex, the first vertex's predecessor. Each clip
+    edge emits, under the scalar branches' conditions, an intersection slot
+    and then a vertex slot per input vertex, and moves the emitted ones
+    forward in order, so the width grows only as far as a polygon does.
+    """
+    n_pairs = len(px)
+    rows = np.arange(n_pairs)
+    count = np.full(n_pairs, 4)
+    x = np.concatenate([px[:, 3:], px], axis=1)
+    y = np.concatenate([py[:, 3:], py], axis=1)
+    ex_all = np.roll(qx, -1, axis=1) - qx
+    ey_all = np.roll(qy, -1, axis=1) - qy
+    for e in range(4):
+        ax, ay = qx[:, e:e + 1], qy[:, e:e + 1]
+        ex, ey = ex_all[:, e:e + 1], ey_all[:, e:e + 1]
+        side = ex * (y - ay) - ey * (x - ax)
+        s_side, p_side = side[:, :-1], side[:, 1:]
+        sx, sy, vx, vy = x[:, :-1], y[:, :-1], x[:, 1:], y[:, 1:]
+        width = vx.shape[1]
+        valid = np.arange(width) < count[:, None]
+        inside = p_side >= 0.0
+        emit = np.empty((n_pairs, width, 2), dtype=bool)
+        np.logical_and(valid, np.where(inside, s_side < 0.0, s_side >= 0.0), out=emit[:, :, 0])
+        np.logical_and(valid, inside, out=emit[:, :, 1])
+        t = s_side / (s_side - p_side)
+        slots_x = np.empty((n_pairs, width, 2))
+        slots_y = np.empty((n_pairs, width, 2))
+        slots_x[:, :, 0] = sx + t * (vx - sx)
+        slots_y[:, :, 0] = sy + t * (vy - sy)
+        slots_x[:, :, 1] = vx
+        slots_y[:, :, 1] = vy
+        emit = emit.reshape(n_pairs, 2 * width)
+        slot = np.cumsum(emit, axis=1)
+        count = slot[:, -1]
+        new_width = int(count.max()) if n_pairs else 0
+        # Emitted slots go to 1..count, the others to a spare last column.
+        slot = np.where(emit, slot, new_width + 1)
+        slot += (rows * (new_width + 2))[:, None]
+        x = np.zeros((n_pairs, new_width + 2))
+        y = np.zeros((n_pairs, new_width + 2))
+        x.ravel()[slot.ravel()] = slots_x.ravel()
+        y.ravel()[slot.ravel()] = slots_y.ravel()
+        x, y = x[:, :-1], y[:, :-1]
+        x[:, 0] = x[rows, count]
+        y[:, 0] = y[rows, count]
+        if not new_width:
+            break
+    # The shoelace sum from 0.0, each term after the previous vertex's.
+    acc = np.zeros(n_pairs)
+    for k in range(1, x.shape[1]):
+        term = x[:, k - 1] * y[:, k] - x[:, k] * y[:, k - 1]
+        acc = np.where(k <= count, acc + term, acc)
+    area = 0.5 * acc
+    area[count < 3] = 0.0
+    return area
+
+
+def _pair_overlaps(a: _Table, b: _Table, i: np.ndarray, j: np.ndarray, kind: str) -> np.ndarray:
+    """bev_iou(a[i], b[j]) or iou3d(a[i], b[j]) of each pair, bit for bit."""
+    out = np.zeros(len(i))
+    with np.errstate(all="ignore"):
+        dx = a.circles[i, 0] - b.circles[j, 0]
+        dy = a.circles[i, 1] - b.circles[j, 1]
+        reach = a.circles[i, 2] + b.circles[j, 2]
+        keep = ~(dx * dx + dy * dy > reach * reach)
+        if kind == "3d":
+            z_overlap = np.minimum(a.z_hi[i], b.z_hi[j]) - np.maximum(a.z_lo[i], b.z_lo[j])
+            keep &= ~(z_overlap <= 0.0)
+        at = np.flatnonzero(keep)
+        i, j = i[at], j[at]
+        inter = np.concatenate([np.empty(0)] + [
+            _clipped_areas(a.xs[ii], a.ys[ii], b.xs[jj], b.ys[jj])
+            for ii, jj in ((i[k:k + _PAIR_CHUNK], j[k:k + _PAIR_CHUNK])
+                           for k in range(0, len(i), _PAIR_CHUNK))])
+        inter[inter < _AREA_EPS] = 0.0
+        # Taken before the z product: the scalar code returns 0 here, where
+        # 0 times an overflowed z-overlap would be NaN.
+        zero = inter == 0.0
+        if kind == "3d":
+            inter *= z_overlap[at]
+            union = a.volume[i] + b.volume[j] - inter
+        else:
+            union = a.area[i] + b.area[j] - inter
+        iou = inter / union
+        iou = np.where(0.0 > iou, 0.0, iou)
+        iou = np.where(1.0 < iou, 1.0, iou)
+        iou[zero | (union < _AREA_EPS)] = 0.0
+    out[at] = iou
+    return out
+
+
+def overlap_kind(iou_fn: Callable) -> Optional[str]:
+    """The kind of :func:`overlaps` that computes iou_fn: "bev" for
+    :func:`bev_iou`, "3d" for :func:`iou3d`, None for any other function."""
+    return "bev" if iou_fn is bev_iou else "3d" if iou_fn is iou3d else None
+
+
+def _overlap_blocks(
+    blocks: Sequence[Tuple[Sequence[Box3D], Sequence[Box3D]]], kind: str
+) -> Iterator[np.ndarray]:
+    """:func:`overlaps` of each (rows, cols) block in turn, every block's
+    candidate pairs scored in one pass of the kernel."""
+    rows = [box for block, _ in blocks for box in block]
+    cols = [box for _, block in blocks for box in block]
+    a, b = _table(rows), _table(cols)
+    # Each block's pairs, in row-major order, shifted into the stacked tables.
+    offsets, found, ends = [], [], []
+    r0 = c0 = 0
+    for block_rows, block_cols in blocks:
+        offsets.append((r0, c0, len(block_rows), len(block_cols)))
+        for start, hits in _hit_blocks(a.circles[r0:r0 + len(block_rows)],
+                                       b.circles[c0:c0 + len(block_cols)]):
+            i, j = np.nonzero(hits)
+            found.append((i + (r0 + start), j + c0))
+        ends.append(len(found))
+        r0 += len(block_rows)
+        c0 += len(block_cols)
+    empty = np.empty(0, dtype=np.intp)
+    i = np.concatenate([empty] + [f[0] for f in found])
+    j = np.concatenate([empty] + [f[1] for f in found])
+    values = _pair_overlaps(a, b, i, j, kind)
+    stops = np.cumsum([0] + [len(f[0]) for f in found])[ends].tolist()
+    p0 = 0
+    for (r0, c0, n_rows, n_cols), p1 in zip(offsets, stops):
+        out = np.zeros((n_rows, n_cols), dtype=np.float64)
+        out[i[p0:p1] - r0, j[p0:p1] - c0] = values[p0:p1]
+        yield out
+        p0 = p1
+
+
+def overlaps(rows: Sequence[Box3D], cols: Sequence[Box3D], kind: str) -> np.ndarray:
+    """``iou_matrix(rows, cols, bev_iou)`` for kind "bev", and with
+    :func:`iou3d` for kind "3d", bit for bit, from the batched kernel.
+
+    Raises:
+        ValueError: unless kind is "bev" or "3d".
+    """
+    if kind not in ("bev", "3d"):
+        raise ValueError(f"kind must be 'bev' or '3d', got {kind!r}")
+    return next(_overlap_blocks([(rows, cols)], kind))
+
+
+def iou_blocks(
+    blocks: Sequence[Tuple[Sequence[Box3D], Sequence[Box3D]]], iou_fn: Callable
+) -> Iterator[np.ndarray]:
+    """``iou_matrix(rows, cols, iou_fn)`` of each (rows, cols) block in turn.
+
+    For bev_iou and iou3d, the candidate pairs of every block are scored in
+    one pass of the batched kernel when the first matrix is taken. Any other
+    iou_fn is called block by block as each matrix is taken, as
+    :func:`iou_matrix` calls it.
+    """
+    kind = overlap_kind(iou_fn)
+    if kind is None:
+        return (iou_matrix(rows, cols, iou_fn) for rows, cols in blocks)
+    return _overlap_blocks(blocks, kind)
+
+
 def iou_matrix(
     rows: Sequence[Box3D], cols: Sequence[Box3D], iou_fn: Callable[[Box3D, Box3D], float]
 ) -> np.ndarray:
     """Pairwise overlap: a float64 (len(rows), len(cols)) array whose entry
     (i, j) is iou_fn(rows[i], cols[j]).
 
-    iou_fn is called only on the pairs of :func:`candidate_columns`, row by
-    row, and every other entry is 0.0; iou_fn must return 0 for boxes whose
+    For bev_iou and iou3d this is :func:`overlaps`. Any other iou_fn is
+    called only on the pairs of :func:`candidate_columns`, row by row, and
+    every other entry is 0.0; iou_fn must return 0 for boxes whose
     circumscribed circles are disjoint, which bev_iou and iou3d do. The
     argument order is kept as given because bev_iou and iou3d are symmetric
     only up to rounding in the last bits.
     """
+    kind = overlap_kind(iou_fn)
+    if kind is not None:
+        return overlaps(rows, cols, kind)
     out = np.zeros((len(rows), len(cols)), dtype=np.float64)
     for i, (a, js) in enumerate(zip(rows, candidate_columns(rows, cols))):
         if js:

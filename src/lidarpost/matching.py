@@ -55,7 +55,9 @@ Most rows need no sweep, and each skip below leaves the result as it is:
 - A row whose smallest real column within budget is not below its own
   cannot move. That column is found for all rows in one array operation; as
   the budget only shrinks it stays a lower bound, and it is found again
-  after a shift.
+  after a shift. The rows that pass are found by one comparison, and those
+  after a row are found again whenever it rotates, so the loop visits only
+  them.
 - Rows with equal real costs take real columns in increasing order, and
   once one of them is left unassigned so is every later one: swapping two
   of them changes no total. A row searches only above the column that the
@@ -140,15 +142,19 @@ def hungarian(cost) -> List[Tuple[int, int]]:
     # A row's real costs -> the column the last row with those costs took
     # (n_cols if none); rows with equal costs take increasing columns.
     floor: Dict[bytes, int] = {}
-    for r in range(n_rows):
+    # Only rows that pass the first_tight test are visited, and the set of
+    # later ones is found again whenever a rotation changes the state.
+    rows = fixer.movable(0)
+    k = 0
+    while k < len(rows):
+        r = rows[k]
+        k += 1
         t = int(col_of_row[r])
         lim = min(t, n_cols)
-        if fixer.first_tight[r] >= lim:
-            continue
         key = cost[r].tobytes()
         lo = floor.get(key, -1) + 1
-        if lo < lim:
-            fixer.fix(r, t, lo, lim)
+        if lo < lim and fixer.fix(r, t, lo, lim):
+            rows, k = fixer.movable(r + 1), 0
         floor[key] = min(int(col_of_row[r]), n_cols)
     assigned = np.flatnonzero(col_of_row[:n_rows] < n_cols)
     return list(zip(assigned.tolist(), col_of_row[assigned].tolist()))
@@ -323,19 +329,25 @@ class _RowFixer:
         # The smallest real column within budget per row, n_cols if none. The
         # budget only shrinks, so it stays a lower bound until a shift.
         tight = self.rc[:self.n_rows, :self.n_cols] <= self.budget
-        self.first_tight = np.where(tight.any(axis=1), tight.argmax(axis=1), self.n_cols).tolist()
+        self.first_tight = np.where(tight.any(axis=1), tight.argmax(axis=1), self.n_cols)
 
-    def fix(self, r: int, t: int, lo: int, lim: int) -> None:
+    def movable(self, start: int) -> List[int]:
+        """The rows from start on whose first_tight column lies below their
+        own real column: the only rows that can move."""
+        lim = np.minimum(self.col_of_row[start:self.n_rows], self.n_cols)
+        return (start + np.flatnonzero(self.first_tight[start:] < lim)).tolist()
+
+    def fix(self, r: int, t: int, lo: int, lim: int) -> bool:
         """Move row r, on column t, to the smallest column in [lo, lim) it
-        can take within the budget, if there is one."""
+        can take within the budget, if there is one; whether it moved."""
         rc, row_of_col = self.rc, self.row_of_col
         if not ((row_of_col[lo:lim] > r) & (rc[r, lo:lim] <= self.budget)).any():
-            return
+            return False
         dist, toward = _paths_to(rc, row_of_col, r, t, self.budget)
         fits = rc[r, lo:lim] + dist[lo:lim] <= self.budget
         c = lo + int(fits.argmax())
         if not fits[c - lo]:
-            return
+            return False
         self.budget -= float(rc[r, c] + dist[c])
         path = [c]
         while path[-1] != t:
@@ -353,6 +365,7 @@ class _RowFixer:
         if shifted:
             rc[np.arange(r + 1, len(rc)), self.col_of_row[r + 1:]] = 0.0
             self._find_first_tight()
+        return True
 
     def _rotate(self, r: int, path: List[int]) -> None:
         # r takes path[0], and the row on each column takes the next one.

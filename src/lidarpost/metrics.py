@@ -16,11 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Box3D, Label, candidate_columns, heading_error, iou3d, iou_matrix, score_order
+from .geometry import (Box3D, Label, candidate_columns, heading_error, iou3d, iou_blocks,
+                       iou_matrix, overlap_kind, score_order)
 from .matching import hungarian
 from .schema import NON_NEGATIVE, UNIT_ABOVE_0, Section, check, setting
 
@@ -212,14 +214,15 @@ class MotResult(NamedTuple):
     ids: int
 
 
-def _index_by_id(boxes: Sequence[Box3D], kind: str, frame: int) -> Dict[int, Box3D]:
-    by_id: Dict[int, Box3D] = {}
-    for box in boxes:
+def _index_by_id(boxes: Sequence[Box3D], kind: str, frame: int) -> Dict[int, int]:
+    """Each box's position, by its track id."""
+    by_id: Dict[int, int] = {}
+    for k, box in enumerate(boxes):
         if box.track_id is None:
             raise ValueError(f"frame {frame}: {kind} box without track_id")
         if box.track_id in by_id:
             raise ValueError(f"frame {frame}: duplicate {kind} track_id {box.track_id}")
-        by_id[box.track_id] = box
+        by_id[box.track_id] = k
     return by_id
 
 
@@ -237,8 +240,11 @@ def mota_motp(
     ground truths FN, and a ground truth whose matched id differs from its
     last-ever match is an id switch. MOTA = 1 - (FN + FP + IDS)/GT (NaN when
     GT is 0); MOTP is the mean of 1 - IoU over matches (NaN with none).
-    iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
-    as :func:`lidarpost.geometry.iou_matrix` requires.
+    For bev_iou and iou3d, every frame's overlaps come from one
+    :func:`lidarpost.geometry.iou_blocks` call. Any other iou_fn is called
+    per pair: on each carried-over pair, then as
+    :func:`lidarpost.geometry.iou_matrix` calls it on the rest, and must
+    return 0 for boxes whose circumscribed circles are disjoint.
 
     Raises:
         ValueError: unless iou_thr in (0, 1]; on length mismatch, missing
@@ -257,30 +263,36 @@ def mota_motp(
     match_count = 0
     prev_corr: Dict[int, int] = {}
     last_match: Dict[int, int] = {}
-    for frame, (hyps, gts) in enumerate(zip(tracked, gt)):
-        gt_by_id = _index_by_id(gts, "ground-truth", frame)
-        hyp_by_id = _index_by_id(hyps, "hypothesis", frame)
+    frames = list(zip(tracked, gt))
+    # For bev_iou and iou3d, one kernel pass scores every frame's candidate
+    # pairs, and both the carried-over pairs and the rest read from it.
+    whole = (iou_blocks([(gts, hyps) for hyps, gts in frames], iou_fn)
+             if overlap_kind(iou_fn) is not None else repeat(None))
+    for frame, ((hyps, gts), full) in enumerate(zip(frames, whole)):
+        gt_at = _index_by_id(gts, "ground-truth", frame)
+        hyp_at = _index_by_id(hyps, "hypothesis", frame)
         total_gt += len(gts)
         matches: Dict[int, int] = {}
         for g_id, h_id in prev_corr.items():
-            g_box = gt_by_id.get(g_id)
-            h_box = hyp_by_id.get(h_id)
-            if g_box is None or h_box is None:
+            g = gt_at.get(g_id)
+            h = hyp_at.get(h_id)
+            if g is None or h is None:
                 continue
-            value = iou_fn(g_box, h_box)
+            value = iou_fn(gts[g], hyps[h]) if full is None else float(full[g, h])
             if value >= iou_thr:
                 matches[g_id] = h_id
                 motp_sum += 1.0 - value
                 match_count += 1
-        rem_g = [box for box in gts if box.track_id not in matches]
+        rem_g = [g for g, box in enumerate(gts) if box.track_id not in matches]
         used_h = set(matches.values())
-        rem_h = [box for box in hyps if box.track_id not in used_h]
+        rem_h = [h for h, box in enumerate(hyps) if box.track_id not in used_h]
         if rem_g and rem_h:
-            iou = iou_matrix(rem_g, rem_h, iou_fn)
+            iou = (iou_matrix([gts[g] for g in rem_g], [hyps[h] for h in rem_h], iou_fn)
+                   if full is None else full[np.ix_(rem_g, rem_h)])
             for gi, hj in hungarian(1.0 - iou):
                 if iou[gi, hj] < iou_thr:
                     continue
-                matches[rem_g[gi].track_id] = rem_h[hj].track_id
+                matches[gts[rem_g[gi]].track_id] = hyps[rem_h[hj]].track_id
                 motp_sum += 1.0 - float(iou[gi, hj])
                 match_count += 1
         fn += len(gts) - len(matches)

@@ -29,7 +29,7 @@ from .geometry import (
     Label,
     heading_error,
     iou3d,
-    iou_matrix,
+    iou_blocks,
     unchecked_box,
     wrap_angle,
     wrap_angles,
@@ -228,18 +228,23 @@ def associate(
     Per label, a Hungarian matching on 1 - IoU pairs tracks with detections;
     a pair whose IoU is below iou_min stays unmatched. Returns sorted
     (matches, unmatched_tracks, unmatched_detections); the three outputs
-    partition both input index sets. iou_fn must return 0 for boxes whose
-    circumscribed circles are disjoint, as :func:`iou_matrix` requires.
+    partition both input index sets. Every label's overlaps come from one
+    :func:`iou_blocks` call, so for bev_iou and iou3d from one kernel pass;
+    iou_fn must return 0 for boxes whose circumscribed circles are disjoint,
+    as :func:`iou_matrix` requires.
     Raises ValueError unless iou_min in [0, 1].
     """
     check("iou_min", iou_min, UNIT)
-    matches: List[Tuple[int, int]] = []
+    blocks = []
     for label in sorted({b.label for b in tracks}, key=lambda l: l.value):
         t_idx = [i for i, b in enumerate(tracks) if b.label is label]
         d_idx = [j for j, b in enumerate(detections) if b.label is label]
-        if not d_idx:
-            continue
-        iou = iou_matrix([tracks[i] for i in t_idx], [detections[j] for j in d_idx], iou_fn)
+        if d_idx:
+            blocks.append((t_idx, d_idx))
+    ious = iou_blocks([([tracks[i] for i in t_idx], [detections[j] for j in d_idx])
+                       for t_idx, d_idx in blocks], iou_fn)
+    matches: List[Tuple[int, int]] = []
+    for (t_idx, d_idx), iou in zip(blocks, ious):
         matches += [(t_idx[r], d_idx[c]) for r, c in hungarian(1.0 - iou) if iou[r, c] >= iou_min]
     matches.sort()
     matched_tracks = {i for i, _ in matches}

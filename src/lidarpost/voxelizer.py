@@ -78,7 +78,9 @@ class VoxelGrid:
 
     coords: np.ndarray  # (V, 3) int64 grid cell (ix, iy, iz)
     counts: np.ndarray  # (V,) number of stored points
-    features: np.ndarray  # (V, 5) mean of (x, y, z, intensity, t) over stored points
+    # (V, 5) mean of (x, y, z, intensity, t) over stored points; the sums start
+    # from +0.0, so a channel whose stored values are all -0.0 averages to +0.0
+    features: np.ndarray
     point_voxel: np.ndarray  # (N,) voxel of each input point, -1 if out of range or dropped
     mode: VoxelMode = VoxelMode.DYNAMIC
     dropped_points: int = 0

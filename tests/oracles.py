@@ -37,6 +37,9 @@ envelope tuples, where the library takes running sums over columns. The
 reference matcher computes each overlap afresh for every order it matches
 and fills its ledger's columns by detection index, where FrameMatcher
 computes each overlap once over all its calls and appends in match order.
+The association and CLEAR-MOT references call iou_fn on every pair of each
+matrix they need, one pair at a time, where the library scores a frame's or
+a whole sequence's candidate pairs in one pass of its batched kernel.
 """
 
 from __future__ import annotations
@@ -62,10 +65,11 @@ from lidarpost.geometry import (
     wrap_angle,
 )
 from lidarpost.io import FormatError, InputError, ValidationError
-from lidarpost.matching import _reduced_costs
+from lidarpost.matching import _reduced_costs, hungarian
 from lidarpost.metrics import (
     Difficulty,
     MatchLedger,
+    MotResult,
     PrPoint,
     match_frame,
     split_difficulty,
@@ -391,6 +395,65 @@ def reference_iou_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D], iou_fn) -
     """iou_fn(rows[i], cols[j]) for every pair, row by row."""
     values = [[iou_fn(a, b) for b in cols] for a in rows]
     return np.array(values, dtype=np.float64).reshape(len(rows), len(cols))
+
+
+def reference_associate(tracks: Sequence[Box3D], detections: Sequence[Box3D], iou_min: float,
+                        iou_fn) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
+    """associate from all-pairs overlaps: per label, by name, every track and
+    detection pair of the label is scored, then matched by the library's
+    hungarian on 1 - IoU (tests/test_matching.py checks the solver)."""
+    matches: List[Tuple[int, int]] = []
+    for label in sorted({b.label for b in tracks}, key=lambda l: l.value):
+        t_idx = [i for i, b in enumerate(tracks) if b.label is label]
+        d_idx = [j for j, b in enumerate(detections) if b.label is label]
+        if d_idx:
+            iou = reference_iou_matrix([tracks[i] for i in t_idx],
+                                       [detections[j] for j in d_idx], iou_fn)
+            matches += [(t_idx[r], d_idx[c]) for r, c in hungarian(1.0 - iou)
+                        if iou[r, c] >= iou_min]
+    matches.sort()
+    matched_tracks = {i for i, _ in matches}
+    matched_dets = {j for _, j in matches}
+    return (matches, [i for i in range(len(tracks)) if i not in matched_tracks],
+            [j for j in range(len(detections)) if j not in matched_dets])
+
+
+def reference_mota_motp(tracked, gt, iou_thr: float, iou_fn, pair_fn=None) -> MotResult:
+    """CLEAR-MOT as mota_motp defines it, with each carried-over pair scored
+    by pair_fn (iou_fn if None) and every pair of the rest by iou_fn."""
+    pair_fn = iou_fn if pair_fn is None else pair_fn
+    total_gt = fp = fn = ids = match_count = 0
+    motp_terms: List[float] = []
+    prev: Dict[int, int] = {}
+    last: Dict[int, int] = {}
+    for gts, hyps in zip(gt, tracked):
+        gt_by_id = {box.track_id: box for box in gts}
+        hyp_by_id = {box.track_id: box for box in hyps}
+        total_gt += len(gts)
+        matches: Dict[int, int] = {}
+        for g_id, h_id in prev.items():
+            if g_id in gt_by_id and h_id in hyp_by_id:
+                value = pair_fn(gt_by_id[g_id], hyp_by_id[h_id])
+                if value >= iou_thr:
+                    matches[g_id] = h_id
+                    motp_terms.append(1.0 - value)
+        rem_g = [box for box in gts if box.track_id not in matches]
+        rem_h = [box for box in hyps if box.track_id not in set(matches.values())]
+        if rem_g and rem_h:
+            iou = reference_iou_matrix(rem_g, rem_h, iou_fn)
+            for r, c in hungarian(1.0 - iou):
+                if iou[r, c] >= iou_thr:
+                    matches[rem_g[r].track_id] = rem_h[c].track_id
+                    motp_terms.append(1.0 - float(iou[r, c]))
+        fn += len(gts) - len(matches)
+        fp += len(hyps) - len(matches)
+        ids += sum(g_id in last and last[g_id] != h_id for g_id, h_id in matches.items())
+        last.update(matches)
+        prev = matches
+    match_count = len(motp_terms)
+    motp = _left_sum(motp_terms) / match_count if match_count else float("nan")
+    mota = 1.0 - (fn + fp + ids) / total_gt if total_gt else float("nan")
+    return MotResult(mota, motp, fp, fn, ids)
 
 
 def reference_soft_nms(

@@ -1,12 +1,14 @@
 """The candidate-pair kernel and its consumers against the all-pairs oracles.
 
 candidate_columns keeps every pair whose circumscribed circles can touch.
-iou_matrix, nms, soft_nms, box_vote and match_frame call iou_fn on those
-pairs alone, so their outputs must equal the all-pairs bodies kept in
-oracles.py exactly, and their iou_fn calls must be the oracle's calls with
-the non-candidate pairs left out. A PairPool reused over a weight grid must
-merge exactly as the oracle pooled afresh for each weight, and score each
-ordered candidate pair at most once.
+iou_matrix, nms, soft_nms, box_vote, match_frame, associate and mota_motp
+call a custom iou_fn on those pairs alone, so their outputs must equal the
+all-pairs bodies kept in oracles.py exactly, and their iou_fn calls must be
+the oracle's calls with the non-candidate pairs left out (mota_motp also
+asks each carried-over pair, as its oracle does). With bev_iou or iou3d
+itself they take the batched kernel, and must return the same outputs. A
+PairPool reused over a weight grid must merge exactly as the oracle pooled
+afresh for each weight, and score each ordered candidate pair at most once.
 """
 
 import math
@@ -30,14 +32,17 @@ from lidarpost.geometry import (
     iou3d,
     iou_matrix,
 )
-from lidarpost.metrics import match_frame
+from lidarpost.metrics import match_frame, mota_motp
+from lidarpost.tracker import associate
 from oracles import (
     random_box,
+    reference_associate,
     reference_box_vote,
     reference_check_on_visit,
     reference_ensemble_pair,
     reference_iou_matrix,
     reference_match_frame,
+    reference_mota_motp,
     reference_nms,
     reference_soft_nms,
 )
@@ -263,6 +268,114 @@ class TestAgainstAllPairs:
         out = match_frame(dets, gts, iou_thr, got)
         assert out == reference_match_frame(dets, gts, iou_thr, want)
         assert got.calls == _on_candidates(want.calls, _candidate_ids(dets, gts))
+
+    @pytest.mark.parametrize("iou_fn", [bev_iou, iou3d])
+    @pytest.mark.parametrize("iou_min", [0.0, 0.1, 0.5])
+    def test_associate(self, name, iou_fn, iou_min):
+        boxes = FRAMES[name]
+        tracks, dets = boxes[::2], boxes[1::2]
+        got, want = Recorder(iou_fn), Recorder(iou_fn)
+        out = associate(tracks, dets, iou_min, got)
+        assert out == reference_associate(tracks, dets, iou_min, want)
+        assert associate(tracks, dets, iou_min, iou_fn) == out
+        assert got.calls == _on_candidates(want.calls, _candidate_ids(tracks, dets))
+
+    @pytest.mark.parametrize("iou_fn", [bev_iou, iou3d])
+    @pytest.mark.parametrize("iou_thr", [0.1, 0.5, 1.0])
+    def test_mota_motp(self, name, iou_fn, iou_thr):
+        _check_mota_motp(*_scene_sequence(FRAMES[name]), iou_fn, iou_thr)
+
+
+def _scene_sequence(boxes):
+    """Three frames of one scene with track ids, ground truth the even boxes
+    and hypotheses the odd ones: as is, with two hypothesis ids swapped, and
+    with every hypothesis moved 0.7 m along x."""
+    gts, hyps = boxes[::2], boxes[1::2]
+    ids = list(range(100, 100 + len(hyps)))
+    if len(ids) > 1:
+        ids[0], ids[1] = ids[1], ids[0]
+    gt_seq = [[b._with(track_id=k) for k, b in enumerate(gts)] for _ in range(3)]
+    tracked = [[b._with(track_id=100 + k) for k, b in enumerate(hyps)],
+               [b._with(track_id=i) for i, b in zip(ids, hyps)],
+               [replace(b, cx=b.cx + 0.7, track_id=100 + k) for k, b in enumerate(hyps)]]
+    return tracked, gt_seq
+
+
+def _id_sequence(seed, frames=8, objects=30):
+    """Objects of mixed labels moving at constant velocity, with ids. The
+    hypotheses are jittered copies under ids of their own, with drops, false
+    positives, and two objects that trade ids halfway."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-15.0, 15.0, size=(objects, 2))
+    velocity = rng.normal(0.0, 0.8, size=(objects, 2))
+    sizes = rng.uniform([1.0, 0.6, 1.4], [5.0, 2.2, 1.8], size=(objects, 3))
+    headings = rng.uniform(-math.pi, math.pi, objects)
+    tracked, gt = [], []
+    for f in range(frames):
+        gts, hyps = [], []
+        for k in range(objects):
+            x, y = start[k] + f * velocity[k]
+            label = LABELS[k % 3]
+            gts.append(Box3D(float(x), float(y), 0.0, *map(float, sizes[k]), float(headings[k]),
+                             label=label, track_id=k))
+            if rng.uniform() < 0.15:
+                continue
+            hyp_id = 500 + (k ^ 1 if k < 2 and f >= frames // 2 else k)
+            hyps.append(Box3D(float(x + rng.normal(0.0, 0.3)), float(y + rng.normal(0.0, 0.3)),
+                              float(rng.normal(0.0, 0.2)), *map(float, sizes[k]),
+                              float(headings[k] + rng.normal(0.0, 0.1)), label=label,
+                              track_id=hyp_id))
+        for m in range(3):
+            hyps.append(random_box(rng, span=15.0, label=LABELS[m])._with(track_id=900 + m))
+        tracked.append(hyps)
+        gt.append(gts)
+    return tracked, gt
+
+
+class TaggedRecorder:
+    """An iou_fn log shared by two callables, each call tagged with its caller."""
+
+    def __init__(self, iou_fn):
+        self.iou_fn = iou_fn
+        self.calls = []
+
+    def tagged(self, tag):
+        def call(a, b):
+            self.calls.append((tag, id(a), id(b)))
+            return self.iou_fn(a, b)
+        return call
+
+
+def _check_mota_motp(tracked, gt, iou_fn, iou_thr):
+    got, want = Recorder(iou_fn), TaggedRecorder(iou_fn)
+    out = mota_motp(tracked, gt, iou_thr, got)
+    ref = reference_mota_motp(tracked, gt, iou_thr, want.tagged("rest"), want.tagged("pair"))
+    assert repr(out) == repr(ref)  # by repr, so NaN equals NaN
+    assert repr(mota_motp(tracked, gt, iou_thr, iou_fn)) == repr(out)
+    candidates = set().union(*(_candidate_ids(gts, hyps) for hyps, gts in zip(tracked, gt)))
+    assert got.calls == [(a, b) for tag, a, b in want.calls
+                         if tag == "pair" or (a, b) in candidates]
+
+
+class TestTrackingOnIdSequences:
+    """associate and mota_motp on moving objects that carry ids."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("iou_fn", [bev_iou, iou3d])
+    def test_associate_every_frame(self, seed, iou_fn):
+        tracked, gt = _id_sequence(seed)
+        for hyps, gts in zip(tracked, gt):
+            got, want = Recorder(iou_fn), Recorder(iou_fn)
+            out = associate(hyps, gts, 0.1, got)
+            assert out == reference_associate(hyps, gts, 0.1, want)
+            assert associate(hyps, gts, 0.1, iou_fn) == out
+            assert got.calls == _on_candidates(want.calls, _candidate_ids(hyps, gts))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("iou_fn", [bev_iou, iou3d])
+    @pytest.mark.parametrize("iou_thr", [0.1, 0.5])
+    def test_mota_motp(self, seed, iou_fn, iou_thr):
+        _check_mota_motp(*_id_sequence(seed), iou_fn, iou_thr)
 
 
 class TestEdgeCases:

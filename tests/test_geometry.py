@@ -183,12 +183,17 @@ class TestBox3D:
             Box3D(cx=0, cy=0, cz=0, length=1, width=1, height=1, heading=0, label="VEHICLE")
         assert str(refused.value) == "label must be a Label member, got 'VEHICLE'"
 
-    def test_ints_within_float_range_are_kept_as_ints(self):
+    def test_an_int_is_stored_as_its_float(self):
         largest = 2**1024 - 2**970 - 1  # the largest int that float() takes
-        box = Box3D(cx=largest, cy=-largest, cz=0, length=largest, width=1, height=1,
-                    heading=0, score=1)
-        assert (box.cx, box.cy, box.length, box.score) == (largest, -largest, largest, 1)
-        assert all(type(v) is int for v in (box.cx, box.cy, box.length, box.score))
+        values = dict(cx=largest, cy=-largest, cz=2**53 + 1, length=largest, width=1, height=3,
+                      heading=2, score=1)
+        box = Box3D(**values)
+        for name, value in values.items():
+            assert type(getattr(box, name)) is float
+            assert getattr(box, name) == float(value)
+        # Products of floats: an int length no longer gives an exact int area.
+        assert type(box.bev_area) is float and box.bev_area == float(largest)
+        assert box.cz == 2.0**53
 
     def test_corners_are_counter_clockwise(self):
         rng = np.random.default_rng(10)
@@ -288,6 +293,9 @@ BOX_EDGES = [
 ]
 
 
+_NUMBER_NAMES = ("cx", "cy", "cz", "length", "width", "height", "heading", "score")
+
+
 def _valid_box_args():
     return dict(cx=0.5, cy=-0.5, cz=0.0, length=4.0, width=2.0, height=1.5, heading=0.1,
                 score=0.5, label=Label.CYCLIST, track_id=1, difficulty=1, num_points=3,
@@ -313,7 +321,9 @@ class TestBoxDomain:
     @pytest.mark.parametrize("name, value", BOX_EDGES)
     def test_a_value_at_the_end_of_a_domain_is_taken(self, name, value):
         box = Box3D(**{**_valid_box_args(), name: value})
-        assert getattr(box, name) == value and type(getattr(box, name)) is type(value)
+        # A number is stored as its float, an id as it is.
+        want = float(value) if name in _NUMBER_NAMES else value
+        assert getattr(box, name) == want and type(getattr(box, name)) is type(want)
 
     def test_the_declaration_names_the_checked_fields_in_check_order(self):
         checked = [f.name for f in fields(Box3D) if f.name not in ("heading", "source_id")]

@@ -337,8 +337,8 @@ class TestEveryBoxReadsBack:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(_box_values())
     def test_a_box_is_refused_or_reads_back_equal(self, tmp_path_factory, values):
-        """Box3D takes only what a box file carries: each box it builds is
-        written and read back as the box of its values as floats."""
+        """Box3D takes only what a box file carries, and stores its numbers
+        as floats: each box it builds is written and read back exactly."""
         try:
             box = Box3D(**values)
         except ValueError:
@@ -346,11 +346,10 @@ class TestEveryBoxReadsBack:
         path = tmp_path_factory.getbasetemp() / "any_box.jsonl"
         write_boxes([DetectionSet("f", [box])], path)
         (got,) = read_boxes(path)["f"].boxes
-        expected = {name: float(value) if name in _NUMBERS else value
-                    for name, value in vars(box).items()}
         # By type and repr, so -0.0 is not 0.0.
         assert {name: (type(value), repr(value)) for name, value in vars(got).items()} == {
-            name: (type(value), repr(value)) for name, value in expected.items()}
+            name: (type(value), repr(value)) for name, value in vars(box).items()}
+        assert all(type(getattr(box, name)) is float for name in _NUMBERS)
 
 
 class TestDetectionSetTimestamp:
