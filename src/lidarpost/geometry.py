@@ -44,7 +44,7 @@ _AREA_EPS = 1e-12
 # Upper bound on the cells of one block of the candidate test's temporaries.
 _BLOCK_CELLS = 1 << 20
 
-# Pairs clipped at once by the overlap kernel: its temporaries stay near 1 MB.
+# Pairs scored at once by the overlap kernel: its temporaries stay near 1 MB.
 _PAIR_CHUNK = 1 << 12
 
 
@@ -570,10 +570,7 @@ def _pair_overlaps(a: _Table, b: _Table, i: np.ndarray, j: np.ndarray, kind: str
             keep &= ~(z_overlap <= 0.0)
         at = np.flatnonzero(keep)
         i, j = i[at], j[at]
-        inter = np.concatenate([np.empty(0)] + [
-            _clipped_areas(a.xs[ii], a.ys[ii], b.xs[jj], b.ys[jj])
-            for ii, jj in ((i[k:k + _PAIR_CHUNK], j[k:k + _PAIR_CHUNK])
-                           for k in range(0, len(i), _PAIR_CHUNK))])
+        inter = _clipped_areas(a.xs[i], a.ys[i], b.xs[j], b.ys[j])
         inter[inter < _AREA_EPS] = 0.0
         # Taken before the z product: the scalar code returns 0 here, where
         # 0 times an overflowed z-overlap would be NaN.
@@ -620,14 +617,23 @@ def _overlap_blocks(
     empty = np.empty(0, dtype=np.intp)
     i = np.concatenate([empty] + [f[0] for f in found])
     j = np.concatenate([empty] + [f[1] for f in found])
-    values = _pair_overlaps(a, b, i, j, kind)
     stops = np.cumsum([0] + [len(f[0]) for f in found])[ends].tolist()
+    del found
+    values = np.concatenate([np.empty(0)] + [
+        _pair_overlaps(a, b, i[k:k + _PAIR_CHUNK], j[k:k + _PAIR_CHUNK], kind)
+        for k in range(0, len(i), _PAIR_CHUNK)])
     p0 = 0
     for (r0, c0, n_rows, n_cols), p1 in zip(offsets, stops):
-        out = np.zeros((n_rows, n_cols), dtype=np.float64)
-        out[i[p0:p1] - r0, j[p0:p1] - c0] = values[p0:p1]
-        yield out
+        # Built in a call, so the suspended generator keeps no matrix alive.
+        yield _scatter((n_rows, n_cols), i[p0:p1] - r0, j[p0:p1] - c0, values[p0:p1])
         p0 = p1
+
+
+def _scatter(shape: Tuple[int, int], i: np.ndarray, j: np.ndarray,
+             values: np.ndarray) -> np.ndarray:
+    out = np.zeros(shape, dtype=np.float64)
+    out[i, j] = values
+    return out
 
 
 def overlaps(rows: Sequence[Box3D], cols: Sequence[Box3D], kind: str) -> np.ndarray:

@@ -287,8 +287,12 @@ def mota_motp(
         used_h = set(matches.values())
         rem_h = [h for h, box in enumerate(hyps) if box.track_id not in used_h]
         if rem_g and rem_h:
-            iou = (iou_matrix([gts[g] for g in rem_g], [hyps[h] for h in rem_h], iou_fn)
-                   if full is None else full[np.ix_(rem_g, rem_h)])
+            if full is None:
+                iou = iou_matrix([gts[g] for g in rem_g], [hyps[h] for h in rem_h], iou_fn)
+            elif len(rem_g) < len(gts) or len(rem_h) < len(hyps):
+                iou = full[np.ix_(rem_g, rem_h)]
+            else:  # nothing carried over: no copy of the whole frame
+                iou = full
             for gi, hj in hungarian(1.0 - iou):
                 if iou[gi, hj] < iou_thr:
                     continue
