@@ -8,14 +8,14 @@ toward the lowest index so assignments are fully deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from .geometry import Box3D, bev_iou, iou_blocks, iou_matrix
+from .geometry import as_geometry, overlaps, pair_overlaps
 from .schema import COUNT, UNIT, Section, check, setting
 
 DEFAULT_K = 9
@@ -61,12 +61,8 @@ class AssignmentResult:
             raise ValueError("gt_indices must be set exactly for POSITIVE anchors")
 
 
-def fixed_assign(
-    anchors: Sequence[Box3D],
-    gts: Sequence[Box3D],
-    pos_thr: float = DEFAULT_POS_THR,
-    neg_thr: float = DEFAULT_NEG_THR,
-) -> AssignmentResult:
+def fixed_assign(anchors, gts, pos_thr: float = DEFAULT_POS_THR,
+                 neg_thr: float = DEFAULT_NEG_THR) -> AssignmentResult:
     """Dual-threshold assignment on footprint IoU.
 
     An anchor is POSITIVE when its best IoU over ground truths reaches
@@ -74,35 +70,34 @@ def fixed_assign(
     below neg_thr, IGNORED in between. Each ground truth additionally forces
     its best-IoU anchor POSITIVE when that IoU is > 0, so no object goes
     unclaimed; later ground truths win when they contest the same anchor.
+    anchors and gts are Box3D sequences or (n, 7) arrays of
+    :func:`lidarpost.geometry.as_geometry`.
 
     Raises:
         ValueError: unless 0 <= neg_thr <= pos_thr <= 1, by AssignerConfig's checks.
     """
     AssignerConfig(pos_thr=pos_thr, neg_thr=neg_thr)
+    anchors, gts = as_geometry(anchors), as_geometry(gts)
     n = len(anchors)
     labels = [AnchorLabel.NEGATIVE] * n
     gt_indices: List[Optional[int]] = [None] * n
-    if not anchors or not gts:
+    if not n or not len(gts):
         return AssignmentResult(labels, gt_indices)
 
-    iou = iou_matrix(anchors, gts, bev_iou)
+    iou = overlaps(anchors, gts, "bev")
+    best_j = iou.argmax(axis=1)  # argmax takes the first (lowest) index
+    best = iou[np.arange(n), best_j]
+    positive = best >= pos_thr
+    for i in np.flatnonzero(positive).tolist():
+        labels[i] = AnchorLabel.POSITIVE
+        gt_indices[i] = int(best_j[i])
+    for i in np.flatnonzero(~positive & ~(best < neg_thr)).tolist():
+        labels[i] = AnchorLabel.IGNORED
 
-    for i in range(n):
-        best_j = int(np.argmax(iou[i]))  # argmax takes the first (lowest) index
-        best = iou[i, best_j]
-        if best >= pos_thr:
+    for j, i in enumerate(iou.argmax(axis=0).tolist()):
+        if iou[i, j] > 0.0:
             labels[i] = AnchorLabel.POSITIVE
-            gt_indices[i] = best_j
-        elif best < neg_thr:
-            labels[i] = AnchorLabel.NEGATIVE
-        else:
-            labels[i] = AnchorLabel.IGNORED
-
-    for j in range(len(gts)):
-        best_i = int(np.argmax(iou[:, j]))
-        if iou[best_i, j] > 0.0:
-            labels[best_i] = AnchorLabel.POSITIVE
-            gt_indices[best_i] = j
+            gt_indices[i] = j
     return AssignmentResult(labels, gt_indices)
 
 
@@ -116,9 +111,80 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
     return near[np.argsort(dist[near], kind="stable")[:k]]
 
 
-def adaptive_assign(
-    anchors: Sequence[Box3D], gts: Sequence[Box3D], k: int = DEFAULT_K
-) -> AssignmentResult:
+# A window's k-th distance must lie below its bound by this factor, which
+# covers a few ulps of np.hypot's rounding.
+_HYPOT_SLACK = 1.0 - 2.0 ** -50
+
+
+def _windowed_nearest(xs: np.ndarray, ys: np.ndarray, order: np.ndarray, sorted_x: np.ndarray,
+                      gx: float, gy: float, k: int, r: float) -> np.ndarray:
+    """``_nearest(np.hypot(xs - gx, ys - gy), k)``, scoring only a window of
+    the anchors, whose indices in ascending x are order, at x sorted_x.
+
+    The window holds the anchors whose x lies in [gx - r, gx + r] and whose
+    dy = ys - gy has |dy| <= r. An anchor outside it has |dx| or |dy| above
+    the bound, the least |dx| of the anchors just outside in x or r, and so
+    a distance at least that, since a hypot is no less than either leg. So
+    once the window's k-th distance lies below the bound by _HYPOT_SLACK,
+    no anchor outside is as near, and the window's stable selection, in
+    index order, is the full one. Otherwise r doubles, up to a full scan.
+    """
+    n = len(xs)
+    while 0.0 < r < math.inf:
+        lo = int(sorted_x.searchsorted(gx - r, "left"))
+        hi = int(sorted_x.searchsorted(gx + r, "right"))
+        if lo == 0 and hi == n:
+            break  # every anchor lies in the window's x-range: scan them all
+        if hi - lo >= k:
+            idx = np.sort(order[lo:hi])
+            dy = ys[idx] - gy
+            near = np.abs(dy) <= r
+            if np.count_nonzero(near) >= k:
+                idx = idx[near]
+                dist = np.hypot(xs[idx] - gx, dy[near])
+                pick = _nearest(dist, k)
+                bound = min(r, gx - sorted_x[lo - 1] if lo else math.inf,
+                            sorted_x[hi] - gx if hi < n else math.inf)
+                if dist[pick[-1]] < bound * _HYPOT_SLACK:
+                    return idx[pick]
+        r *= 2.0
+    return _nearest(np.hypot(xs - gx, ys - gy), k)
+
+
+def _nearest_anchors(anchors: np.ndarray, gts: np.ndarray, k: int) -> np.ndarray:
+    """(len(gts), min(k, n)) indices: each ground truth's k anchors nearest
+    by footprint-center distance ``np.hypot(xs - gx, ys - gy)``, nearest
+    first, ties to the lower index, as the first k of a stable argsort of
+    all n distances. The anchors are sorted by x once, and each ground
+    truth starts from a window expected to hold about 4k anchors."""
+    xs, ys = anchors[:, 0], anchors[:, 1]
+    n = len(xs)
+    order = np.argsort(xs, kind="stable")
+    sorted_x = xs[order]
+    with np.errstate(over="ignore"):  # spans of huge coordinates overflow to inf
+        r = float(max(sorted_x[-1] - sorted_x[0], ys.max() - ys.min())) * math.sqrt(k / n)
+    nearest = np.empty((len(gts), min(k, n)), dtype=np.intp)
+    for row, (gx, gy) in enumerate(gts[:, :2].tolist()):
+        nearest[row] = (_windowed_nearest(xs, ys, order, sorted_x, gx, gy, k, r) if k < n
+                        else _nearest(np.hypot(xs - gx, ys - gy), k))
+    return nearest
+
+
+def _inside(gts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether the points (x[j], y[j]) lie inside ground truth j's
+    footprint: :meth:`Box3D.contains_bev` with the same IEEE operations."""
+    headings = gts[:, 6].tolist()
+    c = np.fromiter(map(math.cos, headings), np.float64, len(headings))[:, None]
+    s = np.fromiter(map(math.sin, headings), np.float64, len(headings))[:, None]
+    with np.errstate(all="ignore"):  # huge coordinates: inf and NaN, silent as in floats
+        dx = x - gts[:, 0:1]
+        dy = y - gts[:, 1:2]
+        local_x = c * dx + s * dy
+        local_y = -s * dx + c * dy
+        return (np.abs(local_x) <= 0.5 * gts[:, 3:4]) & (np.abs(local_y) <= 0.5 * gts[:, 4:5])
+
+
+def adaptive_assign(anchors, gts, k: int = DEFAULT_K) -> AssignmentResult:
     """Per-ground-truth adaptive threshold assignment.
 
     For each ground truth the k anchors nearest by footprint-center distance
@@ -127,36 +193,37 @@ def adaptive_assign(
     reaches that threshold and its center lies inside the ground-truth
     footprint. Anchors positive for several ground truths go to the one with
     the highest IoU (ties to the lowest gt index); everything else is
-    NEGATIVE.
+    NEGATIVE. anchors and gts are Box3D sequences or (n, 7) arrays of
+    :func:`lidarpost.geometry.as_geometry`.
 
     Raises:
         ValueError: if anchors is empty or k < 1.
     """
     check("k", k, COUNT)
-    if not anchors:
-        raise ValueError("anchors must be non-empty")
+    anchors, gts = as_geometry(anchors), as_geometry(gts)
     n = len(anchors)
+    if not n:
+        raise ValueError("anchors must be non-empty")
     labels = [AnchorLabel.NEGATIVE] * n
     gt_indices: List[Optional[int]] = [None] * n
-    if not gts:
+    if not len(gts):
         return AssignmentResult(labels, gt_indices, adaptive_thresholds=[])
 
-    xs = np.fromiter(map(attrgetter("cx"), anchors), np.float64, n)
-    ys = np.fromiter(map(attrgetter("cy"), anchors), np.float64, n)
-    nearest = [_nearest(np.hypot(xs - gt.cx, ys - gt.cy), k).tolist() for gt in gts]
-    # One kernel pass scores every ground truth's candidates.
-    columns = iou_blocks([([anchors[i] for i in candidates], [gt])
-                          for candidates, gt in zip(nearest, gts)], bev_iou)
-    thresholds: List[float] = []
+    nearest = _nearest_anchors(anchors, gts, k)
+    m, kk = nearest.shape
+    candidates = anchors[nearest.ravel()]
+    # One kernel call scores every ground truth's candidates, row j's against gt j.
+    ious = pair_overlaps(candidates, gts, np.arange(m * kk), np.repeat(np.arange(m), kk),
+                         "bev").reshape(m, kk)
+    thresholds = ious.mean(axis=1) + ious.std(axis=1)
+    positive = (ious >= thresholds[:, None]) & _inside(
+        gts, candidates[:, 0].reshape(m, kk), candidates[:, 1].reshape(m, kk))
     best_iou = [-1.0] * n
-    for j, (gt, candidates, column) in enumerate(zip(gts, nearest, columns)):
-        ious = column[:, 0]
-        threshold = float(ious.mean() + ious.std())
-        thresholds.append(threshold)
-        for i, value in zip(candidates, ious):
-            if value >= threshold and gt.contains_bev(anchors[i].cx, anchors[i].cy):
-                if value > best_iou[i]:  # ties keep the earlier (lower) gt index
-                    best_iou[i] = float(value)
-                    labels[i] = AnchorLabel.POSITIVE
-                    gt_indices[i] = j
-    return AssignmentResult(labels, gt_indices, adaptive_thresholds=thresholds)
+    for j, p in zip(*(axis.tolist() for axis in np.nonzero(positive))):
+        i = int(nearest[j, p])
+        value = float(ious[j, p])
+        if value > best_iou[i]:  # ties keep the earlier (lower) gt index
+            best_iou[i] = value
+            labels[i] = AnchorLabel.POSITIVE
+            gt_indices[i] = j
+    return AssignmentResult(labels, gt_indices, adaptive_thresholds=thresholds.tolist())

@@ -35,10 +35,12 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
-from itertools import chain
-from operator import add, attrgetter
+from itertools import chain, repeat
+from operator import add, attrgetter, is_, is_not
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .assigner import AnchorLabel, AssignerConfig, AssignmentResult, adaptive_assign, fixed_assign
 from .ensemble import (
@@ -50,7 +52,7 @@ from .ensemble import (
     soft_nms,
 )
 from .geometry import Box3D, DetectionSet, Label, iou3d, score_order
-from .io import read_boxes, read_points, write_boxes, write_points
+from .io import BoxColumns, read_box_columns, read_boxes, read_points, write_boxes, write_points
 from .metrics import (
     Difficulty,
     FrameMatcher,
@@ -305,15 +307,15 @@ def cmd_voxelize(args: argparse.Namespace, config: Config) -> dict:
 
 def cmd_assign(args: argparse.Namespace, config: Config) -> dict:
     section = config.assigner
-    anchors_by_frame = read_boxes(args.anchors)
-    gts_by_frame = read_boxes(args.gts)
+    anchors_by_frame = read_box_columns(args.anchors)
+    gts_by_frame = read_box_columns(args.gts)
     results: List[Tuple[str, AssignmentResult]] = []
     anchor_count = 0
-    for frame_id, anchor_set in anchors_by_frame.items():
-        anchors = _filter_class(anchor_set.boxes, args.cls)
-        gt_set = gts_by_frame.get(frame_id)
-        gts = _filter_class(gt_set.boxes, args.cls) if gt_set else []
-        if not anchors:
+    for frame_id, anchor_columns in anchors_by_frame.items():
+        anchors = _class_geometry(anchor_columns, args.cls)
+        gt_columns = gts_by_frame.get(frame_id)
+        gts = np.empty((0, 7)) if gt_columns is None else _class_geometry(gt_columns, args.cls)
+        if not len(anchors):
             continue
         anchor_count += len(anchors)
         if args.mode == "fixed":
@@ -328,15 +330,29 @@ def cmd_assign(args: argparse.Namespace, config: Config) -> dict:
     )
 
 
+def _class_geometry(columns: BoxColumns, label: Optional[Label]) -> np.ndarray:
+    """The (n, 7) geometry of a frame's boxes of one class, or of all for None."""
+    if label is None:
+        return columns.geometry
+    return columns.geometry[np.fromiter(map(is_, columns.labels, repeat(label)), bool,
+                                        len(columns.labels))]
+
+
 def _assign_lines(results: Iterable[Tuple[str, AssignmentResult]]) -> Iterator[str]:
-    """One JSON object per anchor, then per adaptive threshold, each the
-    bytes of ``json.dumps(record)``, built on a prefix per frame."""
-    label_text = {label: json.dumps(label.value) for label in AnchorLabel}
+    """Per frame, one JSON object per anchor, as one block of lines, then
+    one per adaptive threshold, each the bytes of ``json.dumps(record)``.
+    The anchor lines share a prefix, and a NEGATIVE anchor's end, the most
+    common, is one shared string."""
+    negative = AnchorLabel.NEGATIVE
     for frame_id, result in results:
         prefix = '{"frame_id": ' + json.dumps(frame_id) + ", "
-        for i, (label, gt_index) in enumerate(zip(result.labels, result.gt_indices)):
-            line = f'{prefix}"anchor_index": {i}, "label": {label_text[label]}'
-            yield line + "}" if gt_index is None else f'{line}, "gt_index": {gt_index}}}'
+        ends = [', "label": "NEGATIVE"}'] * len(result.labels)
+        for i in np.flatnonzero(list(map(is_not, result.labels, repeat(negative)))).tolist():
+            end = f', "label": {json.dumps(result.labels[i].value)}'
+            gt_index = result.gt_indices[i]
+            ends[i] = end + "}" if gt_index is None else f'{end}, "gt_index": {gt_index}}}'
+        start = prefix + '"anchor_index": '
+        yield "\n".join([f"{start}{i}{end}" for i, end in enumerate(ends)])
         for j, threshold in enumerate(result.adaptive_thresholds or ()):
             value = json.dumps(threshold, allow_nan=False)
             yield f'{prefix}"gt_index": {j}, "adaptive_threshold": {value}}}'

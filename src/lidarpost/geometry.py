@@ -14,8 +14,10 @@ lists, the pairs whose circles can touch, and the overlap runs on those
 alone. The callers that score every candidate pair (``iou_matrix`` and the
 assigners, ``associate``, ``mota_motp`` and ``box_vote``) score them, for
 :func:`bev_iou` and :func:`iou3d`, with one batched NumPy kernel per frame
-or per sequence (:func:`overlaps`, :func:`iou_blocks`). The kernel is bit
-for bit the scalar code: it builds each box's corners with ``math.cos`` and
+or per sequence (:func:`overlaps`, :func:`iou_blocks`, and
+:func:`pair_overlaps` for a list of pairs). The kernel takes boxes or the
+(n, 7) geometry arrays of :func:`as_geometry`, and is bit for bit the
+scalar code: it builds each box's corners with ``math.cos`` and
 ``math.sin`` and replays the circle reject, the z test, the
 Sutherland-Hodgman clip and the shoelace sum with the same IEEE operations
 in the same order. The lazy callers (``nms``, ``soft_nms``, the ensemble's
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -46,6 +49,10 @@ _BLOCK_CELLS = 1 << 20
 
 # Pairs scored at once by the overlap kernel: its temporaries stay near 1 MB.
 _PAIR_CHUNK = 1 << 12
+
+# Candidate pairs that end a pass of iou_blocks: a pass holds about 24 bytes
+# a pair (indices and value) beside its blocks' tables and matrices.
+_PASS_PAIRS = 1 << 14
 
 
 class Label(Enum):
@@ -406,11 +413,30 @@ def iou3d(a: Box3D, b: Box3D) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
-def _circles(boxes: Sequence[Box3D]) -> np.ndarray:
-    """(N, 3) array of footprint centers and circumscribed radii, each radius
-    the expression of the scalar reject in :func:`_footprint_intersection`."""
-    return np.array([(b.cx, b.cy, 0.5 * math.hypot(b.length, b.width)) for b in boxes],
-                    dtype=np.float64)
+def as_geometry(boxes) -> np.ndarray:
+    """The (n, 7) float64 array of the boxes' cx, cy, cz, length, width,
+    height and heading, each the value the box stores. An (n, 7) array is
+    taken to hold these columns already and is returned as it is."""
+    if isinstance(boxes, np.ndarray):
+        return boxes
+    n = len(boxes)
+    return np.fromiter(chain.from_iterable(map(_geometry_values, boxes)), np.float64,
+                       7 * n).reshape(n, 7)
+
+
+_geometry_values = attrgetter(*_NUMBER_FIELDS[:7])
+
+
+def _circles(boxes) -> np.ndarray:
+    """(N, 3) array of footprint centers and circumscribed radii of a Box3D
+    sequence or an (N, 7) geometry array, each radius the expression of the
+    scalar reject in :func:`_footprint_intersection`."""
+    if not isinstance(boxes, np.ndarray):
+        return np.array([(b.cx, b.cy, 0.5 * math.hypot(b.length, b.width)) for b in boxes],
+                        dtype=np.float64).reshape(len(boxes), 3)
+    radius = 0.5 * np.fromiter(map(math.hypot, boxes[:, 3].tolist(), boxes[:, 4].tolist()),
+                               np.float64, len(boxes))
+    return np.stack([boxes[:, 0], boxes[:, 1], radius], axis=1)
 
 
 def _hit_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
@@ -472,16 +498,13 @@ class _Table(NamedTuple):
     volume: np.ndarray
 
 
-def _table(boxes: Sequence[Box3D]) -> _Table:
-    n = len(boxes)
-    cx, cy, cz, length, width, height = np.array(
-        [(b.cx, b.cy, b.cz, b.length, b.width, b.height) for b in boxes],
-        dtype=np.float64).reshape(n, 6).T
-    headings = [b.heading for b in boxes]
+def _table(geometry: np.ndarray, circles: np.ndarray) -> _Table:
+    """The kernel's table of an (N, 7) geometry array and its circles."""
+    cx, cy, cz, length, width, height = geometry[:, :6].T
+    headings = geometry[:, 6].tolist()
     # math, not np.cos and np.sin, whose SIMD paths may differ in the last bit.
-    c = np.fromiter(map(math.cos, headings), np.float64, n)
-    s = np.fromiter(map(math.sin, headings), np.float64, n)
-    radius = 0.5 * np.fromiter(map(math.hypot, length.tolist(), width.tolist()), np.float64, n)
+    c = np.fromiter(map(math.cos, headings), np.float64, len(headings))
+    s = np.fromiter(map(math.sin, headings), np.float64, len(headings))
     with np.errstate(over="ignore"):  # huge boxes overflow to inf, as in the scalar code
         hl = 0.5 * length
         hw = 0.5 * width
@@ -490,7 +513,7 @@ def _table(boxes: Sequence[Box3D]) -> _Table:
         ys = np.array([cy + s * hl + c * hw, cy - s * hl + c * hw,
                        cy - s * hl - c * hw, cy + s * hl - c * hw]).T
         area = length * width
-        return _Table(xs, ys, np.array([cx, cy, radius]).T, cz - 0.5 * height,
+        return _Table(xs, ys, circles, cz - 0.5 * height,
                       cz + 0.5 * height, area, area * height)
 
 
@@ -594,38 +617,81 @@ def overlap_kind(iou_fn: Callable) -> Optional[str]:
     return "bev" if iou_fn is bev_iou else "3d" if iou_fn is iou3d else None
 
 
-def _overlap_blocks(
-    blocks: Sequence[Tuple[Sequence[Box3D], Sequence[Box3D]]], kind: str
-) -> Iterator[np.ndarray]:
-    """:func:`overlaps` of each (rows, cols) block in turn, every block's
-    candidate pairs scored in one pass of the kernel."""
-    rows = [box for block, _ in blocks for box in block]
-    cols = [box for _, block in blocks for box in block]
-    a, b = _table(rows), _table(cols)
-    # Each block's pairs, in row-major order, shifted into the stacked tables.
-    offsets, found, ends = [], [], []
-    r0 = c0 = 0
-    for block_rows, block_cols in blocks:
-        offsets.append((r0, c0, len(block_rows), len(block_cols)))
-        for start, hits in _hit_blocks(a.circles[r0:r0 + len(block_rows)],
-                                       b.circles[c0:c0 + len(block_cols)]):
-            i, j = np.nonzero(hits)
-            found.append((i + (r0 + start), j + c0))
-        ends.append(len(found))
-        r0 += len(block_rows)
-        c0 += len(block_cols)
-    empty = np.empty(0, dtype=np.intp)
-    i = np.concatenate([empty] + [f[0] for f in found])
-    j = np.concatenate([empty] + [f[1] for f in found])
-    stops = np.cumsum([0] + [len(f[0]) for f in found])[ends].tolist()
-    del found
-    values = np.concatenate([np.empty(0)] + [
+def _kernel(a: _Table, b: _Table, i: np.ndarray, j: np.ndarray, kind: str) -> np.ndarray:
+    """:func:`_pair_overlaps` of the pairs (i, j), _PAIR_CHUNK pairs at a time."""
+    return np.concatenate([np.empty(0)] + [
         _pair_overlaps(a, b, i[k:k + _PAIR_CHUNK], j[k:k + _PAIR_CHUNK], kind)
         for k in range(0, len(i), _PAIR_CHUNK)])
+
+
+def pair_overlaps(rows, cols, i: np.ndarray, j: np.ndarray, kind: str) -> np.ndarray:
+    """``bev_iou(rows[i[p]], cols[j[p]])`` for kind "bev", or with
+    :func:`iou3d` for kind "3d", of each listed pair p, bit for bit, from
+    the batched kernel. rows and cols are Box3D sequences or (n, 7) arrays
+    of :func:`as_geometry`; the pairs are scored as given, candidates or not.
+
+    Raises:
+        ValueError: unless kind is "bev" or "3d".
+    """
+    _check_kind(kind)
+    rows, cols = as_geometry(rows), as_geometry(cols)
+    return _kernel(_table(rows, _circles(rows)), _table(cols, _circles(cols)),
+                   np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp), kind)
+
+
+def _stacked(sides: Sequence) -> np.ndarray:
+    """The geometry of several Box3D sequences or (n, 7) arrays, one after another."""
+    if any(isinstance(side, np.ndarray) for side in sides):
+        return np.concatenate([np.empty((0, 7))] + [as_geometry(side) for side in sides])
+    return as_geometry([box for side in sides for box in side])
+
+
+def _overlap_blocks(blocks: Sequence[Tuple[Sequence, Sequence]], kind: str) -> Iterator[np.ndarray]:
+    """:func:`overlaps` of each (rows, cols) block in turn. The boxes of
+    every block are stacked once, and whole blocks' candidate pairs are
+    scored together, in passes that end once they hold _PASS_PAIRS pairs:
+    the pairs and kernel tables in memory follow a pass, not the sequence."""
+    rows = _stacked([block for block, _ in blocks])
+    cols = _stacked([block for _, block in blocks])
+    row_circles, col_circles = _circles(rows), _circles(cols)
+    pending: List[Tuple[int, int, int, int, np.ndarray, np.ndarray]] = []
+    pairs = r0 = c0 = 0
+    empty = np.empty(0, dtype=np.intp)
+    for block_rows, block_cols in blocks:
+        r1, c1 = r0 + len(block_rows), c0 + len(block_cols)
+        # Row-major pairs, indexed into the stacked boxes.
+        found = [(i + (r0 + start), j + c0)
+                 for start, hits in _hit_blocks(row_circles[r0:r1], col_circles[c0:c1])
+                 for i, j in [np.nonzero(hits)]]
+        i = np.concatenate([empty] + [i for i, _ in found])
+        j = np.concatenate([empty] + [j for _, j in found])
+        pending.append((r0, c0, r1 - r0, c1 - c0, i, j))
+        pairs += len(i)
+        r0, c0 = r1, c1
+        if pairs >= _PASS_PAIRS:
+            yield from _pass(rows, cols, row_circles, col_circles, pending, kind)
+            pending, pairs = [], 0
+    yield from _pass(rows, cols, row_circles, col_circles, pending, kind)
+
+
+def _pass(rows: np.ndarray, cols: np.ndarray, row_circles: np.ndarray, col_circles: np.ndarray,
+          pending: List[Tuple[int, int, int, int, np.ndarray, np.ndarray]],
+          kind: str) -> Iterator[np.ndarray]:
+    """The matrices of a pass's consecutive blocks, every candidate pair
+    scored in one kernel call on the tables of the pass's boxes."""
+    if not pending:
+        return
+    r0, c0 = pending[0][:2]
+    r1, c1 = pending[-1][0] + pending[-1][2], pending[-1][1] + pending[-1][3]
+    values = _kernel(_table(rows[r0:r1], row_circles[r0:r1]),
+                     _table(cols[c0:c1], col_circles[c0:c1]),
+                     np.concatenate([block[4] for block in pending]) - r0,
+                     np.concatenate([block[5] for block in pending]) - c0, kind)
     p0 = 0
-    for (r0, c0, n_rows, n_cols), p1 in zip(offsets, stops):
+    for block_r0, block_c0, n_rows, n_cols, i, j in pending:
+        p1 = p0 + len(i)
         # Built in a call, so the suspended generator keeps no matrix alive.
-        yield _scatter((n_rows, n_cols), i[p0:p1] - r0, j[p0:p1] - c0, values[p0:p1])
+        yield _scatter((n_rows, n_cols), i - block_r0, j - block_c0, values[p0:p1])
         p0 = p1
 
 
@@ -636,16 +702,21 @@ def _scatter(shape: Tuple[int, int], i: np.ndarray, j: np.ndarray,
     return out
 
 
-def overlaps(rows: Sequence[Box3D], cols: Sequence[Box3D], kind: str) -> np.ndarray:
+def overlaps(rows, cols, kind: str) -> np.ndarray:
     """``iou_matrix(rows, cols, bev_iou)`` for kind "bev", and with
     :func:`iou3d` for kind "3d", bit for bit, from the batched kernel.
+    rows and cols are Box3D sequences or (n, 7) arrays of :func:`as_geometry`.
 
     Raises:
         ValueError: unless kind is "bev" or "3d".
     """
+    _check_kind(kind)
+    return next(_overlap_blocks([(rows, cols)], kind))
+
+
+def _check_kind(kind: str) -> None:
     if kind not in ("bev", "3d"):
         raise ValueError(f"kind must be 'bev' or '3d', got {kind!r}")
-    return next(_overlap_blocks([(rows, cols)], kind))
 
 
 def iou_blocks(
@@ -653,9 +724,11 @@ def iou_blocks(
 ) -> Iterator[np.ndarray]:
     """``iou_matrix(rows, cols, iou_fn)`` of each (rows, cols) block in turn.
 
-    For bev_iou and iou3d, the candidate pairs of every block are scored in
-    one pass of the batched kernel when the first matrix is taken. Any other
-    iou_fn is called block by block as each matrix is taken, as
+    For bev_iou and iou3d, the candidate pairs of whole blocks are scored
+    together by the batched kernel, in passes of about _PASS_PAIRS pairs
+    (one pass for a tracker's sequence), each when its first matrix is
+    taken; rows and cols may then be (n, 7) arrays of :func:`as_geometry`.
+    Any other iou_fn is called block by block as each matrix is taken, as
     :func:`iou_matrix` calls it.
     """
     kind = overlap_kind(iou_fn)

@@ -6,11 +6,14 @@ by frame on read. The reader parses a chunk of lines with one
 ``json.loads`` of them as a JSON array when the chunk's text proves that
 each line is one object with no other brace; a JSON string holds no raw
 line break, so the array's items are then the lines' own objects. Any other
-chunk is parsed one line at a time. The records are checked as columns:
-the value types per key, then each field's column against its domain in
-``geometry.BOX_DOMAINS``, with no per-record checks or constructor. A
-chunk that fails any check is read again one record at a time by the path
-that words every error, so a bad file raises what a one-record reader would.
+chunk is parsed one line at a time. The records are checked once, as
+columns: the value types per key, then each field's column against its
+domain in ``geometry.BOX_DOMAINS``, with no per-record checks or
+constructor. A chunk that fails any check is read again one record at a
+time by the path that words every error, so a bad file raises what a
+one-record reader would. The checked columns are what the reader gives:
+:func:`read_box_columns` returns them per frame as :class:`BoxColumns`, and
+:func:`read_boxes` builds each chunk's ``Box3D`` rows from them.
 
 Point files are raw little-endian float32 records with 4 channels (x, y, z,
 intensity) for single frames or 5 (plus the time offset) for concatenated
@@ -24,7 +27,7 @@ import math
 from itertools import chain, filterfalse, groupby, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -97,12 +100,41 @@ def _parse_record(record: dict, lineno: int) -> Tuple[str, float, Box3D]:
 
 
 # Lines read and checked together. A chunk's lines and columns live until
-# its boxes are built, and its parsed records until their columns are taken,
-# so the reader needs little memory beyond the boxes it returns.
+# its runs are taken, and its parsed records until their columns are taken,
+# so the reader needs little memory beyond what it returns.
 _CHUNK_LINES = 512
 
 _FRAME_ID, *_NUMBERS, _LABEL = map(itemgetter, _REQUIRED_KEYS)
 _LABELS = {label.value: label for label in Label}
+
+
+class BoxColumns(NamedTuple):
+    """One frame's boxes as columns, in file order: the values a box file's
+    records give, checked as :class:`Box3D` checks them.
+
+    numbers is an (n, 8) float64 array of the fields of ``_NUMBER_FIELDS``
+    (cx, cy, cz, length, width, height, heading, score), the heading wrapped
+    to (-pi, pi]; labels holds each box's :class:`Label`; ids holds the
+    track_id, difficulty, num_points and source_id columns, each a list of
+    ints and None.
+    """
+
+    frame_id: str
+    timestamp: float
+    numbers: np.ndarray
+    labels: List[Label]
+    ids: Tuple[list, list, list, list]
+
+    @property
+    def geometry(self) -> np.ndarray:
+        """The (n, 7) geometry of ``geometry.as_geometry``: every number but the score."""
+        return self.numbers[:, :7]
+
+
+# A checked chunk: frame ids, timestamps, numbers, labels and id columns.
+_Checked = Tuple[list, np.ndarray, np.ndarray, List[Label], List[list]]
+# One run of equal frame ids: (frame id, first timestamp, numbers, labels, ids).
+_Run = Tuple[str, float, np.ndarray, List[Label], List[list]]
 
 
 def _records(text: List[str]) -> list:
@@ -138,33 +170,39 @@ def _records(text: List[str]) -> list:
     return list(map(json.loads, text))
 
 
-def _checked_chunk(lines: List[str]) -> Optional[Tuple[list, np.ndarray, List[Box3D]]]:
-    """The frame ids, timestamps and boxes of a chunk's records, checked
-    together as columns, or None if any record fails a check.
+def _checked_chunk(lines: List[str]) -> Optional[_Checked]:
+    """The frame ids, timestamps, numbers, labels and id columns of a
+    chunk's records, checked together as columns, or None if any record
+    fails a check.
 
     The checks accept exactly the records that :func:`_parse_record`
-    accepts, testing the same domains, and the boxes hold the same values.
+    accepts, testing the same domains, and the columns hold the values its
+    boxes would: numbers as in :class:`BoxColumns`, as an (n, 8) view.
     """
     text = list(filterfalse(str.isspace, lines))
     if not text:
-        return [], np.empty(0), []
+        return [], np.empty(0), np.empty((0, 8)), [], []
     try:
         records = _records(text)
         # One C-level pass over the records per key.
         frame_ids = list(map(_FRAME_ID, records))
         numbers = [list(map(getter, records)) for getter in _NUMBERS]
         labels = list(map(_LABELS.__getitem__, map(_LABEL, records)))
-        ids = [list(map(dict.get, records, repeat(key))) for key in _ID_FIELDS]
     except (ValueError, AttributeError, KeyError, TypeError, RecursionError):
         # Undecodable bytes, bad or too deeply nested JSON, a non-object
         # record, a missing key, an unknown or unhashable label.
         return None
+    # Records that hold the required keys alone hold no id: their id
+    # columns are None, with nothing to take or check.
+    bare = set(map(len, records)) == {len(_REQUIRED_KEYS)}
+    ids = ([[None] * len(records)] * len(_ID_FIELDS) if bare
+           else [list(map(dict.get, records, repeat(key))) for key in _ID_FIELDS])
     del records
     # Types are checked on the raw columns: a set holds one of 1, 1.0 and
     # True, so a set of the values would hide a float or bool id.
     if (set(map(type, frame_ids)) != {str}
             or not set(map(type, chain.from_iterable(numbers))) <= {int, float}
-            or not set(map(type, chain.from_iterable(ids))) <= {int, type(None)}):
+            or not (bare or set(map(type, chain.from_iterable(ids))) <= {int, type(None)})):
         return None
     try:
         values = np.array(numbers, dtype=np.float64)
@@ -175,48 +213,47 @@ def _checked_chunk(lines: List[str]) -> Optional[Tuple[list, np.ndarray, List[Bo
     # declared column (of distinct ids for an id) lies in its field's domain.
     by_field = dict(zip(_NUMBER_FIELDS, values[1:]))
     by_field.update((name, np.array([*{*column} - {None}], dtype=object))
-                    for name, column in zip(_ID_FIELDS, ids) if name in BOX_DOMAINS)
+                    for name, column in zip(_ID_FIELDS, ids) if name in BOX_DOMAINS and not bare)
     if not (FINITE.test(values).all()
             and all(BOX_DOMAINS[name].test(column).all()
                     for name, column in by_field.items() if name in BOX_DOMAINS)):
         return None
-    columns = values.tolist()
-    columns[7] = wrap_angles(values[7]).tolist()
-    boxes = list(map(unchecked_box, *columns[1:], labels, *ids))
-    return frame_ids, values[0], boxes
+    values[7] = wrap_angles(values[7])
+    return frame_ids, values[0], values[1:].T, labels, ids
 
 
-def _runs(
-    checked: Tuple[list, np.ndarray, List[Box3D]],
-    frames: Dict[str, DetectionSet],
-    frame: Optional[DetectionSet],
-) -> Optional[List[Tuple[str, float, List[Box3D]]]]:
-    """(frame id, first timestamp, boxes) of each run of equal frame ids in
-    a checked chunk, or None if a run's frame appeared before another's."""
-    frame_ids, timestamps, boxes = checked
+def _runs(checked: _Checked, seen: set, current: Optional[str]) -> Optional[List[_Run]]:
+    """Each run of equal frame ids in a checked chunk, or None if a run's
+    frame appeared before another's: seen holds the frame ids read before
+    the chunk, and current the last of them."""
+    frame_ids, timestamps, numbers, labels, ids = checked
     runs = []
     start = 0
     for frame_id, run in groupby(frame_ids):
         stop = start + len(list(run))
-        runs.append((frame_id, float(timestamps[start]), boxes[start:stop]))
+        runs.append((frame_id, float(timestamps[start]), numbers[start:stop],
+                     labels[start:stop], [column[start:stop] for column in ids]))
         start = stop
-    new = [frame_id for frame_id, _, _ in runs]
-    if new and frame is not None and new[0] == frame.frame_id:
+    new = [run[0] for run in runs]
+    if new and new[0] == current:
         del new[0]  # the current frame goes on
-    if len(set(new)) < len(new) or not frames.keys().isdisjoint(new):
+    if len(set(new)) < len(new) or not seen.isdisjoint(new):
         return None
     return runs
 
 
-def _read_records(
-    numbered_lines: Iterable[Tuple[int, str]],
-    frames: Dict[str, DetectionSet],
-    frame: Optional[DetectionSet],
-) -> Optional[DetectionSet]:
-    """Read lines one record at a time into frames; return the last frame.
+_box_values = attrgetter(*_NUMBER_FIELDS, "label", *_ID_FIELDS)
+
+
+def _read_records(numbered_lines: Iterable[Tuple[int, str]], seen: set,
+                  current: Optional[str]) -> List[_Run]:
+    """Read lines one record at a time, each checked by the constructor of
+    :class:`Box3D`, into runs as :func:`_runs` gives them.
 
     This path words every error, naming the line.
     """
+    runs: List[Tuple[str, float, list]] = []
+    seen = set(seen)
     for lineno, line in numbered_lines:
         if not line.strip():
             continue
@@ -234,16 +271,59 @@ def _read_records(
         if not isinstance(record, dict):
             raise FormatError(f"line {lineno}: expected a JSON object")
         frame_id, timestamp, box = _parse_record(record, lineno)
-        if frame is None or frame.frame_id != frame_id:
-            if frame_id in frames:
-                raise ValidationError(
-                    f"line {lineno}: frame {frame_id!r} appears again after "
-                    f"frame {frame.frame_id!r}; a frame's records must be contiguous"
-                )
-            frame = DetectionSet(frame_id, [], 0, timestamp)
-            frames[frame_id] = frame
-        frame.boxes.append(box)
-    return frame
+        if frame_id != current and frame_id in seen:
+            raise ValidationError(
+                f"line {lineno}: frame {frame_id!r} appears again after "
+                f"frame {current!r}; a frame's records must be contiguous"
+            )
+        if frame_id != current or not runs:  # a new run; the chunk's first may go on a frame
+            seen.add(frame_id)
+            current = frame_id
+            runs.append((frame_id, timestamp, []))
+        runs[-1][2].append(_box_values(box))
+    return [(frame_id, timestamp,
+             np.array([values[:8] for values in boxes], dtype=np.float64).reshape(-1, 8),
+             [values[8] for values in boxes],
+             [list(column) for column in zip(*(values[9:] for values in boxes))])
+            for frame_id, timestamp, boxes in runs]
+
+
+def _file_runs(path: PathLike) -> Iterator[_Run]:
+    """The checked runs of equal frame ids of a box file, in file order.
+
+    The file is read ``_CHUNK_LINES`` lines at a time, split where iterating
+    the text file splits it (LF, CR or CRLF; not at the form feeds and other
+    breaks that ``str.splitlines`` knows). Each chunk is parsed by
+    :func:`_records` and its records checked together as columns. A chunk
+    that fails any check is read again record by record; that path words
+    the error and names the first bad line.
+
+    Raises:
+        FormatError: on a line that is not valid UTF-8 or not a JSON object.
+        ValidationError: on a line whose values violate box invariants, or
+            whose frame id appeared before another frame's records.
+    """
+    seen: set = set()
+    current = None
+    first = 1
+    # Undecodable bytes come through as lone surrogates, so the line that
+    # holds one can be named.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while lines := list(islice(fh, _CHUNK_LINES)):
+            checked = _checked_chunk(lines)
+            runs = None if checked is None else _runs(checked, seen, current)
+            if runs is None:
+                runs = _read_records(enumerate(lines, first), seen, current)
+            for run in runs:
+                current = run[0]
+                seen.add(current)
+                yield run
+            first += len(lines)
+
+
+def _rows(numbers: np.ndarray, labels: List[Label], ids: List[list]) -> List[Box3D]:
+    """The boxes of checked columns, without ``Box3D.__post_init__``."""
+    return list(map(unchecked_box, *numbers.T.tolist(), labels, *ids))
 
 
 def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
@@ -252,17 +332,11 @@ def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
     A frame's records must be contiguous. Unknown keys are ignored; blank
     lines are skipped. Each frame's timestamp is taken from its first record.
 
-    The file is read ``_CHUNK_LINES`` lines at a time, split where iterating
-    the text file splits it (LF, CR or CRLF; not at the form feeds and other
-    breaks that ``str.splitlines`` knows). A chunk is parsed with one
-    ``json.loads`` when its text proves that each line is one object with
-    no other brace: each line then starts at a ``{`` and ends at the one
-    ``}`` that closes it, since a JSON string holds no raw line break (see
-    ``_records``). Any other chunk, or one whose joined parse raises, is
-    parsed line by line. Each chunk's records are checked together as
-    columns and become boxes without ``Box3D.__post_init__``. A chunk that
-    fails any check is read again record by record; that path words the
-    error and names the first bad line.
+    The records are read and checked once, as the columns that
+    :func:`read_box_columns` returns (see :func:`_file_runs`), and each
+    chunk's boxes are then built from those columns without
+    ``Box3D.__post_init__``, so the two readers accept the same files with
+    the same errors and the same values.
 
     Raises:
         FormatError: on a line that is not valid UTF-8 or not a JSON object.
@@ -271,22 +345,31 @@ def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
     """
     frames: Dict[str, DetectionSet] = {}
     frame = None
-    first = 1
-    # Undecodable bytes come through as lone surrogates, so the line that
-    # holds one can be named.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        while lines := list(islice(fh, _CHUNK_LINES)):
-            checked = _checked_chunk(lines)
-            runs = None if checked is None else _runs(checked, frames, frame)
-            if runs is None:
-                frame = _read_records(enumerate(lines, first), frames, frame)
-            for frame_id, timestamp, boxes in runs or ():
-                if frame is None or frame.frame_id != frame_id:
-                    frame = DetectionSet(frame_id, [], 0, timestamp)
-                    frames[frame_id] = frame
-                frame.boxes.extend(boxes)
-            first += len(lines)
+    for frame_id, timestamp, numbers, labels, ids in _file_runs(path):
+        if frame is None or frame.frame_id != frame_id:
+            frame = DetectionSet(frame_id, [], 0, timestamp)
+            frames[frame_id] = frame
+        frame.boxes.extend(_rows(numbers, labels, ids))
     return frames
+
+
+def read_box_columns(path: PathLike) -> Dict[str, BoxColumns]:
+    """Read a JSONL box file as :func:`read_boxes` does, each frame as
+    :class:`BoxColumns` rather than boxes.
+
+    Raises:
+        FormatError: on a line that is not valid UTF-8 or not a JSON object.
+        ValidationError: on a line whose values violate box invariants, or
+            whose frame id appeared before another frame's records.
+    """
+    runs: Dict[str, List[_Run]] = {}
+    for run in _file_runs(path):
+        runs.setdefault(run[0], []).append(run)
+    return {frame_id: BoxColumns(
+        frame_id, pieces[0][1], np.concatenate([piece[2] for piece in pieces]),
+        list(chain.from_iterable(piece[3] for piece in pieces)),
+        tuple(list(chain.from_iterable(piece[4][k] for piece in pieces)) for k in range(4)))
+        for frame_id, pieces in runs.items()}
 
 
 def write_boxes(

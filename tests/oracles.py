@@ -364,6 +364,38 @@ def reference_weight_search(detectors, gt_frames, label: Label, config, iou_fn=i
     return current, steps
 
 
+def reference_fixed_assign(
+    anchors: Sequence[Box3D], gts: Sequence[Box3D], pos_thr: float, neg_thr: float
+) -> AssignmentResult:
+    """Fixed assignment with one argmax per anchor, then the best-anchor
+    rescue per ground truth in order, on scalar IoUs."""
+    n = len(anchors)
+    labels = [AnchorLabel.NEGATIVE] * n
+    gt_indices: List[Optional[int]] = [None] * n
+    if not anchors or not gts:
+        return AssignmentResult(labels, gt_indices)
+
+    iou = reference_iou_matrix(anchors, gts, bev_iou)
+
+    for i in range(n):
+        best_j = int(np.argmax(iou[i]))  # argmax takes the first (lowest) index
+        best = iou[i, best_j]
+        if best >= pos_thr:
+            labels[i] = AnchorLabel.POSITIVE
+            gt_indices[i] = best_j
+        elif best < neg_thr:
+            labels[i] = AnchorLabel.NEGATIVE
+        else:
+            labels[i] = AnchorLabel.IGNORED
+
+    for j in range(len(gts)):
+        best_i = int(np.argmax(iou[:, j]))
+        if iou[best_i, j] > 0.0:
+            labels[best_i] = AnchorLabel.POSITIVE
+            gt_indices[best_i] = j
+    return AssignmentResult(labels, gt_indices)
+
+
 def reference_adaptive_assign(
     anchors: Sequence[Box3D], gts: Sequence[Box3D], k: int
 ) -> AssignmentResult:

@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lidarpost import assigner
 from lidarpost.assigner import AnchorLabel, AssignmentResult, adaptive_assign, fixed_assign
-from lidarpost.geometry import Box3D, bev_iou
-from oracles import random_box, reference_adaptive_assign
+from lidarpost.geometry import Box3D, as_geometry, bev_iou
+from oracles import random_box, reference_adaptive_assign, reference_fixed_assign
 
 
 def _box(cx, cy, l=4.0, w=2.0, heading=0.0, cz=0.0, h=1.5):
@@ -376,3 +380,111 @@ class TestNearestCandidates:
                 assert result.labels == expected.labels, (trial, k)
                 assert result.gt_indices == expected.gt_indices, (trial, k)
                 assert result.adaptive_thresholds == expected.adaptive_thresholds, (trial, k)
+
+
+def _same(result, expected):
+    assert result.labels == expected.labels
+    assert result.gt_indices == expected.gt_indices
+    hexes = [[float(t).hex() for t in r.adaptive_thresholds or ()] for r in (result, expected)]
+    assert hexes[0] == hexes[1]
+    assert (result.adaptive_thresholds is None) == (expected.adaptive_thresholds is None)
+
+
+# Boxes on a coarse lattice with two headings: equal boxes tie exactly, and
+# neighbours overlap, so one anchor is often several ground truths' best.
+_LATTICE_BOX = st.builds(
+    lambda x, y, heading, length: _box(0.5 * x, 0.5 * y, l=length, w=2.0, heading=heading),
+    st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([0.0, math.pi / 2]),
+    st.sampled_from([2.0, 4.0]))
+
+
+class TestFixedAssignAgainstTheOracle:
+    """fixed_assign takes one row-wise argmax for all anchors; the oracle
+    takes one argmax per anchor, on scalar IoUs."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_LATTICE_BOX, min_size=1, max_size=12), st.data())
+    def test_ties_and_contested_anchors(self, anchors, data):
+        # Ground truths drawn from the anchors tie with them, and copies of a
+        # ground truth tie across ground truths and contest the same anchor.
+        gts = data.draw(st.lists(st.sampled_from(anchors) | _LATTICE_BOX, max_size=6))
+        gts += data.draw(st.lists(st.sampled_from(gts), max_size=3)) if gts else []
+        neg_thr = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.45]))
+        pos_thr = data.draw(st.sampled_from([0.45, 0.5, 0.6, 1.0]))
+        expected = reference_fixed_assign(anchors, gts, pos_thr, neg_thr)
+        _same(fixed_assign(anchors, gts, pos_thr, neg_thr), expected)
+        _same(fixed_assign(as_geometry(anchors), as_geometry(gts), pos_thr, neg_thr), expected)
+
+    def test_later_ground_truths_win_a_contested_anchor(self):
+        anchors = [_box(0.0, 0.0), _box(3.0, 0.0), _box(0.0, 0.0)]
+        gts = [_box(0.1, 0.0), _box(-0.1, 0.0)]
+        result = fixed_assign(anchors, gts, pos_thr=0.99, neg_thr=0.1)
+        _same(result, reference_fixed_assign(anchors, gts, 0.99, 0.1))
+        # Anchors 0 and 2 tie for both ground truths, whose IoUs tie too:
+        # each ground truth rescues anchor 0, and the later one keeps it.
+        assert result.labels == [AnchorLabel.POSITIVE, AnchorLabel.IGNORED, AnchorLabel.IGNORED]
+        assert result.gt_indices == [1, None, None]
+
+
+class TestWindowedNearestAgainstTheOracle:
+    """The k-nearest search scores a window around each ground truth and
+    grows it until no anchor outside can be as near; the oracle sorts every
+    distance. Both break ties toward the lower anchor index."""
+
+    @staticmethod
+    def _check(anchors, gts, k):
+        _same(adaptive_assign(anchors, gts, k), reference_adaptive_assign(anchors, gts, k))
+
+    def test_duplicate_centres(self):
+        centres = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.5, 0.5)]
+        anchors = [_box(x, y, heading=h) for _ in range(3) for x, y in centres
+                   for h in (0.0, 1.5708)]
+        gts = [_box(0.5, 0.5), _box(1.0, 0.0, heading=0.4), _box(2.0, 2.0)]
+        for k in (1, 2, 3, 5, 6, 7, 29, 30, 31):
+            self._check(anchors, gts, k)
+
+    def test_every_anchor_on_one_x(self):
+        anchors = [_box(1.0, 0.5 * y) for y in range(-20, 21)] * 2
+        gts = [_box(1.0, 0.0), _box(4.0, 3.2), _box(-50.0, 0.25), _box(1.0, 10.0)]
+        for k in (1, 4, 9, 81, 82, 100):
+            self._check(anchors, gts, k)
+
+    def test_ground_truths_far_outside_the_grid_grow_to_a_full_scan(self):
+        anchors = [_box(1.5 * x, 1.5 * y) for x in range(10) for y in range(10)]
+        gts = [_box(1e6, -1e6), _box(-3e4, 7.0), _box(7.0, 1e9), _box(6.0, 6.0)]
+        with mock.patch.object(assigner, "_nearest", wraps=assigner._nearest) as nearest:
+            for k in (1, 9, 99):
+                self._check(anchors, gts, k)
+        lengths = [len(call.args[0]) for call in nearest.call_args_list]
+        assert len(anchors) in lengths  # a full scan was needed
+        assert min(lengths) < len(anchors)  # and a window sufficed elsewhere
+
+    def test_a_window_suffices_inside_a_grid(self):
+        anchors = [_box(1.5 * x, 1.5 * y, heading=h) for x in range(30) for y in range(30)
+                   for h in (0.0, 1.5708)]
+        rng = np.random.default_rng(9)
+        gts = [_box(float(x), float(y)) for x, y in rng.uniform(0.0, 43.5, (20, 2))]
+        with mock.patch.object(assigner, "_nearest", wraps=assigner._nearest) as nearest:
+            self._check(anchors, gts, 9)
+        assert max(len(call.args[0]) for call in nearest.call_args_list) < len(anchors) // 10
+
+    @pytest.mark.parametrize("scale", [1e150, 1.5e308])
+    def test_huge_coordinates_and_infinite_distances(self, scale):
+        """Near 1.5e308 a difference overflows, np.hypot gives inf, and the
+        infinite distances tie; near 1e150 every distance is still finite."""
+        anchors = ([_box(scale, 0.0), _box(scale, scale), _box(-scale, 0.0)]
+                   + [_box(float(x), 0.0) for x in range(6)] + [_box(scale, 0.0)])
+        gts = [_box(-scale, -scale), _box(scale, 0.0), _box(2.0, 0.0), _box(0.0, scale)]
+        with np.errstate(over="ignore"):
+            for k in (1, 2, 3, 5, 9, 10, 11):
+                self._check(anchors, gts, k)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.floats(0.1, 3.0),
+           st.lists(st.tuples(st.floats(-20.0, 40.0), st.floats(-20.0, 40.0)),
+                    min_size=1, max_size=5),
+           st.integers(1, 40), st.booleans())
+    def test_random_grids(self, nx, ny, stride, centres, k, twice):
+        anchors = [_box(stride * x, stride * y) for x in range(nx) for y in range(ny)]
+        anchors += anchors if twice else []
+        self._check(anchors, [_box(x, y) for x, y in centres], k)

@@ -49,9 +49,32 @@ def _outcome(read, path):
     ]
 
 
+def _column_outcome(path):
+    """read_box_columns' frames as _outcome gives rows, field by field: each
+    number by the hex() of its float64, and a frame's source id 0, as the
+    reader gives every frame."""
+    try:
+        frames = io.read_box_columns(path)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+    out = []
+    for key, frame in frames.items():
+        assert frame.numbers.dtype == np.float64 and frame.numbers.shape == (len(frame.labels), 8)
+        numbers = [[(float, float(value).hex()) for value in row] for row in frame.numbers]
+        labels = list(map(_typed, frame.labels))
+        ids = [list(map(_typed, column)) for column in frame.ids]
+        out.append((_typed(key), _typed(frame.frame_id), _typed(0), _typed(frame.timestamp),
+                    [(*row, label, *box_ids)
+                     for row, label, *box_ids in zip(numbers, labels, *ids)]))
+    return out
+
+
 def _assert_same(path):
+    """Rows and columns read like the oracle's rows; returns the rows."""
     got = _outcome(read_boxes, path)
-    assert got == _outcome(reference_read_boxes, path)
+    expected = _outcome(reference_read_boxes, path)
+    assert got == expected
+    assert _column_outcome(path) == expected
     return got
 
 
@@ -222,7 +245,8 @@ def test_valid_files_read_like_the_oracle(tmp_path_factory, lines, chunk):
     with mock.patch.object(io, "_CHUNK_LINES", chunk), \
             mock.patch.object(io, "_read_records", side_effect=AssertionError):
         got = _outcome(read_boxes, path)
-    assert got == _outcome(reference_read_boxes, path)
+        columns = _column_outcome(path)
+    assert got == _outcome(reference_read_boxes, path) == columns
     assert isinstance(got, list)
 
 
@@ -385,7 +409,8 @@ def _assert_read_in(path, calls):
     calls, without the record-by-record path."""
     with mock.patch.object(io, "_read_records", side_effect=AssertionError):
         got, made = _loads_calls(path)
-    assert got == _outcome(reference_read_boxes, path)
+        columns = _column_outcome(path)
+    assert got == _outcome(reference_read_boxes, path) == columns
     assert isinstance(got, list) and made == calls
     return got
 
@@ -487,15 +512,15 @@ def test_a_line_nested_just_below_and_just_above_the_recursion_limit(tmp_path):
     """Each depth up to the deepest that read_boxes takes, and from the
     shallowest that the oracle refuses, reads as the oracle reads it.
 
-    The limit counts the caller's frames too, and the reader parses one
-    frame deeper than the oracle (in ``_read_records``), so it may refuse
-    one level that the oracle takes. Just below its limit the chunk's one
-    parse, a level deeper than a line alone, raises and the chunk's lines
-    are parsed again one at a time.
+    The limit counts the caller's frames too, and the reader parses two
+    frames deeper than the oracle (in ``_file_runs`` and ``_read_records``),
+    so it may refuse two levels that the oracle takes. Just below its limit
+    the chunk's one parse, a level deeper than a line alone, raises and the
+    chunk's lines are parsed again one at a time.
     """
     path = tmp_path / "boxes.jsonl"
     below, above = _deepest(read_boxes, path), _deepest(reference_read_boxes, path) + 1
-    assert 1 <= above - below <= 2
+    assert 1 <= above - below <= 3
     for depth in [*range(below - 4, below + 1), *range(above, above + 4)]:
         _nested_file(path, depth)
         if depth < below:  # parsed in the chunk, at once or one line at a time
@@ -542,7 +567,7 @@ def test_multi_frame_sets_read_back_across_chunk_boundaries(tmp_path_factory, se
     lines = sum(len(frame) for frame in sets)
     with mock.patch.object(io, "_CHUNK_LINES", chunk):
         got, calls = _loads_calls(path)
-        assert got == _outcome(reference_read_boxes, path)
+        assert got == _outcome(reference_read_boxes, path) == _column_outcome(path)
         frames = read_boxes(path)
     assert list(frames) == [frame.frame_id for frame in sets]
     for frame in sets:

@@ -14,13 +14,14 @@ import warnings
 from dataclasses import fields, replace
 from functools import reduce
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidarpost import cli
+from lidarpost import cli, geometry
 from lidarpost.assigner import adaptive_assign, fixed_assign
 from lidarpost.cli import OVERRIDES, Config, default_config, run
 from lidarpost.ensemble import DEFAULT_NMS_IOU, PairPool, box_vote, nms, soft_nms
@@ -624,6 +625,32 @@ class TestAssign:
         assert any("gt_index" in r and "label" in r for r in expected)
         assert out.read_bytes() == "".join(
             json.dumps(r, allow_nan=False) + "\n" for r in expected).encode()
+
+
+    @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+    def test_anchors_stay_columns(self, tmp_path, mode):
+        """assign builds no box row for an anchor: every Box3D, checked or
+        unchecked, is counted, and only the ground truths may have rows."""
+        anchors = tmp_path / "anchors.jsonl"
+        gts = tmp_path / "gts.jsonl"
+        _write_jsonl(anchors, [_record(frame_id=f, cx=1.5 * x, cy=1.5 * y, heading=h,
+                                       label="CYCLIST" if x == 2 else "VEHICLE")
+                               for f in ("a", "b") for x in range(6) for y in range(6)
+                               for h in (0.0, 1.5708)])
+        gt_records = [_record(frame_id="a", cx=3.0, cy=3.2), _record(frame_id="b", cx=1.0, cy=6.0)]
+        _write_jsonl(gts, gt_records)
+        out = tmp_path / "assign.jsonl"
+        built = []
+        checked = Box3D.__post_init__
+        unchecked = lambda cls: built.append(cls) or object.__new__(cls)  # noqa: E731
+        with mock.patch.object(geometry, "_new", unchecked), \
+                mock.patch.object(Box3D, "__post_init__",
+                                  lambda box: built.append(type(box)) or checked(box)):
+            assert run(["assign", "--anchors", str(anchors), "--gts", str(gts), "--mode", mode,
+                        "--class", "VEHICLE", "--output", str(out)]) == 0
+        assert len(built) <= len(gt_records)
+        lines = out.read_text().splitlines()
+        assert sum('"anchor_index"' in line for line in lines) == 2 * 60
 
 
 class TestTrack:

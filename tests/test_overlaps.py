@@ -9,12 +9,14 @@ or miss, and sizes whose areas overflow.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lidarpost import geometry
 from lidarpost.geometry import (
     _AREA_EPS,
     Box3D,
@@ -136,6 +138,33 @@ class TestBlocks:
             for (rows, cols), matrix in zip(blocks, got):
                 assert matrix.shape == (len(rows), len(cols))
                 assert _hex(matrix) == _hex(reference_iou_matrix(rows, cols, fn))
+
+    @pytest.mark.parametrize("pass_pairs", [1, 7, 40, 1 << 16])
+    def test_blocks_that_span_several_passes(self, pass_pairs):
+        """Passes end after whole blocks once they hold pass_pairs candidate
+        pairs: one pair ends every pass, and one pass takes them all."""
+        rng = np.random.default_rng(4)
+        boxes = [Box3D(float(x), float(y), float(z), 4.0, 2.0, 1.5, float(h))
+                 for x, y, z, h in zip(rng.uniform(-5, 5, 80), rng.uniform(-5, 5, 80),
+                                       rng.uniform(-1, 1, 80), rng.uniform(-math.pi, math.pi, 80))]
+        blocks = [(boxes[k:k + 9], boxes[k + 3:k + 14]) for k in range(0, 66, 5)]
+        blocks += [([], boxes[:4]), (boxes[70:], boxes[70:]), (boxes[:2], [])]
+        with mock.patch.object(geometry, "_PASS_PAIRS", pass_pairs):
+            for kind, fn in SCALAR.items():
+                got = list(iou_blocks(blocks, fn))
+                assert len(got) == len(blocks)
+                for (rows, cols), matrix in zip(blocks, got):
+                    assert matrix.shape == (len(rows), len(cols))
+                    assert _hex(matrix) == _hex(overlaps(rows, cols, kind))
+
+    def test_a_pass_ends_after_the_block_that_fills_it(self):
+        boxes = [Box3D(0.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0)] * 3
+        blocks = [(boxes, boxes)] * 5  # 9 candidate pairs each
+        with mock.patch.object(geometry, "_PASS_PAIRS", 18), \
+                mock.patch.object(geometry, "_kernel", wraps=geometry._kernel) as kernel:
+            for matrix in iou_blocks(blocks, bev_iou):
+                assert _hex(matrix) == _hex(np.ones((3, 3)))
+        assert [len(call.args[2]) for call in kernel.call_args_list] == [18, 18, 9]
 
     def test_iou_matrix_takes_the_kernel_for_bev_iou_and_iou3d_only(self):
         assert overlap_kind(bev_iou) == "bev" and overlap_kind(iou3d) == "3d"
