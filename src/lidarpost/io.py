@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .geometry import (BOX_DOMAINS, FINITE, _ID_FIELDS, _NUMBER_FIELDS, Box3D, DetectionSet,
-                       Label, unchecked_box, wrap_angles)
+                       Label, unchecked_box, wrap_angle, wrap_angles)
 from .pointcloud import PointCloud
 
 PathLike = Union[str, Path]
@@ -54,6 +54,8 @@ class ValidationError(InputError):
 # the optional keys are its id fields' names.
 _REQUIRED_KEYS = ("frame_id", "timestamp", "cx", "cy", "cz", "l", "w", "h",
                   "heading", "score", "label")
+# Each field's place among a record's box values, in Box3D's field order.
+_BOX_INDEX = {name: i for i, name in enumerate((*_NUMBER_FIELDS, "label", *_ID_FIELDS))}
 
 
 def _number(record: dict, key: str, lineno: int) -> float:
@@ -75,7 +77,12 @@ def _optional_int(record: dict, key: str, lineno: int):
     return value
 
 
-def _parse_record(record: dict, lineno: int) -> Tuple[str, float, Box3D]:
+def _parse_record(record, lineno: int) -> Tuple[str, float, list]:
+    """A parsed line's frame id, timestamp and box values in ``Box3D``'s
+    field order, heading wrapped, checked as :class:`Box3D` checks them and
+    worded as its errors are, with the line named."""
+    if not isinstance(record, dict):
+        raise FormatError(f"line {lineno}: expected a JSON object")
     for key in _REQUIRED_KEYS:
         if key not in record:
             raise ValidationError(f"line {lineno}: missing key {key!r}")
@@ -92,11 +99,16 @@ def _parse_record(record: dict, lineno: int) -> Tuple[str, float, Box3D]:
         raise ValidationError(f"line {lineno}: unknown label {label_name!r}") from None
     numbers = [_number(record, key, lineno) for key in _REQUIRED_KEYS[2:-1]]
     ids = [_optional_int(record, key, lineno) for key in _ID_FIELDS]
+    # The values are floats, a Label and ints or None, as Box3D's type checks
+    # want; what is left to check are the domains, then the heading's wrap.
+    values = [*numbers, label, *ids]
     try:
-        box = Box3D(*numbers, label, *ids)
+        for name, domain in BOX_DOMAINS.items():
+            domain.check(name, values[_BOX_INDEX[name]])
+        values[6] = wrap_angle(values[6])
     except ValueError as exc:
         raise ValidationError(f"line {lineno}: {exc}") from exc
-    return frame_id, timestamp, box
+    return frame_id, timestamp, values
 
 
 # Lines read and checked together. A chunk's lines and columns live until
@@ -137,8 +149,9 @@ _Checked = Tuple[list, np.ndarray, np.ndarray, List[Label], List[list]]
 _Run = Tuple[str, float, np.ndarray, List[Label], List[list]]
 
 
-def _records(text: List[str]) -> list:
-    """The values of a chunk's non-blank lines.
+def _records(lines: List[str]) -> Optional[list]:
+    """The values of a chunk's non-blank lines, or None if a line is not
+    valid UTF-8, not JSON or nested too deeply.
 
     The lines are parsed with one ``json.loads`` of ``[line,line,...]``
     when their text proves that each line is one object that holds no other
@@ -150,59 +163,58 @@ def _records(text: List[str]) -> list:
     array's items are the lines' own values. Otherwise, or when that parse
     raises (one more level of nesting can pass the recursion limit), each
     line is parsed alone.
-
-    Raises:
-        ValueError: on an undecodable byte or a line that is not JSON.
-        RecursionError: on a line nested too deeply.
-    """
-    joined = "".join(text)
-    joined.encode("utf-8")
-    n = len(text)
-    flat = (joined.startswith("{") and joined.endswith(("}", "}\n"))
-            and joined.count("{") == n and joined.count("}") == n
-            and joined.count("}\n{") == n - 1)
-    del joined
-    if flat:
-        try:
-            return json.loads(f"[{','.join(text)}]")
-        except (ValueError, RecursionError):
-            pass
-    return list(map(json.loads, text))
-
-
-def _checked_chunk(lines: List[str]) -> Optional[_Checked]:
-    """The frame ids, timestamps, numbers, labels and id columns of a
-    chunk's records, checked together as columns, or None if any record
-    fails a check.
-
-    The checks accept exactly the records that :func:`_parse_record`
-    accepts, testing the same domains, and the columns hold the values its
-    boxes would: numbers as in :class:`BoxColumns`, as an (n, 8) view.
     """
     text = list(filterfalse(str.isspace, lines))
-    if not text:
+    joined = "".join(text)
+    n = len(text)
+    try:
+        joined.encode("utf-8")
+        flat = (joined.startswith("{") and joined.endswith(("}", "}\n"))
+                and joined.count("{") == n and joined.count("}") == n
+                and joined.count("}\n{") == n - 1)
+        del joined
+        if flat:
+            try:
+                return json.loads(f"[{','.join(text)}]")
+            except (ValueError, RecursionError):
+                pass
+        return list(map(json.loads, text))
+    except (ValueError, RecursionError):  # undecodable bytes, bad or too deeply nested JSON
+        return None
+
+
+def _checked_chunk(records: Optional[list]) -> Optional[_Checked]:
+    """The frame ids, timestamps, numbers, labels and id columns of a
+    chunk's records as :func:`_records` gives them, checked together as
+    columns, or None if the chunk did not parse or any record fails a check.
+
+    The checks accept exactly the records that :func:`_parse_record`
+    accepts, testing the same domains, and the columns hold the values it
+    gives: numbers as in :class:`BoxColumns`, as an (n, 8) view.
+    """
+    if records is None:
+        return None
+    if not records:
         return [], np.empty(0), np.empty((0, 8)), [], []
     try:
-        records = _records(text)
         # One C-level pass over the records per key.
         frame_ids = list(map(_FRAME_ID, records))
         numbers = [list(map(getter, records)) for getter in _NUMBERS]
         labels = list(map(_LABELS.__getitem__, map(_LABEL, records)))
-    except (ValueError, AttributeError, KeyError, TypeError, RecursionError):
-        # Undecodable bytes, bad or too deeply nested JSON, a non-object
-        # record, a missing key, an unknown or unhashable label.
+    except (AttributeError, KeyError, TypeError):
+        # A non-object record, a missing key, an unknown or unhashable label.
         return None
-    # Records that hold the required keys alone hold no id: their id
-    # columns are None, with nothing to take or check.
-    bare = set(map(len, records)) == {len(_REQUIRED_KEYS)}
-    ids = ([[None] * len(records)] * len(_ID_FIELDS) if bare
-           else [list(map(dict.get, records, repeat(key))) for key in _ID_FIELDS])
+    # The id columns to take and check: none when every record holds the
+    # required keys alone, as anchor and detection files do.
+    held = ([] if set(map(len, records)) == {len(_REQUIRED_KEYS)}
+            else [list(map(dict.get, records, repeat(key))) for key in _ID_FIELDS])
+    ids = held or [[None] * len(records) for _ in _ID_FIELDS]
     del records
     # Types are checked on the raw columns: a set holds one of 1, 1.0 and
     # True, so a set of the values would hide a float or bool id.
     if (set(map(type, frame_ids)) != {str}
             or not set(map(type, chain.from_iterable(numbers))) <= {int, float}
-            or not (bare or set(map(type, chain.from_iterable(ids))) <= {int, type(None)})):
+            or not set(map(type, chain.from_iterable(held))) <= {int, type(None)}):
         return None
     try:
         values = np.array(numbers, dtype=np.float64)
@@ -213,7 +225,7 @@ def _checked_chunk(lines: List[str]) -> Optional[_Checked]:
     # declared column (of distinct ids for an id) lies in its field's domain.
     by_field = dict(zip(_NUMBER_FIELDS, values[1:]))
     by_field.update((name, np.array([*{*column} - {None}], dtype=object))
-                    for name, column in zip(_ID_FIELDS, ids) if name in BOX_DOMAINS and not bare)
+                    for name, column in zip(_ID_FIELDS, held) if name in BOX_DOMAINS)
     if not (FINITE.test(values).all()
             and all(BOX_DOMAINS[name].test(column).all()
                     for name, column in by_field.items() if name in BOX_DOMAINS)):
@@ -242,50 +254,12 @@ def _runs(checked: _Checked, seen: set, current: Optional[str]) -> Optional[List
     return runs
 
 
-_box_values = attrgetter(*_NUMBER_FIELDS, "label", *_ID_FIELDS)
-
-
-def _read_records(numbered_lines: Iterable[Tuple[int, str]], seen: set,
-                  current: Optional[str]) -> List[_Run]:
-    """Read lines one record at a time, each checked by the constructor of
-    :class:`Box3D`, into runs as :func:`_runs` gives them.
-
-    This path words every error, naming the line.
-    """
-    runs: List[Tuple[str, float, list]] = []
-    seen = set(seen)
-    for lineno, line in numbered_lines:
-        if not line.strip():
-            continue
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                raise FormatError(f"line {lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            reason = getattr(exc, "msg", exc)  # a RecursionError: nested too deeply
-            raise FormatError(f"line {lineno}: invalid JSON: {reason}") from exc
-        if not isinstance(record, dict):
-            raise FormatError(f"line {lineno}: expected a JSON object")
-        frame_id, timestamp, box = _parse_record(record, lineno)
-        if frame_id != current and frame_id in seen:
-            raise ValidationError(
-                f"line {lineno}: frame {frame_id!r} appears again after "
-                f"frame {current!r}; a frame's records must be contiguous"
-            )
-        if frame_id != current or not runs:  # a new run; the chunk's first may go on a frame
-            seen.add(frame_id)
-            current = frame_id
-            runs.append((frame_id, timestamp, []))
-        runs[-1][2].append(_box_values(box))
-    return [(frame_id, timestamp,
-             np.array([values[:8] for values in boxes], dtype=np.float64).reshape(-1, 8),
-             [values[8] for values in boxes],
-             [list(column) for column in zip(*(values[9:] for values in boxes))])
-            for frame_id, timestamp, boxes in runs]
+def _run_columns(run: Tuple[str, float, List[list]]) -> _Run:
+    """A run of box values, as :func:`_parse_record` gives them, as columns."""
+    frame_id, timestamp, boxes = run
+    columns = list(zip(*boxes))
+    return (frame_id, timestamp, np.array(columns[:8], dtype=np.float64).T,
+            list(columns[8]), [list(column) for column in columns[9:]])
 
 
 def _file_runs(path: PathLike) -> Iterator[_Run]:
@@ -295,8 +269,11 @@ def _file_runs(path: PathLike) -> Iterator[_Run]:
     the text file splits it (LF, CR or CRLF; not at the form feeds and other
     breaks that ``str.splitlines`` knows). Each chunk is parsed by
     :func:`_records` and its records checked together as columns. A chunk
-    that fails any check is read again record by record; that path words
-    the error and names the first bad line.
+    that fails any check is read again record by record, each checked by
+    :func:`_parse_record`; that path words the error and names the first
+    bad line. That path parses each line in this generator's own frame, not
+    in a helper, so that no further frame counts against the recursion
+    limit that bounds how deeply a line may nest.
 
     Raises:
         FormatError: on a line that is not valid UTF-8 or not a JSON object.
@@ -310,10 +287,38 @@ def _file_runs(path: PathLike) -> Iterator[_Run]:
     # holds one can be named.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while lines := list(islice(fh, _CHUNK_LINES)):
-            checked = _checked_chunk(lines)
+            # The parsed records are passed on, not kept here, so that the
+            # checks can free them once their columns are taken.
+            checked = _checked_chunk(_records(lines))
             runs = None if checked is None else _runs(checked, seen, current)
             if runs is None:
-                runs = _read_records(enumerate(lines, first), seen, current)
+                parsed: List[Tuple[str, float, List[list]]] = []
+                for lineno, line in enumerate(lines, first):
+                    if not line.strip():
+                        continue
+                    if not line.isascii():
+                        try:
+                            line.encode("utf-8")
+                        except UnicodeEncodeError as exc:
+                            byte = ord(line[exc.start]) - 0xDC00
+                            raise FormatError(
+                                f"line {lineno}: invalid UTF-8 byte 0x{byte:02x}") from None
+                    try:
+                        record = json.loads(line)
+                    except (json.JSONDecodeError, RecursionError) as exc:
+                        reason = getattr(exc, "msg", exc)  # a RecursionError: nested too deeply
+                        raise FormatError(f"line {lineno}: invalid JSON: {reason}") from exc
+                    frame_id, timestamp, values = _parse_record(record, lineno)
+                    if frame_id != current or not parsed:  # the chunk's first may go on a frame
+                        if frame_id != current and frame_id in seen:
+                            raise ValidationError(
+                                f"line {lineno}: frame {frame_id!r} appears again after "
+                                f"frame {current!r}; a frame's records must be contiguous")
+                        seen.add(frame_id)
+                        current = frame_id
+                        parsed.append((frame_id, timestamp, []))
+                    parsed[-1][2].append(values)
+                runs = list(map(_run_columns, parsed))
             for run in runs:
                 current = run[0]
                 seen.add(current)

@@ -243,7 +243,7 @@ def test_valid_files_read_like_the_oracle(tmp_path_factory, lines, chunk):
     _write(path, lines)
     # A valid chunk never needs the per-record path.
     with mock.patch.object(io, "_CHUNK_LINES", chunk), \
-            mock.patch.object(io, "_read_records", side_effect=AssertionError):
+            mock.patch.object(io, "_parse_record", side_effect=AssertionError):
         got = _outcome(read_boxes, path)
         columns = _column_outcome(path)
     assert got == _outcome(reference_read_boxes, path) == columns
@@ -294,8 +294,8 @@ def test_both_reader_paths_check_the_declaration_of_geometry(tmp_path):
     _write(path, [_line(_record(cx=4.0)), _line(_record(cx=7.0))])
     below_5 = geometry.Domain("must be below 5", lambda v: v < 5)
     with mock.patch.dict(geometry.BOX_DOMAINS, cx=below_5):
-        assert io._checked_chunk([_line(_record(cx=4.0))]) is not None
-        assert io._checked_chunk([_line(_record(cx=7.0))]) is None
+        assert io._checked_chunk([_record(cx=4.0)]) is not None
+        assert io._checked_chunk([_record(cx=7.0)]) is None
         assert _assert_same(path) == (io.ValidationError, "line 2: cx must be below 5, got 7.0")
     assert len(_assert_same(path)[0][4]) == 2
 
@@ -407,7 +407,7 @@ def _loads_calls(path):
 def _assert_read_in(path, calls):
     """The file reads like the oracle in the given number of json.loads
     calls, without the record-by-record path."""
-    with mock.patch.object(io, "_read_records", side_effect=AssertionError):
+    with mock.patch.object(io, "_parse_record", side_effect=AssertionError):
         got, made = _loads_calls(path)
         columns = _column_outcome(path)
     assert got == _outcome(reference_read_boxes, path) == columns
@@ -512,19 +512,19 @@ def test_a_line_nested_just_below_and_just_above_the_recursion_limit(tmp_path):
     """Each depth up to the deepest that read_boxes takes, and from the
     shallowest that the oracle refuses, reads as the oracle reads it.
 
-    The limit counts the caller's frames too, and the reader parses two
-    frames deeper than the oracle (in ``_file_runs`` and ``_read_records``),
-    so it may refuse two levels that the oracle takes. Just below its limit
-    the chunk's one parse, a level deeper than a line alone, raises and the
-    chunk's lines are parsed again one at a time.
+    The limit counts the caller's frames too, and the reader parses one
+    frame deeper than the oracle (in ``_file_runs``), so it may refuse one
+    level that the oracle takes. Just below its limit the chunk's one
+    parse, a level deeper than a line alone, raises and the chunk's lines
+    are parsed again one at a time.
     """
     path = tmp_path / "boxes.jsonl"
     below, above = _deepest(read_boxes, path), _deepest(reference_read_boxes, path) + 1
-    assert 1 <= above - below <= 3
+    assert 1 <= above - below <= 2
     for depth in [*range(below - 4, below + 1), *range(above, above + 4)]:
         _nested_file(path, depth)
         if depth < below:  # parsed in the chunk, at once or one line at a time
-            with mock.patch.object(io, "_read_records", side_effect=AssertionError):
+            with mock.patch.object(io, "_parse_record", side_effect=AssertionError):
                 got = _assert_same(path)
         else:
             got = _assert_same(path)
