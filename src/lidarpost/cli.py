@@ -265,7 +265,10 @@ def _write_report(lines: Iterable[str], output: Optional[str]) -> None:
     else:
         sink = open(output, "w", encoding="utf-8", newline="\n")
     with sink as fh:
-        fh.writelines(line + "\n" for line in lines)
+        # The line, then its line feed: a line + "\n" would copy a large line once more.
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def cmd_concat(args: argparse.Namespace, config: Config) -> dict:

@@ -17,16 +17,17 @@ suppresses, as OpenPCDet's ``nms_kernel`` does.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add, attrgetter
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .geometry import (BOX_DOMAINS, Box3D, DetectionSet, Label, bev_iou, candidate_columns,
-                       iou_blocks, overlap_kind, score_order)
+from .geometry import (BOX_DOMAINS, Box3D, DetectionSet, Label, bev_iou, candidate_pairs,
+                       overlap_kind, pair_overlaps, score_order)
 from .schema import POSITIVE, UNIT, UNIT_ABOVE_0, UNIT_BELOW_1, Range, Section, check, setting
 
 IouFn = Callable[[Box3D, Box3D], float]
@@ -70,20 +71,15 @@ def nms(boxes: Sequence[Box3D], iou_thr: Thresholds, iou_fn: IouFn = bev_iou) ->
         ValueError: before any pair is scored, if a threshold is outside
             [0, 1] or a map misses a class or names an unknown one.
     """
-    labels = [box.label for box in boxes]
+    neighbours = candidate_pairs(boxes, boxes, same_label=True)
     return _greedy_keep(
         np.array([box.score for box in boxes], dtype=np.float64),
-        labels,
-        _neighbours(labels, candidate_columns(boxes, boxes)),
-        lambda i, j: iou_fn(boxes[i], boxes[j]),
+        [box.label for box in boxes],
+        neighbours,
+        [None] * len(neighbours[1]),
+        lambda j, i: iou_fn(boxes[j], boxes[i]),
         iou_thr,
     )
-
-
-def _neighbours(labels: Sequence[Label], candidates: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Each box's candidates of its own label, itself left out."""
-    return [[j for j in js if labels[j] is labels[i] and j != i]
-            for i, js in enumerate(candidates)]
 
 
 def _class_thresholds(iou_thr: Thresholds) -> Dict[Label, float]:
@@ -99,20 +95,24 @@ def _class_thresholds(iou_thr: Thresholds) -> Dict[Label, float]:
 def _greedy_keep(
     scores: np.ndarray,
     labels: Sequence[Label],
-    neighbours: Sequence[Sequence[int]],
-    iou_at: Callable[[int, int], float],
+    neighbours: Tuple[List[int], List[int]],
+    ious: List[Optional[float]],
+    iou_of: Callable[[int, int], float],
     iou_thr: Thresholds,
 ) -> List[int]:
     """The suppression loop of :func:`nms` and :meth:`PairPool.keep`.
 
     Visits boxes in :func:`score_order` and keeps each one not yet suppressed.
-    A kept box suppresses each unvisited neighbour (see :func:`_neighbours`)
-    for which iou_at(neighbour, kept) reaches its class's threshold: so a
-    box is asked against the kept boxes near it in keep order until one
-    suppresses it. At a threshold of 0 any kept box of the same label
-    suppresses, without asking.
+    A kept box i suppresses each unvisited neighbour j, its same-label
+    candidates as CSR pointers and indices of
+    :func:`lidarpost.geometry.candidate_pairs`, whose IoU with it reaches
+    its class's threshold: so a box is asked against the kept boxes near it
+    in keep order until one suppresses it. The IoU of (j, i) at CSR position
+    p is ious[p], or iou_of(j, i) kept there if it is None. At a threshold
+    of 0 any kept box of the same label suppresses, without asking.
     """
     thresholds = _class_thresholds(iou_thr)
+    pointers, indices = neighbours
     # done[i]: box i was visited or suppressed; visits follow the order, so
     # a neighbour not done comes later and is not suppressed.
     done = [False] * len(labels)
@@ -130,9 +130,14 @@ def _greedy_keep(
                 kept.append(i)
             continue
         kept.append(i)
-        for j in neighbours[i]:
-            if not done[j] and iou_at(j, i) >= thr:
-                done[j] = True
+        for p in range(pointers[i], pointers[i + 1]):
+            j = indices[p]
+            if not done[j]:
+                iou = ious[p]
+                if iou is None:
+                    iou = ious[p] = iou_of(j, i)
+                if iou >= thr:
+                    done[j] = True
     return kept
 
 
@@ -156,28 +161,41 @@ def soft_nms(
     """
     check("sigma", sigma, POSITIVE)
     check("score_floor", score_floor, UNIT_BELOW_1)
-    scores = np.array([box.score for box in boxes], dtype=np.float64)
-    alive = np.ones(len(boxes), dtype=bool)
-    candidates = candidate_columns(boxes, boxes)
+    scores = [box.score for box in boxes]
+    alive = [True] * len(boxes)
+    pointers, indices = candidate_pairs(boxes, boxes, same_label=True)
+    # Entries (-score, index) pop as np.argmax's first maximum, ties to the lower index.
+    # keys[i] is box i's latest key; -inf for a NaN score (from a NaN IoU), argmax's maximum.
+    keys = [-score for score in scores]
+    heap = list(zip(keys, range(len(boxes))))
+    heapq.heapify(heap)
+    low = [i for i, score in enumerate(scores) if score < score_floor]
     floored = set()
     kept: List[Box3D] = []
-    while alive.any():
-        # argmax takes the first maximum: ties go to the lowest index.
-        i = int(np.argmax(np.where(alive, scores, -np.inf)))
+    while heap:
+        key, i = heapq.heappop(heap)
+        # A dead box's entry, or one of a score since decayed, is stale.
+        if not alive[i] or key != keys[i]:
+            continue
         box = boxes[i]
         alive[i] = False
-        kept.append(box._with(score=float(scores[i])))
-        for j in candidates[i]:
-            if alive[j] and boxes[j].label is box.label:
-                scores[j] *= math.exp(-iou_fn(box, boxes[j]) ** 2 / sigma)
-                if scores[j] < score_floor:
+        kept.append(box._with(score=scores[i]))
+        for p in range(pointers[i], pointers[i + 1]):
+            j = indices[p]
+            if alive[j]:
+                score = scores[j] * math.exp(-iou_fn(box, boxes[j]) ** 2 / sigma)
+                if score < score_floor:
                     alive[j] = False
+                elif score != scores[j]:
+                    keys[j] = -score if score == score else -math.inf
+                    heapq.heappush(heap, (keys[j], j))
+                scores[j] = score
         # Off the candidate list the decay is exp(-0.0) == 1.0, so those
         # scores only fall under the floor if they started there.
         if box.label not in floored:
             floored.add(box.label)
-            for j in np.flatnonzero(alive & (scores < score_floor)).tolist():
-                if boxes[j].label is box.label:
+            for j in low:
+                if alive[j] and boxes[j].label is box.label and scores[j] < score_floor:
                     alive[j] = False
     return kept
 
@@ -193,27 +211,27 @@ def box_vote(
     For each surviving box, the same-label originals with IoU strictly above
     iou_thr vote: center and dimensions become their unweighted means, while
     heading and score stay those of the surviving box. Boxes with no voters
-    pass through unchanged. For bev_iou and iou3d each label's overlaps,
-    the originals as the first argument, come from one
-    :func:`lidarpost.geometry.iou_blocks` call. Any other iou_fn(original,
-    box) is called only on candidate pairs, box by box, originals in index
-    order; it must return 0 for boxes whose circumscribed circles are
-    disjoint.
+    pass through unchanged. For bev_iou and iou3d the overlaps of every
+    same-label candidate pair, the originals as the first argument, come
+    from one :func:`lidarpost.geometry.pair_overlaps` call. Any other
+    iou_fn(original, box) is called only on candidate pairs, box by box,
+    originals in index order; it must return 0 for boxes whose
+    circumscribed circles are disjoint.
 
     Raises:
         ValueError: unless iou_thr in (0, 1]; if a mean leaves its field's
             domain, as a box checks it.
     """
     check("iou_thr", iou_thr, UNIT_ABOVE_0)
-    if overlap_kind(iou_fn) is None:
-        voters_of = (
-            [o for o in (original_boxes[j] for j in js)
-             if o.label is box.label and iou_fn(o, box) > iou_thr]
-            for box, js in zip(nms_boxes, candidate_columns(nms_boxes, original_boxes)))
-    else:
-        voters_of = _voters(nms_boxes, original_boxes, iou_thr, iou_fn)
+    pointers, indices = candidate_pairs(nms_boxes, original_boxes, same_label=True)
+    kind = overlap_kind(iou_fn)
+    if kind is not None:
+        survivors = np.repeat(np.arange(len(nms_boxes)), np.diff(pointers))
+        values = pair_overlaps(original_boxes, nms_boxes, indices, survivors, kind).tolist()
     out: List[Box3D] = []
-    for box, voters in zip(nms_boxes, voters_of):
+    for i, box in enumerate(nms_boxes):
+        voters = [original_boxes[indices[p]] for p in range(pointers[i], pointers[i + 1])
+                  if (values[p] if kind else iou_fn(original_boxes[indices[p]], box)) > iou_thr]
         if not voters:
             out.append(box)
             continue
@@ -231,27 +249,6 @@ def box_vote(
 
 # The fields box_vote averages, in the order a box checks them.
 _VOTED = ("cx", "cy", "cz", "length", "width", "height")
-
-
-def _voters(nms_boxes: Sequence[Box3D], original_boxes: Sequence[Box3D], iou_thr: float,
-            iou_fn: IouFn) -> List[List[Box3D]]:
-    """box_vote's voters of each surviving box, every label's overlaps
-    from one iou_blocks call."""
-    # Each label's survivors and originals, by index.
-    groups: Dict[Label, Tuple[List[int], List[int]]] = {}
-    for i, box in enumerate(nms_boxes):
-        groups.setdefault(box.label, ([], []))[0].append(i)
-    for j, box in enumerate(original_boxes):
-        if box.label in groups:
-            groups[box.label][1].append(j)
-    blocks = [([original_boxes[j] for j in originals], [nms_boxes[i] for i in survivors])
-              for survivors, originals in groups.values()]
-    voters: List[List[Box3D]] = [[] for _ in nms_boxes]
-    for (survivors, originals), iou in zip(groups.values(), iou_blocks(blocks, iou_fn)):
-        # Row by row of the transpose: each survivor's voters in index order.
-        for p, q in zip(*(k.tolist() for k in np.nonzero(iou.T > iou_thr))):
-            voters[survivors[p]].append(original_boxes[originals[q]])
-    return voters
 
 
 def merge_sources(sets: Sequence[DetectionSet]) -> DetectionSet:
@@ -282,10 +279,11 @@ class PairPool:
     """Two detectors' boxes for one frame, pooled once for any number of merges.
 
     The pool stamps source ids (see :func:`merge_sources`) on its boxes,
-    finds each box's same-label neighbours and keeps every iou_fn value it
-    computes, keyed by the ordered pair (later box, kept box), since IoU
-    need not be bit-symmetric. None of that depends on the weights, so a
-    weight search builds one pool per frame; each :meth:`keep` only
+    finds each box's same-label neighbours as CSR, and keeps every iou_fn
+    value it computes at the CSR position of the kept box's row and the
+    later box's column: one value per ordered pair (later box, kept box),
+    since IoU need not be bit-symmetric. None of that depends on the
+    weights, so a weight search builds one pool per frame; each :meth:`keep` only
     reweights, reorders and suppresses, and :meth:`build` makes the boxes
     of the one merge that is kept. iou_fn must return 0 for boxes whose
     circumscribed circles are disjoint, as :func:`nms` requires.
@@ -301,15 +299,10 @@ class PairPool:
         self._split = len(a)
         self._scores = np.array([box.score for box in boxes], dtype=np.float64)
         self._labels = [box.label for box in boxes]
-        self._neighbours = _neighbours(self._labels, candidate_columns(boxes, boxes))
-        self._iou_fn = iou_fn
-        self._iou: Dict[Tuple[int, int], float] = {}
-
-    def _iou_at(self, i: int, j: int) -> float:
-        value = self._iou.get((i, j))
-        if value is None:
-            value = self._iou[i, j] = self._iou_fn(self.pooled.boxes[i], self.pooled.boxes[j])
-        return value
+        self._neighbours = candidate_pairs(boxes, boxes, same_label=True)
+        self._iou_of = lambda j, i: iou_fn(boxes[j], boxes[i])
+        # None until scored: an iou_fn may return NaN, so no float can mark it.
+        self._iou: List[Optional[float]] = [None] * len(self._neighbours[1])
 
     def keep(self, w_a: float, w_b: float, iou_thr: Thresholds) -> Tuple[List[int], List[float]]:
         """Scale the scores of a by w_a and of b by w_b, then run NMS at iou_thr.
@@ -327,7 +320,7 @@ class PairPool:
         weights[: self._split] = w_a
         # One IEEE product per box, as score * w.
         scores = self._scores * weights
-        return _greedy_keep(scores, self._labels, self._neighbours, self._iou_at,
+        return _greedy_keep(scores, self._labels, self._neighbours, self._iou, self._iou_of,
                             iou_thr), scores.tolist()
 
     def build(self, kept: Sequence[int], scores: Sequence[float]) -> DetectionSet:

@@ -9,23 +9,23 @@ scores two box lists against each other.
 
 Overlaps are computed only for candidate pairs. Two boxes whose circumscribed
 circles (center, radius half the footprint diagonal) are disjoint cannot
-overlap, so :func:`candidate_columns` finds, with one NumPy test over both
-lists, the pairs whose circles can touch, and the overlap runs on those
-alone. The callers that score every candidate pair (``iou_matrix`` and the
-assigners, ``associate``, ``mota_motp`` and ``box_vote``) score them, for
-:func:`bev_iou` and :func:`iou3d`, with one batched NumPy kernel per frame
-or per sequence (:func:`overlaps`, :func:`iou_blocks`, and
+overlap, so :func:`candidate_pairs` finds the pairs whose circles can touch
+by a sweep over the columns sorted by x, as CSR row pointers and column
+indices (:func:`candidate_columns` lists them by row), and the overlap runs
+on those alone. The callers that score every candidate pair (``iou_matrix``,
+the assigners, ``associate``, ``mota_motp`` and ``box_vote``) score them,
+for :func:`bev_iou` and :func:`iou3d`, with one batched NumPy kernel per
+frame or sequence (:func:`overlaps`, :func:`iou_blocks`, and
 :func:`pair_overlaps` for a list of pairs). The kernel takes boxes or the
-(n, 7) geometry arrays of :func:`as_geometry`, and is bit for bit the
-scalar code: it builds each box's corners with ``math.cos`` and
-``math.sin`` and replays the circle reject, the z test, the
-Sutherland-Hodgman clip and the shoelace sum with the same IEEE operations
-in the same order. The lazy callers (``nms``, ``soft_nms``, the ensemble's
-pool and ``FrameMatcher``) call the scalar overlap on the pairs they reach,
-and any other ``iou_fn`` is called per pair everywhere. Every function that
-takes an ``iou_fn`` relies on the candidate test: ``iou_fn`` must return 0
-for boxes whose circumscribed circles are disjoint, which :func:`bev_iou`
-and :func:`iou3d` do.
+(n, 7) geometry arrays of :func:`as_geometry`, and is bit for bit the scalar
+code: it builds corners with ``math.cos`` and ``math.sin`` and replays the
+circle reject, the z test, the Sutherland-Hodgman clip and the shoelace sum
+with the same IEEE operations in the same order. The lazy callers (``nms``,
+``soft_nms``, the ensemble's pool and ``FrameMatcher``) call the scalar
+overlap on the pairs they reach, and any other ``iou_fn`` is called per pair
+everywhere. Every function that takes an ``iou_fn`` relies on the candidate
+test: ``iou_fn`` must return 0 for boxes whose circumscribed circles are
+disjoint, which :func:`bev_iou` and :func:`iou3d` do.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ _TAU = 2.0 * math.pi
 # Clipped footprints smaller than this are floating-point slivers, not overlap.
 _AREA_EPS = 1e-12
 
-# Upper bound on the cells of one block of the candidate test's temporaries.
-_BLOCK_CELLS = 1 << 20
+# Upper bound on the pairs that one chunk of the candidate sweep tests: its
+# temporaries take about 80 bytes a pair.
+_BLOCK_CELLS = 1 << 18
 
 # Pairs scored at once by the overlap kernel: its temporaries stay near 1 MB.
 _PAIR_CHUNK = 1 << 12
@@ -61,6 +62,7 @@ class Label(Enum):
     VEHICLE = "VEHICLE"
     PEDESTRIAN = "PEDESTRIAN"
     CYCLIST = "CYCLIST"
+    __hash__ = object.__hash__  # by identity, as members compare: Enum's hash runs in Python
 
 
 def wrap_angle(theta: float) -> float:
@@ -229,11 +231,13 @@ class Box3D:
         s = math.sin(self.heading)
         hl = 0.5 * self.length
         hw = 0.5 * self.width
+        # Each product once: the same IEEE operations, in the same order.
+        cx, cy, chl, shl, chw, shw = self.cx, self.cy, c * hl, s * hl, c * hw, s * hw
         return [
-            (self.cx + c * hl - s * hw, self.cy + s * hl + c * hw),
-            (self.cx - c * hl - s * hw, self.cy - s * hl + c * hw),
-            (self.cx - c * hl + s * hw, self.cy - s * hl - c * hw),
-            (self.cx + c * hl + s * hw, self.cy + s * hl - c * hw),
+            (cx + chl - shw, cy + shl + chw),
+            (cx - chl - shw, cy - shl + chw),
+            (cx - chl + shw, cy - shl - chw),
+            (cx + chl + shw, cy + shl - chw),
         ]
 
     def contains_bev(self, x: float, y: float) -> bool:
@@ -432,30 +436,101 @@ def _circles(boxes) -> np.ndarray:
     sequence or an (N, 7) geometry array, each radius the expression of the
     scalar reject in :func:`_footprint_intersection`."""
     if not isinstance(boxes, np.ndarray):
-        return np.array([(b.cx, b.cy, 0.5 * math.hypot(b.length, b.width)) for b in boxes],
-                        dtype=np.float64).reshape(len(boxes), 3)
+        values = ((b.cx, b.cy, 0.5 * math.hypot(b.length, b.width)) for b in boxes)
+        return np.fromiter(chain.from_iterable(values), np.float64, 3 * len(boxes)).reshape(-1, 3)
     radius = 0.5 * np.fromiter(map(math.hypot, boxes[:, 3].tolist(), boxes[:, 4].tolist()),
                                np.float64, len(boxes))
     return np.stack([boxes[:, 0], boxes[:, 1], radius], axis=1)
 
 
-def _hit_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """The candidate test of the circles a against the circles b: (first
-    row, (rows, len(b)) boolean hits) blocks of about _BLOCK_CELLS cells, in
-    row order, so memory stays bounded for any list sizes."""
-    step = max(1, _BLOCK_CELLS // max(len(b), 1))
-    for start in range(0, len(a), step):
-        block = a[start:start + step]
-        # Huge coordinates or sizes overflow to inf, as in the scalar test.
-        with np.errstate(over="ignore"):
-            d2 = block[:, 0:1] - b[:, 0]
-            dy = block[:, 1:2] - b[:, 1]
-            d2 *= d2
-            dy *= dy
-            d2 += dy
-            reach = np.add(block[:, 2:3], b[:, 2], out=dy)  # dy is spent: reuse it
-            reach *= reach
-        yield start, d2 <= reach
+def _sweep(a: np.ndarray, b: np.ndarray, a_groups: Optional[np.ndarray] = None,
+           b_groups: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """The candidate test of the circles a against the circles b as CSR: row
+    pointers, and each row's ascending column indices. Given group ids, a
+    row meets only its own group's columns.
+
+    The columns are sorted by (group, x). A row tests those whose x is within
+    the root of the rounded square of its radius plus the largest column
+    radius, widened by 2**-40 of that and 2**-499: a pair the scalar reject
+    keeps passes the reach in |dx| by a few ulps at most, or has squares
+    that underflow, and the window's ends round by half an ulp of an x under
+    twice the window whenever dx rounds. A square that overflows gives an
+    infinite window, as the reject then keeps every pair. The window's
+    pairs, at most _BLOCK_CELLS at a time, get the reject's IEEE operations.
+    """
+    n = len(a)
+    if not n or not len(b):
+        return np.zeros(n + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
+    # Huge coordinates or sizes overflow to inf, as in the scalar reject.
+    with np.errstate(over="ignore"):
+        reach = a[:, 2] + b[:, 2].max()
+        half = np.sqrt(reach * reach) * (1.0 + 2.0**-40) + 2.0**-499
+        lo_x, hi_x = a[:, 0] - half, a[:, 0] + half
+        # ndarray methods, not np functions: these calls are many and small.
+        key = _keys(b_groups, b[:, 0])
+        order = key.argsort(kind="stable")
+        key = key[order]
+        lo = key.searchsorted(_keys(a_groups, lo_x), "left")
+        counts = key.searchsorted(_keys(a_groups, hi_x), "right") - lo
+        ends = counts.cumsum()
+        found = [(np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp))]
+        sides = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        start = 0
+        while start < n:
+            cells = _BLOCK_CELLS + (ends[start - 1] if start else 0)
+            stop = max(int(ends.searchsorted(cells, "right")), start + 1)
+            found.append(_window_hits(*sides, order, lo[start:stop], counts[start:stop], start))
+            start = stop
+    row_counts, cols = zip(*found)
+    return np.concatenate(row_counts).cumsum(), np.concatenate(cols)
+
+
+def _keys(groups: Optional[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """x as sort keys, after the groups if given, as complex numbers sort."""
+    if groups is None:
+        return x
+    key = groups.astype(np.complex128)
+    key.imag = x
+    return key
+
+
+def _window_hits(a: np.ndarray, b: np.ndarray, order: np.ndarray, lo: np.ndarray,
+                 counts: np.ndarray, start: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs that the scalar reject keeps among rows start.. of the
+    (3, n) circles a, each against its counts columns from position lo of
+    the sorted b: each row's count of kept pairs, and their columns, row by
+    row in ascending order. The caller lets squares overflow to inf."""
+    rows = np.arange(start, start + len(lo)).repeat(counts)
+    offsets = counts.cumsum() - counts
+    cols = order[np.arange(len(rows)) + (lo - offsets).repeat(counts)]
+    (ax, ay, ar), (bx, by, br) = a.take(rows, axis=1), b.take(cols, axis=1)
+    d2 = np.subtract(ax, bx, out=ax)
+    dy = np.subtract(ay, by, out=ay)
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    reach = np.add(ar, br, out=ar)
+    reach *= reach
+    hit = d2 <= reach
+    rows, cols = rows[hit], cols[hit]
+    cols = cols[(rows * b.shape[1] + cols).argsort()]
+    return np.bincount(rows - start, minlength=len(lo)), cols
+
+
+_LABEL_CODES = {label: float(code) for code, label in enumerate(Label)}
+
+
+def candidate_pairs(rows: Sequence[Box3D], cols: Sequence[Box3D],
+                    same_label: bool = False) -> Tuple[List[int], List[int]]:
+    """The candidate pairs of rows against cols as CSR lists: row i's
+    candidates are ``indices[pointers[i]:pointers[i + 1]]``, ascending, as
+    :func:`candidate_columns` lists them. With same_label, only the pairs
+    of boxes that share a label."""
+    groups = [np.array([_LABEL_CODES[box.label] for box in side]) if same_label else None
+              for side in (rows, cols)]
+    a = _circles(rows)
+    pointers, indices = _sweep(a, a if cols is rows else _circles(cols), *groups)
+    return pointers.tolist(), indices.tolist()
 
 
 def candidate_columns(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> List[List[int]]:
@@ -466,21 +541,11 @@ def candidate_columns(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> List[List
     and ra, rb the half-diagonals. Those are the IEEE operations of the
     scalar reject in :func:`bev_iou` and :func:`iou3d`, in either argument
     order, so the candidates are exactly the pairs it keeps, and a pair
-    left out has IoU 0. Rows are tested in blocks of about 1M cells, so
-    memory stays bounded for any list sizes.
+    left out has IoU 0. A sweep over the columns sorted by x finds them
+    (see :func:`_sweep`), so memory stays bounded for any list sizes.
     """
-    if not rows or not cols:
-        return [[] for _ in rows]
-    a = _circles(rows)
-    out: List[List[int]] = []
-    for _, hits in _hit_blocks(a, a if cols is rows else _circles(cols)):
-        flat = np.nonzero(hits)[1].tolist()
-        ends = np.cumsum(hits.sum(axis=1)).tolist()
-        begin = 0
-        for end in ends:
-            out.append(flat[begin:end])
-            begin = end
-    return out
+    pointers, indices = candidate_pairs(rows, cols)
+    return [indices[begin:end] for begin, end in zip(pointers, pointers[1:])]
 
 
 class _Table(NamedTuple):
@@ -648,51 +713,48 @@ def _stacked(sides: Sequence) -> np.ndarray:
 
 def _overlap_blocks(blocks: Sequence[Tuple[Sequence, Sequence]], kind: str) -> Iterator[np.ndarray]:
     """:func:`overlaps` of each (rows, cols) block in turn. The boxes of
-    every block are stacked once, and whole blocks' candidate pairs are
-    scored together, in passes that end once they hold _PASS_PAIRS pairs:
-    the pairs and kernel tables in memory follow a pass, not the sequence."""
+    every block are stacked once, and one sweep, with a group for each
+    block, finds every block's candidate pairs: 8 bytes a pair for the
+    sequence. Whole blocks' pairs are scored together, in passes that end
+    once they hold _PASS_PAIRS pairs: the kernel tables and values in
+    memory follow a pass, not the sequence."""
     rows = _stacked([block for block, _ in blocks])
     cols = _stacked([block for _, block in blocks])
     row_circles, col_circles = _circles(rows), _circles(cols)
-    pending: List[Tuple[int, int, int, int, np.ndarray, np.ndarray]] = []
-    pairs = r0 = c0 = 0
-    empty = np.empty(0, dtype=np.intp)
+    ids = np.arange(len(blocks), dtype=np.float64)
+    found = _sweep(row_circles, col_circles, np.repeat(ids, [len(block) for block, _ in blocks]),
+                   np.repeat(ids, [len(block) for _, block in blocks]))
+    pending: List[Tuple[int, int, int, int]] = []
+    r0 = c0 = 0
     for block_rows, block_cols in blocks:
         r1, c1 = r0 + len(block_rows), c0 + len(block_cols)
-        # Row-major pairs, indexed into the stacked boxes.
-        found = [(i + (r0 + start), j + c0)
-                 for start, hits in _hit_blocks(row_circles[r0:r1], col_circles[c0:c1])
-                 for i, j in [np.nonzero(hits)]]
-        i = np.concatenate([empty] + [i for i, _ in found])
-        j = np.concatenate([empty] + [j for _, j in found])
-        pending.append((r0, c0, r1 - r0, c1 - c0, i, j))
-        pairs += len(i)
+        pending.append((r0, c0, r1, c1))
         r0, c0 = r1, c1
-        if pairs >= _PASS_PAIRS:
-            yield from _pass(rows, cols, row_circles, col_circles, pending, kind)
-            pending, pairs = [], 0
-    yield from _pass(rows, cols, row_circles, col_circles, pending, kind)
+        if found[0][r1] - found[0][pending[0][0]] >= _PASS_PAIRS:
+            yield from _pass(rows, cols, row_circles, col_circles, *found, pending, kind)
+            pending = []
+    yield from _pass(rows, cols, row_circles, col_circles, *found, pending, kind)
 
 
 def _pass(rows: np.ndarray, cols: np.ndarray, row_circles: np.ndarray, col_circles: np.ndarray,
-          pending: List[Tuple[int, int, int, int, np.ndarray, np.ndarray]],
+          pointers: np.ndarray, indices: np.ndarray, pending: List[Tuple[int, int, int, int]],
           kind: str) -> Iterator[np.ndarray]:
-    """The matrices of a pass's consecutive blocks, every candidate pair
-    scored in one kernel call on the tables of the pass's boxes."""
+    """The matrices of a pass's consecutive blocks, (first row, first
+    column, end row, end column) each, every candidate pair of the sweep's
+    CSR scored in one kernel call on the tables of the pass's boxes."""
     if not pending:
         return
     r0, c0 = pending[0][:2]
-    r1, c1 = pending[-1][0] + pending[-1][2], pending[-1][1] + pending[-1][3]
+    r1, c1 = pending[-1][2:]
+    i = np.repeat(np.arange(r0, r1), np.diff(pointers[r0:r1 + 1]))
+    j = indices[pointers[r0]:pointers[r1]]
     values = _kernel(_table(rows[r0:r1], row_circles[r0:r1]),
-                     _table(cols[c0:c1], col_circles[c0:c1]),
-                     np.concatenate([block[4] for block in pending]) - r0,
-                     np.concatenate([block[5] for block in pending]) - c0, kind)
-    p0 = 0
-    for block_r0, block_c0, n_rows, n_cols, i, j in pending:
-        p1 = p0 + len(i)
+                     _table(cols[c0:c1], col_circles[c0:c1]), i - r0, j - c0, kind)
+    for block_r0, block_c0, block_r1, block_c1 in pending:
+        p0, p1 = pointers[block_r0] - pointers[r0], pointers[block_r1] - pointers[r0]
         # Built in a call, so the suspended generator keeps no matrix alive.
-        yield _scatter((n_rows, n_cols), i - block_r0, j - block_c0, values[p0:p1])
-        p0 = p1
+        yield _scatter((block_r1 - block_r0, block_c1 - block_c0), i[p0:p1] - block_r0,
+                       j[p0:p1] - block_c0, values[p0:p1])
 
 
 def _scatter(shape: Tuple[int, int], i: np.ndarray, j: np.ndarray,

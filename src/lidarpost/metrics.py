@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import (Box3D, Label, candidate_columns, heading_error, iou3d, iou_blocks,
+from .geometry import (Box3D, Label, candidate_pairs, heading_error, iou3d, iou_blocks,
                        iou_matrix, overlap_kind, score_order)
 from .matching import hungarian
 from .schema import NON_NEGATIVE, UNIT_ABOVE_0, Section, check, setting
@@ -89,8 +89,8 @@ def match_frame(
 
 class FrameMatcher:
     """One frame's detections and ground truths, matched as by :func:`match_frame`
-    in any order and at any scores. Candidate pairs are found once, and each
-    iou_fn(dets[i], gts[j]) is computed once over all matches.
+    in any order and at any scores. Candidate pairs are found once as CSR, and each
+    iou_fn(dets[i], gts[j]) is computed once over all matches, kept at its CSR position.
 
     Raises:
         ValueError: unless iou_thr in (0, 1].
@@ -100,23 +100,25 @@ class FrameMatcher:
                  iou_fn=iou3d) -> None:
         check("iou_thr", iou_thr, UNIT_ABOVE_0)
         self._dets, self._gts, self._iou_thr, self._iou_fn = dets, gts, iou_thr, iou_fn
-        self._candidates = candidate_columns(dets, gts)
-        self._iou: Dict[Tuple[int, int], float] = {}
+        self._pointers, self._indices = candidate_pairs(dets, gts)
+        # None until scored: an iou_fn may return NaN, so no float can mark it.
+        self._iou: List[Optional[float]] = [None] * len(self._indices)
 
     def match(self, order: Iterable[int], scores: Sequence[float]) -> MatchLedger:
         """Match dets[i], scored scores[i], for each i of order in turn; the
         ledger's rows come in that order."""
-        gts = self._gts
+        gts, pointers, indices, ious = self._gts, self._pointers, self._indices, self._iou
         ledger = MatchLedger([], [], [], [False] * len(gts))
         for i in order:
             best_j = None
             best_iou = 0.0
-            for j in self._candidates[i]:
+            for p in range(pointers[i], pointers[i + 1]):
+                j = indices[p]
                 if ledger.gt_matched[j]:
                     continue
-                value = self._iou.get((i, j))
+                value = ious[p]
                 if value is None:
-                    value = self._iou[i, j] = self._iou_fn(self._dets[i], gts[j])
+                    value = ious[p] = self._iou_fn(self._dets[i], gts[j])
                 if value >= self._iou_thr and value > best_iou:
                     best_iou = value
                     best_j = j

@@ -40,6 +40,9 @@ computes each overlap once over all its calls and appends in match order.
 The association and CLEAR-MOT references call iou_fn on every pair of each
 matrix they need, one pair at a time, where the library scores a frame's or
 a whole sequence's candidate pairs in one pass of its batched kernel.
+The candidate test runs on a dense matrix of every pair, where the library
+sweeps the columns sorted by x; the argmax soft-NMS takes each next box by
+a scan of the live scores, where the library pops a heap.
 """
 
 from __future__ import annotations
@@ -509,6 +512,53 @@ def reference_soft_nms(
                     continue
             survivors.append((other_index, other, other_score))
         pool = survivors
+    return kept
+
+
+def reference_candidates(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> List[List[int]]:
+    """Each row box's ascending indices of the column boxes whose
+    circumscribed circles can touch, from the scalar reject's IEEE
+    operations, d^2 <= (ra + rb)^2, on one dense (len(rows), len(cols))
+    matrix of every pair."""
+    a, b = (np.array([(box.cx, box.cy, 0.5 * math.hypot(box.length, box.width))
+                      for box in side], dtype=np.float64).reshape(len(side), 3)
+            for side in (rows, cols))
+    with np.errstate(over="ignore"):  # huge coordinates or sizes overflow to inf
+        dx = a[:, 0:1] - b[:, 0]
+        dy = a[:, 1:2] - b[:, 1]
+        reach = a[:, 2:3] + b[:, 2]
+        hits = dx * dx + dy * dy <= reach * reach
+    return [np.flatnonzero(row).tolist() for row in hits]
+
+
+def reference_argmax_soft_nms(
+    boxes: Sequence[Box3D], sigma: float, score_floor: float, iou_fn
+) -> List[Box3D]:
+    """Soft-NMS that takes each next box by a masked np.argmax over the live
+    scores (its first maximum, so ties go to the lower index), then decays
+    the live same-label candidates of :func:`reference_candidates` in index
+    order, calling iou_fn(best, other) on each; at a label's first pick the
+    boxes of the label still under score_floor go."""
+    scores = np.array([box.score for box in boxes], dtype=np.float64)
+    alive = np.ones(len(boxes), dtype=bool)
+    candidates = reference_candidates(boxes, boxes)
+    floored = set()
+    kept: List[Box3D] = []
+    while alive.any():
+        i = int(np.argmax(np.where(alive, scores, -np.inf)))
+        box = boxes[i]
+        alive[i] = False
+        kept.append(replace(box, score=float(scores[i])))
+        for j in candidates[i]:
+            if alive[j] and boxes[j].label is box.label:
+                scores[j] *= math.exp(-iou_fn(box, boxes[j]) ** 2 / sigma)
+                if scores[j] < score_floor:
+                    alive[j] = False
+        if box.label not in floored:
+            floored.add(box.label)
+            for j in np.flatnonzero(alive & (scores < score_floor)).tolist():
+                if boxes[j].label is box.label:
+                    alive[j] = False
     return kept
 
 

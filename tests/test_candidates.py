@@ -29,6 +29,7 @@ from lidarpost.geometry import (
     Label,
     bev_iou,
     candidate_columns,
+    candidate_pairs,
     iou3d,
     iou_matrix,
 )
@@ -36,8 +37,10 @@ from lidarpost.metrics import match_frame, mota_motp
 from lidarpost.tracker import associate
 from oracles import (
     random_box,
+    reference_argmax_soft_nms,
     reference_associate,
     reference_box_vote,
+    reference_candidates,
     reference_check_on_visit,
     reference_ensemble_pair,
     reference_iou_matrix,
@@ -379,6 +382,20 @@ class TestTrackingOnIdSequences:
 
 
 class TestEdgeCases:
+    def test_soft_nms_takes_a_nan_score_next_as_argmax_does(self):
+        # bev_iou is NaN for boxes whose areas overflow; here an iou_fn gives
+        # NaN for the pair (first, third), so the third box's score is NaN.
+        # np.argmax takes a NaN for the maximum, so that box comes next.
+        boxes = [Box3D(0.2 * k, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=s)
+                 for k, s in enumerate((0.9, 0.8, 0.7))]
+
+        def iou_fn(a, b):
+            return math.nan if (a, b) == (boxes[0], boxes[2]) else bev_iou(a, b)
+
+        out = soft_nms(boxes, 0.5, 0.001, iou_fn)
+        assert [box.cx for box in out] == [0.0, 0.4, 0.2]
+        assert math.isnan(out[1].score) and out[0].score == 0.9 and out[2].score < 0.8
+
     def test_soft_nms_drops_far_boxes_that_start_under_the_floor(self):
         near = [Box3D(0.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=s) for s in (0.9, 0.05)]
         far = [Box3D(100.0 * k, 0.0, 0.0, 4.0, 2.0, 1.5, 0.0, score=s)
@@ -566,3 +583,153 @@ class TestAsksTheCheckOnVisitPairs:
         assert scores == [box.score for box in pooled]
         assert sorted(got.calls) == sorted(_on_candidates(want.calls, {
             (i, j) for i, js in enumerate(candidate_columns(pooled, pooled)) for j in js}))
+
+
+def test_the_sweep_s_worst_case_stays_in_bounded_memory():
+    # 5,000 boxes on one x, 1 m apart in y: every pair is in every row's
+    # window, 25M pairs in all, though each box touches only a few. Next
+    # neighbours overlap by 1/3, so the kept boxes are a maximal independent
+    # set of the path 0-1-...-4999.
+    rng = np.random.default_rng(9)
+    boxes = [Box3D(0.0, 1.0 * k, 0.0, 4.0, 2.0, 1.5, 0.0, score=float(rng.uniform()))
+             for k in range(5000)]
+    tracemalloc.start()
+    try:
+        kept = nms(boxes, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert 5000 // 3 <= len(kept) <= 2500
+
+
+def _csr(rows_of_columns):
+    pointers = [0]
+    for js in rows_of_columns:
+        pointers.append(pointers[-1] + len(js))
+    return pointers, [j for js in rows_of_columns for j in js]
+
+
+# Coordinates that repeat (many equal x), that reach past the float range,
+# and any in a small square; sizes from 1e-3 to 1e3.
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, 2.5, -1e308, 1e308]) | st.floats(-20.0, 20.0)
+_SIZES = st.sampled_from([1e-3, 1.0, 1e3, 1e308]) | st.floats(1e-3, 1e3)
+_SWEEP_BOXES = st.builds(
+    lambda cx, cy, length, width, heading, label: Box3D(cx, cy, 0.0, length, width, 1.0,
+                                                        heading, label=label),
+    _COORDS, _COORDS, _SIZES, _SIZES, st.floats(-math.pi, math.pi), st.sampled_from(LABELS))
+_SPECIAL = [box for pair in _touching_pairs() for box in pair] + sum(_overflow_rows_cols(), [])
+
+
+@st.composite
+def _sweep_sides(draw):
+    """Row and column boxes, either side possibly empty, mixing drawn boxes
+    with touching pairs (and one ulp either side) and overflow rows."""
+    def side():
+        return draw(st.lists(_SWEEP_BOXES | st.sampled_from(_SPECIAL), max_size=14))
+    rows = side()
+    return rows, (rows if draw(st.booleans()) else side())
+
+
+class TestSweepAgainstTheDenseTest:
+    """The sweep's CSR pairs are the dense all-pairs test's, row by row, in
+    ascending column order, at any chunk size; by label, they are the dense
+    test's pairs of boxes that share a label."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_sweep_sides(), st.sampled_from([1, 3, 1 << 18]))
+    def test_pairs_equal_the_dense_test(self, sides, cells):
+        rows, cols = sides
+        want = reference_candidates(rows, cols)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_BLOCK_CELLS", cells)
+            assert candidate_pairs(rows, cols) == _csr(want)
+            assert candidate_pairs(rows, cols, same_label=True) == _csr(
+                [[j for j in js if cols[j].label is rows[i].label] for i, js in enumerate(want)])
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    def test_frames_equal_the_dense_test(self, name):
+        boxes = FRAMES[name]
+        assert candidate_columns(boxes, boxes) == reference_candidates(boxes, boxes)
+        assert candidate_columns(boxes[::2], boxes[1::2]) == reference_candidates(boxes[::2],
+                                                                                  boxes[1::2])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_pairs_a_few_ulps_either_side_of_touching_off_the_origin(self, scale):
+        # The window's ends and dx = a.cx - b.cx round; the reject decides.
+        rng = np.random.default_rng(10)
+        for _ in range(150):
+            a = Box3D(float(rng.uniform(-50.0, 50.0)) * scale, 0.0, 0.0,
+                      float(rng.uniform(1e-3, 5.0)) * scale, float(rng.uniform(1e-3, 5.0)) * scale,
+                      1.0, 0.0)
+            reach = 2.0 * (0.5 * math.hypot(a.length, a.width))
+            cols = []
+            for x in (a.cx - reach, a.cx + reach):
+                for step in (-math.inf, math.inf):
+                    for _ in range(4):
+                        cols.append(Box3D(x, 0.0, 0.0, a.length, a.width, 1.0, 0.0))
+                        x = math.nextafter(x, step)
+            assert candidate_columns([a], cols) == reference_candidates([a], cols)
+
+    def test_squares_that_underflow(self):
+        # Boxes of 1e-300 m whose center distance of 1e-170 m squares to 0.0:
+        # the reject keeps them, though the distance is far past the reach.
+        rows = [Box3D(0.0, 0.0, 0.0, 1e-300, 1e-300, 1.0, 0.0)]
+        cols = [Box3D(x, 0.0, 0.0, 1e-300, 1e-300, 1.0, 0.0) for x in (-1e-170, 1e-170, 1e-150)]
+        assert candidate_columns(rows, cols) == reference_candidates(rows, cols) == [[0, 1]]
+
+    def test_touching_pairs_and_overflow_rows(self):
+        rows, cols = _overflow_rows_cols()
+        assert candidate_columns(rows, cols) == reference_candidates(rows, cols) == [[], [0, 1]]
+        for a, b in _touching_pairs():
+            assert candidate_columns([a], [b]) == reference_candidates([a], [b])
+
+
+def _hex(box):
+    return [value.hex() if isinstance(value, float) else value
+            for value in (getattr(box, f) for f in box.__dataclass_fields__)]
+
+
+@st.composite
+def _soft_nms_frames(draw):
+    """Clusters of boxes, some exact copies, so that scores tie and decay to
+    equal values; scores include -0.0, 0.0 and values under the floor."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        cx, cy = draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))
+        label = draw(st.sampled_from(LABELS))
+        for _ in range(draw(st.integers(1, 5))):
+            box = Box3D(cx + draw(st.sampled_from([0.0, 0.5]) | st.floats(-1.0, 1.0)), cy, 0.0,
+                        draw(st.floats(1.0, 5.0)), draw(st.floats(0.5, 2.5)), 1.5,
+                        draw(st.floats(-math.pi, math.pi)),
+                        score=draw(st.sampled_from([-0.0, 0.0, 0.0005, 0.3, 0.6, 0.9, 1.0])
+                                   | st.floats(0.0, 1.0)),
+                        label=draw(st.sampled_from([label, LABELS[0]])))
+            boxes += [box] * draw(st.integers(1, 3))
+    return boxes
+
+
+class TestSoftNmsAgainstTheArgmaxLoop:
+    """The heap picks the box that the masked argmax picks, so soft_nms keeps
+    the same boxes, bit for bit, and asks iou_fn the same pairs in the same
+    order."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_soft_nms_frames(), st.sampled_from([0.05, 0.5, 2.0]),
+           st.sampled_from([0.0, 0.001, 0.3, 0.6]))
+    def test_kept_boxes_and_calls(self, boxes, sigma, score_floor):
+        got, want = Recorder(bev_iou), Recorder(bev_iou)
+        out = soft_nms(boxes, sigma, score_floor, got)
+        ref = reference_argmax_soft_nms(boxes, sigma, score_floor, want)
+        assert [_hex(box) for box in out] == [_hex(box) for box in ref]
+        assert got.calls == want.calls
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    def test_frames(self, name):
+        boxes = FRAMES[name]
+        got, want = Recorder(bev_iou), Recorder(bev_iou)
+        out = soft_nms(boxes, 0.5, 0.001, got)
+        assert [_hex(box) for box in out] == [
+            _hex(box) for box in reference_argmax_soft_nms(boxes, 0.5, 0.001, want)]
+        assert got.calls == want.calls

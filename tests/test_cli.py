@@ -1928,3 +1928,20 @@ class TestOverrideTable:
         by_default = tmp_path / "by_default.out"
         assert run(argv + ["--output", str(by_default)]) == 0
         assert by_flag.read_bytes() != by_default.read_bytes()
+
+
+def test_a_report_line_is_written_without_a_copy_of_it(tmp_path):
+    # assign writes each frame's block as one line of about 1 MB; the line
+    # and its line feed are written one after the other, not joined first.
+    import tracemalloc
+
+    line = "x" * (1 << 20)
+    path = tmp_path / "report.txt"
+    tracemalloc.start()
+    try:
+        cli._write_report(iter(["a", line, "b"]), str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == b"a\n" + line.encode() + b"\nb\n"
+    assert peak < 1.5 * len(line), f"peak {peak / len(line):.2f} times the line"
