@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -52,7 +53,8 @@ from .ensemble import (
     soft_nms,
 )
 from .geometry import Box3D, DetectionSet, Label, iou3d, score_order
-from .io import BoxColumns, read_box_columns, read_boxes, read_points, write_boxes, write_points
+from .io import (BoxColumns, read_box_columns, read_boxes, read_points, write_box_columns,
+                 write_boxes, write_points)
 from .metrics import (
     Difficulty,
     FrameMatcher,
@@ -495,19 +497,18 @@ def cmd_ensemble(args: argparse.Namespace, config: Config) -> dict:
 
 
 def cmd_track(args: argparse.Namespace, config: Config) -> dict:
-    frames = read_boxes(args.input)
+    frames = read_box_columns(args.input)
     tracker = Tracker(config.tracker)
-    outputs: List[DetectionSet] = []
-    reported = 0
+    outputs: List[BoxColumns] = []
     for frame in frames.values():
-        boxes = tracker.step(replace(frame, boxes=_filter_class(frame.boxes, args.cls)))
-        reported += len(boxes)
-        outputs.append(replace(frame, boxes=boxes))
-    write_boxes(outputs, args.output)
+        if args.cls is not None:
+            frame = frame.take([j for j, label in enumerate(frame.labels) if label is args.cls])
+        outputs.append(tracker.step(frame))
+    write_box_columns(outputs, args.output)
     return dict(
         frames=len(frames),
         tracks=tracker.tracks_created,
-        reported=reported,
+        reported=sum(len(frame.labels) for frame in outputs),
     )
 
 
@@ -687,11 +688,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process: parsing leaves a parser as it was
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Execute one CLI invocation; returns the process exit code, which only
     this function chooses, by the stage that failed (see the module docstring)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # the parser has printed its ERROR 2 line, or --help
         return 0 if exc.code in (0, None) else int(exc.code)
     start = time.perf_counter()

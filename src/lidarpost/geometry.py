@@ -526,10 +526,11 @@ def candidate_pairs(rows: Sequence[Box3D], cols: Sequence[Box3D],
     candidates are ``indices[pointers[i]:pointers[i + 1]]``, ascending, as
     :func:`candidate_columns` lists them. With same_label, only the pairs
     of boxes that share a label."""
-    groups = [np.array([_LABEL_CODES[box.label] for box in side]) if same_label else None
-              for side in (rows, cols)]
-    a = _circles(rows)
-    pointers, indices = _sweep(a, a if cols is rows else _circles(cols), *groups)
+    sides = [(_circles(side),
+              np.array([_LABEL_CODES[box.label] for box in side]) if same_label else None)
+             for side in ([rows] if cols is rows else [rows, cols])]
+    (a, a_groups), (b, b_groups) = sides[0], sides[-1]
+    pointers, indices = _sweep(a, b, a_groups, b_groups)
     return pointers.tolist(), indices.tolist()
 
 

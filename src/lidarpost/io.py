@@ -25,14 +25,15 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, filterfalse, groupby, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_not, itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
-from .geometry import (BOX_DOMAINS, FINITE, _ID_FIELDS, _NUMBER_FIELDS, Box3D, DetectionSet,
-                       Label, unchecked_box, wrap_angle, wrap_angles)
+from .geometry import (BOX_DOMAINS, FINITE, _ID_FIELDS, _NUMBER_FIELDS, DetectionSet, Label,
+                       unchecked_box, wrap_angle, wrap_angles)
 from .pointcloud import PointCloud
 
 PathLike = Union[str, Path]
@@ -141,6 +142,11 @@ class BoxColumns(NamedTuple):
     def geometry(self) -> np.ndarray:
         """The (n, 7) geometry of ``geometry.as_geometry``: every number but the score."""
         return self.numbers[:, :7]
+
+    def take(self, rows: List[int]) -> "BoxColumns":
+        """The columns of the given rows, in the given order."""
+        picked = [list(map(column.__getitem__, rows)) for column in (self.labels, *self.ids)]
+        return self._replace(numbers=self.numbers[rows], labels=picked[0], ids=tuple(picked[1:]))
 
 
 # A checked chunk: frame ids, timestamps, numbers, labels and id columns.
@@ -326,11 +332,6 @@ def _file_runs(path: PathLike) -> Iterator[_Run]:
             first += len(lines)
 
 
-def _rows(numbers: np.ndarray, labels: List[Label], ids: List[list]) -> List[Box3D]:
-    """The boxes of checked columns, without ``Box3D.__post_init__``."""
-    return list(map(unchecked_box, *numbers.T.tolist(), labels, *ids))
-
-
 def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
     """Read a JSONL box file grouped by frame id, in first-appearance order.
 
@@ -354,7 +355,7 @@ def read_boxes(path: PathLike) -> Dict[str, DetectionSet]:
         if frame is None or frame.frame_id != frame_id:
             frame = DetectionSet(frame_id, [], 0, timestamp)
             frames[frame_id] = frame
-        frame.boxes.extend(_rows(numbers, labels, ids))
+        frame.boxes.extend(map(unchecked_box, *numbers.T.tolist(), labels, *ids))
     return frames
 
 
@@ -385,7 +386,8 @@ def write_boxes(
 
     Each line holds the bytes ``json.dumps(record, allow_nan=False)``
     gives for the box's record, keys in the order of the reader's. Floats
-    serialize at full precision so a read-back compares equal.
+    serialize at full precision so a read-back compares equal. Each set's
+    boxes become columns, formatted as :func:`write_box_columns` does.
 
     Raises:
         ValueError: on a non-finite float, as ``json.dumps`` does.
@@ -394,48 +396,58 @@ def write_boxes(
         sets = sets.values()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for ds in sets:
-            fh.writelines(_frame_lines(ds))
+            boxes = ds.boxes
+            fh.write(_frame_text(ds.frame_id, ds.timestamp, list(zip(*map(_numbers, boxes))),
+                                 [box.label for box in boxes], list(zip(*map(_ids, boxes)))))
+
+
+def write_box_columns(frames: Iterable[BoxColumns], path: PathLike) -> None:
+    """Write frames of columns with the bytes that :func:`write_boxes`
+    writes for their boxes as rows, and its ValueError on a non-finite float."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for frame in frames:
+            fh.write(_frame_text(frame.frame_id, frame.timestamp, frame.numbers.T.tolist(),
+                                 frame.labels, frame.ids))
 
 
 _numbers = attrgetter(*_NUMBER_FIELDS)
 _ids = attrgetter(*_ID_FIELDS)
 _LABEL_TEXT = {label: json.dumps(label.value) for label in Label}
+# The text before each number's and the label's, after frame id and timestamp.
+_KEY_TEXT = [f', "{key}": ' for key in _REQUIRED_KEYS[2:]]
 
 
 def _json(value) -> str:
     return json.dumps(value, allow_nan=False)
 
 
-def _frame_lines(ds: DetectionSet) -> List[str]:
-    """A frame's lines, on a prefix that encodes frame id and timestamp once.
+def _frame_text(frame_id: str, timestamp: float, numbers: Sequence[Sequence],
+                labels: Sequence[Label], ids: Sequence[Sequence]) -> str:
+    """A frame's lines, joined, from its columns: eight number columns in
+    the order of ``_NUMBER_FIELDS``, the labels and the four id columns.
 
-    When every box value is a finite float, an int id or None, and a Label,
-    values are written with ``repr``, the text ``json`` writes for them;
-    otherwise each one goes through ``json.dumps``.
+    When every number is a finite float, every id an int or None and every
+    label a Label, values are written with ``repr``, the text ``json``
+    writes for them; otherwise each one goes through ``json.dumps``. The
+    encoded columns are joined between the keys' texts.
     """
-    boxes = ds.boxes
-    if not boxes:
-        return []
-    numbers = list(map(_numbers, boxes))
-    ids = list(map(_ids, boxes))
-    labels = [box.label for box in boxes]
-    flat = list(chain.from_iterable(numbers))
-    if (set(map(type, flat)) == {float} and all(map(math.isfinite, flat))
+    if not labels:
+        return ""
+    if (set(map(type, chain.from_iterable(numbers))) == {float}
+            and all(map(math.isfinite, chain.from_iterable(numbers)))
             and set(map(type, chain.from_iterable(ids))) <= {int, type(None)}
             and set(map(type, labels)) == {Label}):
         enc, label_text = repr, _LABEL_TEXT.__getitem__
     else:
         enc, label_text = _json, lambda label: json.dumps(label.value)
-    prefix = f'{{"frame_id": {_json(ds.frame_id)}, "timestamp": {_json(ds.timestamp)}, '
-    return [
-        f'{prefix}"cx": {enc(cx)}, "cy": {enc(cy)}, "cz": {enc(cz)}, "l": {enc(l)}, '
-        f'"w": {enc(w)}, "h": {enc(h)}, "heading": {enc(heading)}, "score": {enc(score)}, '
-        f'"label": {label_text(label)}'
-        + "".join([f', "{key}": {enc(value)}'
-                   for key, value in zip(_ID_FIELDS, box_ids) if value is not None])
-        + "}\n"
-        for (cx, cy, cz, l, w, h, heading, score), label, box_ids in zip(numbers, labels, ids)
-    ]
+    columns = [*(map(enc, column) for column in numbers), map(label_text, labels)]
+    # Each id a box holds gives its key and value, and one it lacks nothing.
+    columns += [[f', "{key}": {enc(value)}' if value is not None else "" for value in column]
+                for key, column in zip(_ID_FIELDS, ids) if any(map(is_not, column, repeat(None)))]
+    head = f'{{"frame_id": {_json(frame_id)}, "timestamp": {_json(timestamp)}'
+    keys = [head + _KEY_TEXT[0], *_KEY_TEXT[1:], *[""] * (len(columns) - len(_KEY_TEXT))]
+    pieces = list(chain.from_iterable(zip(map(repeat, keys), columns)))
+    return "".join(chain.from_iterable(zip(*pieces, repeat("}\n"))))
 
 
 def read_points(

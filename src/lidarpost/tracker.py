@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,10 +26,10 @@ from .geometry import (
     Box3D,
     DetectionSet,
     Label,
+    as_geometry,
     heading_error,
     iou3d,
     iou_blocks,
-    unchecked_box,
     wrap_angle,
     wrap_angles,
 )
@@ -60,6 +59,9 @@ _NOISE = Range(0.0, MAX_NOISE, low_open=True)
 # Boxes built from a Kalman mean clamp dimensions here so a drifting filter
 # can never produce an invalid box during association.
 _MIN_DIM = 1e-3
+
+# The columns of an (n, 7) box geometry in the order of the observation.
+_OBSERVED = [0, 1, 2, 6, 3, 4, 5]
 
 
 @dataclass(frozen=True)
@@ -143,9 +145,10 @@ def _predict_rows(
 
 
 def _update_rows(
-    mean: np.ndarray, cov: np.ndarray, dets: List[Box3D], config: TrackerConfig
+    mean: np.ndarray, cov: np.ndarray, dets, config: TrackerConfig
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The Kalman update of each row with its detection, stacked.
+    """The Kalman update of each row with its detection, stacked; dets is
+    what :func:`~lidarpost.geometry.as_geometry` takes.
 
     Each row's result is bit for bit the one this gives for the row alone.
 
@@ -154,8 +157,7 @@ def _update_rows(
             heading minus the row's) or updated heading is not finite,
             :func:`~lidarpost.geometry.wrap_angle`'s error for that value.
     """
-    z = np.array([(d.cx, d.cy, d.cz, d.heading, d.length, d.width, d.height) for d in dets],
-                 dtype=np.float64)
+    z = as_geometry(dets)[:, _OBSERVED]
     observed = z[:, 3]
     turn = observed - mean[:, 3]
     flip = np.abs(wrap_angles(turn)) > 0.5 * math.pi
@@ -235,13 +237,21 @@ def associate(
     Raises ValueError unless iou_min in [0, 1].
     """
     check("iou_min", iou_min, UNIT)
+    return _associate(tracks, [b.label for b in tracks], detections,
+                      [b.label for b in detections], iou_min, iou_fn)
+
+
+def _associate(tracks, track_labels: Sequence[Label], detections, det_labels: Sequence[Label],
+               iou_min: float, iou_fn):
+    """:func:`associate` of tracks and detections, each Box3D rows or an
+    (n, 7) array of :func:`~lidarpost.geometry.as_geometry`, and labels."""
     blocks = []
-    for label in sorted({b.label for b in tracks}, key=lambda l: l.value):
-        t_idx = [i for i, b in enumerate(tracks) if b.label is label]
-        d_idx = [j for j, b in enumerate(detections) if b.label is label]
+    for label in sorted(set(track_labels), key=lambda l: l.value):
+        t_idx = [i for i, l in enumerate(track_labels) if l is label]
+        d_idx = [j for j, l in enumerate(det_labels) if l is label]
         if d_idx:
             blocks.append((t_idx, d_idx))
-    ious = iou_blocks([([tracks[i] for i in t_idx], [detections[j] for j in d_idx])
+    ious = iou_blocks([(_take(tracks, t_idx), _take(detections, d_idx))
                        for t_idx, d_idx in blocks], iou_fn)
     matches: List[Tuple[int, int]] = []
     for (t_idx, d_idx), iou in zip(blocks, ious):
@@ -251,9 +261,13 @@ def associate(
     matched_dets = {j for _, j in matches}
     return (
         matches,
-        [i for i in range(len(tracks)) if i not in matched_tracks],
-        [j for j in range(len(detections)) if j not in matched_dets],
+        [i for i in range(len(track_labels)) if i not in matched_tracks],
+        [j for j in range(len(det_labels)) if j not in matched_dets],
     )
+
+
+def _take(boxes, indices: List[int]):
+    return boxes[indices] if isinstance(boxes, np.ndarray) else [boxes[i] for i in indices]
 
 
 class _Rows(NamedTuple):
@@ -277,8 +291,8 @@ _NO_ROWS = _Rows(np.empty((0, STATE_DIM)), np.empty((0, STATE_DIM, STATE_DIM)),
                  *(np.empty(0, dtype=np.int64) for _ in range(4)), np.empty(0, dtype=object))
 
 
-def _predicted_boxes(rows: _Rows) -> List[Box3D]:
-    """``to_box()`` of each predicted row, built without the box checks.
+def _predicted_geometry(rows: _Rows) -> np.ndarray:
+    """The (T, 7) geometry of ``to_box()`` of each predicted row.
 
     Raises:
         ValueError: the one ``to_box`` raises, for the first row whose box
@@ -288,12 +302,8 @@ def _predicted_boxes(rows: _Rows) -> List[Box3D]:
     if not finite.all():
         row = int(np.argmin(finite))
         rows.state(row, rows.mean[row], rows.cov[row]).to_box()
-    cx, cy, cz = rows.mean[:, :3].T.tolist()
-    length, width, height = np.maximum(rows.mean[:, 4:7], _MIN_DIM).T.tolist()
-    n = len(rows.id)
-    return list(map(unchecked_box, cx, cy, cz, length, width, height,
-                    wrap_angles(rows.mean[:, 3]).tolist(), repeat(1.0, n), rows.label.tolist(),
-                    rows.id.tolist(), repeat(None, n), repeat(None, n), repeat(None, n)))
+    return np.concatenate([rows.mean[:, :3], np.maximum(rows.mean[:, 4:7], _MIN_DIM),
+                           wrap_angles(rows.mean[:, 3])[:, None]], axis=1)
 
 
 class Tracker:
@@ -302,10 +312,10 @@ class Tracker:
     The live tracks are the rows of one table: a ``(T, 10)`` mean array, a
     ``(T, 10, 10)`` covariance array, int columns for id, hits, age and
     time since update, and a label column. Each step predicts all rows at
-    once, associates their boxes with the detections, updates the matched
-    rows at once, appends births as rows, prunes stale rows with one mask,
-    and reports the current frame's confirmed tracks as the matched
-    detection boxes stamped with their track ids. :func:`predict` and
+    once, associates the geometry of their means with the detections',
+    updates the matched rows at once, appends births as rows, prunes stale
+    rows with one mask, and reports the current frame's confirmed tracks as
+    the rows of their detections with their track ids. :func:`predict` and
     :func:`update` run the same two stacked steps on one row.
     """
 
@@ -327,8 +337,10 @@ class Tracker:
         """Total ids issued so far (live or dead)."""
         return self._next_id
 
-    def step(self, detections: DetectionSet) -> List[Box3D]:
-        """Advance one frame and return the boxes to report, with track ids.
+    def step(self, detections):
+        """Advance one frame and report its confirmed tracks: a
+        :class:`DetectionSet`'s boxes stamped with their track ids, or the
+        rows of a frame's ``io.BoxColumns`` with them as track_id column.
 
         A track reports when it was updated this frame and is either
         confirmed (hits >= min_hits) or still young (age <= min_hits).
@@ -337,7 +349,19 @@ class Tracker:
             ValueError: if the frame timestamp is not finite or precedes the
                 previous one, or if a track's state stops being finite.
         """
-        timestamp = detections.timestamp
+        if isinstance(detections, DetectionSet):
+            boxes = detections.boxes
+            rows, ids = self._step(detections.timestamp, as_geometry(boxes),
+                                   [box.label for box in boxes])
+            return [boxes[j]._with(track_id=i) for j, i in zip(rows, ids)]
+        rows, ids = self._step(detections.timestamp, detections.geometry, detections.labels)
+        report = detections.take(rows)
+        return report._replace(ids=(ids, *report.ids[1:]))
+
+    def _step(self, timestamp: float, geometry: np.ndarray,
+              labels: Sequence[Label]) -> Tuple[List[int], List[int]]:
+        """The step on a frame's (n, 7) geometry and labels: the detection
+        row and the track id of each track to report, in table order."""
         if not math.isfinite(timestamp):
             raise ValueError(f"frame timestamp must be finite, got {timestamp!r}")
         if self._last_timestamp is not None and timestamp < self._last_timestamp:
@@ -352,32 +376,29 @@ class Tracker:
         mean, cov = _predict_rows(old.mean, old.cov, cfg)
         rows = old._replace(mean=mean, cov=cov, hits=old.hits.copy(), age=old.age + 1,
                             since=old.since + 1)
-        det_boxes = detections.boxes
-        matches, _, unmatched = associate(_predicted_boxes(rows), det_boxes, cfg.iou_min)
+        matches, _, unmatched = _associate(_predicted_geometry(rows), rows.label.tolist(),
+                                           geometry, labels, cfg.iou_min, iou3d)
 
         det_of_row = np.full(len(rows.id), -1)
         if matches:
             matched, dets = map(list, zip(*matches))
             rows.mean[matched], rows.cov[matched] = _update_rows(
-                rows.mean[matched], rows.cov[matched], [det_boxes[j] for j in dets], cfg)
+                rows.mean[matched], rows.cov[matched], geometry[dets], cfg)
             rows.hits[matched] += 1
             rows.since[matched] = 0
             det_of_row[matched] = dets
 
-        born = [det_boxes[j] for j in unmatched]
-        n = len(born)
+        n = len(unmatched)
         births = _Rows(
-            np.array([(d.cx, d.cy, d.cz, d.heading, d.length, d.width, d.height, 0.0, 0.0, 0.0)
-                      for d in born], dtype=np.float64).reshape(n, STATE_DIM),
+            np.concatenate([geometry[unmatched][:, _OBSERVED], np.zeros((n, 3))], axis=1),
             np.broadcast_to(_BIRTH_COV, (n, STATE_DIM, STATE_DIM)),
             np.arange(self._next_id, self._next_id + n), np.ones(n, dtype=np.int64),
             np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-            np.array([d.label for d in born], dtype=object))
+            np.array([labels[j] for j in unmatched], dtype=object))
         self._next_id += n
         det_of_row = np.concatenate([det_of_row, np.array(unmatched, dtype=np.int64)])
 
         keep = np.concatenate([rows.since, births.since]) <= cfg.max_age
         self._rows = rows = _Rows(*(np.concatenate(pair)[keep] for pair in zip(rows, births)))
         report = (rows.since == 0) & ((rows.hits >= cfg.min_hits) | (rows.age <= cfg.min_hits))
-        return [det_boxes[j]._with(track_id=i)
-                for j, i in zip(det_of_row[keep][report].tolist(), rows.id[report].tolist())]
+        return det_of_row[keep][report].tolist(), rows.id[report].tolist()

@@ -36,7 +36,7 @@ from lidarpost.metrics import (
     mota_motp,
 )
 from lidarpost.pointcloud import PointCloud, concat_frames
-from lidarpost.tracker import associate
+from lidarpost.tracker import Tracker, TrackerConfig, associate
 from lidarpost.voxelizer import VoxelConfig
 from oracles import compensated_sum, reference_ensemble_pair, reference_weight_search
 
@@ -261,14 +261,49 @@ class TestExitCodeByStage:
         det = tmp_path / "d.jsonl"
         _write_jsonl(det, [_record()])
 
-        def write_boxes(frames, path):
+        def write_box_columns(frames, path):
             raise error
 
-        monkeypatch.setattr(cli, "write_boxes", write_boxes)
+        monkeypatch.setattr(cli, "write_box_columns", write_box_columns)
         assert run(["track", "--input", str(det), "--output", str(tmp_path / "o.jsonl")]) == code
         captured = capsys.readouterr()
         assert captured.err == f"ERROR {code}: {error}\n"
         assert captured.out == ""
+
+
+    def test_the_parser_built_once_answers_as_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        """run parses with one parser per process. An argument error, --help
+        and two different subcommands, in turn, give the codes and bytes
+        that a fresh parser per call gives."""
+        det = tmp_path / "d.jsonl"
+        _write_jsonl(det, [_record(frame_id=f"f{f}", timestamp=0.1 * f, cx=0.5 * f)
+                           for f in range(3)])
+        outputs = [tmp_path / "nms.jsonl", tmp_path / "track.jsonl"]
+        calls = [
+            ["track", "--input", str(det), "--max-age", "x"],
+            ["--help"],
+            ["track", "--help"],
+            ["nms", "--input", str(det), "--output", str(outputs[0]), "--iou", "0.5"],
+            ["track", "--input", str(det), "--output", str(outputs[1]), "--min-hits", "1"],
+            ["default-config"],
+        ]
+
+        def answers():
+            found = []
+            for argv in calls:
+                code = run(argv)
+                captured = capsys.readouterr()
+                found.append((code, re.sub(r"elapsed_s=\S+", "", captured.out), captured.err))
+            return found + [path.read_bytes() for path in outputs]
+
+        assert cli._parser() is cli._parser()
+        once = answers()
+        again = answers()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = answers()
+        assert once == again == fresh
+        assert [answer[0] for answer in once[:len(calls)]] == [2, 0, 0, 0, 0, 0]
+        assert once[0][2].startswith("ERROR 2:") and "usage:" in once[1][1]
 
 
 class TestNms:
@@ -697,6 +732,54 @@ class TestTrack:
                     "--output", str(tmp_path / "o.jsonl")])
         assert code == 3
         assert capsys.readouterr().err.startswith("ERROR 3:")
+
+
+    @pytest.mark.parametrize("cls", [None, "VEHICLE"])
+    def test_detections_stay_columns(self, tmp_path, cls):
+        """track builds no box row: every Box3D, checked or unchecked, is
+        counted, on a file of three classes whose tracks are born, coast and
+        are pruned. The output is the row form's, byte for byte."""
+        det = tmp_path / "d.jsonl"
+        records = []
+        for f in range(8):
+            t = 0.1 * f
+            records.append(_record(frame_id=f"f{f}", timestamp=t, cx=1.0 * f, heading=0.2,
+                                   score=0.9, num_points=40 + f))
+            if f < 2 or f == 6:  # coasts from f2 and is pruned, then a birth at f6
+                records.append(_record(frame_id=f"f{f}", timestamp=t, cx=30.0, cy=5.0,
+                                       l=0.8, w=0.6, h=1.7, label="PEDESTRIAN", difficulty=1))
+            if f >= 3:  # born at f3
+                records.append(_record(frame_id=f"f{f}", timestamp=t, cx=-20.0 + 0.5 * f,
+                                       cy=-8.0, l=1.8, w=0.6, label="CYCLIST", source_id=2))
+            if f in (1, 4):  # a false positive, somewhere else each time
+                records.append(_record(frame_id=f"f{f}", timestamp=t, cx=20.0 * f, cy=60.0,
+                                       score=0.3, track_id=99))
+        _write_jsonl(det, records)
+        out = tmp_path / "o.jsonl"
+        argv = ["track", "--input", str(det), "--output", str(out), "--min-hits", "1"]
+        argv += ["--class", cls] if cls else []
+        built = []
+        checked = Box3D.__post_init__
+        unchecked = lambda kind: built.append(kind) or object.__new__(kind)  # noqa: E731
+        with mock.patch.object(geometry, "_new", unchecked), \
+                mock.patch.object(Box3D, "__post_init__",
+                                  lambda box: built.append(type(box)) or checked(box)):
+            assert run(argv) == 0
+        assert built == []
+
+        # The row form on the same frames: births, coasting and prunes happen.
+        tracker = Tracker(TrackerConfig(min_hits=1))
+        want = []
+        live, coasting = [], 0
+        for frame in read_boxes(det).values():
+            boxes = [b for b in frame.boxes if cls is None or b.label.value == cls]
+            want.append(replace(frame, boxes=tracker.step(replace(frame, boxes=boxes))))
+            live.append(len(tracker.tracks))
+            coasting += sum(track.time_since_update > 0 for track in tracker.tracks)
+        assert coasting and any(b < a for a, b in zip(live, live[1:]))
+        assert tracker.tracks_created == (3 if cls else 6)
+        write_boxes(want, tmp_path / "want.jsonl")
+        assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
 class TestEvalDet:
@@ -1368,6 +1451,7 @@ class TestConfigValidation:
             raise AssertionError(f"read {path} before checking the config")
 
         monkeypatch.setattr(cli, "read_boxes", no_reading)
+        monkeypatch.setattr(cli, "read_box_columns", no_reading)
         code = run(argv + flags + ["--config", str(cfg), "--output", str(out)])
         captured = capsys.readouterr()
         assert code == 2

@@ -11,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarpost.ensemble import DetectionSet
-from lidarpost.geometry import Box3D, Label
+from lidarpost.geometry import Box3D, Label, unchecked_box
 from lidarpost.io import (
+    BoxColumns,
     FormatError,
     InputError,
     ValidationError,
+    read_box_columns,
     read_boxes,
     read_points,
+    write_box_columns,
     write_boxes,
     write_points,
 )
@@ -417,6 +420,96 @@ class TestWriteBoxesAgainstReference:
                 write([frame], tmp_path / "bad.jsonl")
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+
+# Floats whose text is easy to get wrong: signed zeros, subnormals, the
+# largest and near-largest magnitudes.
+_EDGE_FLOAT = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                               -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+_ID_COLUMNS = ("track_id", "difficulty", "num_points", "source_id")
+
+
+@st.composite
+def _column_frames(draw):
+    """A frame of columns: any finite floats, every label, and each id
+    column held by no box, by every box or by some, ids up to 2**70."""
+    n = draw(st.integers(0, 6))
+    number = st.one_of(_FLOAT, _EDGE_FLOAT)
+    numbers = np.array([[draw(number) for _ in range(8)] for _ in range(n)],
+                       dtype=np.float64).reshape(n, 8)
+    ids = []
+    for _ in _ID_COLUMNS:
+        held = draw(st.sampled_from([st.none(), st.integers(0, 2**70),
+                                     st.one_of(st.none(), st.integers(0, 2**70))]))
+        ids.append([draw(held) for _ in range(n)])
+    return BoxColumns(draw(_FRAME_ID), draw(st.one_of(_FLOAT, _EDGE_FLOAT)), numbers,
+                      [draw(st.sampled_from(Label)) for _ in range(n)], tuple(ids))
+
+
+def _record_lines(frames) -> bytes:
+    """One dict and one json.dumps per row of the frames' columns."""
+    lines = []
+    for frame in frames:
+        for values, label, *ids in zip(frame.numbers.tolist(), frame.labels, *frame.ids):
+            record = {"frame_id": frame.frame_id, "timestamp": frame.timestamp,
+                      **dict(zip(("cx", "cy", "cz", "l", "w", "h", "heading", "score"), values)),
+                      "label": label.value}
+            record.update((key, value) for key, value in zip(_ID_COLUMNS, ids) if value is not None)
+            lines.append(json.dumps(record, allow_nan=False) + "\n")
+    return "".join(lines).encode()
+
+
+def _row_sets(frames):
+    """The frames' boxes as rows, built without the box checks."""
+    return [DetectionSet(frame.frame_id,
+                         [unchecked_box(*values, label, *ids) for values, label, *ids
+                          in zip(frame.numbers.tolist(), frame.labels, *frame.ids)],
+                         0, frame.timestamp)
+            for frame in frames]
+
+
+class TestWriteBoxColumns:
+    """write_box_columns against one json.dumps per record, and against
+    write_boxes on the same boxes as rows."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(_column_frames(), max_size=4))
+    def test_same_bytes_as_each_record_and_as_the_rows(self, tmp_path_factory, frames):
+        base = tmp_path_factory.getbasetemp()
+        write_box_columns(frames, base / "columns.jsonl")
+        write_boxes(_row_sets(frames), base / "rows.jsonl")
+        got = (base / "columns.jsonl").read_bytes()
+        assert got == _record_lines(frames)
+        assert (base / "rows.jsonl").read_bytes() == got
+
+    def test_mixed_ids_in_one_frame(self, tmp_path):
+        numbers = np.array([[-0.0, 5e-324, 1e308, 4.0, 2.0, 1.5, -1e308, 0.5]] * 4)
+        ids = ([0, None, 2**70, None], [None, 1, 2, None], [7, None, None, None],
+               [None, None, 3, None])
+        frame = BoxColumns('a "b" {c}', -0.0, numbers, [Label.VEHICLE, Label.CYCLIST,
+                                                         Label.PEDESTRIAN, Label.VEHICLE], ids)
+        write_box_columns([frame], tmp_path / "o.jsonl")
+        assert (tmp_path / "o.jsonl").read_bytes() == _record_lines([frame])
+        assert read_box_columns(tmp_path / "o.jsonl")[frame.frame_id].ids == tuple(map(list, ids))
+
+    @pytest.mark.parametrize("column", [0, 3, 6, 7, "timestamp"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_float_raises_what_json_raises(self, tmp_path, column, bad):
+        numbers = np.array([[1.0, 2.0, 0.0, 4.0, 2.0, 1.5, 0.1, 0.9]] * 2)
+        timestamp = 0.5
+        if column == "timestamp":
+            timestamp = bad
+        else:
+            numbers[1, column] = bad
+        frame = BoxColumns("f", timestamp, numbers, [Label.VEHICLE] * 2, ([None] * 2,) * 4)
+        rows = _row_sets([frame._replace(timestamp=0.5)])
+        rows[0].timestamp = timestamp  # a set refuses it, so it is set after
+        with pytest.raises(ValueError) as want:
+            json.dumps(bad, allow_nan=False)
+        for write, frames in ((write_box_columns, [frame]), (write_boxes, rows)):
+            with pytest.raises(ValueError) as info:
+                write(frames, tmp_path / "bad.jsonl")
+            assert str(info.value) == str(want.value)
 
 
 class TestReadPoints:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarpost.ensemble import DetectionSet
-from lidarpost.geometry import Box3D, Label, iou3d
+from lidarpost.geometry import _ID_FIELDS, _NUMBER_FIELDS, Box3D, Label, iou3d
+from lidarpost.io import BoxColumns
 from lidarpost.tracker import (
     DEFAULT_CONFIG,
     OBS_DIM,
@@ -728,6 +729,73 @@ class TestAgainstReference:
             with pytest.raises(ValueError) as info, np.errstate(all="ignore"):
                 for frame in frames:
                     tracker.step(frame)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert message in errors[0][1]
+
+
+def _columns(frame: DetectionSet) -> BoxColumns:
+    """A frame's boxes as the columns a box file's reader gives."""
+    boxes = frame.boxes
+    numbers = np.array([[getattr(box, name) for name in _NUMBER_FIELDS] for box in boxes],
+                       dtype=np.float64).reshape(len(boxes), len(_NUMBER_FIELDS))
+    return BoxColumns(frame.frame_id, frame.timestamp, numbers, [box.label for box in boxes],
+                      tuple([getattr(box, name) for box in boxes] for name in _ID_FIELDS))
+
+
+def _assert_column_form_equals_row_form(config, frames) -> None:
+    """Per step: the same reported rows, every number equal by float.hex and
+    every id an equal int or None, the same states and the same ids issued.
+    The detections get ids of every kind first, some of them None."""
+    rows, columns = Tracker(config), Tracker(config)
+    for frame in frames:
+        frame = DetectionSet(frame.frame_id, [
+            box._with(track_id=k if k % 3 else None, difficulty=1 + k % 2 if k % 4 else None,
+                      num_points=k % 5 if k % 2 else None, source_id=k % 7)
+            for k, box in enumerate(frame.boxes)], 0, frame.timestamp)
+        boxes = rows.step(frame)
+        report = columns.step(_columns(frame))
+        assert (report.frame_id, report.timestamp) == (frame.frame_id, frame.timestamp)
+        assert report.numbers.dtype == np.float64
+        assert report.numbers.shape == (len(boxes), len(_NUMBER_FIELDS))
+        got = [([float.hex(v) for v in values], label, [(type(i), i) for i in ids])
+               for values, label, *ids in zip(report.numbers.tolist(), report.labels, *report.ids)]
+        want = [([float.hex(getattr(box, name)) for name in _NUMBER_FIELDS], box.label,
+                 [(type(getattr(box, name)), getattr(box, name)) for name in _ID_FIELDS])
+                for box in boxes]
+        assert got == want
+        assert columns.tracks_created == rows.tracks_created
+        _assert_same_states(columns.tracks, rows.tracks)
+
+
+class TestColumnFormAgainstRowForm:
+    """Tracker.step on a frame's columns against Tracker.step on its boxes:
+    one column step serves both, and only the report's form differs."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_configs_and_scenes())
+    def test_random_scenes(self, config_and_frames):
+        _assert_column_form_equals_row_form(*config_and_frames)
+
+    def test_dense_scene_in_three_classes(self):
+        frames = _scene(np.random.default_rng(12), list(Label), n_objects=60, n_frames=15,
+                        drop=0.2, flip=0.1, steps=[0.1] * 15, spread=40.0)
+        _assert_column_form_equals_row_form(DEFAULT_CONFIG, frames)
+
+    @pytest.mark.parametrize("start, later, message", [
+        (-1e308, 1e308, "angle must be finite"),
+        (1.5e308, 1.79e308, "cx must be finite"),
+    ])
+    def test_a_state_that_goes_non_finite_raises_the_same_error(self, start, later, message):
+        config = TrackerConfig(iou_min=0.0, min_hits=1)
+        frames = [DetectionSet(str(f), [_det(cx, 0.0)], 0, float(f))
+                  for f, cx in enumerate([start, later, later, later])]
+        errors = []
+        for form in (lambda frame: frame, _columns):
+            tracker = Tracker(config)
+            with pytest.raises(ValueError) as info, np.errstate(all="ignore"):
+                for frame in frames:
+                    tracker.step(form(frame))
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         assert message in errors[0][1]
